@@ -22,6 +22,10 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 echo "==> Engine + point + service + distributed benchmark smoke (gated vs BENCH_history.json rolling median)"
 REPRO_BENCH_GATE=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest benchmarks -q -k "engine or point or service or distributed" --benchmark-disable-gc
 
+echo "==> Perfbench smoke: sweep_scalar outputs identical to serial compare_schemes"
+python3 perfbench/run.py --workload sweep_scalar --seed 1 --seconds 2 --trace 0 | tail -n 1 \
+    | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else "perfbench sweep_scalar: output check failed")'
+
 echo "==> BENCH_engine.json"
 cat BENCH_engine.json
 

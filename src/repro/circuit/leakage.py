@@ -13,6 +13,10 @@ bookkeeping:
   running component-wise sum that collapses long ``__add__``/``scaled``
   chains into plain float adds, frozen into a validated
   :class:`LeakageBreakdown` once at the end.
+* :class:`AffineLeakage` / :class:`AffineLeakageAccumulator` — leakage
+  that is affine in one probability ``p`` (``fixed + p * high +
+  (1 - p) * low``), held as its three terms so a fresh ``p`` costs three
+  multiply-adds per mechanism instead of a re-walk of the circuit.
 * :class:`BiasState` — the terminal voltages that determine a device's
   leakage.
 * :func:`device_leakage` — evaluate one device in one bias state.
@@ -41,8 +45,8 @@ from ..errors import CircuitError
 from ..technology.leakage_model import stack_factor
 from ..technology.transistor import Mosfet
 
-__all__ = ["LeakageBreakdown", "LeakageAccumulator", "BiasState",
-           "device_leakage", "StateLeakage"]
+__all__ = ["LeakageBreakdown", "LeakageAccumulator", "AffineLeakage",
+           "AffineLeakageAccumulator", "BiasState", "device_leakage", "StateLeakage"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,6 +147,64 @@ class LeakageAccumulator:
             gate=self.gate,
             junction=self.junction,
         )
+
+
+@dataclass(frozen=True, slots=True)
+class AffineLeakage:
+    """Leakage affine in one probability ``p``: ``fixed + p * high + (1 - p) * low``.
+
+    A crossbar path's leakage has this shape in the probability that an
+    input column wire is parked high: every off pass device leaks one of
+    two bias-point currents (input high or input low) weighted by that
+    probability, and everything else is independent of it.
+    """
+
+    fixed: LeakageBreakdown
+    high: LeakageBreakdown
+    low: LeakageBreakdown
+
+    def mixed_at(self, other: "AffineLeakage", weight: float, probability: float,
+                 scale: float = 1.0) -> LeakageBreakdown:
+        """``scale * (weight * self(p) + (1 - weight) * other(p))``, where
+        ``x(p) = x.fixed + p * x.high + (1 - p) * x.low``.
+
+        The expected leakage of a state that holds with probability
+        ``weight`` (``self``) and otherwise does not (``other``), in one
+        allocation.  Unvalidated: callers check ``probability`` and
+        ``weight`` lie in [0, 1] and ``scale`` is non-negative.
+        """
+        p, q = probability, 1.0 - probability
+        rest = 1.0 - weight
+        a_fixed, a_high, a_low = self.fixed, self.high, self.low
+        b_fixed, b_high, b_low = other.fixed, other.high, other.low
+        return _unchecked(
+            (weight * (a_fixed.subthreshold + p * a_high.subthreshold + q * a_low.subthreshold)
+             + rest * (b_fixed.subthreshold + p * b_high.subthreshold + q * b_low.subthreshold))
+            * scale,
+            (weight * (a_fixed.gate + p * a_high.gate + q * a_low.gate)
+             + rest * (b_fixed.gate + p * b_high.gate + q * b_low.gate)) * scale,
+            (weight * (a_fixed.junction + p * a_high.junction + q * a_low.junction)
+             + rest * (b_fixed.junction + p * b_high.junction + q * b_low.junction)) * scale,
+        )
+
+
+class AffineLeakageAccumulator:
+    """Three :class:`LeakageAccumulator` s building one :class:`AffineLeakage`.
+
+    Contributions independent of ``p`` go to :attr:`fixed`; those present
+    with probability ``p`` (``1 - p``) go to :attr:`high` (:attr:`low`).
+    """
+
+    __slots__ = ("fixed", "high", "low")
+
+    def __init__(self) -> None:
+        self.fixed = LeakageAccumulator()
+        self.high = LeakageAccumulator()
+        self.low = LeakageAccumulator()
+
+    def freeze(self) -> AffineLeakage:
+        """The accumulated terms as an immutable :class:`AffineLeakage`."""
+        return AffineLeakage(self.fixed.freeze(), self.high.freeze(), self.low.freeze())
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,22 @@ its modelling notes.  The heavy lifting (timing paths, state-dependent
 leakage, dynamic energy, standby-transition energy, netlist generation)
 lives here so that every scheme is analysed with exactly the same
 machinery and the Table 1 comparisons are apples-to-apples.
+
+Activity profile
+----------------
+Every analysis depends on the data activity only through two scalars,
+the static probability ``p`` and the toggle activity ``t``; the rest is
+structure.  The first analysis of a built scheme therefore derives an
+:class:`ActivityProfile` — the delays, the standby leakage, the
+capacitance-derived energy terms and each path's leakage split into the
+terms of an affine function of ``p`` — and every activity-dependent
+method is then a few float multiply-adds on it:
+
+* active and idle leakage are quadratic in ``p`` (the merge-node value
+  and the parked input wires both follow it);
+* dynamic energy per cycle is affine in ``p`` and ``t``;
+* the standby transition energy is affine in ``p``;
+* delays and standby leakage do not depend on either.
 """
 
 from __future__ import annotations
@@ -38,7 +54,12 @@ from ..circuit.gates import (
     PrechargeTransistor,
     SleepTransistor,
 )
-from ..circuit.leakage import LeakageAccumulator, LeakageBreakdown
+from ..circuit.leakage import (
+    AffineLeakage,
+    AffineLeakageAccumulator,
+    LeakageAccumulator,
+    LeakageBreakdown,
+)
 from ..circuit.netlist import Netlist
 from ..errors import CrossbarError
 from ..interconnect.pi_model import PiModel
@@ -50,7 +71,7 @@ from ..timing.delay_analysis import DelayReport, contention_factor, pass_rise_pe
 from ..timing.path import TimingPath, TimingStage
 from .ports import CrossbarConfig, PortDirection
 
-__all__ = ["VtPlan", "SchemeFeatures", "CrossbarScheme"]
+__all__ = ["VtPlan", "SchemeFeatures", "ActivityProfile", "CrossbarScheme"]
 
 
 @dataclass(frozen=True)
@@ -99,6 +120,41 @@ class SchemeFeatures:
             )
 
 
+@dataclass(frozen=True)
+class ActivityProfile:
+    """Everything a built scheme's analyses need that does not depend on
+    the data activity (``static_probability`` / ``toggle_activity``).
+
+    Energies are in joules, per output-bit path unless noted; a term a
+    scheme does not have (a keeper's contention in a pre-charged scheme,
+    say) is zero.
+    """
+
+    delay: DelayReport
+    standby: LeakageBreakdown
+    #: One output-bit path's leakage per ``(merge_high, granted)``, affine
+    #: in the probability that an input column wire is parked high.
+    path_leakage: dict[tuple[bool, bool], AffineLeakage]
+    #: Pre-charged capacitance, re-charged after every evaluated 0.
+    precharged_energy: float
+    #: Capacitance switched on every rising data transition.
+    toggled_energy: float
+    #: Keeper contention burned on every falling data transition.
+    contention_energy: float
+    #: Pre-charge clock load, switched every cycle.
+    clocked_energy: float
+    #: One input column wire, per rising data transition.
+    input_wire_energy: float
+    #: Grant-line switching per output port per cycle.
+    grant_energy: float
+    #: Sleep-control gates switched by one standby entry + exit.
+    sleep_control_energy: float
+    #: Merge structure re-charged after standby when it was parked high.
+    parked_merge_energy: float
+    #: Driver internal node flipped by a forced merge-node transition.
+    internal_node_energy: float
+
+
 class CrossbarScheme:
     """Base class: one crossbar design analysed at one technology point.
 
@@ -124,23 +180,6 @@ class CrossbarScheme:
         self.features = features
         self.vt_plan = vt_plan
         self._build_components()
-        # Scheme instances are structurally immutable after construction
-        # and shared through the structural cache, so every analysis
-        # method is pure in its scalar arguments — memoise the hot
-        # entry points per (method, scalars).  Bounded: a sweep over
-        # many distinct scalars clears rather than grows.
-        self._analysis_memo: dict[tuple, object] = {}
-
-    def _memoised(self, key: tuple, compute):
-        """Per-scheme memo for pure analysis results keyed on scalars."""
-        memo = self._analysis_memo
-        cached = memo.get(key)
-        if cached is None:
-            cached = compute()
-            if len(memo) >= 256:
-                memo.clear()
-            memo[key] = cached
-        return cached
 
     # ------------------------------------------------------------------ #
     # construction                                                        #
@@ -416,11 +455,7 @@ class CrossbarScheme:
 
     def delay_report(self) -> DelayReport:
         """Worst-case delays of this scheme (Table 1 delay rows)."""
-        return self._memoised(("delay_report",), lambda: DelayReport(
-            scheme=self.name,
-            high_to_low=self.high_to_low_path().delay(),
-            low_to_high=self.low_to_high_path().delay(),
-        ))
+        return self.activity_profile.delay
 
     # ------------------------------------------------------------------ #
     # leakage                                                              #
@@ -431,26 +466,26 @@ class CrossbarScheme:
 
     def _add_pass_bank_leakage(
         self,
-        acc: LeakageAccumulator,
+        terms: AffineLeakageAccumulator,
         switch: PassTransistorSwitch,
         count_off: int,
         node_voltage: float,
-        probability_input_high: float,
+        weight: float = 1.0,
     ) -> None:
-        """Accumulate the expected leakage of ``count_off`` off pass devices.
+        """Accumulate the leakage of ``count_off`` off pass devices.
 
-        Each of the two unique bias points (input parked high / parked
-        low) is evaluated once — a kernel memo hit after the first call
-        — and multiplied by its expected population, instead of being
-        re-derived per port or per row.
+        Each device leaks at one of two bias points — its input wire
+        parked high or parked low — so the bank lands in the ``high`` and
+        ``low`` terms of the path, weighted later by the probability that
+        an input is high.  Each bias point is evaluated once and
+        multiplied by the population (times ``weight``, the probability
+        of the circuit state the bank is in), not re-derived per port.
         """
         if count_off <= 0:
             return
         vdd = self.supply_voltage
-        acc.add(switch.leakage(False, vdd, node_voltage),
-                probability_input_high * count_off)
-        acc.add(switch.leakage(False, 0.0, node_voltage),
-                (1.0 - probability_input_high) * count_off)
+        terms.high.add(switch.leakage(False, vdd, node_voltage), count_off * weight)
+        terms.low.add(switch.leakage(False, 0.0, node_voltage), count_off * weight)
 
     def _add_merge_support_leakage(self, acc: LeakageAccumulator,
                                    merge_high: bool, standby: bool) -> None:
@@ -466,42 +501,50 @@ class CrossbarScheme:
             # during active evaluation, off for the phase that matters.
             acc.add(self.precharge.leakage(False, node_voltage))
 
-    def _add_far_support_leakage(self, acc: LeakageAccumulator,
-                                 far_high: bool, far_standby: bool) -> None:
+    def _add_far_support_leakage(self, acc: LeakageAccumulator, far_high: bool,
+                                 far_standby: bool, weight: float = 1.0) -> None:
         """Sleep / pre-charge devices attached to the far segment."""
         if not self.features.segmented:
             return
         vdd = self.supply_voltage
         node_voltage = vdd if far_high else 0.0
         if self.sleep is not None:
-            acc.add(self.sleep.leakage(far_standby, node_voltage))
+            acc.add(self.sleep.leakage(far_standby, node_voltage), weight)
         if self.precharge is not None:
-            acc.add(self.precharge.leakage(False, node_voltage))
+            acc.add(self.precharge.leakage(False, node_voltage), weight)
 
     def _add_segment_switch_leakage(self, acc: LeakageAccumulator, connected: bool,
-                                    far_voltage: float, near_voltage: float) -> None:
+                                    far_voltage: float, near_voltage: float,
+                                    weight: float = 1.0) -> None:
         """Leakage of the segment switch for the given connection state."""
         if self.segment_switch is not None:
-            acc.add(self.segment_switch.leakage(connected, far_voltage, near_voltage))
+            acc.add(self.segment_switch.leakage(connected, far_voltage, near_voltage), weight)
 
-    def _path_leakage_unsegmented(self, merge_high: bool, probability_input_high: float,
-                                  granted: bool) -> LeakageBreakdown:
-        """One output-bit path, non-segmented schemes."""
-        vdd = self.supply_voltage
-        node_voltage = vdd if merge_high else 0.0
+    def _awake_node_leakage(self, merge_high: bool) -> LeakageBreakdown:
+        """Output driver chain plus the near merge node's keeper / sleep /
+        pre-charge devices, awake: common to every active or idle state
+        with the given merge-node value."""
         acc = LeakageAccumulator()
         acc.add(self._driver_chain_leakage(merge_high))
         self._add_merge_support_leakage(acc, merge_high, standby=False)
-        off_count = self.config.inputs_per_output - (1 if granted else 0)
-        self._add_pass_bank_leakage(
-            acc, self.pass_switch, off_count, node_voltage, probability_input_high
-        )
-        if granted:
-            acc.add(self.pass_switch.leakage(True, node_voltage, node_voltage))
         return acc.freeze()
 
-    def _path_leakage_segmented(self, merge_high: bool, probability_input_high: float,
-                                granted: bool) -> LeakageBreakdown:
+    def _path_leakage_unsegmented(self, merge_high: bool, granted: bool,
+                                  node_leakage: LeakageBreakdown) -> AffineLeakage:
+        """One output-bit path, non-segmented schemes."""
+        vdd = self.supply_voltage
+        node_voltage = vdd if merge_high else 0.0
+        terms = AffineLeakageAccumulator()
+        fixed = terms.fixed
+        fixed.add(node_leakage)
+        off_count = self.config.inputs_per_output - (1 if granted else 0)
+        self._add_pass_bank_leakage(terms, self.pass_switch, off_count, node_voltage)
+        if granted:
+            fixed.add(self.pass_switch.leakage(True, node_voltage, node_voltage))
+        return terms.freeze()
+
+    def _path_leakage_segmented(self, merge_high: bool, granted: bool,
+                                node_leakage: LeakageBreakdown) -> AffineLeakage:
         """One output-bit path, segmented schemes (SDFC / SDPC).
 
         Conditioned on where the granted input sits: with probability
@@ -509,69 +552,77 @@ class CrossbarScheme:
         segment and — if the feature is enabled — the far segment is put
         into standby (its wire held at ground by its own sleep device);
         otherwise both segments are live and joined by the segment
-        switch.
+        switch.  Each case is affine in the input-high probability, so
+        the traffic-weighted mix is accumulated in one pass: devices
+        whose state differs between the cases enter at their case's
+        weight, ``node_leakage`` (the same in both cases) enters once.
         """
         vdd = self.supply_voltage
         node_voltage = vdd if merge_high else 0.0
-        plan = self.segmentation_plan
-        near_fraction = plan.near_traffic_fraction if granted else 1.0
+        near_fraction = self.segmentation_plan.near_traffic_fraction if granted else 1.0
+        far_fraction = 1.0 - near_fraction
+        terms = AffineLeakageAccumulator()
+        fixed = terms.fixed
+        fixed.add(node_leakage)
 
         # Case 1: transfer (or idle value) confined to the near segment.
         far_sleeps = self.features.far_segment_sleeps_when_unused
         far_voltage_case1 = 0.0 if far_sleeps else node_voltage
-        case1 = LeakageAccumulator()
-        case1.add(self._driver_chain_leakage(merge_high))
-        self._add_merge_support_leakage(case1, merge_high, standby=False)
         self._add_pass_bank_leakage(
-            case1, self.near_pass_switch, self._near_inputs() - (1 if granted else 0),
-            node_voltage, probability_input_high,
+            terms, self.near_pass_switch, self._near_inputs() - (1 if granted else 0),
+            node_voltage, near_fraction,
         )
         if granted:
-            case1.add(self.near_pass_switch.leakage(True, node_voltage, node_voltage))
+            fixed.add(self.near_pass_switch.leakage(True, node_voltage, node_voltage),
+                      near_fraction)
         self._add_pass_bank_leakage(
-            case1, self.pass_switch, self._far_inputs(), far_voltage_case1,
-            probability_input_high,
+            terms, self.pass_switch, self._far_inputs(), far_voltage_case1, near_fraction
         )
         self._add_far_support_leakage(
-            case1, far_high=far_voltage_case1 > 0, far_standby=far_sleeps
+            fixed, far_high=far_voltage_case1 > 0, far_standby=far_sleeps,
+            weight=near_fraction,
         )
-        self._add_segment_switch_leakage(case1, False, far_voltage_case1, node_voltage)
+        self._add_segment_switch_leakage(
+            fixed, False, far_voltage_case1, node_voltage, weight=near_fraction
+        )
 
         # Case 2: transfer comes from the far segment; both segments live.
-        case2 = LeakageAccumulator()
-        case2.add(self._driver_chain_leakage(merge_high))
-        self._add_merge_support_leakage(case2, merge_high, standby=False)
-        self._add_pass_bank_leakage(
-            case2, self.near_pass_switch, self._near_inputs(), node_voltage,
-            probability_input_high,
-        )
-        far_off = self._far_inputs() - (1 if granted else 0)
-        self._add_pass_bank_leakage(
-            case2, self.pass_switch, far_off, node_voltage, probability_input_high
-        )
-        if granted:
-            case2.add(self.pass_switch.leakage(True, node_voltage, node_voltage))
-        self._add_far_support_leakage(case2, far_high=merge_high, far_standby=False)
-        self._add_segment_switch_leakage(case2, True, node_voltage, node_voltage)
+        # An idle path (nothing granted) is always in case 1.
+        if far_fraction > 0.0:
+            self._add_pass_bank_leakage(
+                terms, self.near_pass_switch, self._near_inputs(), node_voltage, far_fraction
+            )
+            far_off = self._far_inputs() - (1 if granted else 0)
+            self._add_pass_bank_leakage(
+                terms, self.pass_switch, far_off, node_voltage, far_fraction
+            )
+            if granted:
+                fixed.add(self.pass_switch.leakage(True, node_voltage, node_voltage),
+                          far_fraction)
+            self._add_far_support_leakage(
+                fixed, far_high=merge_high, far_standby=False, weight=far_fraction
+            )
+            self._add_segment_switch_leakage(
+                fixed, True, node_voltage, node_voltage, weight=far_fraction
+            )
+        return terms.freeze()
 
-        return (LeakageAccumulator()
-                .add(case1.freeze(), near_fraction)
-                .add(case2.freeze(), 1.0 - near_fraction)
-                .freeze())
-
-    def _path_leakage(self, merge_high: bool, probability_input_high: float,
-                      granted: bool) -> LeakageBreakdown:
-        """One output-bit path in active (or idle-awake) mode."""
+    def _path_leakage(self, merge_high: bool, granted: bool,
+                      node_leakage: LeakageBreakdown) -> AffineLeakage:
+        """One output-bit path in active (or idle-awake) mode;
+        ``node_leakage`` is :meth:`_awake_node_leakage` for ``merge_high``."""
         if self.features.segmented:
-            return self._path_leakage_segmented(merge_high, probability_input_high, granted)
-        return self._path_leakage_unsegmented(merge_high, probability_input_high, granted)
+            return self._path_leakage_segmented(merge_high, granted, node_leakage)
+        return self._path_leakage_unsegmented(merge_high, granted, node_leakage)
 
-    def _expected_path_leakage(self, probability_high: float, probability_input_high: float,
+    def _expected_path_leakage(self, path_leakage: dict[tuple[bool, bool], AffineLeakage],
+                               probability_high: float, probability_input_high: float,
                                granted: bool) -> LeakageBreakdown:
-        """Average one-path leakage over the merge-node value distribution."""
-        high = self._path_leakage(True, probability_input_high, granted)
-        low = self._path_leakage(False, probability_input_high, granted)
-        return high.scaled(probability_high) + low.scaled(1.0 - probability_high)
+        """Whole-crossbar leakage averaged over the merge-node value distribution."""
+        return path_leakage[True, granted].mixed_at(
+            path_leakage[False, granted], probability_high, probability_input_high,
+            scale=self.output_path_count,
+        )
 
     def active_leakage(self, static_probability: float = 0.5) -> LeakageBreakdown:
         """Total crossbar leakage while transferring flits (Table 1 "active").
@@ -583,13 +634,11 @@ class CrossbarScheme:
         matches the paper's crossbar-only scope.
         """
         self._check_probability(static_probability)
-        return self._memoised(
-            ("active_leakage", static_probability),
-            lambda: self._expected_path_leakage(
-                probability_high=static_probability,
-                probability_input_high=static_probability,
-                granted=True,
-            ).scaled(self.output_path_count),
+        return self._expected_path_leakage(
+            self.activity_profile.path_leakage,
+            probability_high=static_probability,
+            probability_input_high=static_probability,
+            granted=True,
         )
 
     def idle_leakage(self, static_probability: float = 0.5) -> LeakageBreakdown:
@@ -602,13 +651,11 @@ class CrossbarScheme:
         also parks at the last data value.
         """
         self._check_probability(static_probability)
-        return self._memoised(
-            ("idle_leakage", static_probability),
-            lambda: self._expected_path_leakage(
-                probability_high=static_probability,
-                probability_input_high=static_probability,
-                granted=False,
-            ).scaled(self.output_path_count),
+        return self._expected_path_leakage(
+            self.activity_profile.path_leakage,
+            probability_high=static_probability,
+            probability_input_high=static_probability,
+            granted=False,
         )
 
     def standby_leakage(self) -> LeakageBreakdown:
@@ -619,17 +666,14 @@ class CrossbarScheme:
         pre-charge clock is gated off.  Schemes without a sleep mode
         simply report their idle leakage.
         """
-        if not self.features.has_sleep:
-            return self.idle_leakage()
-        return self._memoised(("standby_leakage",), self._compute_standby_leakage)
+        return self.activity_profile.standby
 
-    def _compute_standby_leakage(self) -> LeakageBreakdown:
-        """The uncached standby evaluation behind :meth:`standby_leakage`."""
+    def _sleep_leakage(self) -> LeakageBreakdown:
+        """Standby leakage of a scheme with a sleep mode."""
         acc = LeakageAccumulator()
         acc.add(self._driver_chain_leakage(merge_high=False))
         self._add_merge_support_leakage(acc, merge_high=False, standby=True)
         # Off pass devices with all terminals at ground contribute nothing.
-        self._add_pass_bank_leakage(acc, self.pass_switch, 0, 0.0, 0.0)
         if self.features.segmented:
             self._add_far_support_leakage(acc, far_high=False, far_standby=True)
             self._add_segment_switch_leakage(acc, False, 0.0, 0.0)
@@ -704,65 +748,31 @@ class CrossbarScheme:
         given data ``toggle_activity`` (probability a bit changes value
         between consecutive flits) and ``static_probability`` (probability
         a bit is at logic 1).
+
+        Pre-charged schemes re-charge their evaluated path after every 0
+        (probability ``1 - static_probability``, whatever the previous
+        value), toggle the driver internal node with the data and clock
+        the pre-charge gate every cycle.  Feedback schemes switch the
+        whole data path on every rising transition and fight the keeper
+        on every falling one.  Grant lines switch on the fraction of
+        cycles that establish a new grant (head flits).
         """
         self._check_probability(static_probability)
         self._check_probability(toggle_activity)
-        return self._memoised(
-            ("dynamic_energy_per_cycle", toggle_activity, static_probability),
-            lambda: self._compute_dynamic_energy_per_cycle(
-                toggle_activity, static_probability),
-        )
-
-    def _compute_dynamic_energy_per_cycle(self, toggle_activity: float,
-                                          static_probability: float) -> float:
-        """The uncached evaluation behind :meth:`dynamic_energy_per_cycle`."""
-        vdd = self.supply_voltage
+        profile = self.activity_profile
         rising_probability = toggle_activity / 2.0
-
-        per_output_bit = 0.0
-        if self.features.has_precharge:
-            # Every evaluated 0 discharges the pre-charged path and must be
-            # restored: the pre-charged capacitance cycles with probability
-            # P(data == 0) regardless of the previous value.
-            probability_zero = 1.0 - static_probability
-            precharged_capacitance = (
-                self._switched_merge_device_capacitance()
-                + self._row_switched_capacitance()
-                + self.output_wire.capacitance
-                + self.output_node_capacitance()
-            )
-            per_output_bit += probability_zero * switching_energy(precharged_capacitance, vdd)
-            # The driver internal node still toggles with the data.
-            per_output_bit += rising_probability * switching_energy(
-                self.internal_node_capacitance(), vdd
-            )
-            # The pre-charge control gate is clocked every cycle.
-            per_output_bit += switching_energy(self.precharge.control_capacitance(), vdd)
-        else:
-            per_output_bit += rising_probability * switching_energy(
-                self.data_path_capacitance(), vdd
-            )
-            # Falling merge transitions fight the keeper.
-            if self.keeper is not None:
-                per_output_bit += (toggle_activity / 2.0) * contention_energy(
-                    self.keeper.opposing_current(), self._merge_fall_delay(), vdd
-                )
-
-        per_input_bit = rising_probability * switching_energy(self.input_wire.capacitance, vdd)
-
-        # Grant lines: one grant wire per (input, output) pair, loaded by the
-        # pass-transistor gates of every bit of the flit; a new grant is
-        # established on a fraction of cycles (head flits).
-        grant_switch_probability = 0.2
-        grant_load = self.config.flit_width * self.pass_switch.grant_capacitance()
-        per_output_grant = grant_switch_probability * switching_energy(grant_load, vdd)
-
-        total = (
+        per_output_bit = (
+            (1.0 - static_probability) * profile.precharged_energy
+            + rising_probability * profile.toggled_energy
+            + rising_probability * profile.contention_energy
+            + profile.clocked_energy
+        )
+        per_input_bit = rising_probability * profile.input_wire_energy
+        return (
             per_output_bit * self.output_path_count
             + per_input_bit * self.input_wire_count
-            + per_output_grant * self.config.output_count
+            + profile.grant_energy * self.config.output_count
         )
-        return total
 
     def dynamic_power(self, toggle_activity: float = 0.5, static_probability: float = 0.5,
                       frequency: float | None = None) -> float:
@@ -791,26 +801,96 @@ class CrossbarScheme:
         if not self.features.has_sleep:
             return 0.0
         self._check_probability(static_probability)
-        return self._memoised(
-            ("sleep_transition_energy", static_probability),
-            lambda: self._compute_sleep_transition_energy(static_probability),
+        profile = self.activity_profile
+        parked_high_probability = static_probability
+        per_path = (
+            profile.sleep_control_energy
+            + parked_high_probability * profile.parked_merge_energy
+            + parked_high_probability * profile.internal_node_energy
+        )
+        return per_path * self.output_path_count
+
+    # ------------------------------------------------------------------ #
+    # activity profile                                                     #
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def activity_profile(self) -> ActivityProfile:
+        """The activity-independent terms of every analysis, derived once.
+
+        Schemes are structurally immutable after construction (and shared
+        through the structural cache), so the first analysis pays for the
+        circuit walk and every later ``(static_probability,
+        toggle_activity)`` point is arithmetic on this profile.
+        """
+        vdd = self.supply_voltage
+        path_leakage = {}
+        for merge_high in (True, False):
+            node_leakage = self._awake_node_leakage(merge_high)
+            for granted in (True, False):
+                path_leakage[merge_high, granted] = self._path_leakage(
+                    merge_high, granted, node_leakage
+                )
+        if self.features.has_sleep:
+            standby = self._sleep_leakage()
+        else:
+            standby = self._expected_path_leakage(path_leakage, 0.5, 0.5, granted=False)
+
+        internal_node_energy = switching_energy(self.internal_node_capacitance(), vdd)
+        precharged_energy = contention = clocked_energy = 0.0
+        if self.features.has_precharge:
+            precharged_energy = switching_energy(
+                self._switched_merge_device_capacitance()
+                + self._row_switched_capacitance()
+                + self.output_wire.capacitance
+                + self.output_node_capacitance(),
+                vdd,
+            )
+            toggled_energy = internal_node_energy
+            clocked_energy = switching_energy(self.precharge.control_capacitance(), vdd)
+        else:
+            toggled_energy = switching_energy(self.data_path_capacitance(), vdd)
+            if self.keeper is not None:
+                contention = contention_energy(
+                    self.keeper.opposing_current(), self._merge_fall_delay(), vdd
+                )
+
+        # One grant wire per (input, output) pair, loaded by the pass gates
+        # of every bit of the flit; a new grant is established on a
+        # fraction of cycles (head flits).
+        grant_switch_probability = 0.2
+        grant_load = self.config.flit_width * self.pass_switch.grant_capacitance()
+
+        sleep_control_energy = parked_merge_energy = 0.0
+        if self.features.has_sleep:
+            segments = 2 if self.features.segmented else 1
+            sleep_control_energy = segments * switching_energy(
+                self.sleep.control_capacitance(), vdd
+            )
+            row_capacitance = (self.segmented_row.total_capacitance if self.features.segmented
+                               else self.row_wire.capacitance)
+            parked_merge_energy = switching_energy(
+                self.merge_capacitance() + row_capacitance, vdd
+            )
+
+        return ActivityProfile(
+            delay=DelayReport(
+                scheme=self.name,
+                high_to_low=self.high_to_low_path().delay(),
+                low_to_high=self.low_to_high_path().delay(),
+            ),
+            standby=standby,
+            path_leakage=path_leakage,
+            precharged_energy=precharged_energy,
+            toggled_energy=toggled_energy,
+            contention_energy=contention,
+            clocked_energy=clocked_energy,
+            input_wire_energy=switching_energy(self.input_wire.capacitance, vdd),
+            grant_energy=grant_switch_probability * switching_energy(grant_load, vdd),
+            sleep_control_energy=sleep_control_energy,
+            parked_merge_energy=parked_merge_energy,
+            internal_node_energy=internal_node_energy,
         )
 
-    def _compute_sleep_transition_energy(self, static_probability: float) -> float:
-        """The uncached evaluation behind :meth:`sleep_transition_energy`."""
-        vdd = self.supply_voltage
-        segments = 2 if self.features.segmented else 1
-        per_path = segments * switching_energy(self.sleep.control_capacitance(), vdd)
-        parked_high_probability = static_probability
-        merge_capacitance = (
-            self.merge_capacitance()
-            + (self.row_wire.capacitance if not self.features.segmented
-               else self.segmented_row.total_capacitance)
-        )
-        per_path += parked_high_probability * switching_energy(merge_capacitance, vdd)
-        # The driver internal node flips when the merge node is forced low.
-        per_path += parked_high_probability * switching_energy(self.internal_node_capacitance(), vdd)
-        return per_path * self.output_path_count
 
     def standby_power_saving(self, static_probability: float = 0.5) -> float:
         """Leakage power saved per second of standby, relative to idling awake (watts)."""

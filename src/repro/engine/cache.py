@@ -100,6 +100,8 @@ def config_payload(config: ExperimentConfig) -> dict:
 
     Post-PR-1 extension fields are omitted while they hold their
     defaults, so flat-only points keep the keys they have always had.
+    :func:`point_key` hashes exactly this payload's canonical JSON, built
+    piecewise so sub-configs shared between points are serialised once.
     """
     payload = dataclasses.asdict(config)
     for name, default in _ROOT_EXTENSION_DEFAULTS.items():
@@ -124,15 +126,65 @@ def point_key(config: ExperimentConfig, scheme_names: Sequence[str],
     """
     from .. import __version__
 
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "model_version": __version__,
-        "config": config_payload(config),
-        "schemes": list(scheme_names),
-        "baseline": baseline_name,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
+    # The canonical text of {"baseline", "config", "model_version",
+    # "schema", "schemes"} with sorted keys, assembled from parts so the
+    # config's sub-configs are serialised once rather than per point.
+    canonical = (
+        '{"baseline":' + _canonical_json(baseline_name)
+        + ',"config":' + _config_text(config)
+        + ',"model_version":' + _canonical_json(__version__)
+        + ',"schema":' + _canonical_json(CACHE_SCHEMA_VERSION)
+        + ',"schemes":' + _canonical_json(list(scheme_names))
+        + "}"
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _canonical_json(value) -> str:
+    """``value`` in the canonical JSON form every key is hashed from."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=repr)
+
+
+#: Canonical text of recently keyed sub-configs, by identity.  Each entry
+#: holds the sub-config itself, so its id cannot be reused while cached;
+#: equality is not enough (``1 == 1.0`` but they serialise differently).
+_SUBCONFIG_TEXT: dict[int, tuple[object, str]] = {}
+_SUBCONFIG_TEXT_MAX = 256
+
+#: Top-level config fields in canonical (sorted) key order.
+_CONFIG_FIELD_NAMES = tuple(sorted(f.name for f in dataclasses.fields(ExperimentConfig)))
+
+
+def _subconfig_text(subconfig, extension_defaults: dict[str, object]) -> str:
+    """Canonical text of one frozen sub-config (e.g. the crossbar), cached."""
+    cached = _SUBCONFIG_TEXT.get(id(subconfig))
+    if cached is not None and cached[0] is subconfig:
+        return cached[1]
+    payload = dataclasses.asdict(subconfig)
+    for name, default in extension_defaults.items():
+        if payload.get(name) == default:
+            payload.pop(name, None)
+    text = _canonical_json(payload)
+    if len(_SUBCONFIG_TEXT) >= _SUBCONFIG_TEXT_MAX:
+        _SUBCONFIG_TEXT.clear()
+    _SUBCONFIG_TEXT[id(subconfig)] = (subconfig, text)
+    return text
+
+
+def _config_text(config: ExperimentConfig) -> str:
+    """``_canonical_json(config_payload(config))``, without the deep copy."""
+    parts = []
+    for name in _CONFIG_FIELD_NAMES:
+        value = getattr(config, name)
+        if name in _ROOT_EXTENSION_DEFAULTS and value == _ROOT_EXTENSION_DEFAULTS[name]:
+            continue
+        if dataclasses.is_dataclass(value):
+            defaults = _CROSSBAR_EXTENSION_DEFAULTS if name == "crossbar" else {}
+            text = _subconfig_text(value, defaults)
+        else:
+            text = _canonical_json(value)
+        parts.append(f'"{name}":{text}')
+    return "{" + ",".join(parts) + "}"
 
 
 @dataclass

@@ -529,7 +529,10 @@ class DistributedExecutor:
             return
         # Uniquify and insert under ONE lock acquisition: two concurrent
         # same-id registrations must end up as two tracked handles, not
-        # one silently overwriting the other.
+        # one silently overwriting the other.  The dispatch thread starts
+        # before the handle becomes visible, so close() never finds a
+        # handle whose thread it cannot join; the thread itself sends the
+        # ack, as the socket's sole owner from here on.
         worker_id = str(message.get("worker") or address)
         with self._cond:
             if self._closed:
@@ -538,19 +541,23 @@ class DistributedExecutor:
             while worker_id in self._workers:
                 worker_id += "+"
             handle = _WorkerHandle(worker_id, sock, address)
+            handle.thread = threading.Thread(
+                target=self._serve_worker, args=(handle,),
+                name=f"repro-dist-{worker_id}", daemon=True)
+            handle.thread.start()
             self._workers[worker_id] = handle
             self.stats.workers_registered += 1
             self._cond.notify_all()
+
+    def _serve_worker(self, handle: _WorkerHandle) -> None:
+        """Acknowledge a registration, then run the worker's dispatch loop."""
         try:
-            send_frame(sock, {"type": "registered", "worker": worker_id})
-            sock.settimeout(None)
+            send_frame(handle.sock, {"type": "registered", "worker": handle.worker_id})
+            handle.sock.settimeout(None)
         except (OSError, DistributedError):
             self._forget_worker(handle)
             return
-        handle.thread = threading.Thread(
-            target=self._worker_loop, args=(handle,),
-            name=f"repro-dist-{worker_id}", daemon=True)
-        handle.thread.start()
+        self._worker_loop(handle)
 
     def _alive_count(self) -> int:
         return sum(1 for handle in self._workers.values() if handle.alive)

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from ..crossbar.base import CrossbarScheme
 from ..errors import PowerError
 from ..timing.delay_analysis import DelayReport
+from .dynamic_analysis import analyse_dynamic
 from .idle_time import IdleTimeAnalysis, analyse_minimum_idle_time
 from .leakage_analysis import LeakageAnalysis, analyse_leakage
-from .total_power import TotalPowerAnalysis, analyse_total_power
+from .total_power import TotalPowerAnalysis, _combine_total_power
 
 __all__ = ["SchemeEvaluation", "SchemeSavings", "evaluate_scheme", "savings_versus_baseline"]
 
@@ -59,11 +60,14 @@ def evaluate_scheme(
     frequency: float | None = None,
 ) -> SchemeEvaluation:
     """Collect every Table 1 quantity for ``scheme``."""
+    leakage = analyse_leakage(scheme, static_probability)
     return SchemeEvaluation(
         scheme=scheme.name,
         delay=scheme.delay_report(),
-        leakage=analyse_leakage(scheme, static_probability),
-        total_power=analyse_total_power(scheme, toggle_activity, static_probability, frequency),
+        leakage=leakage,
+        total_power=_combine_total_power(
+            analyse_dynamic(scheme, toggle_activity, static_probability, frequency), leakage
+        ),
         idle_time=analyse_minimum_idle_time(scheme, static_probability, frequency),
     )
 

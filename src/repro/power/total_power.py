@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from ..crossbar.base import CrossbarScheme
 from ..errors import PowerError
-from .dynamic_analysis import analyse_dynamic
-from .leakage_analysis import analyse_leakage
+from .dynamic_analysis import DynamicAnalysis, analyse_dynamic
+from .leakage_analysis import LeakageAnalysis, analyse_leakage
 
 __all__ = ["TotalPowerAnalysis", "analyse_total_power", "power_versus_static_probability"]
 
@@ -58,13 +58,21 @@ def analyse_total_power(
     frequency: float | None = None,
 ) -> TotalPowerAnalysis:
     """Evaluate switching + active leakage power for ``scheme``."""
-    dynamic = analyse_dynamic(scheme, toggle_activity, static_probability, frequency)
-    leakage = analyse_leakage(scheme, static_probability)
+    return _combine_total_power(
+        analyse_dynamic(scheme, toggle_activity, static_probability, frequency),
+        analyse_leakage(scheme, static_probability),
+    )
+
+
+def _combine_total_power(dynamic: DynamicAnalysis,
+                         leakage: LeakageAnalysis) -> TotalPowerAnalysis:
+    """Total power from a switching and a leakage analysis of the same
+    scheme at the same static probability."""
     return TotalPowerAnalysis(
-        scheme=scheme.name,
+        scheme=dynamic.scheme,
         frequency=dynamic.frequency,
-        toggle_activity=toggle_activity,
-        static_probability=static_probability,
+        toggle_activity=dynamic.toggle_activity,
+        static_probability=dynamic.static_probability,
         dynamic_power=dynamic.power,
         leakage_power=leakage.active_power,
     )

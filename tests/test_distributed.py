@@ -197,6 +197,35 @@ class TestRegistration:
             assert first["worker"] == "twin"
             assert second["worker"].startswith("twin")
 
+    def test_close_racing_a_registration_never_fails(self):
+        """close() may land anywhere in a registration — before the ack,
+        right after it — and must neither raise nor hang."""
+        register = {"type": "register", "protocol": PROTOCOL_VERSION,
+                    "worker": "w1", "model_version": repro.__version__}
+        for attempt in range(100):
+            executor = DistributedExecutor().start()
+            sock = socket.create_connection(executor.address, timeout=5.0)
+            try:
+                sock.settimeout(5.0)
+                send_frame(sock, register)
+                if attempt % 2:
+                    # Close the moment the worker learns it is registered.
+                    assert recv_frame(sock) == {"type": "registered", "worker": "w1"}
+                    executor.close()
+                else:
+                    # Close while the handshake is still in flight.  A
+                    # connection the listener never accepted is reset.
+                    executor.close()
+                    try:
+                        answer = recv_frame(sock)
+                    except ConnectionResetError:
+                        answer = None
+                    assert answer in (None, {"type": "registered", "worker": "w1"},
+                                      {"type": "shutdown"})
+            finally:
+                sock.close()
+                executor.close()
+
 
 # ---------------------------------------------------------------------------
 # end-to-end runs against real worker subprocesses

@@ -18,7 +18,7 @@ from repro.engine import (
     point_key,
     resolve_executor,
 )
-from repro.engine.cache import CachedEntry
+from repro.engine.cache import CACHE_SCHEMA_VERSION, CachedEntry, config_payload
 from repro.errors import ConfigurationError, ReproError
 
 SCHEMES = ["SC", "SDPC"]
@@ -326,6 +326,39 @@ class TestCache:
             "crossbar.input_buffer_depth": 8}), SCHEMES) != base
         assert point_key(ExperimentConfig().with_overrides(**{
             "noc.buffer_depth": 4}), SCHEMES) != base  # branch materialised
+
+    def test_key_hashes_the_canonical_config_payload(self):
+        """point_key assembles its canonical text piecewise; it must hash
+        exactly the sorted-key JSON of config_payload — including for
+        values equal but differently serialised (1 vs 1.0), and when the
+        same sub-config object is keyed again."""
+        import hashlib
+
+        import repro
+
+        def reference(config, schemes, baseline="SC"):
+            payload = {"schema": CACHE_SCHEMA_VERSION,
+                       "model_version": repro.__version__,
+                       "config": config_payload(config),
+                       "schemes": list(schemes), "baseline": baseline}
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                              default=repr)
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        base = ExperimentConfig()
+        configs = [
+            base,
+            base.with_overrides(static_probability=0.125, toggle_activity=1.0),
+            base.with_overrides(**{"crossbar.port_count": 7,
+                                   "noc.link_length": 2.0e-3}),
+            base.with_overrides(**{"crossbar.input_buffer_depth": 8}),
+            base.with_overrides(**{"crossbar.layout_overhead": 1}),
+            base.with_overrides(**{"crossbar.layout_overhead": 1.0}),
+        ]
+        for config in configs + configs:
+            for schemes, baseline in ((SCHEMES, "SC"), (["SDPC", "SC"], "SDPC")):
+                assert point_key(config, schemes, baseline) == \
+                    reference(config, schemes, baseline)
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         directory = tmp_path / "cache"

@@ -1,45 +1,61 @@
-"""The leakage-kernel fast path must change nothing but the speed.
+"""The leakage fast paths must change nothing but the speed.
 
-``tests/golden/leakage_parity.json`` holds the full ``compare_schemes``
-output (all registered schemes, every Table 1 column) captured from the
-pre-kernel implementation across three technology nodes, two static
-probabilities and two crossbar radixes.  The memoised kernel, the
-allocation-free accumulator and the per-scheme analysis memo must
-reproduce every number to 1e-12 relative tolerance — in practice the
-fast path is arithmetic-order-preserving enough to be bit-identical on
-most columns, but the committed contract is the tolerance.
+Two committed goldens pin the full ``compare_schemes`` output (all
+registered schemes, every Table 1 column):
 
-The second half checks the fast path is actually *fast*: bias-point
+* ``tests/golden/leakage_parity.json`` — captured from the pre-kernel
+  implementation across three technology nodes, two static
+  probabilities and two crossbar radixes, at toggle activity 0.5;
+* ``tests/golden/activity_parity.json`` — captured before the activity
+  profile existed (``scripts/capture_activity_parity.py``) across three
+  nodes x radixes {3, 5} x (static probability, toggle activity) pairs
+  spanning p in [0.005, 1] and t in [0, 1], endpoints included.
+
+The memoised kernel, the allocation-free accumulator and the per-scheme
+activity profile must reproduce every float to 1e-12 relative tolerance
+and every integer column (``minimum_idle_cycles`` is a ``ceil``)
+exactly.
+
+The rest checks the fast paths are actually *fast*: bias-point
 evaluations are shared across ports (a port-count sweep adds almost no
-kernel misses) and the memo serves the overwhelming majority of
-lookups.
+kernel misses), a fresh activity point on warm schemes makes no kernel
+lookups at all, and each scheme derives its profile once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from repro import compare_schemes, paper_experiment
+from repro import compare_schemes, errors, paper_experiment
 from repro.circuit.biasing import (
     LeakageKernel,
     kernel_for,
     kernel_totals,
     leakage_from_node_voltages,
 )
-from repro.circuit.leakage import LeakageAccumulator, LeakageBreakdown
+from repro.circuit.leakage import (
+    AffineLeakageAccumulator,
+    LeakageAccumulator,
+    LeakageBreakdown,
+)
 from repro.core.scheme_evaluator import (
     SchemeEvaluator,
     clear_structural_cache,
     structural_cache_stats,
 )
-from repro.errors import CircuitError
+from repro.crossbar.base import CrossbarScheme
+from repro.crossbar.factory import available_schemes, create_scheme
+from repro.errors import CircuitError, CrossbarError
 from repro.technology import default_45nm
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "leakage_parity.json"
+ACTIVITY_GOLDEN_PATH = Path(__file__).parent / "golden" / "activity_parity.json"
 
 #: Relative tolerance of the golden comparison (absolute for exact zeros).
 PARITY_RTOL = 1e-12
@@ -47,6 +63,27 @@ PARITY_RTOL = 1e-12
 
 def _golden_cases():
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def _activity_cases():
+    return json.loads(ACTIVITY_GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def _assert_records_match(live, golden):
+    """Floats to PARITY_RTOL, everything else (names, integer counts) exact."""
+    assert len(live) == len(golden)
+    for new, old in zip(live, golden):
+        assert new.keys() == old.keys()
+        for column, old_value in old.items():
+            new_value = new[column]
+            if isinstance(old_value, float):
+                assert math.isclose(new_value, old_value,
+                                    rel_tol=PARITY_RTOL, abs_tol=1e-30), (
+                    f"{new['scheme']}.{column}: {new_value!r} != {old_value!r}"
+                )
+            else:
+                assert type(new_value) is type(old_value), f"{new['scheme']}.{column}"
+                assert new_value == old_value, f"{new['scheme']}.{column}"
 
 
 def _case_id(case):
@@ -64,21 +101,96 @@ def test_compare_schemes_matches_pre_kernel_golden(case):
     if "crossbar.port_count" in case:
         overrides["crossbar.port_count"] = case["crossbar.port_count"]
     config = paper_experiment().with_overrides(**overrides)
-    live = compare_schemes(config).as_records()
+    _assert_records_match(compare_schemes(config).as_records(), case["records"])
 
-    golden = case["records"]
-    assert len(live) == len(golden)
-    for new, old in zip(live, golden):
-        assert new.keys() == old.keys()
-        for column, old_value in old.items():
-            new_value = new[column]
-            if isinstance(old_value, float):
-                assert math.isclose(new_value, old_value,
-                                    rel_tol=PARITY_RTOL, abs_tol=1e-30), (
-                    f"{new['scheme']}.{column}: {new_value!r} != {old_value!r}"
-                )
-            else:
-                assert new_value == old_value, f"{new['scheme']}.{column}"
+
+def _activity_case_id(case):
+    return (f"{case['technology_node']}-ports{case['crossbar.port_count']}"
+            f"-p{case['static_probability']}-t{case['toggle_activity']}")
+
+
+@pytest.mark.parametrize("case", _activity_cases(), ids=_activity_case_id)
+def test_compare_schemes_matches_pre_profile_activity_golden(case):
+    """Every (p, t) point matches the pre-profile numbers — including the
+    toggle-dependent columns and the low-p points where a scheme's
+    standby saves nothing and the comparison raises."""
+    config = paper_experiment().with_overrides(**{
+        path: case[path] for path in ("technology_node", "crossbar.port_count",
+                                      "static_probability", "toggle_activity")})
+    if "error" in case:
+        error = getattr(errors, case["error"])
+        with pytest.raises(error, match=re.escape(case["message"])):
+            compare_schemes(config)
+        return
+    _assert_records_match(compare_schemes(config).as_records(), case["records"])
+
+
+def test_activity_golden_covers_the_activity_box():
+    """The golden spans p in [0.005, 1] and t in [0, 1], endpoints
+    included, at three nodes and radixes {3, 5}, and both outcomes."""
+    cases = _activity_cases()
+    probabilities = {case["static_probability"] for case in cases}
+    toggles = {case["toggle_activity"] for case in cases}
+    assert min(probabilities) == 0.005 and max(probabilities) == 1.0
+    assert min(toggles) == 0.0 and max(toggles) == 1.0
+    assert len({case["technology_node"] for case in cases}) == 3
+    assert {case["crossbar.port_count"] for case in cases} == {3, 5}
+    assert any("error" in case for case in cases)
+    assert sum("records" in case for case in cases) > len(cases) // 2
+
+
+def test_fresh_activity_point_on_warm_schemes_makes_no_kernel_lookups():
+    """Once a scheme is analysed, a new (p, t) is arithmetic only."""
+    clear_structural_cache()
+    compare_schemes(paper_experiment())
+    lookups = kernel_totals().lookups
+    for probability, toggle in ((0.37, 0.81), (0.05, 0.0), (1.0, 1.0)):
+        compare_schemes(paper_experiment().with_overrides(
+            static_probability=probability, toggle_activity=toggle))
+    assert kernel_totals().lookups == lookups
+
+
+def test_cold_comparison_lookup_budget():
+    """A cold paper-point comparison stays within its lookup budget
+    (345 before the activity profile; the one-pass profile shares the
+    driver-chain and merge-support terms of the segmented cases)."""
+    clear_structural_cache()
+    compare_schemes(paper_experiment())
+    assert 0 < kernel_totals().lookups <= 345
+
+
+def test_each_scheme_builds_its_activity_profile_once(monkeypatch):
+    """The profile is derived on first analysis and reused at every
+    later activity point."""
+    built: list[str] = []
+    original = CrossbarScheme.activity_profile.func
+
+    def counting(scheme):
+        built.append(scheme.name)
+        return original(scheme)
+
+    patched = functools.cached_property(counting)
+    patched.__set_name__(CrossbarScheme, "activity_profile")
+    monkeypatch.setattr(CrossbarScheme, "activity_profile", patched)
+    clear_structural_cache()
+    for probability in (0.5, 0.2, 0.9):
+        for toggle in (0.0, 0.5):
+            compare_schemes(paper_experiment().with_overrides(
+                static_probability=probability, toggle_activity=toggle))
+    assert sorted(built) == sorted(available_schemes())
+    clear_structural_cache()
+
+
+def test_activity_methods_keep_probability_validation(library):
+    """The arithmetic fast path still rejects probabilities outside [0, 1]."""
+    scheme = create_scheme("SDPC", library)
+    for call in (lambda: scheme.active_leakage(1.5),
+                 lambda: scheme.idle_leakage(-0.1),
+                 lambda: scheme.dynamic_energy_per_cycle(1.2, 0.5),
+                 lambda: scheme.dynamic_energy_per_cycle(0.5, -1.0),
+                 lambda: scheme.sleep_transition_energy(2.0)):
+        with pytest.raises(CrossbarError):
+            call()
 
 
 def test_kernel_matches_unmemoised_function(library):
@@ -196,6 +308,28 @@ def test_accumulator_matches_breakdown_arithmetic():
     assert frozen.total == chained.total
     with pytest.raises(CircuitError):
         LeakageAccumulator().add(parts[0], -1.0)
+
+
+def test_affine_leakage_mix_matches_breakdown_arithmetic():
+    """AffineLeakage.mixed_at is the weighted mix of both affine states."""
+    acc_a, acc_b = AffineLeakageAccumulator(), AffineLeakageAccumulator()
+    acc_a.fixed.add(LeakageBreakdown(1e-9, 2e-9, 3e-9))
+    acc_a.high.add(LeakageBreakdown(4e-9, 5e-9, 6e-9), 3.0)
+    acc_a.low.add(LeakageBreakdown(7e-9, 8e-9, 9e-9), 3.0)
+    acc_b.fixed.add(LeakageBreakdown(2e-9, 1e-9, 5e-9))
+    acc_b.low.add(LeakageBreakdown(1e-9, 1e-9, 1e-9), 4.0)
+    a, b = acc_a.freeze(), acc_b.freeze()
+
+    def at(x, p):
+        return x.fixed + x.high.scaled(p) + x.low.scaled(1.0 - p)
+
+    for weight, probability in ((0.0, 0.0), (1.0, 1.0), (0.3, 0.8), (0.5, 0.005)):
+        expected = (at(a, probability).scaled(weight)
+                    + at(b, probability).scaled(1.0 - weight)).scaled(640.0)
+        mixed = a.mixed_at(b, weight, probability, scale=640.0)
+        for name in ("subthreshold", "gate", "junction"):
+            assert math.isclose(getattr(mixed, name), getattr(expected, name),
+                                rel_tol=1e-15)
 
 
 def test_breakdown_arithmetic_still_validates_boundaries():
