@@ -51,22 +51,23 @@ BURST = ([{"static_probability": p} for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
 
 async def serve_burst(cache_dir: Path) -> tuple[list[dict], dict]:
     """Run the burst through a service whose misses go to two workers."""
-    executor = DistributedExecutor(spawn_workers=2, min_workers=2)
     cache = EvaluationCache(directory=cache_dir, writer_id="coordinator")
-    service = EvaluationService(scheme_names=SCHEMES, executor=executor,
-                                cache=cache, max_batch_size=len(BURST),
-                                flush_interval=0.05)
-    server = await EvaluationServer(service, host="127.0.0.1", port=0).start()
-    client = ServiceClient("127.0.0.1", server.port)
-    print(f"service up on http://127.0.0.1:{server.port} "
-          f"(distributed executor, 2 spawned workers, "
-          f"cache {cache_dir}, writer id 'coordinator')")
-    try:
-        answers = await asyncio.gather(*[client.evaluate(q) for q in BURST])
-        fleet = executor.stats_payload()
-    finally:
-        await server.stop()
-        await service.stop()  # also closes the owned executor/fleet
+    # The service borrows the fleet; the with block that built it closes it.
+    with DistributedExecutor(spawn_workers=2, min_workers=2) as executor:
+        service = EvaluationService(scheme_names=SCHEMES, executor=executor,
+                                    cache=cache, max_batch_size=len(BURST),
+                                    flush_interval=0.05)
+        server = await EvaluationServer(service, host="127.0.0.1", port=0).start()
+        client = ServiceClient("127.0.0.1", server.port)
+        print(f"service up on http://127.0.0.1:{server.port} "
+              f"(distributed executor, 2 spawned workers, "
+              f"cache {cache_dir}, writer id 'coordinator')")
+        try:
+            answers = await asyncio.gather(*[client.evaluate(q) for q in BURST])
+            fleet = executor.stats_payload()
+        finally:
+            await server.stop()
+            await service.stop()
     return answers, fleet
 
 

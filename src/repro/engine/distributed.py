@@ -602,6 +602,9 @@ class DistributedExecutor:
                     self._settle_failed(task)
                     continue
                 if not self._dispatch(handle, task):
+                    # Count the loss before the item can be re-run: once
+                    # re-queued, a survivor may finish it and end run().
+                    self._forget_worker(handle)
                     self._requeue(task)
                     return
         finally:

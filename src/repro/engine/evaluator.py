@@ -41,7 +41,8 @@ class Evaluator:
         :meth:`evaluate` calls, so process pools and distributed worker
         fleets persist for the evaluator's lifetime; :meth:`close` (or
         using the evaluator as a context manager) shuts owned executors
-        down.  Executor *objects* are borrowed, never closed.
+        down.  Executor *objects* are borrowed: whoever built one closes
+        it.
     cache / cache_dir:
         An existing :class:`EvaluationCache` to share, or a directory
         for a new disk-backed one.  By default the evaluator keeps a
@@ -69,6 +70,8 @@ class Evaluator:
         #: Executors this evaluator built from string specs, by name —
         #: reused across evaluate() calls and closed by close().
         self._owned_executors: dict[str, object] = {}
+        #: Cache writes that failed across evaluate() calls.
+        self.cache_write_failures = 0
         if cache is not None and cache_dir is not None:
             raise ConfigurationError("pass either cache or cache_dir, not both")
         self.cache = cache if cache is not None else EvaluationCache(directory=cache_dir)
@@ -109,13 +112,63 @@ class Evaluator:
         """Close owned executors on exit."""
         self.close()
 
+    def executors(self) -> list:
+        """The live executors: the borrowed object, or the instances
+        built so far from a string spec."""
+        if hasattr(self.executor, "run"):
+            return [self.executor]
+        return list(self._owned_executors.values())
+
+    def evaluate_misses(self, misses: Sequence[tuple[str, ExperimentConfig]]
+                        ) -> tuple[list[CachedEntry], int]:
+        """Evaluate unique ``(key, config)`` cache misses and persist them.
+
+        The executor is resolved per batch (``"auto"`` sizes itself to
+        ``len(misses)``); a result count that breaks the ``run(items)``
+        contract raises :class:`RuntimeError` before anything is cached.
+        Writes are best effort — a failed ``put`` only leaves that point
+        unmemoised — and the index is flushed once per batch.  Returns
+        the entries, in ``misses`` order, and the failed-write count.
+        """
+        entries: list[CachedEntry] = []
+        if misses:
+            executor = self._resolve_executor(point_count=len(misses))
+            items = [WorkItem(config=config, scheme_names=self.scheme_names,
+                              baseline_name=self.baseline_name)
+                     for _key, config in misses]
+            outcomes = list(executor.run(items))
+            if len(outcomes) != len(items):
+                # A pluggable executor violating the run(items) contract
+                # must fail the whole batch: a silent short zip would
+                # leave the tail unanswered.
+                raise RuntimeError(
+                    f"executor {getattr(executor, 'name', executor)!r} "
+                    f"returned {len(outcomes)} results for {len(items)} items"
+                )
+            entries = [CachedEntry(records=outcome.records,
+                                   comparison=outcome.comparison)
+                       for outcome in outcomes]
+        write_failures = 0
+        for (key, _config), entry in zip(misses, entries):
+            try:
+                self.cache.put(key, entry)
+            except Exception:
+                write_failures += 1
+        try:
+            self.cache.flush_index()
+        except OSError:
+            write_failures += 1
+        return entries, write_failures
+
     def evaluate(self, space: DesignSpace) -> ResultSet:
         """Evaluate every point of ``space``, cheapest way possible.
 
         Each grid point's overrides (flat or dotted) are resolved into a
         fully nested :class:`ExperimentConfig` *before* anything is
         cached or fanned out, so work items are self-contained and the
-        cache key always covers the complete nested structure.
+        cache key always covers the complete nested structure.  Failed
+        cache writes are counted in :attr:`cache_write_failures`; the
+        results are returned regardless.
         """
         grid_points = space.points()
         configs = [point.config(self.base_config) for point in grid_points]
@@ -127,36 +180,21 @@ class Evaluator:
 
         # Deduplicate misses by key so a point repeated within one batch
         # (overlapping sweeps, duplicated grid values) is evaluated once.
-        miss_indices_by_key: dict[str, list[int]] = {}
-        for i, entry in enumerate(entries):
+        # The index is flushed on the all-hit path too, so LRU recency
+        # from disk hits survives the session.
+        misses: dict[str, ExperimentConfig] = {}
+        for key, config, entry in zip(keys, configs, entries):
             if entry is None:
-                miss_indices_by_key.setdefault(keys[i], []).append(i)
-        if miss_indices_by_key:
-            unique_keys = list(miss_indices_by_key)
-            executor = self._resolve_executor(point_count=len(unique_keys))
-            items = [WorkItem(config=configs[miss_indices_by_key[key][0]],
-                              scheme_names=self.scheme_names,
-                              baseline_name=self.baseline_name)
-                     for key in unique_keys]
-            outcomes = executor.run(items)
-            for key, outcome in zip(unique_keys, outcomes):
-                entry = CachedEntry(records=outcome.records,
-                                    comparison=outcome.comparison)
-                self.cache.put(key, entry)
-                for i in miss_indices_by_key[key]:
-                    entries[i] = entry
-
-        # Index writes are batched inside put(); one flush per batch keeps
-        # a cold N-point sweep O(N) in index I/O.  Flushed on the all-hit
-        # path too, so LRU recency from disk hits survives the session.
-        flush = getattr(self.cache, "flush_index", None)
-        if flush is not None:
-            flush()
+                misses.setdefault(key, config)
+        fresh, write_failures = self.evaluate_misses(list(misses.items()))
+        self.cache_write_failures += write_failures
+        fresh_by_key = dict(zip(misses, fresh))
 
         results = []
-        for grid_point, config, entry, cached in zip(grid_points, configs,
-                                                     entries, from_cache):
-            assert entry is not None
+        for grid_point, config, key, entry, cached in zip(
+                grid_points, configs, keys, entries, from_cache):
+            if entry is None:
+                entry = fresh_by_key[key]
             results.append(PointResult(
                 index=grid_point.index,
                 items=grid_point.items,

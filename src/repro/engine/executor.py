@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -110,27 +111,23 @@ class ProcessExecutor:
     context manager) shuts the pool down; a pool broken by a killed
     worker process is discarded and rebuilt once per run.
 
-    ``mp_start_method`` picks the multiprocessing start method for the
-    pool (``None`` = platform default).  Callers that invoke
-    :meth:`run` from a non-main thread — the evaluation service's
-    batch flushes — must use ``"spawn"``: forking a multithreaded
-    process can deadlock the children on locks held at fork time.
-    Changing it after the pool exists has no effect until the pool is
-    closed and rebuilt.
+    A pool created on the main thread uses the platform's default start
+    method; one created from any other thread — the evaluation
+    service's batch flushes — uses ``"spawn"``, because forking a
+    multithreaded process can deadlock the children on locks held at
+    fork time.
     """
 
     name = "process"
 
     def __init__(self, max_workers: int | None = None,
-                 chunksize: int | None = None,
-                 mp_start_method: str | None = None) -> None:
+                 chunksize: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError("max_workers must be at least 1")
         if chunksize is not None and chunksize < 1:
             raise ConfigurationError("chunksize must be at least 1")
         self.max_workers = max_workers
         self.chunksize = chunksize
-        self.mp_start_method = mp_start_method
         self._pool: ProcessPoolExecutor | None = None
 
     def _resolved_workers(self, item_count: int) -> int:
@@ -147,8 +144,8 @@ class ProcessExecutor:
         """The live pool, created on first use at full worker strength
         (idle workers are cheap; resizing per batch is not)."""
         if self._pool is None:
-            context = (multiprocessing.get_context(self.mp_start_method)
-                       if self.mp_start_method is not None else None)
+            context = (None if threading.current_thread() is threading.main_thread()
+                       else multiprocessing.get_context("spawn"))
             self._pool = ProcessPoolExecutor(
                 max_workers=self.max_workers or os.cpu_count() or 1,
                 mp_context=context)

@@ -5,13 +5,14 @@ A long-running :class:`EvaluationService` accepts *design-point queries*
 :meth:`~repro.core.config.ExperimentConfig.with_overrides` — and answers
 them from a single shared :class:`~repro.engine.cache.EvaluationCache`.
 Misses are not evaluated one by one: they accumulate in a pending batch
-that is flushed through the pluggable executor (the ``run(items)``
-contract of :mod:`repro.engine.executor`) when either ``max_batch_size``
-points are waiting or ``flush_interval`` seconds have passed since the
-batch opened — so concurrent clients share both the cache *and* the
-multicore fan-out.  Identical in-flight points coalesce onto one
-evaluation: the second client awaits the first client's future instead
-of re-submitting the work.
+that is flushed through the service's
+:class:`~repro.engine.evaluator.Evaluator` (the miss pipeline sweeps
+use) when either ``max_batch_size`` points are waiting or
+``flush_interval`` seconds have passed since the batch opened — so
+concurrent clients share both the cache *and* the multicore fan-out.
+Identical in-flight points coalesce onto one evaluation: the second
+client awaits the first client's future instead of re-submitting the
+work.
 
 The service is exposed three ways:
 
@@ -48,10 +49,9 @@ from dataclasses import dataclass
 
 from ..core.config import ExperimentConfig
 from ..core.paths import normalize_path, path_registry_records, set_path
-from ..crossbar.factory import available_schemes
 from ..errors import ConfigurationError, DistributedError, ReproError
 from .cache import CachedEntry, EvaluationCache, point_key
-from .executor import ProcessExecutor, WorkItem, resolve_executor
+from .evaluator import Evaluator
 
 __all__ = [
     "DEFAULT_PORT",
@@ -191,21 +191,15 @@ class EvaluationService:
 
     Parameters
     ----------
-    base_config:
-        The configuration every query overrides (default: the paper's
-        point).
-    scheme_names / baseline_name:
-        The fixed scheme set and savings baseline every query is
-        evaluated against — part of the cache key, so they are
-        service-level, not per-request.
-    executor:
-        ``"serial"``, ``"process"``, ``"auto"``, or any object with a
-        ``run(items) -> results`` method; ``"auto"`` decides using
-        ``max_batch_size`` as the batch-size hint.
-    cache / cache_dir:
-        An existing :class:`EvaluationCache` to share, or a directory
-        for a disk-backed one; by default an in-memory cache that lives
-        as long as the service.
+    base_config / scheme_names / baseline_name / executor / cache /
+    cache_dir / max_workers:
+        Build the service's :attr:`evaluator`, which owns the scheme set
+        and savings baseline (part of the cache key, so service-level,
+        not per-request), the shared cache (by default an in-memory one
+        that lives as long as the service) and the executor: string
+        specs are resolved per flush (``"auto"`` sizes itself to each
+        batch) and closed by :meth:`stop`; executor objects are
+        borrowed, and whoever built one closes it.
     max_batch_size / flush_interval:
         Misses flush through the executor when ``max_batch_size`` points
         are pending, or ``flush_interval`` seconds after the first miss
@@ -218,10 +212,6 @@ class EvaluationService:
     default_timeout_s:
         Deadline applied to queries that do not carry their own
         ``timeout_s``; ``None`` (default) = wait indefinitely.
-    own_executor:
-        Whether :meth:`stop` should close the executor (process pools,
-        distributed fleets).  Default: the service owns executors it
-        resolved from string specs and borrows executor objects.
     """
 
     def __init__(self, base_config: ExperimentConfig | None = None,
@@ -234,8 +224,7 @@ class EvaluationService:
                  flush_interval: float = 0.02,
                  max_workers: int | None = None,
                  max_pending: int | None = None,
-                 default_timeout_s: float | None = None,
-                 own_executor: bool | None = None) -> None:
+                 default_timeout_s: float | None = None) -> None:
         if max_batch_size < 1:
             raise ConfigurationError("max_batch_size must be at least 1")
         if flush_interval < 0:
@@ -244,30 +233,17 @@ class EvaluationService:
             raise ConfigurationError("max_pending must be at least 1")
         if default_timeout_s is not None and default_timeout_s <= 0:
             raise ConfigurationError("default_timeout_s must be positive")
-        self.base_config = base_config if base_config is not None else ExperimentConfig()
-        names = list(scheme_names) if scheme_names is not None else available_schemes()
-        if baseline_name not in names:
-            raise ConfigurationError(
-                f"baseline {baseline_name!r} must be among the evaluated schemes {names}"
-            )
-        self.scheme_names = tuple(names)
-        self.baseline_name = baseline_name
-        if cache is not None and cache_dir is not None:
-            raise ConfigurationError("pass either cache or cache_dir, not both")
-        self.cache = cache if cache is not None else EvaluationCache(directory=cache_dir)
+        self.evaluator = Evaluator(base_config=base_config,
+                                   scheme_names=scheme_names,
+                                   baseline_name=baseline_name,
+                                   executor=executor, cache=cache,
+                                   cache_dir=cache_dir, max_workers=max_workers)
+        #: The evaluator's cache: the one warm cache every query reads.
+        self.cache = self.evaluator.cache
         self.max_batch_size = max_batch_size
         self.flush_interval = flush_interval
         self.max_pending = max_pending
         self.default_timeout_s = default_timeout_s
-        self.executor = resolve_executor(executor, point_count=max_batch_size,
-                                         max_workers=max_workers)
-        self._own_executor = (own_executor if own_executor is not None
-                              else not hasattr(executor, "run"))
-        if (isinstance(self.executor, ProcessExecutor)
-                and self.executor.mp_start_method is None):
-            # Batches run from a flush worker thread; forking a
-            # multithreaded process there can deadlock the pool workers.
-            self.executor.mp_start_method = "spawn"
         self.stats = ServiceStats()
         self._closed = False
         self._pending: list[_PendingPoint] = []
@@ -317,7 +293,7 @@ class EvaluationService:
         """Apply canonical overrides one path at a time, so a rejected
         value (e.g. a probability outside ``[0, 1]``) is attributed to
         the path that carried it."""
-        config = self.base_config
+        config = self.evaluator.base_config
         for path, value in canonical.items():
             try:
                 config = set_path(config, path, value)
@@ -391,7 +367,8 @@ class EvaluationService:
             self.stats.invalid_requests += 1
             raise
         items = tuple(canonical.items())
-        key = point_key(config, self.scheme_names, self.baseline_name)
+        key = point_key(config, self.evaluator.scheme_names,
+                        self.evaluator.baseline_name)
 
         entry = self.cache.get(key)
         if entry is not None:
@@ -455,7 +432,8 @@ class EvaluationService:
     def _evaluate_and_persist(
             self, batch: list[_PendingPoint]) -> tuple[list[CachedEntry], int]:
         """Worker-thread half of a flush: evaluate the batch and write it
-        to the cache, returning the entries and the write-failure count.
+        to the cache (:meth:`Evaluator.evaluate_misses`), returning the
+        entries and the write-failure count.
 
         Runs off the event loop so neither the evaluation nor the disk
         persistence (per-entry writes plus the index flush — possibly on
@@ -463,38 +441,12 @@ class EvaluationService:
         thread is safe against concurrent loop-side lookups: dict
         operations are GIL-atomic, so a racing ``get`` can at worst miss
         an entry mid-insert (costing a duplicate evaluation), never see
-        a corrupt structure.  A cache-write failure must not fail — let
-        alone hang — the query: the evaluation succeeded, the point just
-        is not memoised.
+        a corrupt structure.  A failed write does not fail the query;
+        an executor breaking the ``run(items)`` contract raises
+        :class:`RuntimeError` — a server fault, an HTTP 500.
         """
-        work = [WorkItem(config=point.config, scheme_names=self.scheme_names,
-                         baseline_name=self.baseline_name)
-                for point in batch]
-        outcomes = list(self.executor.run(work))
-        if len(outcomes) != len(batch):
-            # A pluggable executor violating the run(items) contract must
-            # fail the batch loudly — a silent short zip would strand the
-            # tail's futures forever.  RuntimeError, not a ReproError:
-            # this is a server fault, reported to HTTP clients as a 500.
-            raise RuntimeError(
-                f"executor {getattr(self.executor, 'name', self.executor)!r} "
-                f"returned {len(outcomes)} results for {len(batch)} items"
-            )
-        entries = []
-        write_failures = 0
-        for point, outcome in zip(batch, outcomes):
-            entry = CachedEntry(records=outcome.records,
-                                comparison=outcome.comparison)
-            try:
-                self.cache.put(point.key, entry)
-            except Exception:
-                write_failures += 1
-            entries.append(entry)
-        try:
-            self.cache.flush_index()
-        except OSError:
-            write_failures += 1
-        return entries, write_failures
+        return self.evaluator.evaluate_misses(
+            [(point.key, point.config) for point in batch])
 
     async def _flush(self) -> None:
         """Run the pending batch through the executor and settle futures.
@@ -534,8 +486,8 @@ class EvaluationService:
 
     async def stop(self) -> None:
         """Stop accepting queries, flush pending batches, persist the
-        index, and shut down an owned executor (process pool or
-        distributed fleet).
+        index, and shut down the executors the evaluator built from a
+        string spec (process pool or distributed fleet).
 
         Every query already awaiting a batch is answered before this
         returns — shutdown never drops accepted work.
@@ -550,11 +502,9 @@ class EvaluationService:
             self.cache.flush_index()
         except OSError:
             self.stats.cache_write_failures += 1
-        close = getattr(self.executor, "close", None)
-        if self._own_executor and callable(close):
-            # Pool teardown joins worker processes/threads; keep it off
-            # the event loop.
-            await asyncio.get_running_loop().run_in_executor(None, close)
+        # Pool teardown joins worker processes/threads; keep it off the
+        # event loop.
+        await asyncio.get_running_loop().run_in_executor(None, self.evaluator.close)
 
     def stats_payload(self) -> dict:
         """Service, cache, kernel and batching counters as JSON.
@@ -571,6 +521,8 @@ class EvaluationService:
         """
         from ..circuit.biasing import kernel_totals
 
+        evaluator = self.evaluator
+        spec = evaluator.executor
         payload = {
             "service": self.stats.as_payload(),
             "cache": {
@@ -585,9 +537,10 @@ class EvaluationService:
             },
             "kernel": kernel_totals().as_payload(),
             "config": {
-                "schemes": list(self.scheme_names),
-                "baseline": self.baseline_name,
-                "executor": getattr(self.executor, "name", type(self.executor).__name__),
+                "schemes": list(evaluator.scheme_names),
+                "baseline": evaluator.baseline_name,
+                "executor": (spec if isinstance(spec, str)
+                             else getattr(spec, "name", type(spec).__name__)),
                 "max_batch_size": self.max_batch_size,
                 "flush_interval": self.flush_interval,
                 "max_pending": self.max_pending,
@@ -596,9 +549,10 @@ class EvaluationService:
                 "in_flight": len(self._in_flight),
             },
         }
-        fleet_stats = getattr(self.executor, "stats_payload", None)
-        if callable(fleet_stats):
-            payload["distributed"] = fleet_stats()
+        for executor in evaluator.executors():
+            fleet_stats = getattr(executor, "stats_payload", None)
+            if callable(fleet_stats):
+                payload["distributed"] = fleet_stats()
         return payload
 
 
@@ -987,26 +941,30 @@ def service_from_args(args: argparse.Namespace) -> EvaluationService:
         max_workers=args.max_workers,
         max_pending=getattr(args, "max_pending", None),
         default_timeout_s=getattr(args, "default_timeout", None),
-        own_executor=True,
     )
 
 
 async def _serve(args: argparse.Namespace) -> None:
     service = service_from_args(args)
     server = EvaluationServer(service, host=args.host, port=args.port)
-    await server.start()
-    config = service.stats_payload()["config"]
-    print(f"evaluation service on http://{args.host}:{server.port} "
-          f"(schemes {config['schemes']}, executor {config['executor']}, "
-          f"batch<= {config['max_batch_size']}, "
-          f"window {config['flush_interval']}s)", flush=True)
     try:
+        await server.start()
+        config = service.stats_payload()["config"]
+        print(f"evaluation service on http://{args.host}:{server.port} "
+              f"(schemes {config['schemes']}, executor {config['executor']}, "
+              f"batch<= {config['max_batch_size']}, "
+              f"window {config['flush_interval']}s)", flush=True)
         await server.serve_forever()
     except asyncio.CancelledError:  # pragma: no cover - signal-driven exit
         pass
     finally:
         await server.stop()
         await service.stop()
+        fleet = service.evaluator.executor
+        if not isinstance(fleet, str):
+            # The service borrows executor objects: the fleet that
+            # _executor_from_args built is closed here, by its builder.
+            await asyncio.get_running_loop().run_in_executor(None, fleet.close)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -15,6 +15,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -246,23 +247,50 @@ class TestDistributedRuns:
         assert len(again) == 1
 
     def test_worker_death_redispatches_items(self):
-        executor = DistributedExecutor(min_workers=2).start()
-        mortal = spawn_worker(executor.port, "--worker-id", "mortal",
-                              "--max-items", "1")
-        survivor = spawn_worker(executor.port, "--worker-id", "survivor")
+        """A worker that dies holding an item has it re-dispatched, and
+        both counters are already up to date when run() returns."""
+        executor = DistributedExecutor(min_workers=1).start()
+        # A fake mortal worker: registers alone, so the run's first item
+        # is dispatched to it, then dies holding that item once the
+        # survivor has registered.
+        mortal = socket.create_connection(executor.address, timeout=5.0)
+        mortal.settimeout(60.0)
+        send_frame(mortal, {"type": "register", "protocol": PROTOCOL_VERSION,
+                            "worker": "mortal", "model_version": repro.__version__})
+        assert recv_frame(mortal)["type"] == "registered"
+        items = items_for((0.1, 0.3, 0.5, 0.7, 0.9, 0.2))
+        outcome: dict[str, object] = {}
+
+        def run() -> None:
+            outcome["results"] = executor.run(items)
+            outcome["redispatched"] = executor.stats.redispatched
+            outcome["workers_lost"] = executor.stats.workers_lost
+
+        runner = threading.Thread(target=run)
+        survivor = None
         try:
-            items = items_for((0.1, 0.3, 0.5, 0.7, 0.9, 0.2))
-            results = executor.run(items)
-            assert len(results) == 6
+            runner.start()
+            while recv_frame(mortal)["type"] != "evaluate":
+                send_frame(mortal, {"type": "pong"})  # answer a heartbeat
+            survivor = spawn_worker(executor.port, "--worker-id", "survivor")
+            deadline = time.monotonic() + 60.0
+            while executor.stats.workers_registered < 2:
+                assert time.monotonic() < deadline, "survivor never registered"
+                time.sleep(0.01)
+            mortal.close()
+            runner.join(timeout=120)
+            assert not runner.is_alive()
             serial = SerialExecutor().run(items)
-            assert [p.records for p in results] == [p.records for p in serial]
-            # The mortal worker died after one item; at least one item
-            # must have been re-dispatched to the survivor.
-            assert executor.stats.workers_lost >= 1
+            assert [p.records for p in outcome["results"]] \
+                == [p.records for p in serial]
+            assert outcome["redispatched"] >= 1
+            assert outcome["workers_lost"] >= 1
         finally:
+            mortal.close()
             executor.close()
-            mortal.wait(timeout=10)
-            survivor.wait(timeout=10)
+            runner.join(timeout=10)
+            if survivor is not None:
+                survivor.wait(timeout=10)
 
     def test_all_workers_lost_fails_the_run(self):
         executor = DistributedExecutor(min_workers=1,
@@ -344,22 +372,15 @@ class TestIntegration:
         executor.close()
 
     def test_evaluator_runs_a_distributed_grid(self):
-        with Evaluator(scheme_names=list(SCHEMES),
-                       executor=DistributedExecutor(spawn_workers=2)) as evaluator:
-            results = evaluator.evaluate_grid(
-                {"static_probability": [0.2, 0.4, 0.6, 0.8]})
-            serial = Evaluator(scheme_names=list(SCHEMES)).evaluate_grid(
-                {"static_probability": [0.2, 0.4, 0.6, 0.8]})
-            assert [p.records for p in results] == [p.records for p in serial]
-        # Borrowed executor objects are NOT closed by the evaluator...
-        # (ownership belongs to whoever constructed it)
-
-    def test_evaluator_owns_string_spec_executors(self):
-        evaluator = Evaluator(scheme_names=list(SCHEMES), executor="serial")
-        evaluator.evaluate_grid({"static_probability": [0.5]})
-        assert "serial" in evaluator._owned_executors
-        evaluator.close()
-        assert evaluator._owned_executors == {}
+        # The evaluator borrows the fleet; the with block that built it
+        # closes it.
+        with DistributedExecutor(spawn_workers=2) as fleet:
+            with Evaluator(scheme_names=list(SCHEMES), executor=fleet) as evaluator:
+                results = evaluator.evaluate_grid(
+                    {"static_probability": [0.2, 0.4, 0.6, 0.8]})
+        serial = Evaluator(scheme_names=list(SCHEMES)).evaluate_grid(
+            {"static_probability": [0.2, 0.4, 0.6, 0.8]})
+        assert [p.records for p in results] == [p.records for p in serial]
 
     def test_service_cli_flags_build_a_distributed_service(self):
         from repro.engine.service import _build_parser, service_from_args
@@ -368,12 +389,43 @@ class TestIntegration:
             ["--executor", "distributed", "--workers", "1",
              "--batch-size", "4"])
         service = service_from_args(args)
+        fleet = service.evaluator.executor
         try:
-            assert service.executor.name == "distributed"
-            assert service.executor.spawn_workers == 1
-            assert service._own_executor
+            assert fleet.name == "distributed"
+            assert fleet.spawn_workers == 1
+            assert service.stats_payload()["config"]["executor"] == "distributed"
         finally:
-            service.executor.close()
+            fleet.close()
+
+    def test_serve_closes_the_fleet_it_built(self, monkeypatch):
+        """The service borrows executor objects, so the CLI closes the
+        fleet built from argv itself, after the service stops."""
+        import asyncio
+
+        from repro.engine import service as service_module
+
+        built = []
+        build = service_module._executor_from_args
+
+        def recording_build(args):
+            built.append(build(args))
+            return built[-1]
+
+        monkeypatch.setattr(service_module, "_executor_from_args", recording_build)
+        args = service_module._build_parser().parse_args(
+            ["--executor", "distributed", "--listen", "127.0.0.1:0",
+             "--port", "0"])
+
+        async def scenario():
+            serving = asyncio.ensure_future(service_module._serve(args))
+            await asyncio.sleep(0.2)
+            serving.cancel()
+            await asyncio.gather(serving, return_exceptions=True)
+
+        asyncio.run(scenario())
+        assert len(built) == 1
+        with pytest.raises(DistributedError, match="closed"):
+            built[0].start()
 
     def test_service_cli_rejects_workers_without_distributed(self):
         from repro.engine.service import _build_parser, service_from_args
@@ -423,8 +475,6 @@ def test_concurrent_runs_are_serialised_not_interleaved():
 def test_close_during_run_fails_the_run_instead_of_hanging():
     """close() while items are outstanding wakes the blocked run() with
     a DistributedError rather than leaving it waiting forever."""
-    import time
-
     executor = DistributedExecutor().start()
     # A silent fake worker: registers, then never answers its item.
     sock = socket.create_connection(executor.address, timeout=5.0)
@@ -466,8 +516,7 @@ def test_fleet_failure_is_a_503_over_http_not_a_client_error():
     async def scenario():
         executor = DistributedExecutor(register_timeout=0.2)
         service = EvaluationService(scheme_names=list(SCHEMES),
-                                    executor=executor, max_batch_size=1,
-                                    own_executor=True)
+                                    executor=executor, max_batch_size=1)
         server = await EvaluationServer(service, port=0).start()
         reader, writer = await asyncio.open_connection("127.0.0.1",
                                                        server.port)
@@ -482,6 +531,7 @@ def test_fleet_failure_is_a_503_over_http_not_a_client_error():
         writer.close()
         await server.stop()
         await service.stop()
+        executor.close()  # borrowed by the service: its builder closes it
         payload = json_module.loads(raw.split(b"\r\n\r\n", 1)[-1])
         return int(status_line.split()[1]), payload
 

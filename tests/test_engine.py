@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import threading
 
 import pytest
 
@@ -393,6 +395,22 @@ class TestExecutors:
         with pytest.raises(ConfigurationError):
             ProcessExecutor(chunksize=0)
 
+    def test_pool_spawns_off_the_main_thread(self):
+        """Forking a multithreaded process is unsafe, so a pool created
+        from another thread (the service's flushes) uses spawn; the main
+        thread keeps the platform default."""
+        def start_method(executor):
+            return executor._ensure_pool()._mp_context.get_start_method()
+
+        with ProcessExecutor(max_workers=1) as executor:
+            assert start_method(executor) == multiprocessing.get_context().get_start_method()
+        seen = []
+        with ProcessExecutor(max_workers=1) as executor:
+            thread = threading.Thread(target=lambda: seen.append(start_method(executor)))
+            thread.start()
+            thread.join()
+        assert seen == ["spawn"]
+
 
 class TestEvaluator:
     def test_second_run_hits_cache_on_every_point(self):
@@ -426,6 +444,54 @@ class TestEvaluator:
         results = second.evaluate(space)
         assert results.cache_hit_count == 1
         assert second.cache.stats.disk_hits == 1
+
+    def test_short_executor_fails_the_batch_before_caching(self):
+        class ShortExecutor:
+            """Returns one result too few — a broken pluggable executor."""
+
+            name = "short"
+
+            def run(self, items):
+                return SerialExecutor().run(items)[:-1]
+
+        evaluator = Evaluator(scheme_names=SCHEMES, executor=ShortExecutor())
+        space = DesignSpace.grid({"static_probability": [0.15, 0.85]})
+        with pytest.raises(RuntimeError, match="returned 1 results for 2 items"):
+            evaluator.evaluate(space)
+        assert len(evaluator.cache) == 0
+        assert evaluator.cache.stats.puts == 0
+
+    def test_failing_cache_writes_do_not_lose_results(self):
+        class FailingPutCache(EvaluationCache):
+            """Cache whose writes always fail (a full disk)."""
+
+            def put(self, key, entry):
+                raise OSError(28, "No space left on device")
+
+        evaluator = Evaluator(scheme_names=SCHEMES, cache=FailingPutCache())
+        space = DesignSpace.grid({"static_probability": [0.2, 0.4, 0.6]})
+        results = evaluator.evaluate(space)
+        assert len(results) == 3
+        expected = Evaluator(scheme_names=SCHEMES).evaluate(space)
+        assert [p.records for p in results] == [p.records for p in expected]
+        assert evaluator.cache_write_failures == 3
+
+    def test_string_specs_are_owned_and_objects_borrowed(self, monkeypatch):
+        closed = []
+        monkeypatch.setattr(SerialExecutor, "close",
+                            lambda executor: closed.append(executor),
+                            raising=False)
+        space = DesignSpace.grid({"static_probability": [0.5]})
+        with Evaluator(scheme_names=SCHEMES, executor="serial") as owner:
+            owner.evaluate(space)
+            owner.evaluate(DesignSpace.grid({"static_probability": [0.6]}))
+            built = owner.executors()
+        assert len(built) == 1 and closed == built  # one instance, closed once
+        borrowed = SerialExecutor()
+        with Evaluator(scheme_names=SCHEMES, executor=borrowed) as borrower:
+            borrower.evaluate(space)
+            assert borrower.executors() == [borrowed]
+        assert closed == built  # the borrowed executor stays open
 
     def test_baseline_must_be_evaluated(self):
         with pytest.raises(ConfigurationError):

@@ -354,7 +354,7 @@ def test_cache_write_failure_still_answers_the_query(tmp_path):
 
     service, first, second = asyncio.run(scenario())
     assert first.records == second.records
-    assert service.stats.cache_write_failures >= 2
+    assert service.stats.cache_write_failures == 2  # one per evaluated point
     assert not service._in_flight
 
 
@@ -387,6 +387,7 @@ def test_contract_violating_executor_fails_the_batch_loudly():
     assert all(isinstance(result, RuntimeError) for result in results)
     assert all("returned 1 results for 2 items" in str(result)
                for result in results)
+    assert len(service.cache) == 0  # nothing from the broken batch is cached
     assert not service._in_flight  # keys released: later queries re-evaluate
 
 
@@ -414,17 +415,6 @@ def test_executor_fault_is_a_500_over_http():
     status, payload = asyncio.run(scenario())
     assert status == 500
     assert payload["error"] == "internal-error"
-
-
-def test_service_uses_spawn_for_process_pools():
-    """Pools are created from a flush worker thread, where fork is unsafe."""
-    from repro.engine import ProcessExecutor
-
-    service = make_service(executor="process")
-    assert isinstance(service.executor, ProcessExecutor)
-    assert service.executor.mp_start_method == "spawn"
-    # Engine-side default is untouched: main-thread forking stays cheap.
-    assert ProcessExecutor().mp_start_method is None
 
 
 def test_memory_bound_keeps_the_service_cache_finite():
@@ -479,10 +469,10 @@ def test_cli_args_build_the_described_service(tmp_path):
         "--batch-size", "5", "--flush-interval", "0.5",
     ])
     service = service_from_args(args)
-    assert service.scheme_names == ("SC", "SDPC")
+    assert service.evaluator.scheme_names == ("SC", "SDPC")
     assert service.max_batch_size == 5
     assert service.flush_interval == 0.5
-    assert isinstance(service.executor, SerialExecutor)
+    assert service.evaluator.executor == "serial"
     assert isinstance(service.cache, EvaluationCache)
     assert service.cache.max_disk_entries == 9
     assert service.cache.max_disk_bytes == 65536
@@ -677,31 +667,54 @@ def test_writer_id_without_cache_dir_is_rejected():
         service_from_args(args)
 
 
-def test_service_closes_owned_process_executor_on_stop():
-    async def scenario():
-        service = make_service(executor="process", max_batch_size=1,
+def test_service_closes_string_spec_executors_and_borrows_objects(monkeypatch):
+    """stop() closes the pool the service built from ``"process"``; an
+    executor object is borrowed and left to whoever built it."""
+    from repro.engine import ProcessExecutor
+
+    closed = []
+    close = ProcessExecutor.close
+
+    def recording_close(executor):
+        closed.append(executor)
+        close(executor)
+
+    monkeypatch.setattr(ProcessExecutor, "close", recording_close)
+
+    async def scenario(executor):
+        service = make_service(executor=executor, max_batch_size=1,
                                max_workers=1)
-        assert service._own_executor
         await service.evaluate({"static_probability": 0.45})
-        pool = service.executor._pool
         await service.stop()
-        return service, pool
 
-    service, pool = asyncio.run(scenario())
-    assert pool is not None            # the flush actually used the pool
-    assert service.executor._pool is None  # stop() closed it
+    asyncio.run(scenario("process"))
+    assert len(closed) == 1
+    with ProcessExecutor(max_workers=1) as borrowed:
+        asyncio.run(scenario(borrowed))
+        assert len(closed) == 1  # stop() left the borrowed pool open
+    assert closed[1:] == [borrowed]  # its builder closed it
 
 
-def test_persistent_process_pool_is_reused_across_flushes():
+def test_persistent_process_pool_is_reused_across_flushes(monkeypatch):
+    import repro.engine.executor as executor_module
+
+    pools = []
+
+    class CountingPool(executor_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
+
     async def scenario():
         service = make_service(executor="process", max_batch_size=1,
                                max_workers=1)
         await service.evaluate({"static_probability": 0.21})
-        first_pool = service.executor._pool
         await service.evaluate({"static_probability": 0.22})
-        second_pool = service.executor._pool
         await service.stop()
-        return first_pool, second_pool
+        return service
 
-    first_pool, second_pool = asyncio.run(scenario())
-    assert first_pool is second_pool
+    service = asyncio.run(scenario())
+    assert service.stats.batches == 2
+    assert len(pools) == 1
