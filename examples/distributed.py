@@ -1,20 +1,21 @@
-"""Distributed serving demo: two workers, one journaled shared cache.
+"""Distributed serving demo: two workers, one shared cache directory.
 
 The end-to-end story of the distributed subsystem on localhost:
 
 1. start an :class:`~repro.engine.service.EvaluationService` whose
    executor is a :class:`~repro.engine.distributed.DistributedExecutor`
    spawning **two** worker processes (``python -m repro.engine.worker``),
-   backed by a shared cache directory journaling under writer id
-   ``coordinator``;
+   backed by a cache directory;
 2. fire a burst of queries through the HTTP front and show the misses
    fanned out across *both* workers;
 3. verify the records are identical to a
    :class:`~repro.engine.executor.SerialExecutor` evaluating the same
    points in-process;
-4. have a *second* journaled writer add points to the same directory,
-   then show a fresh reader merging both journals and the index
-   surviving ``compact()`` (journals folded into ``index.json``).
+4. have a *second* cache instance add points to the same directory —
+   no writer ids, no coordination — then show a fresh reader seeing
+   both writers' entries, and the maintenance CLI
+   (``python -m repro.engine.cache compact|stats DIR``) reporting their
+   union.
 
 Run with ``python examples/distributed.py``.
 """
@@ -22,6 +23,9 @@ Run with ``python examples/distributed.py``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import io
+import json
 import shutil
 import sys
 import tempfile
@@ -32,12 +36,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.core.config import ExperimentConfig  # noqa: E402
 from repro.engine import (  # noqa: E402
     DistributedExecutor,
+    CachedEntry,
     EvaluationCache,
     EvaluationServer,
     EvaluationService,
     ServiceClient,
 )
-from repro.engine.cache import JOURNAL_GLOB, point_key  # noqa: E402
+from repro.engine.cache import main as cache_main  # noqa: E402
+from repro.engine.cache import point_key  # noqa: E402
 from repro.engine.executor import SerialExecutor, WorkItem  # noqa: E402
 
 SCHEMES = ["SC", "SDPC"]
@@ -51,7 +57,7 @@ BURST = ([{"static_probability": p} for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
 
 async def serve_burst(cache_dir: Path) -> tuple[list[dict], dict]:
     """Run the burst through a service whose misses go to two workers."""
-    cache = EvaluationCache(directory=cache_dir, writer_id="coordinator")
+    cache = EvaluationCache(directory=cache_dir)
     # The service borrows the fleet; the with block that built it closes it.
     with DistributedExecutor(spawn_workers=2, min_workers=2) as executor:
         service = EvaluationService(scheme_names=SCHEMES, executor=executor,
@@ -61,7 +67,7 @@ async def serve_burst(cache_dir: Path) -> tuple[list[dict], dict]:
         client = ServiceClient("127.0.0.1", server.port)
         print(f"service up on http://127.0.0.1:{server.port} "
               f"(distributed executor, 2 spawned workers, "
-              f"cache {cache_dir}, writer id 'coordinator')")
+              f"cache {cache_dir})")
         try:
             answers = await asyncio.gather(*[client.evaluate(q) for q in BURST])
             fleet = executor.stats_payload()
@@ -98,41 +104,35 @@ def main() -> None:
         print("parity: distributed records == serial records "
               f"for all {len(BURST)} points")
 
-        # A second journaled writer shares the directory.
-        writer_b = EvaluationCache(directory=cache_dir, writer_id="sweeper")
+        # A second cache instance writes the same directory, no ids needed.
+        writer_b = EvaluationCache(directory=cache_dir)
         extra_items = [WorkItem(config=base.with_overrides(static_probability=p),
                                 scheme_names=tuple(SCHEMES), baseline_name="SC")
                        for p in (0.15, 0.85)]
         for item, point in zip(extra_items, SerialExecutor().run(extra_items)):
-            key = point_key(item.config, SCHEMES)
-            from repro.engine import CachedEntry
-
-            writer_b.put(key, CachedEntry(records=point.records))
-        writer_b.flush_index()
-
-        journals = sorted(p.name for p in cache_dir.glob(JOURNAL_GLOB))
-        print(f"\njournals on disk: {journals}")
-        assert journals == ["index.coordinator.journal",
-                            "index.sweeper.journal"]
+            writer_b.put(point_key(item.config, SCHEMES),
+                         CachedEntry(records=point.records))
+        union = len(BURST) + len(extra_items)
 
         reader = EvaluationCache(directory=cache_dir)
-        merged = reader.disk_stats()
-        print(f"fresh reader merges both journals: "
-              f"{merged['entries']} entries indexed")
-        assert merged["entries"] == len(BURST) + len(extra_items)
-
-        # compact() folds the journals into index.json; nothing is lost.
-        folded = reader.compact()
-        after = reader.disk_stats()
-        print(f"compact(): {folded} entries folded into index.json, "
-              f"{after['journals']} journals left")
-        assert after["journals"] == 0
-        survivor = EvaluationCache(directory=cache_dir)
-        assert survivor.disk_stats()["entries"] == folded
+        entries = reader.disk_stats()["entries"]
+        print(f"\nfresh reader sees both writers' entries: {entries}")
+        assert entries == union
         for answer in answers:
-            assert survivor.get(answer["key"]) is not None, \
-                "every served point must survive the fold"
-        print("merged journal index survived compact(); all keys readable")
+            assert reader.get(answer["key"]) is not None, \
+                "every served point must be readable from the shared directory"
+
+        reports = {}
+        for command in ("compact", "stats"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cache_main([command, str(cache_dir)]) == 0
+            reports[command] = json.loads(out.getvalue())
+        print(f"cache CLI: compact kept "
+              f"{reports['compact']['entries_after_compact']} entries, "
+              f"stats reports {reports['stats']['entries']} entries / "
+              f"{reports['stats']['bytes']} bytes")
+        assert reports["compact"]["entries_after_compact"] == union
+        assert reports["stats"]["entries"] == union
         print("\ndistributed demo OK")
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)

@@ -73,7 +73,7 @@ python examples/radix_scaling.py > /dev/null
 echo "==> Example smoke: async serving round trip"
 python examples/serving.py > /dev/null
 
-echo "==> Example smoke: distributed fleet + journaled shared cache"
+echo "==> Example smoke: distributed fleet + two-writer shared cache (cache CLI compact/stats)"
 python examples/distributed.py > /dev/null
 
 echo "==> CI gate passed"

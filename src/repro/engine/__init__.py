@@ -12,8 +12,8 @@ For online use, :mod:`repro.engine.service` wraps the same cache and
 executor in a long-running asyncio service (HTTP front +
 :class:`ServiceClient`; run it with ``python -m repro.engine.service``),
 and ``python -m repro.engine.cache`` maintains long-lived disk caches —
-shareable across hosts via per-writer index journaling
-(``writer_id``).
+shareable across processes and hosts with no per-writer setup, since
+the sharded entry files are the cache's only on-disk state.
 
 Axes are config paths: the flat ``ExperimentConfig`` scalars, dotted
 paths into the nested structure (``"crossbar.port_count"``,

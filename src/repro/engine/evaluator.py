@@ -127,7 +127,7 @@ class Evaluator:
         ``len(misses)``); a result count that breaks the ``run(items)``
         contract raises :class:`RuntimeError` before anything is cached.
         Writes are best effort — a failed ``put`` only leaves that point
-        unmemoised — and the index is flushed once per batch.  Returns
+        unmemoised — and disk-hit recency is flushed once per batch.  Returns
         the entries, in ``misses`` order, and the failed-write count.
         """
         entries: list[CachedEntry] = []
@@ -180,7 +180,7 @@ class Evaluator:
 
         # Deduplicate misses by key so a point repeated within one batch
         # (overlapping sweeps, duplicated grid values) is evaluated once.
-        # The index is flushed on the all-hit path too, so LRU recency
+        # Recency is flushed on the all-hit path too, so LRU recency
         # from disk hits survives the session.
         misses: dict[str, ExperimentConfig] = {}
         for key, config, entry in zip(keys, configs, entries):

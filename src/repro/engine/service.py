@@ -436,7 +436,7 @@ class EvaluationService:
         entries and the write-failure count.
 
         Runs off the event loop so neither the evaluation nor the disk
-        persistence (per-entry writes plus the index flush — possibly on
+        persistence (per-entry writes plus the recency flush — possibly on
         slow storage) stalls connections.  Cache mutation from this
         thread is safe against concurrent loop-side lookups: dict
         operations are GIL-atomic, so a racing ``get`` can at worst miss
@@ -485,8 +485,8 @@ class EvaluationService:
             self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
 
     async def stop(self) -> None:
-        """Stop accepting queries, flush pending batches, persist the
-        index, and shut down the executors the evaluator built from a
+        """Stop accepting queries, flush pending batches, persist disk-hit
+        recency, and shut down the executors the evaluator built from a
         string spec (process pool or distributed fleet).
 
         Every query already awaiting a batch is answered before this
@@ -869,9 +869,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="LRU bound on the in-memory cache layer "
                              "(default: unbounded; set it for long-lived "
                              "servers fed unbounded point streams)")
-    parser.add_argument("--writer-id", default=None,
-                        help="journal cache index writes under this id "
-                             "(multi-host shared caches; requires --cache-dir)")
     parser.add_argument("--max-pending", type=int, default=None,
                         help="reject fresh misses (HTTP 503) while this many "
                              "points wait in the pending batch")
@@ -914,17 +911,12 @@ def service_from_args(args: argparse.Namespace) -> EvaluationService:
         cache = EvaluationCache(directory=args.cache_dir,
                                 max_disk_entries=args.max_disk_entries,
                                 max_disk_bytes=getattr(args, "max_disk_bytes", None),
-                                max_memory_entries=args.max_memory_entries,
-                                writer_id=getattr(args, "writer_id", None))
+                                max_memory_entries=args.max_memory_entries)
     elif args.max_disk_entries is not None or getattr(args, "max_disk_bytes", None) is not None:
         raise ConfigurationError(
             "--max-disk-entries/--max-disk-bytes bound the disk store and "
             "need --cache-dir; use --max-memory-entries to bound the "
             "in-memory cache"
-        )
-    elif getattr(args, "writer_id", None) is not None:
-        raise ConfigurationError(
-            "--writer-id journals the disk index and needs --cache-dir"
         )
     elif args.max_memory_entries is not None:
         cache = EvaluationCache(max_memory_entries=args.max_memory_entries)

@@ -115,8 +115,7 @@ class TestCache:
         writer.put("deadbeef", CachedEntry(records=[{"scheme": "SC", "x": 1.25}]))
         # Hex keys shard under their own two-char prefix.
         assert (directory / "de" / "deadbeef.json").is_file()
-        writer.flush_index()
-        assert (directory / "index.json").is_file()
+        assert sorted(p.name for p in directory.rglob("*")) == ["de", "deadbeef.json"]
 
         reader = EvaluationCache(directory=directory)
         entry = reader.get("deadbeef")
@@ -133,7 +132,7 @@ class TestCache:
         # Nothing may be written outside the cache directory...
         assert not (tmp_path / "escape.json").exists()
         assert not (tmp_path.parent / "escape.json").exists()
-        written = [p for p in directory.rglob("*.json") if p.name != "index.json"]
+        written = list(directory.rglob("*.json"))
         assert len(written) == 1
         assert directory in written[0].parents
         # ...and the entry still round-trips through a fresh instance.
@@ -204,72 +203,58 @@ class TestCache:
         fresh = EvaluationCache(directory=directory)
         assert fresh.get("deadbeef") is not None
 
-    def test_hostile_or_corrupt_index_is_distrusted(self, tmp_path):
-        directory = tmp_path / "cache"
-        cache = EvaluationCache(directory=directory)
-        cache.put("deadbeef", CachedEntry(records=[{"scheme": "SC"}]))
-        cache.flush_index()
-        outside = tmp_path / "outside.json"
-        outside.write_text(json.dumps({"records": [{"scheme": "EVIL"}]}),
-                           encoding="utf-8")
-        index_path = directory / "index.json"
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-        index["entries"]["deadbeef"]["file"] = str(outside)  # absolute escape
-        index["entries"]["aaaa1111"] = {"file": "../outside.json", "seq": "oops"}
-        index_path.write_text(json.dumps(index), encoding="utf-8")
-
-        fresh = EvaluationCache(directory=directory)  # corrupt seq must not raise
-        # The absolute path is ignored; the shard probe still finds the entry.
-        assert fresh.get("deadbeef").records == [{"scheme": "SC"}]
-        assert fresh.get("aaaa1111") is None  # traversal entry dropped
-
-    def test_eviction_cannot_be_misdirected_by_hostile_index(self, tmp_path):
-        directory = tmp_path / "cache"
-        cache = EvaluationCache(directory=directory)
-        cache.put("deadbeef", CachedEntry(records=[{"scheme": "A"}]))
-        cache.flush_index()
-        index_path = directory / "index.json"
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-        # Aim the oldest entry's file at the index itself (relative,
-        # in-directory: passes the traversal guard).
-        index["entries"]["deadbeef"]["file"] = "index.json"
-        index_path.write_text(json.dumps(index), encoding="utf-8")
-        bounded = EvaluationCache(directory=directory, max_disk_entries=1)
-        bounded.put("cafecafe", CachedEntry(records=[{"scheme": "B"}]))
-        # Eviction removed deadbeef's canonical file, nothing else.
-        assert (directory / "index.json").is_file()
-        assert not (directory / "de" / "deadbeef.json").exists()
-        assert EvaluationCache(directory=directory).get("cafecafe") is not None
-
-    def test_misdirected_index_entry_cannot_alias_keys(self, tmp_path):
+    def test_leftover_index_files_never_steer_lookups_or_eviction(self, tmp_path):
+        """index.json and journals from earlier versions are never read:
+        hostile paths in them can neither alias keys, escape the
+        directory, nor aim eviction; compact deletes them."""
         directory = tmp_path / "cache"
         cache = EvaluationCache(directory=directory)
         cache.put("deadbeef", CachedEntry(records=[{"scheme": "A"}]))
         cache.put("cafecafe", CachedEntry(records=[{"scheme": "B"}]))
-        cache.flush_index()
-        index_path = directory / "index.json"
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-        # Point A's index entry at B's (valid, in-directory) file.
-        index["entries"]["deadbeef"]["file"] = index["entries"]["cafecafe"]["file"]
-        index_path.write_text(json.dumps(index), encoding="utf-8")
-        fresh = EvaluationCache(directory=directory)
-        # The stored-key check rejects the aliased file; the canonical
-        # shard probe still serves A's own records.
-        assert fresh.get("deadbeef").records == [{"scheme": "A"}]
+        outside = tmp_path / "outside.json"
+        outside.write_text(json.dumps({"key": "aaaa1111",
+                                       "records": [{"scheme": "EVIL"}]}),
+                           encoding="utf-8")
+        (directory / "index.json").write_text(json.dumps({"entries": {
+            "deadbeef": {"file": "ca/cafecafe.json", "size": 1, "seq": 99},
+            "cafecafe": {"file": "index.json", "size": 1, "seq": 0},
+            "aaaa1111": {"file": str(outside), "seq": "oops"},
+        }}), encoding="utf-8")
+        (directory / "index.w.journal").write_text(
+            json.dumps({"op": "del", "key": "deadbeef"}) + "\n{not json",
+            encoding="utf-8")
 
-    def test_unindexed_entries_are_adopted_on_lookup(self, tmp_path):
-        """Files from a session that crashed before flushing its index
-        batch must re-enter the index (and thus the eviction bound) when
-        a lookup finds them via the canonical shard probe."""
+        fresh = EvaluationCache(directory=directory, max_disk_entries=2)
+        assert fresh.disk_stats()["entries"] == 2
+        assert fresh.get("deadbeef").records == [{"scheme": "A"}]
+        assert fresh.get("aaaa1111") is None
+        fresh.flush_index()  # deadbeef is now the most recent
+        fresh.put("bbbb2222", CachedEntry(records=[{"scheme": "C"}]))
+        # Eviction removed the true LRU's canonical file, nothing else.
+        assert not (directory / "ca" / "cafecafe.json").exists()
+        assert (directory / "de" / "deadbeef.json").is_file()
+        assert (directory / "index.json").is_file()
+        assert outside.is_file()
+
+        assert fresh.compact() == 2
+        assert not (directory / "index.json").exists()
+        assert not (directory / "index.w.journal").exists()
+
+    def test_two_caches_on_one_directory_see_each_others_entries(self, tmp_path):
+        """A cache opened before another writes still finds the entry on
+        lookup, and from the next flush its bounds count it."""
         directory = tmp_path / "cache"
+        reader = EvaluationCache(directory=directory, max_disk_entries=2)
         writer = EvaluationCache(directory=directory)
         writer.put("deadbeef", CachedEntry(records=[{"scheme": "SC"}]))
-        assert not (directory / "index.json").exists()  # never flushed
-        reader = EvaluationCache(directory=directory)
-        assert reader.get("deadbeef") is not None
+        assert reader.disk_stats()["entries"] == 0
+        assert reader.get("deadbeef").records == [{"scheme": "SC"}]
         reader.flush_index()
-        index = json.loads((directory / "index.json").read_text(encoding="utf-8"))
-        assert "deadbeef" in index["entries"]
+        assert reader.disk_stats()["entries"] == 1
+        reader.put("aaaa1111", CachedEntry(records=[{"scheme": "SC"}]))
+        reader.put("bbbb2222", CachedEntry(records=[{"scheme": "SC"}]))
+        assert not (directory / "de" / "deadbeef.json").exists()
+        assert writer.get("aaaa1111") is not None
 
     def test_disk_hit_recency_survives_sessions(self, tmp_path):
         directory = tmp_path / "cache"
@@ -287,17 +272,6 @@ class TestCache:
         fresh = EvaluationCache(directory=directory)
         assert fresh.get("aaaa1111") is not None
         assert fresh.get("bbbb2222") is None
-
-    def test_index_writes_are_batched_until_flush(self, tmp_path):
-        directory = tmp_path / "cache"
-        cache = EvaluationCache(directory=directory)
-        cache.put("deadbeef", CachedEntry(records=[{"scheme": "SC"}]))
-        assert not (directory / "index.json").exists()  # batched, not per put
-        cache.flush_index()
-        index = json.loads((directory / "index.json").read_text(encoding="utf-8"))
-        assert "deadbeef" in index["entries"]
-        # A reader that never saw the index still finds the entry.
-        assert EvaluationCache(directory=directory).get("deadbeef") is not None
 
     def test_nested_config_round_trips_through_disk(self, tmp_path):
         nested = ExperimentConfig().with_overrides(**{

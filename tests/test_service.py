@@ -15,7 +15,6 @@ import json
 import pytest
 
 from repro.engine import EvaluationCache, SerialExecutor
-from repro.errors import ConfigurationError
 from repro.engine.service import (
     EvaluationServer,
     EvaluationService,
@@ -653,18 +652,12 @@ def test_cli_hardening_flags_are_plumbed(tmp_path):
     args = _build_parser().parse_args([
         "--executor", "serial", "--max-pending", "7",
         "--default-timeout", "1.5",
-        "--cache-dir", str(tmp_path / "c"), "--writer-id", "svc-a",
+        "--cache-dir", str(tmp_path / "c"),
     ])
     service = service_from_args(args)
     assert service.max_pending == 7
     assert service.default_timeout_s == 1.5
-    assert service.cache.writer_id == "svc-a"
-
-
-def test_writer_id_without_cache_dir_is_rejected():
-    args = _build_parser().parse_args(["--writer-id", "svc-a"])
-    with pytest.raises(ConfigurationError, match="--cache-dir"):
-        service_from_args(args)
+    assert service.cache.directory == tmp_path / "c"
 
 
 def test_service_closes_string_spec_executors_and_borrows_objects(monkeypatch):
