@@ -12,8 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
 import random
 import re
+
+import pytest
 
 from repro.engine import EvaluationCache
 from repro.engine.cache import CachedEntry, _shard_and_name
@@ -164,3 +167,136 @@ def test_cli_reports_the_union_of_two_writers(tmp_path, capsys):
     assert report["entries"] == 3
     assert set(report) == {"command", "directory", "entries", "bytes",
                            "max_disk_entries", "max_disk_bytes"}
+
+
+def test_evictions_by_one_writer_are_seen_by_another(tmp_path):
+    directory = tmp_path / "cache"
+    writer = EvaluationCache(directory=directory, max_disk_entries=1)
+    first, second = key_of("first"), key_of("second")
+    writer.put(first, CachedEntry(records=records_of(first)))
+    reader = EvaluationCache(directory=directory)
+    assert reader.disk_stats()["entries"] == 1
+    assert reader.get(first).records == records_of(first)  # a queued disk hit
+
+    writer.put(second, CachedEntry(records=records_of(second)))
+    assert writer.stats.evictions == 1
+    reader.flush_index()  # the hit's file is gone: it leaves the view
+    assert reader.disk_stats()["entries"] == 0
+    reader.clear_memory()
+    assert reader.get(first) is None
+    assert reader.get(second).records == records_of(second)
+    assert EvaluationCache(directory=directory).disk_stats()["entries"] == 1
+
+
+def test_a_restarted_writer_keeps_its_entries(tmp_path):
+    directory = tmp_path / "cache"
+    one, two = key_of("one"), key_of("two")
+    EvaluationCache(directory=directory).put(one, CachedEntry(records=records_of(one)))
+
+    second_session = EvaluationCache(directory=directory)
+    assert second_session.disk_stats()["entries"] == 1
+    assert second_session.get(one).records == records_of(one)
+    second_session.put(two, CachedEntry(records=records_of(two)))
+    second_session.flush_index()
+
+    reader = EvaluationCache(directory=directory)
+    stats = reader.disk_stats()
+    assert stats["entries"] == 2
+    assert stats["bytes"] == sum(p.stat().st_size for p in directory.rglob("*.json"))
+    assert reader.get(one).records == records_of(one)
+    assert reader.get(two).records == records_of(two)
+
+
+def test_open_scan_orders_entries_by_mtime(tmp_path):
+    """A new session's LRU order is the entry files' mtime order, not
+    the order they were written in or their names."""
+    directory = tmp_path / "cache"
+    writer = EvaluationCache(directory=directory)
+    keys = [key_of(tag) for tag in ("x", "y", "z")]
+    for key in keys:
+        writer.put(key, CachedEntry(records=records_of(key)))
+    # Oldest first: y, z, x — neither the write order nor the name order.
+    for age, key in enumerate((keys[1], keys[2], keys[0])):
+        stamp = (1_600_000_000 + age) * 10 ** 9
+        os.utime(writer._disk_path(key), ns=(stamp, stamp))
+
+    bounded = EvaluationCache(directory=directory, max_disk_entries=2)
+    newest = key_of("w")
+    bounded.put(newest, CachedEntry(records=records_of(newest)))
+    assert bounded.stats.evictions == 2
+    reader = EvaluationCache(directory=directory)
+    assert [reader.get(key) is not None for key in keys + [newest]] == [
+        True, False, False, True]
+
+
+def test_a_failed_put_leaves_no_temp_file_and_no_entry(tmp_path, monkeypatch):
+    directory = tmp_path / "cache"
+    cache = EvaluationCache(directory=directory)
+    key = key_of("doomed")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cache.put(key, CachedEntry(records=records_of(key)))
+    monkeypatch.undo()
+    assert not list(directory.rglob("*.tmp"))
+    assert cache.disk_stats()["entries"] == 0
+    assert EvaluationCache(directory=directory).get(key) is None
+
+
+def test_a_leftover_fixed_name_temp_does_not_block_put(tmp_path):
+    """Earlier versions staged every write of a key in ``<stem>.json.tmp``;
+    whatever is left at that name — even a directory — must not fail a
+    put of the key."""
+    directory = tmp_path / "cache"
+    key = key_of("blocked")
+    shard, stem = _shard_and_name(key)
+    (directory / shard / f"{stem}.json.tmp").mkdir(parents=True)
+    EvaluationCache(directory=directory).put(key, CachedEntry(records=records_of(key)))
+    assert EvaluationCache(directory=directory).get(key).records == records_of(key)
+
+
+def test_cli_compact_deletes_leftover_index_files_and_nothing_else(tmp_path, capsys):
+    directory = tmp_path / "cache"
+    good = key_of("good")
+    EvaluationCache(directory=directory).put(good, CachedEntry(records=records_of(good)))
+    index = directory / "index.json"
+    index.write_text(json.dumps({"entries": {good: {"file": "../outside.json"}}}),
+                     encoding="utf-8")
+    journal = directory / "index.evil.journal"
+    journal.write_text("\n".join([
+        "not json at all",
+        json.dumps({"op": "del", "key": good}),
+        json.dumps({"op": "put", "key": "esc", "file": "../outside.json"}),
+        json.dumps({"op": "put", "key": "abs", "file": "/etc/passwd"}),
+    ]) + "\n", encoding="utf-8")
+    notes = directory / "NOTES.txt"
+    notes.write_text("kept", encoding="utf-8")
+
+    reader = EvaluationCache(directory=directory)
+    assert reader.disk_stats()["entries"] == 1
+    assert reader.get(good).records == records_of(good)
+    assert cache_main(["compact", str(directory)]) == 0
+    assert json.loads(capsys.readouterr().out)["entries_after_compact"] == 1
+    assert not index.exists() and not journal.exists()
+    assert notes.read_text(encoding="utf-8") == "kept"
+    assert EvaluationCache(directory=directory).get(good).records == records_of(good)
+
+
+def test_disk_stats_match_the_files_on_disk(tmp_path):
+    """After any mix of writers, bounds and evictions, a fresh cache's
+    entry and byte totals are exactly those of the files on disk."""
+    directory = tmp_path / "cache"
+    rng = random.Random(11)
+    caches = [EvaluationCache(directory=directory, max_disk_entries=5),
+              EvaluationCache(directory=directory, max_disk_bytes=900),
+              EvaluationCache(directory=directory)]
+    for _ in range(60):
+        key = key_of(f"k{rng.randrange(10)}")
+        rng.choice(caches).put(key, CachedEntry(records=records_of(key) * rng.randint(1, 3)))
+    files = list(directory.rglob("*.json"))
+    stats = EvaluationCache(directory=directory).disk_stats()
+    assert stats["entries"] == len(files)
+    assert stats["bytes"] == sum(p.stat().st_size for p in files)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import threading
 
 import pytest
@@ -255,6 +256,104 @@ class TestCache:
         reader.put("bbbb2222", CachedEntry(records=[{"scheme": "SC"}]))
         assert not (directory / "de" / "deadbeef.json").exists()
         assert writer.get("aaaa1111") is not None
+
+    def test_hostile_or_corrupt_index_is_distrusted(self, tmp_path):
+        """Unparseable leftover index files neither break open nor pass
+        for flat entries to migrate; the view is exactly the shard files."""
+        directory = tmp_path / "cache"
+        cache = EvaluationCache(directory=directory)
+        cache.put("deadbeef", CachedEntry(records=[{"scheme": "SC"}]))
+        (directory / "index.json").write_text("{not json", encoding="utf-8")
+        (directory / "index.a.journal").write_bytes(b"\xff\xfe\x00garbage")
+        (directory / "index.b.journal").write_text(json.dumps(["a", "list"]),
+                                                   encoding="utf-8")
+
+        fresh = EvaluationCache(directory=directory)
+        assert sorted(p.relative_to(directory).as_posix()
+                      for p in directory.rglob("*.json")) == ["de/deadbeef.json",
+                                                              "index.json"]
+        stats = fresh.disk_stats()
+        assert stats["entries"] == 1
+        assert stats["bytes"] == (directory / "de" / "deadbeef.json").stat().st_size
+        assert fresh.get("deadbeef").records == [{"scheme": "SC"}]
+
+    def test_eviction_cannot_be_misdirected_by_hostile_index(self, tmp_path):
+        """Sizes and recency come from the entry files, never from a
+        leftover index claiming other sizes, sequence numbers or paths."""
+        directory = tmp_path / "cache"
+        writer = EvaluationCache(directory=directory)
+        writer.put("aaaa1111", CachedEntry(records=[{"scheme": "SC"}]))
+        per_entry = writer.disk_stats()["bytes"]
+        (directory / "index.json").write_text(json.dumps({"entries": {
+            "aaaa1111": {"file": "index.json", "size": 10 ** 12, "seq": 10 ** 9},
+        }}), encoding="utf-8")
+
+        bounded = EvaluationCache(directory=directory, max_disk_bytes=per_entry * 2)
+        assert bounded.disk_stats()["bytes"] == per_entry
+        bounded.put("bbbb2222", CachedEntry(records=[{"scheme": "SC"}]))
+        assert bounded.stats.evictions == 0
+        bounded.put("cccc3333", CachedEntry(records=[{"scheme": "SC"}]))
+        assert bounded.stats.evictions == 1
+        # The true LRU's canonical file went, and nothing else.
+        assert sorted(p.name for p in directory.rglob("*.json")) == [
+            "bbbb2222.json", "cccc3333.json", "index.json"]
+
+    def test_misdirected_index_entry_cannot_alias_keys(self, tmp_path):
+        """A file at one key's path that holds another key's records is a
+        miss for that key, whatever a leftover index says; the next put
+        heals it."""
+        directory = tmp_path / "cache"
+        cache = EvaluationCache(directory=directory)
+        cache.put("deadbeef", CachedEntry(records=[{"scheme": "A"}]))
+        cache.put("cafecafe", CachedEntry(records=[{"scheme": "B"}]))
+        (directory / "de" / "deadbeef.json").write_bytes(
+            (directory / "ca" / "cafecafe.json").read_bytes())
+        (directory / "index.json").write_text(json.dumps({"entries": {
+            "deadbeef": {"file": "ca/cafecafe.json"}}}), encoding="utf-8")
+
+        fresh = EvaluationCache(directory=directory)
+        assert fresh.get("deadbeef") is None
+        assert fresh.get("cafecafe").records == [{"scheme": "B"}]
+        fresh.put("deadbeef", CachedEntry(records=[{"scheme": "A"}]))
+        healed = EvaluationCache(directory=directory)
+        assert healed.get("deadbeef").records == [{"scheme": "A"}]
+
+    def test_unindexed_entries_are_adopted_on_lookup(self, tmp_path):
+        """Entries another session wrote after this cache opened, and
+        never flushed, join its view when a lookup finds them (from the
+        next flush) or when it compacts."""
+        directory = tmp_path / "cache"
+        cache = EvaluationCache(directory=directory)
+        crashed = EvaluationCache(directory=directory)
+        crashed.put("aaaa1111", CachedEntry(records=[{"scheme": "SC"}]))
+        crashed.put("bbbb2222", CachedEntry(records=[{"scheme": "SC"}]))
+
+        assert cache.get("aaaa1111") is not None
+        assert cache.disk_stats()["entries"] == 0  # queued until the flush
+        cache.flush_index()
+        assert cache.disk_stats()["entries"] == 1
+        assert cache.compact() == 2
+        assert cache.disk_stats()["bytes"] == sum(
+            p.stat().st_size for p in directory.rglob("*.json"))
+
+    def test_index_writes_are_batched_until_flush(self, tmp_path):
+        """A disk hit leaves the entry file alone; flush_index re-stamps
+        its mtime once, and a flush with no hits queued writes nothing."""
+        directory = tmp_path / "cache"
+        EvaluationCache(directory=directory).put(
+            "deadbeef", CachedEntry(records=[{"scheme": "SC"}]))
+        path = directory / "de" / "deadbeef.json"
+        old = 1_600_000_000 * 10 ** 9
+        os.utime(path, ns=(old, old))
+
+        cache = EvaluationCache(directory=directory)
+        assert cache.get("deadbeef") is not None
+        assert path.stat().st_mtime_ns == old
+        cache.flush_index()
+        stamped = path.stat().st_mtime_ns
+        assert stamped > old
+        cache.flush_index()
+        assert path.stat().st_mtime_ns == stamped
 
     def test_disk_hit_recency_survives_sessions(self, tmp_path):
         directory = tmp_path / "cache"
