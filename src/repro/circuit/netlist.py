@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import CircuitError
 from ..technology.transistor import Polarity, VtFlavor
 from .devices import DeviceInstance, DeviceRole
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 __all__ = ["Netlist", "NetlistStatistics"]
 
@@ -119,6 +121,10 @@ class Netlist:
         circuit at DC), which makes this graph the right structure for
         checking that every output net can actually be driven to a rail.
         """
+        # Imported here: only structural sanity checks build the graph,
+        # so evaluating design points never pays for networkx.
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self._nets)
         for device in self._devices.values():
@@ -127,6 +133,8 @@ class Netlist:
 
     def net_is_drivable(self, net: str) -> bool:
         """True if ``net`` has a channel path to Vdd or GND."""
+        import networkx as nx
+
         graph = self.channel_graph()
         if net not in graph:
             raise CircuitError(f"net {net!r} is not declared in netlist {self.name!r}")

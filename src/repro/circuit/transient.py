@@ -20,12 +20,13 @@ matrices are small — tens of nodes — so dense linear algebra is fine).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy.linalg import expm
+from typing import TYPE_CHECKING
 
 from ..errors import CircuitError
 from .rc_network import RCTree
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 __all__ = ["RCTransientSolver", "TransientResult"]
 
@@ -83,6 +84,8 @@ class RCTransientSolver:
         self.minimum_capacitance = minimum_capacitance
 
     def _build_matrices(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        import numpy as np
+
         names = self.tree.nodes()
         index = {name: i for i, name in enumerate(names)}
         n = len(names)
@@ -126,6 +129,11 @@ class RCTransientSolver:
             raise CircuitError("simulation duration must be positive")
         if samples < 2:
             raise CircuitError("need at least two samples")
+        # Imported here: no design-point evaluation solves a transient,
+        # so importing the package does not pay for numpy and scipy.
+        import numpy as np
+        from scipy.linalg import expm
+
         conductance, capacitance, names = self._build_matrices()
         n = len(names)
         c_inv = np.diag(1.0 / capacitance)

@@ -5,14 +5,15 @@ The executor layer was built pluggable so the same
 span multiple hosts; this module is that span.  A
 :class:`DistributedExecutor` is the *coordinator* of a fleet of
 persistent worker processes (``python -m repro.engine.worker``): it
-listens on a TCP socket, accepts worker registrations, partitions work
-items across the registered workers one item at a time (natural load
-balancing — a slow host simply takes fewer items), and reassembles the
-results in submission order.  Everything is standard library: sockets,
-threads and JSON.
+listens on a TCP socket, accepts worker registrations, cuts each batch
+into contiguous chunks — about four per live worker
+(:func:`~repro.engine.executor.chunk_size`, the process pool's rule) —
+hands them out from a shared queue (natural load balancing: a slow host
+simply takes fewer chunks), and reassembles the results in submission
+order.  Everything is standard library: sockets, threads and JSON.
 
-Wire protocol
--------------
+Wire protocol (version 2)
+-------------------------
 Messages are JSON objects framed by a 4-byte big-endian length prefix
 (:func:`send_frame` / :func:`recv_frame`).  Every message carries a
 ``"type"``:
@@ -24,12 +25,15 @@ register   w -> c      first frame on any connection: worker id, protocol
                        and model version
 registered c -> w      registration accepted (carries the final worker id)
 rejected   c -> w      registration refused (version/protocol mismatch)
-evaluate   c -> w      one work item: task index, config overrides,
-                       scheme list, baseline
-result     w -> c      the item's comparison records
-error      w -> c      deterministic evaluation failure (fails the run —
-                       re-dispatching a model-level rejection elsewhere
-                       would fail the same way)
+evaluate   c -> w      one chunk: ``task`` (the batch index of its first
+                       item) and ``items``, a list of ``{overrides,
+                       schemes, baseline}``
+result     w -> c      ``task`` and ``records``: one comparison-records
+                       list per item, in order
+error      w -> c      deterministic evaluation failure of chunk ``task``
+                       at offset ``item`` (fails the run — re-dispatching
+                       a model-level rejection elsewhere would fail the
+                       same way)
 ping/pong  both        idle-connection heartbeat
 shutdown   c -> w      drain and exit
 ========== =========== ====================================================
@@ -38,26 +42,32 @@ Configs travel as *dotted-path overrides* against a default
 :class:`~repro.core.config.ExperimentConfig`
 (:func:`config_to_wire` / :func:`config_from_wire`) — the same
 vocabulary as the service's queries — so the wire format is JSON-safe,
-compact (defaults are omitted) and automatically covers every field the
-path registry knows about.
+compact (defaults are omitted) and automatically covers every field of
+the config tree.  The encoder is one walk of the config against the
+default leaves, which are read once per process.
 
 Failure semantics
 -----------------
-Worker *death* (socket error, EOF, heartbeat failure) re-queues the
-item the worker held and drops the worker; an item that has been
+A chunk is the unit of re-dispatch.  Worker *death* (socket error, EOF,
+heartbeat failure, no answer to a frame within ``item_timeout``, or a
+``result`` whose record count does not match the chunk) re-queues the
+whole chunk the worker held and drops the worker; a chunk that has been
 dispatched ``max_attempts`` times without an answer fails the run, as
-does losing every worker while items are outstanding.  A worker
-*error frame* (the model rejected the point) fails the run immediately
-— it is deterministic, so retrying elsewhere cannot help.  Either way
-``run`` raises :class:`~repro.errors.DistributedError` only after every
-in-flight item has settled, so the executor survives a failed run and
-the persistent pool remains usable for the next one.
+does losing every worker while items are outstanding.  A worker *error
+frame* (the model rejected a point) fails the run immediately — it is
+deterministic, so retrying elsewhere cannot help.  A batch holding a
+config that cannot be encoded fails before anything is queued.  Either
+way ``run`` raises :class:`~repro.errors.DistributedError` only after
+every in-flight chunk has settled, so the executor survives a failed run
+and the persistent pool remains usable for the next one.
 
 See ``docs/distributed.md`` for topology and deployment notes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 import queue
@@ -67,12 +77,12 @@ import sys
 import threading
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.config import ExperimentConfig
-from ..core.paths import PATH_SEPARATOR, get_path, sweepable_paths
+from ..core.paths import PATH_SEPARATOR
 from ..errors import ConfigurationError, DistributedError, ReproError
-from .executor import EvaluatedPoint, WorkItem
+from .executor import EvaluatedPoint, WorkItem, chunk_size
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -88,7 +98,7 @@ __all__ = [
 
 #: Bumped when the frame vocabulary changes incompatibly; registration
 #: carries it so a version-skewed worker is rejected instead of fed.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Largest accepted frame.  Comparison records for one point are a few
 #: KiB; this bound exists so a corrupt length prefix cannot make either
@@ -160,28 +170,68 @@ def recv_frame(sock: socket.socket) -> dict | None:
 # config serialisation: dotted-path overrides against the default config
 # ---------------------------------------------------------------------------
 
-def config_to_wire(config: ExperimentConfig) -> dict[str, object]:
-    """JSON-safe dotted-path overrides that rebuild ``config``.
+@functools.cache
+def _wire_layout() -> tuple:
+    """The default config's dataclass tree, walked once per process.
 
-    Leaves holding their default value are omitted — except under a
-    materialised ``noc`` branch, whose every leaf is sent so the worker
-    materialises the branch too (an all-default branch would otherwise
-    vanish in transit).  Derived from the live path registry, so a field
-    added to any nested config ships without touching this module.
+    One entry per field, in field order: ``(name, dotted path, default,
+    children, optional)``.  A leaf has ``children`` ``None`` and its
+    default value; a nested config has its own entries as ``children``,
+    its class as ``default``, and ``optional`` set when it may be unset
+    (it declares a ``subconfig_factory``, as the ``noc`` branch does).
     """
-    base = ExperimentConfig()
-    noc_prefix = "noc" + PATH_SEPARATOR
-    overrides: dict[str, object] = {}
-    for path in sweepable_paths():
-        if path.startswith(noc_prefix) and config.noc is None:
-            continue
-        value = get_path(config, path)
-        if path.startswith(noc_prefix) or value != get_path(base, path):
+    def walk(node: object, prefix: str) -> tuple:
+        entries = []
+        for spec in dataclasses.fields(node):
+            path = prefix + spec.name
+            factory = spec.metadata.get("subconfig_factory")
+            value = getattr(node, spec.name)
+            if value is None and factory is not None:
+                value = factory()
+            if dataclasses.is_dataclass(value) and not isinstance(value, type):
+                entries.append((spec.name, path, type(value),
+                                walk(value, path + PATH_SEPARATOR), factory is not None))
+            else:
+                entries.append((spec.name, path, value, None, False))
+        return tuple(entries)
+
+    return walk(ExperimentConfig(), "")
+
+
+def _encode_node(node: object, layout: tuple, whole: bool,
+                 overrides: dict[str, object]) -> None:
+    for name, path, default, children, optional in layout:
+        value = getattr(node, name)
+        if children is not None:
+            if value is None and optional:
+                continue
+            if not isinstance(value, default):
+                raise ConfigurationError(
+                    f"config path {path!r} holds {type(value).__name__!r}, "
+                    f"not a {default.__name__}"
+                )
+            _encode_node(value, children, whole or optional, overrides)
+        elif whole or value != default:
             if not isinstance(value, _WIRE_SCALARS):
                 raise DistributedError(
                     f"config leaf {path!r} holds non-JSON-safe {value!r}"
                 )
             overrides[path] = value
+
+
+def config_to_wire(config: ExperimentConfig) -> dict[str, object]:
+    """JSON-safe dotted-path overrides that rebuild ``config``.
+
+    Leaves holding their default value are omitted — except under a
+    materialised optional branch (``noc``), whose every leaf is sent so
+    the worker materialises the branch too (an all-default branch would
+    otherwise vanish in transit).  Keys follow the path registry's order
+    (:func:`~repro.core.paths.sweepable_paths`): both walk the same
+    dataclass tree, so a field added to any nested config ships without
+    touching this module.
+    """
+    overrides: dict[str, object] = {}
+    _encode_node(config, _wire_layout(), False, overrides)
     return overrides
 
 
@@ -225,7 +275,12 @@ def parse_address(spec: str, default_port: int = 0) -> tuple[str, int]:
 
 @dataclass
 class DistributedStats:
-    """Fleet accounting for one :class:`DistributedExecutor`."""
+    """Fleet accounting for one :class:`DistributedExecutor`.
+
+    ``dispatched``, ``completed`` and ``redispatched`` count work items,
+    not frames: a chunk of eight items sent once adds eight to
+    ``dispatched``.
+    """
 
     workers_registered: int = 0
     workers_rejected: int = 0
@@ -248,21 +303,29 @@ class _Shutdown:
 
 @dataclass
 class _RunState:
-    """Completion bookkeeping for one ``run(items)`` call."""
+    """Completion bookkeeping for one ``run(items)`` call: ``outstanding``
+    counts items; ``results`` holds each item's records by position."""
 
     outstanding: int
-    results: dict[int, list] = field(default_factory=dict)
+    results: list
     failure: DistributedError | None = None
 
 
 @dataclass
-class _Task:
-    """One dispatchable work item within a run."""
+class _Chunk:
+    """A contiguous slice ``[start, start + size)`` of a run's items: the
+    unit of dispatch, of re-dispatch and of ``max_attempts``."""
 
-    index: int
+    start: int
+    size: int
     frame: dict
     state: _RunState
     attempts: int = 0
+
+    def describe(self) -> str:
+        if self.size == 1:
+            return f"item {self.start}"
+        return f"items {self.start}-{self.start + self.size - 1}"
 
 
 class _WorkerHandle:
@@ -300,7 +363,7 @@ class DistributedExecutor:
         dispatching (default: the spawned plus dialled count, at least
         one).
     max_attempts:
-        Dispatch attempts per item before the run fails (re-dispatch
+        Dispatch attempts per chunk before the run fails (re-dispatch
         happens only on worker death, never on a deterministic
         evaluation error).
     heartbeat_interval:
@@ -311,9 +374,10 @@ class DistributedExecutor:
         registration frame of a new connection, and for a dial-out to
         succeed.
     item_timeout:
-        Per-dispatch socket timeout (seconds); ``None`` waits as long
-        as the worker keeps the connection alive.  A timeout counts as
-        worker death: the item is re-dispatched elsewhere.
+        Per-frame socket timeout (seconds): how long a worker may take
+        to answer one ``evaluate`` frame, i.e. one chunk; ``None`` waits
+        as long as the worker keeps the connection alive.  A timeout
+        counts as worker death: the chunk is re-dispatched elsewhere.
 
     The pool is persistent: workers stay registered across ``run``
     calls (the evaluation service's successive batch flushes reuse the
@@ -355,7 +419,7 @@ class DistributedExecutor:
         self.item_timeout = item_timeout
         self.stats = DistributedStats()
         self._cond = threading.Condition()
-        self._tasks: queue.Queue = queue.Queue()
+        self._chunks: queue.Queue = queue.Queue()
         self._workers: dict[str, _WorkerHandle] = {}
         self._spawned: list[subprocess.Popen] = []
         self._listener: socket.socket | None = None
@@ -452,7 +516,7 @@ class DistributedExecutor:
                 )
             self._cond.notify_all()
         for _ in handles:
-            self._tasks.put(_Shutdown())
+            self._chunks.put(_Shutdown())
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -576,8 +640,8 @@ class DistributedExecutor:
 
     # -- dispatch ----------------------------------------------------------------
     def _worker_loop(self, handle: _WorkerHandle) -> None:
-        """Sole owner of one worker's socket: pulls tasks off the shared
-        queue, heartbeats when idle, exits (re-queueing its task) when
+        """Sole owner of one worker's socket: pulls chunks off the shared
+        queue, heartbeats when idle, exits (re-queueing its chunk) when
         the worker dies."""
         try:
             while True:
@@ -585,40 +649,40 @@ class DistributedExecutor:
                     if self._closed or not handle.alive:
                         return
                 try:
-                    task = self._tasks.get(timeout=self.heartbeat_interval)
+                    chunk = self._chunks.get(timeout=self.heartbeat_interval)
                 except queue.Empty:
                     if not self._heartbeat(handle):
                         return
                     continue
-                if isinstance(task, _Shutdown):
+                if isinstance(chunk, _Shutdown):
                     try:
                         send_frame(handle.sock, {"type": "shutdown"})
                     except OSError:
                         pass
                     return
-                if task.state.failure is not None:
-                    # The run already failed: settle the task without
+                if chunk.state.failure is not None:
+                    # The run already failed: settle the chunk without
                     # evaluating so run() can finish draining.
-                    self._settle_failed(task)
+                    self._settle(chunk)
                     continue
-                if not self._dispatch(handle, task):
-                    # Count the loss before the item can be re-run: once
+                if not self._dispatch(handle, chunk):
+                    # Count the loss before the chunk can be re-run: once
                     # re-queued, a survivor may finish it and end run().
                     self._forget_worker(handle)
-                    self._requeue(task)
+                    self._requeue(chunk)
                     return
         finally:
             self._forget_worker(handle)
 
-    def _dispatch(self, handle: _WorkerHandle, task: _Task) -> bool:
-        """Send one item and read its answer.  True when the task
+    def _dispatch(self, handle: _WorkerHandle, chunk: _Chunk) -> bool:
+        """Send one chunk and read its answer.  True when the chunk
         settled (result or deterministic error); False when the worker
-        must be dropped and the task re-queued."""
+        must be dropped and the chunk re-queued."""
         with self._cond:
-            self.stats.dispatched += 1
+            self.stats.dispatched += chunk.size
         try:
             handle.sock.settimeout(self.item_timeout)
-            send_frame(handle.sock, task.frame)
+            send_frame(handle.sock, chunk.frame)
             while True:
                 message = recv_frame(handle.sock)
                 if message is None:
@@ -626,16 +690,21 @@ class DistributedExecutor:
                 mtype = message["type"]
                 if mtype == "pong":
                     continue  # stale heartbeat answer
-                if mtype == "result" and message.get("task") == task.index:
+                if mtype == "result" and message.get("task") == chunk.start:
                     records = message.get("records")
-                    if not isinstance(records, list):
+                    if not (isinstance(records, list) and len(records) == chunk.size
+                            and all(isinstance(entry, list) for entry in records)):
                         return False  # protocol violation: drop the worker
-                    self._complete(handle, task, records)
+                    self._complete(handle, chunk, records)
                     return True
-                if mtype == "error" and message.get("task") == task.index:
-                    self._fail_run(task, DistributedError(
-                        f"worker {handle.worker_id!r} failed item "
-                        f"{task.index}: {message.get('message')}"
+                if mtype == "error" and message.get("task") == chunk.start:
+                    offset = message.get("item")
+                    where = (f"item {chunk.start + offset}"
+                             if isinstance(offset, int) and 0 <= offset < chunk.size
+                             else chunk.describe())
+                    self._settle(chunk, DistributedError(
+                        f"worker {handle.worker_id!r} failed {where}: "
+                        f"{message.get('message')}"
                     ))
                     return True
                 return False  # unexpected frame: drop the worker
@@ -658,40 +727,38 @@ class DistributedExecutor:
         except (OSError, DistributedError, ValueError):
             return False
 
-    def _complete(self, handle: _WorkerHandle, task: _Task,
+    def _complete(self, handle: _WorkerHandle, chunk: _Chunk,
                   records: list) -> None:
         with self._cond:
-            handle.completed += 1
-            self.stats.completed += 1
-            task.state.results[task.index] = records
-            task.state.outstanding -= 1
+            handle.completed += chunk.size
+            self.stats.completed += chunk.size
+            chunk.state.results[chunk.start:chunk.start + chunk.size] = records
+            chunk.state.outstanding -= chunk.size
             self._cond.notify_all()
 
-    def _fail_run(self, task: _Task, failure: DistributedError) -> None:
+    def _settle(self, chunk: _Chunk,
+                failure: DistributedError | None = None) -> None:
+        """Take a chunk off the run's outstanding count without results,
+        failing the run with ``failure`` unless it already failed."""
         with self._cond:
-            if task.state.failure is None:
-                task.state.failure = failure
-            task.state.outstanding -= 1
+            if failure is not None and chunk.state.failure is None:
+                chunk.state.failure = failure
+            chunk.state.outstanding -= chunk.size
             self._cond.notify_all()
 
-    def _settle_failed(self, task: _Task) -> None:
-        with self._cond:
-            task.state.outstanding -= 1
-            self._cond.notify_all()
-
-    def _requeue(self, task: _Task) -> None:
-        """Give a died-worker's item another dispatch, or fail the run
+    def _requeue(self, chunk: _Chunk) -> None:
+        """Give a died-worker's chunk another dispatch, or fail the run
         once its attempt budget is spent."""
-        task.attempts += 1
-        if task.attempts >= self.max_attempts:
-            self._fail_run(task, DistributedError(
-                f"item {task.index} failed after {task.attempts} dispatch "
+        chunk.attempts += 1
+        if chunk.attempts >= self.max_attempts:
+            self._settle(chunk, DistributedError(
+                f"{chunk.describe()} failed after {chunk.attempts} dispatch "
                 f"attempts (workers kept dying under it)"
             ))
             return
         with self._cond:
-            self.stats.redispatched += 1
-        self._tasks.put(task)
+            self.stats.redispatched += chunk.size
+        self._chunks.put(chunk)
 
     def _forget_worker(self, handle: _WorkerHandle) -> None:
         with self._cond:
@@ -723,21 +790,23 @@ class DistributedExecutor:
         """
         if not items:
             return []
+        # Encode the whole batch before touching the queue: a config
+        # that cannot go on the wire fails the run with nothing sent.
+        wire = [{"overrides": config_to_wire(item.config),
+                 "schemes": list(item.scheme_names),
+                 "baseline": item.baseline_name} for item in items]
         with self._run_lock:
             self.start()
             self._wait_for_workers(self.min_workers)
-            state = _RunState(outstanding=len(items))
             with self._cond:
+                size = chunk_size(len(items), self._alive_count())
+                state = _RunState(outstanding=len(items), results=[None] * len(items))
                 self._state = state
-            for index, item in enumerate(items):
-                frame = {
-                    "type": "evaluate",
-                    "task": index,
-                    "overrides": config_to_wire(item.config),
-                    "schemes": list(item.scheme_names),
-                    "baseline": item.baseline_name,
-                }
-                self._tasks.put(_Task(index=index, frame=frame, state=state))
+            for start in range(0, len(items), size):
+                batch = wire[start:start + size]
+                self._chunks.put(_Chunk(
+                    start=start, size=len(batch), state=state,
+                    frame={"type": "evaluate", "task": start, "items": batch}))
             with self._cond:
                 # A failure ends the wait immediately: with every worker
                 # gone nobody is left to settle the queued remainder.
@@ -748,22 +817,21 @@ class DistributedExecutor:
             self._drain_tasks()
             if failure is not None:
                 raise failure
-            return [EvaluatedPoint(records=state.results[index])
-                    for index in range(len(items))]
+            return [EvaluatedPoint(records=records) for records in state.results]
 
     def _drain_tasks(self) -> None:
-        """Drop any tasks a failed run left queued (shutdown sentinels
+        """Drop any chunks a failed run left queued (shutdown sentinels
         are preserved for the worker threads they target)."""
         leftovers = []
         while True:
             try:
-                task = self._tasks.get_nowait()
+                entry = self._chunks.get_nowait()
             except queue.Empty:
                 break
-            if isinstance(task, _Shutdown):
-                leftovers.append(task)
+            if isinstance(entry, _Shutdown):
+                leftovers.append(entry)
         for sentinel in leftovers:
-            self._tasks.put(sentinel)
+            self._chunks.put(sentinel)
 
     # -- introspection -----------------------------------------------------------
     def workers_payload(self) -> dict[str, dict]:

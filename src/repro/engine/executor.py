@@ -42,11 +42,24 @@ from ..core.config import ExperimentConfig
 from ..errors import ConfigurationError
 
 __all__ = ["WorkItem", "EvaluatedPoint", "SerialExecutor", "ProcessExecutor",
-           "auto_executor_name", "resolve_executor"]
+           "auto_executor_name", "chunk_size", "resolve_executor"]
 
 #: Below this many misses, ``auto`` stays serial: pool start-up costs more
 #: than the evaluation itself.
 AUTO_PROCESS_THRESHOLD = 8
+
+#: Contiguous chunks a batch is cut into per worker: enough that a slow
+#: worker's last chunk holds up little, few enough that per-chunk
+#: overhead (a pickle round trip, a wire frame) stays small.
+CHUNKS_PER_WORKER = 4
+
+
+def chunk_size(item_count: int, workers: int) -> int:
+    """Items per chunk when ``item_count`` items are shared out over
+    ``workers`` workers: about :data:`CHUNKS_PER_WORKER` chunks each
+    (a 64-item batch on 2 workers is 8 chunks of 8; a batch smaller
+    than ``4 * workers`` goes one item per chunk)."""
+    return max(1, math.ceil(item_count / (max(1, workers) * CHUNKS_PER_WORKER)))
 
 
 @dataclass(frozen=True)
@@ -137,8 +150,7 @@ class ProcessExecutor:
     def _resolved_chunksize(self, item_count: int, workers: int) -> int:
         if self.chunksize is not None:
             return self.chunksize
-        # ~4 chunks per worker balances scheduling overhead against skew.
-        return max(1, math.ceil(item_count / (workers * 4)))
+        return chunk_size(item_count, workers)
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """The live pool, created on first use at full worker strength

@@ -3,28 +3,33 @@
 ``python -m repro.engine.worker --connect HOST:PORT`` dials a
 :class:`~repro.engine.distributed.DistributedExecutor` coordinator,
 registers, and then evaluates ``evaluate`` frames until told to shut
-down — each frame's dotted-path overrides are rebuilt into an
-:class:`~repro.core.config.ExperimentConfig`
+down.  A frame carries a chunk of work items; each item's dotted-path
+overrides are rebuilt into an :class:`~repro.core.config.ExperimentConfig`
 (:func:`~repro.engine.distributed.config_from_wire`) and run through
 :func:`~repro.core.comparison.compare_schemes`, exactly what the serial
-executor would have done in-process.  Because the process is
+executor would have done in-process, and the ``result`` frame answers
+with one records list per item, in order.  Because the process is
 persistent, the structural memoisation in
 :mod:`repro.core.scheme_evaluator` warms up once and then serves every
 subsequent item, the same amortisation a process-pool worker only gets
-within a single batch.
+within a single batch.  Importing this module loads no numerical
+library (numpy, scipy, networkx): evaluation needs none, so spawning a
+worker does not pay for them.
 
 ``--listen [HOST:]PORT`` inverts the transport: the worker listens and
 the coordinator dials out (for workers behind ingress-only firewalls).
 Either way the worker speaks first — the ``register`` frame opens every
 connection, whoever initiated it.
 
-Evaluation failures are answered with structured ``error`` frames (a
-model-level rejection is deterministic; the coordinator fails the run
-rather than retrying it elsewhere); malformed frames and lost
-coordinators end the process with a non-zero exit code so supervisors
-notice.  ``--max-items N`` exits cleanly after N evaluations — rolling
-restarts for long-lived fleets, and the test suite's way of simulating
-worker death mid-run.
+Evaluation failures are answered with structured ``error`` frames
+naming the chunk and the offset of the failing item (a model-level
+rejection is deterministic; the coordinator fails the run rather than
+retrying it elsewhere); malformed frames and lost coordinators end the
+process with a non-zero exit code so supervisors notice.
+``--max-items N`` exits cleanly once the frames answered carried N items
+or more (a chunk is always answered whole) — rolling restarts for
+long-lived fleets, and the test suite's way of simulating worker death
+mid-run.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import os
 import socket
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from ..core.comparison import compare_schemes
 from ..errors import DistributedError, ReproError
@@ -54,25 +59,42 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _evaluate_frame(sock: socket.socket, message: dict) -> None:
-    """Answer one ``evaluate`` frame with a ``result`` or ``error``."""
+def _evaluate_item(item: object) -> list[dict]:
+    """Evaluate one wire item (``overrides``, ``schemes``, ``baseline``)."""
+    if not isinstance(item, Mapping):
+        raise TypeError(f"work item must be an object, got {type(item).__name__}")
+    comparison = compare_schemes(
+        config_from_wire(item.get("overrides", {})),
+        scheme_names=[str(name) for name in item["schemes"]],
+        baseline_name=str(item["baseline"]),
+    )
+    return comparison.as_records()
+
+
+def _evaluate_frame(sock: socket.socket, message: dict) -> int:
+    """Answer one ``evaluate`` frame with a ``result`` (one records list
+    per item, in order) or an ``error`` naming the first item that
+    failed; returns how many items the frame carried."""
     task = message.get("task")
-    try:
-        config = config_from_wire(message.get("overrides", {}))
-        schemes = message["schemes"]
-        comparison = compare_schemes(
-            config,
-            scheme_names=[str(name) for name in schemes],
-            baseline_name=str(message["baseline"]),
-        )
-        send_frame(sock, {"type": "result", "task": task,
-                          "records": comparison.as_records()})
-    except ReproError as exc:
-        send_frame(sock, {"type": "error", "task": task,
-                          "error": "evaluation-failed", "message": str(exc)})
-    except (KeyError, TypeError, ValueError) as exc:
-        send_frame(sock, {"type": "error", "task": task,
-                          "error": "malformed-item", "message": repr(exc)})
+    items = message.get("items")
+    if not isinstance(items, list) or not items:
+        send_frame(sock, {"type": "error", "task": task, "error": "malformed-item",
+                          "message": "an evaluate frame needs a non-empty 'items' list"})
+        return 0
+    records = []
+    for offset, item in enumerate(items):
+        try:
+            records.append(_evaluate_item(item))
+        except ReproError as exc:
+            send_frame(sock, {"type": "error", "task": task, "item": offset,
+                              "error": "evaluation-failed", "message": str(exc)})
+            return len(items)
+        except (KeyError, TypeError, ValueError) as exc:
+            send_frame(sock, {"type": "error", "task": task, "item": offset,
+                              "error": "malformed-item", "message": repr(exc)})
+            return len(items)
+    send_frame(sock, {"type": "result", "task": task, "records": records})
+    return len(items)
 
 
 def serve_connection(sock: socket.socket, worker_id: str,
@@ -81,8 +103,9 @@ def serve_connection(sock: socket.socket, worker_id: str,
 
     Registers, then serves ``evaluate``/``ping`` frames until the
     coordinator says ``shutdown`` (returns ``"shutdown"``), the
-    connection ends (``"disconnect"``), or ``max_items`` evaluations
-    have been answered (``"exhausted"``).  Raises
+    connection ends (``"disconnect"``), or the frames answered so far
+    carried ``max_items`` items or more (``"exhausted"``; a chunk is
+    always answered whole, so the count may overshoot).  Raises
     :class:`~repro.errors.DistributedError` when registration is
     rejected.
     """
@@ -110,8 +133,7 @@ def serve_connection(sock: socket.socket, worker_id: str,
         elif mtype == "shutdown":
             return "shutdown"
         elif mtype == "evaluate":
-            _evaluate_frame(sock, message)
-            served += 1
+            served += _evaluate_frame(sock, message)
             if max_items is not None and served >= max_items:
                 return "exhausted"
         # Unknown frame types are ignored (forward compatibility).
@@ -131,8 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--worker-id", default=None,
                         help="fleet-visible name (default: hostname-pid)")
     parser.add_argument("--max-items", type=int, default=None,
-                        help="exit cleanly after this many evaluations "
-                             "(rolling restarts; death injection in tests)")
+                        help="exit cleanly once the answered frames carried "
+                             "this many items (rolling restarts; death "
+                             "injection in tests)")
     parser.add_argument("--connect-attempts", type=int, default=20,
                         help="initial-connection retries before giving up")
     parser.add_argument("--retry-interval", type=float, default=0.25,

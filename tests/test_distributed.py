@@ -1,16 +1,19 @@
-"""The distributed executor subsystem (ISSUE 4).
+"""The distributed executor subsystem.
 
-Covers the wire protocol (framing, config round-trip), the
-registration handshake (including version-skew rejection), end-to-end
-runs against spawned worker subprocesses with result ordering identical
-to the serial executor, worker death with per-item re-dispatch, the
-all-workers-lost failure mode, and the engine/service integration
-points (``executor="distributed"``, CLI flags).
+Covers the wire protocol (framing, config encoding against the old
+registry-walk definition, config round-trip), the registration
+handshake (including version-skew rejection), end-to-end runs against
+spawned worker subprocesses with result ordering identical to the serial
+executor for chunked batches of every shape, worker death with
+whole-chunk re-dispatch, malformed answers, the all-workers-lost failure
+mode, and the engine/service integration points
+(``executor="distributed"``, CLI flags).
 """
 
 from __future__ import annotations
 
 import os
+import random
 import socket
 import subprocess
 import sys
@@ -21,6 +24,7 @@ import pytest
 
 import repro
 from repro.core.config import ExperimentConfig
+from repro.core.paths import PATH_SEPARATOR, get_path, sweepable_paths
 from repro.engine import DistributedExecutor, Evaluator
 from repro.engine.distributed import (
     MAX_FRAME_BYTES,
@@ -31,8 +35,16 @@ from repro.engine.distributed import (
     recv_frame,
     send_frame,
 )
-from repro.engine.executor import SerialExecutor, WorkItem, resolve_executor
+from repro.engine.executor import (
+    ProcessExecutor,
+    SerialExecutor,
+    WorkItem,
+    chunk_size,
+    resolve_executor,
+)
+from repro.engine.worker import serve_connection
 from repro.errors import ConfigurationError, DistributedError
+from repro.noc.noc_power import NocPowerConfig
 
 SCHEMES = ("SC", "SDPC")
 
@@ -48,6 +60,24 @@ def items_for(probabilities) -> list[WorkItem]:
     return [WorkItem(config=ExperimentConfig(static_probability=p),
                      scheme_names=SCHEMES, baseline_name="SC")
             for p in probabilities]
+
+
+def register_fake(executor: DistributedExecutor, worker_id: str) -> socket.socket:
+    """A raw-socket fake worker, registered with ``executor``."""
+    sock = socket.create_connection(executor.address, timeout=5.0)
+    send_frame(sock, {"type": "register", "protocol": PROTOCOL_VERSION,
+                      "worker": worker_id, "model_version": repro.__version__})
+    assert recv_frame(sock)["type"] == "registered"
+    return sock
+
+
+def next_evaluate(sock: socket.socket) -> dict:
+    """The fake worker's next ``evaluate`` frame (heartbeats answered)."""
+    while True:
+        message = recv_frame(sock)
+        if message["type"] == "evaluate":
+            return message
+        send_frame(sock, {"type": "pong"})
 
 
 def spawn_worker(port: int, *extra: str) -> subprocess.Popen:
@@ -111,6 +141,27 @@ class TestFraming:
             b.close()
 
 
+_WIRE_SCALARS = (bool, int, float, str, type(None))
+
+
+def registry_walk_to_wire(config: ExperimentConfig) -> dict[str, object]:
+    """The reference encoder: one ``get_path`` pair per registry path."""
+    base = ExperimentConfig()
+    noc_prefix = "noc" + PATH_SEPARATOR
+    overrides: dict[str, object] = {}
+    for path in sweepable_paths():
+        if path.startswith(noc_prefix) and config.noc is None:
+            continue
+        value = get_path(config, path)
+        if path.startswith(noc_prefix) or value != get_path(base, path):
+            if not isinstance(value, _WIRE_SCALARS):
+                raise DistributedError(
+                    f"config leaf {path!r} holds non-JSON-safe {value!r}"
+                )
+            overrides[path] = value
+    return overrides
+
+
 class TestConfigWire:
     def test_default_config_is_empty_on_the_wire(self):
         assert config_to_wire(ExperimentConfig()) == {}
@@ -135,6 +186,46 @@ class TestConfigWire:
         assert not any(path.startswith("noc.") for path in wire)
         rebuilt = config_from_wire(wire)
         assert rebuilt == config and rebuilt.noc is None
+
+    def test_encoder_matches_the_registry_walk_definition(self):
+        rng = random.Random(20051)
+        configs = [ExperimentConfig(),
+                   ExperimentConfig(noc=NocPowerConfig()),
+                   ExperimentConfig().with_overrides(**{"noc.injection_rate": 0.1})]
+        for _ in range(40):
+            overrides = {
+                "crossbar.port_count": rng.choice((2, 3, 5, 8)),
+                "crossbar.flit_width": rng.choice((32, 64, 128)),
+                "crossbar.layout_overhead": rng.choice((1.0, 1.25)),
+                "crossbar.wire_layer": rng.choice(("local", "intermediate", "global")),
+                "static_probability": rng.choice((0.5, rng.random())),
+                "temperature_celsius": rng.choice((110.0, 25.0)),
+            }
+            if rng.random() < 0.3:
+                overrides["noc.gating_policy.wakeup_cycles"] = rng.choice((1, 2))
+            keep = rng.sample(sorted(overrides), rng.randint(1, len(overrides)))
+            configs.append(ExperimentConfig().with_overrides(
+                **{path: overrides[path] for path in keep}))
+        for config in configs:
+            wire = config_to_wire(config)
+            assert list(wire.items()) == list(registry_walk_to_wire(config).items())
+        assert config_to_wire(ExperimentConfig()) == {}
+        all_default_noc = config_to_wire(ExperimentConfig(noc=NocPowerConfig()))
+        assert all_default_noc and all(path.startswith("noc.") for path in all_default_noc)
+        assert config_from_wire(all_default_noc).noc == NocPowerConfig()
+
+    def test_non_json_safe_leaf_is_refused_like_the_registry_walk(self):
+        from fractions import Fraction
+
+        bad = ExperimentConfig(temperature_celsius=Fraction(25))
+        with pytest.raises(DistributedError) as oracle:
+            registry_walk_to_wire(bad)
+        with pytest.raises(DistributedError) as encoded:
+            config_to_wire(bad)
+        assert str(encoded.value) == str(oracle.value)
+        # A default-equal leaf is omitted before its type is looked at.
+        assert config_to_wire(ExperimentConfig(temperature_celsius=Fraction(110))) \
+            == registry_walk_to_wire(ExperimentConfig(temperature_celsius=Fraction(110))) == {}
 
     def test_malformed_wire_overrides_raise(self):
         with pytest.raises(DistributedError):
@@ -175,6 +266,15 @@ class TestRegistration:
                 "worker": "w1", "model_version": repro.__version__})
             assert answer["type"] == "rejected"
             assert "protocol" in answer["reason"]
+
+    def test_protocol_1_worker_is_rejected(self):
+        with DistributedExecutor() as executor:
+            answer = self.handshake(executor, {
+                "type": "register", "protocol": 1,
+                "worker": "old", "model_version": repro.__version__})
+            assert answer["type"] == "rejected"
+            assert "protocol 1" in answer["reason"]
+            assert executor.stats.workers_rejected == 1
 
     def test_model_version_skew_is_rejected(self):
         with DistributedExecutor() as executor:
@@ -247,31 +347,30 @@ class TestDistributedRuns:
         assert len(again) == 1
 
     def test_worker_death_redispatches_items(self):
-        """A worker that dies holding an item has it re-dispatched, and
-        both counters are already up to date when run() returns."""
+        """A worker that dies holding a multi-item chunk has the whole
+        chunk re-dispatched, and both counters are already up to date
+        when run() returns."""
         executor = DistributedExecutor(min_workers=1).start()
-        # A fake mortal worker: registers alone, so the run's first item
-        # is dispatched to it, then dies holding that item once the
-        # survivor has registered.
-        mortal = socket.create_connection(executor.address, timeout=5.0)
+        # A fake mortal worker: registers alone, so the run is cut for one
+        # worker (12 items -> 4 chunks of 3) and the first chunk goes to
+        # it; it dies holding that chunk once the survivor has registered.
+        mortal = register_fake(executor, "mortal")
         mortal.settimeout(60.0)
-        send_frame(mortal, {"type": "register", "protocol": PROTOCOL_VERSION,
-                            "worker": "mortal", "model_version": repro.__version__})
-        assert recv_frame(mortal)["type"] == "registered"
-        items = items_for((0.1, 0.3, 0.5, 0.7, 0.9, 0.2))
+        items = items_for([0.05 + 0.075 * index for index in range(12)])
         outcome: dict[str, object] = {}
 
         def run() -> None:
             outcome["results"] = executor.run(items)
             outcome["redispatched"] = executor.stats.redispatched
             outcome["workers_lost"] = executor.stats.workers_lost
+            outcome["completed"] = executor.stats.completed
 
         runner = threading.Thread(target=run)
         survivor = None
         try:
             runner.start()
-            while recv_frame(mortal)["type"] != "evaluate":
-                send_frame(mortal, {"type": "pong"})  # answer a heartbeat
+            held = next_evaluate(mortal)
+            assert held["task"] == 0 and len(held["items"]) == 3
             survivor = spawn_worker(executor.port, "--worker-id", "survivor")
             deadline = time.monotonic() + 60.0
             while executor.stats.workers_registered < 2:
@@ -283,8 +382,10 @@ class TestDistributedRuns:
             serial = SerialExecutor().run(items)
             assert [p.records for p in outcome["results"]] \
                 == [p.records for p in serial]
-            assert outcome["redispatched"] >= 1
-            assert outcome["workers_lost"] >= 1
+            assert outcome["redispatched"] == 3
+            assert outcome["workers_lost"] == 1
+            assert outcome["completed"] == len(items)
+            assert executor.workers_payload()["survivor"]["completed"] == len(items)
         finally:
             mortal.close()
             executor.close()
@@ -333,6 +434,200 @@ class TestDistributedRuns:
         executor.close()
         with pytest.raises(DistributedError, match="closed"):
             executor.start()
+
+
+# ---------------------------------------------------------------------------
+# chunked dispatch
+# ---------------------------------------------------------------------------
+
+def test_chunk_size_rule_is_shared_by_both_executors():
+    assert chunk_size(64, 2) == 8    # a sweep block on 2 workers: 8 frames
+    assert chunk_size(6, 2) == 1     # a small service flush: one item a frame
+    assert chunk_size(65, 2) == 9
+    assert chunk_size(1, 3) == 1
+    assert chunk_size(5, 0) == 2     # no live worker counted: as if one
+    assert ProcessExecutor(max_workers=2)._resolved_chunksize(64, 2) == 8
+    assert ProcessExecutor(chunksize=5)._resolved_chunksize(64, 2) == 5
+
+
+#: Distinct items, so a misplaced chunk shows as a record mismatch.
+CHUNK_ITEMS = [WorkItem(config=ExperimentConfig(static_probability=0.01 + 0.015 * index,
+                                                toggle_activity=0.2 + 0.01 * (index % 7)),
+                        scheme_names=SCHEMES, baseline_name="SC")
+               for index in range(65)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_chunked_batches_match_serial_in_submission_order(workers):
+    serial = [point.records for point in SerialExecutor().run(CHUNK_ITEMS)]
+    # A short switch interval interleaves the coordinator's per-worker
+    # threads as they store results and counts under the shared lock.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        check_chunked_batches(workers, serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def check_chunked_batches(workers: int, serial: list) -> None:
+    with DistributedExecutor(spawn_workers=workers) as executor:
+        for count in (1, 7, 8, 9, 65):
+            before = executor.workers_payload()
+            stats_before = executor.stats.as_payload()
+            results = executor.run(CHUNK_ITEMS[:count])
+            assert [point.records for point in results] == serial[:count]
+            after = executor.workers_payload()
+            assert sum(worker["completed"] - before.get(wid, {}).get("completed", 0)
+                       for wid, worker in after.items()) == count
+            stats = executor.stats.as_payload()
+            assert stats["completed"] - stats_before["completed"] == count
+            assert stats["dispatched"] - stats_before["dispatched"] == count
+        assert executor.stats.redispatched == 0
+        assert executor.stats.workers_lost == 0
+
+
+def test_result_with_the_wrong_record_count_drops_the_worker():
+    executor = DistributedExecutor(min_workers=1).start()
+    liar = register_fake(executor, "liar")
+    liar.settimeout(30.0)
+    outcome: dict[str, object] = {}
+
+    def run() -> None:
+        try:
+            executor.run(items_for([0.1 * index for index in range(1, 9)]))
+        except DistributedError as exc:
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=run)
+    try:
+        runner.start()
+        frame = next_evaluate(liar)
+        assert len(frame["items"]) == 2  # 8 items on one worker: chunks of 2
+        send_frame(liar, {"type": "result", "task": frame["task"],
+                          "records": [[]]})
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert "lost" in str(outcome["error"])
+        assert executor.stats.workers_lost == 1
+        assert executor.stats.completed == 0
+        assert recv_frame(liar) is None  # the coordinator hung up
+    finally:
+        liar.close()
+        executor.close()
+        runner.join(timeout=10)
+
+
+def test_a_batch_that_cannot_be_encoded_dispatches_nothing():
+    """A non-JSON-safe leaf anywhere in the batch fails the run before any
+    item is queued: nothing reaches the worker and the fleet stays idle."""
+    from fractions import Fraction
+
+    executor = DistributedExecutor(min_workers=1).start()
+    fake = register_fake(executor, "watcher")
+    try:
+        items = items_for((0.1, 0.3)) + [WorkItem(
+            config=ExperimentConfig(temperature_celsius=Fraction(25)),
+            scheme_names=SCHEMES, baseline_name="SC")]
+        with pytest.raises(DistributedError, match="non-JSON-safe"):
+            executor.run(items)
+        fake.settimeout(0.5)
+        with pytest.raises(socket.timeout):
+            recv_frame(fake)
+        assert executor.stats.dispatched == 0
+        assert executor._state is None
+    finally:
+        fake.close()
+        executor.close()
+
+
+def wire_item(probability: float, node: str = "45nm") -> dict:
+    return {"overrides": config_to_wire(ExperimentConfig(
+                static_probability=probability, technology_node=node)),
+            "schemes": list(SCHEMES), "baseline": "SC"}
+
+
+def drive_worker(max_items, frames: list[dict]) -> tuple[list, str]:
+    """Serve ``frames`` to an in-process worker over a socketpair, one
+    answer at a time; returns the answers and how the worker ended."""
+    coordinator, worker = socket.socketpair()
+    outcome: dict[str, str] = {}
+
+    def serve() -> None:
+        try:
+            outcome["end"] = serve_connection(worker, "w", max_items=max_items)
+        finally:
+            worker.close()  # what the worker CLI does on return
+
+    thread = threading.Thread(target=serve)
+    answers = []
+    try:
+        coordinator.settimeout(30.0)
+        thread.start()
+        assert recv_frame(coordinator)["type"] == "register"
+        send_frame(coordinator, {"type": "registered", "worker": "w"})
+        for frame in frames:
+            try:
+                send_frame(coordinator, frame)
+                answer = recv_frame(coordinator)
+            except OSError:
+                break
+            if answer is None:
+                break
+            answers.append(answer)
+        try:
+            send_frame(coordinator, {"type": "shutdown"})
+        except OSError:
+            pass
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    finally:
+        coordinator.close()
+    return answers, outcome["end"]
+
+
+def test_worker_answers_a_chunk_with_one_records_list_per_item():
+    frame = {"type": "evaluate", "task": 8,
+             "items": [wire_item(0.2), wire_item(0.6), wire_item(0.9)]}
+    answers, end = drive_worker(None, [frame])
+    assert end == "shutdown"
+    assert answers[0]["type"] == "result" and answers[0]["task"] == 8
+    expected = SerialExecutor().run(items_for((0.2, 0.6, 0.9)))
+    assert answers[0]["records"] == [point.records for point in expected]
+
+
+def test_worker_error_names_the_failing_item_of_the_chunk():
+    frame = {"type": "evaluate", "task": 4,
+             "items": [wire_item(0.2), wire_item(0.4, node="13nm-imaginary")]}
+    answers, _ = drive_worker(None, [frame, {"type": "evaluate", "task": 6,
+                                             "items": "not-a-list"}])
+    assert answers[0]["type"] == "error" and answers[0]["item"] == 1
+    assert answers[0]["error"] == "evaluation-failed"
+    assert answers[1]["type"] == "error" and answers[1]["error"] == "malformed-item"
+
+
+def test_max_items_counts_items_not_frames():
+    frames = [{"type": "evaluate", "task": index * 2,
+               "items": [wire_item(0.1 + index * 0.2), wire_item(0.2 + index * 0.2)]}
+              for index in range(3)]
+    # 2 items per frame: a budget of 3 is spent by the second frame.
+    answers, end = drive_worker(3, frames)
+    assert end == "exhausted"
+    assert [answer["type"] for answer in answers] == ["result", "result"]
+    answers, end = drive_worker(2, frames)
+    assert end == "exhausted" and len(answers) == 1
+    answers, end = drive_worker(6, frames)
+    assert end == "exhausted" and len(answers) == 3
+
+
+def test_worker_import_loads_no_numerical_library():
+    """Spawned workers (and the CLI and service) import the engine without
+    numpy, scipy or networkx: no design-point evaluation uses them."""
+    probe = ("import sys, repro.engine.worker; "
+             "print(sorted(m for m in ('numpy', 'scipy', 'networkx') if m in sys.modules))")
+    output = subprocess.run([sys.executable, "-c", probe], env=WORKER_ENV,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert output.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
