@@ -29,6 +29,7 @@ first write and ``get_path`` reads defaults through the same factory.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Iterator
 
 from ..errors import ConfigurationError
@@ -42,6 +43,7 @@ __all__ = [
     "sweepable_paths",
     "path_aliases",
     "path_registry_records",
+    "leaf_layout",
 ]
 
 PATH_SEPARATOR = "."
@@ -178,24 +180,50 @@ _REGISTRY: dict[str, str] | None = None
 _ALIASES: dict[str, str] | None = None
 
 
-def _walk_leaves(node: object, prefix: str) -> Iterator[tuple[str, object]]:
+def _walk_leaves(node: object, prefix: str, branch: str | None = None
+                 ) -> Iterator[tuple[str, object, str | None]]:
+    """Yield ``(path, owning node, optional branch)`` for every leaf under
+    ``node``, in field order.  ``branch`` is the path of the outermost
+    optional sub-config (one declaring a ``subconfig_factory``) the leaf
+    lies under, or ``None``."""
     for field in dataclasses.fields(node):
         path = f"{prefix}{field.name}"
         child = _prototype_child(node, field)
         if _is_config_node(child):
-            yield from _walk_leaves(child, path + PATH_SEPARATOR)
+            if branch is None and "subconfig_factory" in field.metadata:
+                yield from _walk_leaves(child, path + PATH_SEPARATOR, path)
+            else:
+                yield from _walk_leaves(child, path + PATH_SEPARATOR, branch)
         else:
-            yield path, node
+            yield path, node, branch
 
 
-def _build_registry() -> tuple[dict[str, str], dict[str, str]]:
+@functools.cache
+def leaf_layout() -> tuple[tuple[str, object, str | None], ...]:
+    """Every sweepable leaf as ``(path, default, optional branch)``, in
+    registry order (the order of :func:`sweepable_paths`).
+
+    ``default`` is the leaf's value on a fresh
+    :class:`~repro.core.config.ExperimentConfig` (read through the
+    default factory for an unset optional branch); ``optional branch``
+    is the path of the optional sub-config the leaf lies under (``"noc"``
+    for every ``noc.*`` leaf) or ``None``.  Walked once per process.
+    """
     # Imported here, not at module level: config.py imports this module.
     from .config import ExperimentConfig
 
-    root = ExperimentConfig()
+    return tuple(
+        (path, getattr(owner, path.rsplit(PATH_SEPARATOR, 1)[-1]), branch)
+        for path, owner, branch in _walk_leaves(ExperimentConfig(), "")
+    )
+
+
+def _build_registry() -> tuple[dict[str, str], dict[str, str]]:
+    from .config import ExperimentConfig
+
     registry: dict[str, str] = {}
     leaf_owner_counts: dict[str, list[str]] = {}
-    for path, owner in _walk_leaves(root, ""):
+    for path, owner, _ in _walk_leaves(ExperimentConfig(), ""):
         note = _PATH_NOTES.get(path)
         if note is None:
             note = f"{type(owner).__name__} field"
@@ -280,15 +308,13 @@ def path_registry_records() -> list[dict]:
     generated ``docs/config_paths.md`` and the evaluation service's
     ``GET /paths`` endpoint, so the two can never drift apart.
     """
-    from .config import ExperimentConfig
-
     aliases_by_path: dict[str, list[str]] = {}
     for alias, target in path_aliases().items():
         aliases_by_path.setdefault(target, []).append(alias)
-    root = ExperimentConfig()
+    registry = _registry()
     records = []
-    for path, note in _registry().items():
-        default = get_path(root, path)
+    for path, default, _ in leaf_layout():
+        note = registry[path]
         if not isinstance(default, (bool, int, float, str, type(None))):
             default = repr(default)
         records.append({

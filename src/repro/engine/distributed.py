@@ -7,7 +7,8 @@ span multiple hosts; this module is that span.  A
 persistent worker processes (``python -m repro.engine.worker``): it
 listens on a TCP socket, accepts worker registrations, cuts each batch
 into contiguous chunks — about four per live worker
-(:func:`~repro.engine.executor.chunk_size`, the process pool's rule) —
+(:func:`~repro.engine.executor.chunk_size`, the process pool's rule,
+capped at :data:`MAX_CHUNK_ITEMS`) —
 hands them out from a shared queue (natural load balancing: a slow host
 simply takes fewer chunks), and reassembles the results in submission
 order.  Everything is standard library: sockets, threads and JSON.
@@ -43,13 +44,14 @@ Configs travel as *dotted-path overrides* against a default
 (:func:`config_to_wire` / :func:`config_from_wire`) — the same
 vocabulary as the service's queries — so the wire format is JSON-safe,
 compact (defaults are omitted) and automatically covers every field of
-the config tree.  The encoder is one walk of the config against the
-default leaves, which are read once per process.
+the config tree.  The encoder reads each leaf against its default from
+the path layer's cached :func:`~repro.core.paths.leaf_layout`.
 
 Failure semantics
 -----------------
 A chunk is the unit of re-dispatch.  Worker *death* (socket error, EOF,
-heartbeat failure, no answer to a frame within ``item_timeout``, or a
+heartbeat failure, no answer to a chunk within ``item_timeout`` per
+item, or a
 ``result`` whose record count does not match the chunk) re-queues the
 whole chunk the worker held and drops the worker; a chunk that has been
 dispatched ``max_attempts`` times without an answer fails the run, as
@@ -66,9 +68,9 @@ See ``docs/distributed.md`` for topology and deployment notes.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
+import operator
 import os
 import queue
 import socket
@@ -80,13 +82,14 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from ..core.config import ExperimentConfig
-from ..core.paths import PATH_SEPARATOR
+from ..core.paths import leaf_layout
 from ..errors import ConfigurationError, DistributedError, ReproError
 from .executor import EvaluatedPoint, WorkItem, chunk_size
 
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "MAX_CHUNK_ITEMS",
     "send_frame",
     "recv_frame",
     "config_to_wire",
@@ -104,6 +107,11 @@ PROTOCOL_VERSION = 2
 #: KiB; this bound exists so a corrupt length prefix cannot make either
 #: side try to allocate gigabytes.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+#: Most items one ``evaluate`` frame carries.  A ``result`` frame costs
+#: about 2 KiB per item with all five schemes, so a full chunk answers
+#: in about 1 MiB, far inside :data:`MAX_FRAME_BYTES` for any batch size.
+MAX_CHUNK_ITEMS = 512
 
 _LENGTH_BYTES = 4
 
@@ -171,52 +179,15 @@ def recv_frame(sock: socket.socket) -> dict | None:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _wire_layout() -> tuple:
-    """The default config's dataclass tree, walked once per process.
-
-    One entry per field, in field order: ``(name, dotted path, default,
-    children, optional)``.  A leaf has ``children`` ``None`` and its
-    default value; a nested config has its own entries as ``children``,
-    its class as ``default``, and ``optional`` set when it may be unset
-    (it declares a ``subconfig_factory``, as the ``noc`` branch does).
-    """
-    def walk(node: object, prefix: str) -> tuple:
-        entries = []
-        for spec in dataclasses.fields(node):
-            path = prefix + spec.name
-            factory = spec.metadata.get("subconfig_factory")
-            value = getattr(node, spec.name)
-            if value is None and factory is not None:
-                value = factory()
-            if dataclasses.is_dataclass(value) and not isinstance(value, type):
-                entries.append((spec.name, path, type(value),
-                                walk(value, path + PATH_SEPARATOR), factory is not None))
-            else:
-                entries.append((spec.name, path, value, None, False))
-        return tuple(entries)
-
-    return walk(ExperimentConfig(), "")
-
-
-def _encode_node(node: object, layout: tuple, whole: bool,
-                 overrides: dict[str, object]) -> None:
-    for name, path, default, children, optional in layout:
-        value = getattr(node, name)
-        if children is not None:
-            if value is None and optional:
-                continue
-            if not isinstance(value, default):
-                raise ConfigurationError(
-                    f"config path {path!r} holds {type(value).__name__!r}, "
-                    f"not a {default.__name__}"
-                )
-            _encode_node(value, children, whole or optional, overrides)
-        elif whole or value != default:
-            if not isinstance(value, _WIRE_SCALARS):
-                raise DistributedError(
-                    f"config leaf {path!r} holds non-JSON-safe {value!r}"
-                )
-            overrides[path] = value
+def _wire_readers() -> tuple:
+    """:func:`~repro.core.paths.leaf_layout` with a compiled reader for
+    each leaf and for its optional branch: ``(path, read, default,
+    read_branch)``."""
+    return tuple(
+        (path, operator.attrgetter(path), default,
+         None if branch is None else operator.attrgetter(branch))
+        for path, default, branch in leaf_layout()
+    )
 
 
 def config_to_wire(config: ExperimentConfig) -> dict[str, object]:
@@ -225,13 +196,26 @@ def config_to_wire(config: ExperimentConfig) -> dict[str, object]:
     Leaves holding their default value are omitted — except under a
     materialised optional branch (``noc``), whose every leaf is sent so
     the worker materialises the branch too (an all-default branch would
-    otherwise vanish in transit).  Keys follow the path registry's order
-    (:func:`~repro.core.paths.sweepable_paths`): both walk the same
-    dataclass tree, so a field added to any nested config ships without
-    touching this module.
+    otherwise vanish in transit).  Keys follow the path registry's order:
+    the leaves and their defaults come from
+    :func:`~repro.core.paths.leaf_layout`, so a field added to any
+    nested config ships without touching this module.
     """
     overrides: dict[str, object] = {}
-    _encode_node(config, _wire_layout(), False, overrides)
+    for path, read, default, read_branch in _wire_readers():
+        try:
+            if read_branch is not None and read_branch(config) is None:
+                continue
+            value = read(config)
+        except AttributeError as exc:
+            raise ConfigurationError(
+                f"config path {path!r} does not resolve: {exc}") from exc
+        if read_branch is not None or value != default:
+            if not isinstance(value, _WIRE_SCALARS):
+                raise DistributedError(
+                    f"config leaf {path!r} holds non-JSON-safe {value!r}"
+                )
+            overrides[path] = value
     return overrides
 
 
@@ -374,10 +358,10 @@ class DistributedExecutor:
         registration frame of a new connection, and for a dial-out to
         succeed.
     item_timeout:
-        Per-frame socket timeout (seconds): how long a worker may take
-        to answer one ``evaluate`` frame, i.e. one chunk; ``None`` waits
-        as long as the worker keeps the connection alive.  A timeout
-        counts as worker death: the chunk is re-dispatched elsewhere.
+        Per-item socket timeout (seconds): a worker may take this long
+        per item of the chunk it holds; ``None`` waits as long as the
+        worker keeps the connection alive.  A timeout counts as worker
+        death: the chunk is re-dispatched elsewhere.
 
     The pool is persistent: workers stay registered across ``run``
     calls (the evaluation service's successive batch flushes reuse the
@@ -681,7 +665,8 @@ class DistributedExecutor:
         with self._cond:
             self.stats.dispatched += chunk.size
         try:
-            handle.sock.settimeout(self.item_timeout)
+            handle.sock.settimeout(None if self.item_timeout is None
+                                   else self.item_timeout * chunk.size)
             send_frame(handle.sock, chunk.frame)
             while True:
                 message = recv_frame(handle.sock)
@@ -799,7 +784,8 @@ class DistributedExecutor:
             self.start()
             self._wait_for_workers(self.min_workers)
             with self._cond:
-                size = chunk_size(len(items), self._alive_count())
+                size = min(chunk_size(len(items), self._alive_count()),
+                           MAX_CHUNK_ITEMS)
                 state = _RunState(outstanding=len(items), results=[None] * len(items))
                 self._state = state
             for start in range(0, len(items), size):

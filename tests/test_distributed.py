@@ -27,6 +27,7 @@ from repro.core.config import ExperimentConfig
 from repro.core.paths import PATH_SEPARATOR, get_path, sweepable_paths
 from repro.engine import DistributedExecutor, Evaluator
 from repro.engine.distributed import (
+    MAX_CHUNK_ITEMS,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     config_from_wire,
@@ -514,6 +515,69 @@ def test_result_with_the_wrong_record_count_drops_the_worker():
         assert recv_frame(liar) is None  # the coordinator hung up
     finally:
         liar.close()
+        executor.close()
+        runner.join(timeout=10)
+
+
+def answer_chunks(sock: socket.socket, item_count: int, delay: float = 0.0) -> list[int]:
+    """Answer ``evaluate`` frames with empty records until ``item_count``
+    items are settled; returns each frame's item count."""
+    sizes: list[int] = []
+    while sum(sizes) < item_count:
+        frame = next_evaluate(sock)
+        sizes.append(len(frame["items"]))
+        time.sleep(delay)
+        send_frame(sock, {"type": "result", "task": frame["task"],
+                          "records": [[] for _ in frame["items"]]})
+    return sizes
+
+
+def test_chunks_never_exceed_the_item_cap():
+    """A batch large enough that a quarter of it exceeds the cap still goes
+    out in frames of at most MAX_CHUNK_ITEMS items, so no ``result`` frame
+    can outgrow the frame bound."""
+    count = 4 * MAX_CHUNK_ITEMS + 4
+    assert chunk_size(count, 1) > MAX_CHUNK_ITEMS
+    executor = DistributedExecutor(min_workers=1).start()
+    fake = register_fake(executor, "bulk")
+    fake.settimeout(30.0)
+    outcome: dict[str, object] = {}
+    runner = threading.Thread(
+        target=lambda: outcome.setdefault("results", executor.run(items_for([0.5] * count))))
+    try:
+        runner.start()
+        sizes = answer_chunks(fake, count)
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert max(sizes) == MAX_CHUNK_ITEMS and sum(sizes) == count
+        assert len(outcome["results"]) == count
+        assert executor.stats.workers_lost == 0
+    finally:
+        fake.close()
+        executor.close()
+        runner.join(timeout=10)
+
+
+def test_item_timeout_bounds_each_item_of_a_chunk():
+    """A worker answering a two-item chunk slower than one ``item_timeout``
+    but inside two is healthy, not dropped."""
+    executor = DistributedExecutor(min_workers=1, item_timeout=1.0).start()
+    fake = register_fake(executor, "steady")
+    fake.settimeout(30.0)
+    outcome: dict[str, object] = {}
+    runner = threading.Thread(
+        target=lambda: outcome.setdefault("results", executor.run(items_for([0.5] * 8))))
+    try:
+        runner.start()
+        sizes = answer_chunks(fake, 1, delay=1.4)  # the first chunk only
+        assert sizes == [2]
+        answer_chunks(fake, 6)
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert len(outcome["results"]) == 8
+        assert executor.stats.workers_lost == 0
+    finally:
+        fake.close()
         executor.close()
         runner.join(timeout=10)
 

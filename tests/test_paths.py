@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ExperimentConfig, describe_path, get_path, set_path, sweepable_paths
-from repro.core.paths import normalize_path, path_aliases
+from repro.core.paths import leaf_layout, normalize_path, path_aliases
 from repro.crossbar.ports import CrossbarConfig
 from repro.errors import ConfigurationError, CrossbarError
 
@@ -71,6 +71,14 @@ class TestRegistry:
         # Interior nodes are not sweepable as a whole.
         assert "crossbar" not in paths
         assert "noc" not in paths
+
+    def test_leaf_layout_follows_the_registry_with_defaults(self):
+        root = ExperimentConfig()
+        layout = leaf_layout()
+        assert [path for path, _, _ in layout] == list(sweepable_paths())
+        for path, default, branch in layout:
+            assert default == get_path(root, path)
+            assert branch == ("noc" if path.startswith("noc.") else None)
 
     def test_aliases_are_unambiguous(self):
         aliases = path_aliases()
