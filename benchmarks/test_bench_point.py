@@ -1,10 +1,12 @@
-"""Single-point evaluation benchmark: the serial hot path itself.
+"""Single-point evaluation benchmark: the object API over the hot path.
 
 Every serving/distributed layer funnels into one
-:func:`~repro.core.comparison.compare_schemes` call per design point, so
-this bench measures that call directly — fresh points (distinct
-``static_probability`` values) over a warm structural cache, the
-cache-miss latency every other throughput figure is built on — plus the
+:func:`~repro.core.comparison.point_records` call per design point, the
+records of :func:`~repro.core.comparison.compare_schemes` without its
+analysis objects.  This bench measures ``compare_schemes`` itself —
+fresh points (distinct ``static_probability`` values) over a warm
+structural cache, the same profile arithmetic plus the object API's
+allocations (perfbench ``sweep_scalar`` measures the record path) — plus the
 leakage-kernel effectiveness behind it: how many bias-point evaluations
 one point requests (``leakage_calls_per_point``, zero since the per-scheme
 activity profile made a warm point pure arithmetic) and what fraction the

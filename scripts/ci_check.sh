@@ -30,6 +30,10 @@ echo "==> Perfbench smoke: sweep_fleet, every fleet-evaluated point identical to
 python3 perfbench/run.py --workload sweep_fleet --seed 1 --seconds 2 --trace 0 | tail -n 1 \
     | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else "perfbench sweep_fleet: output check failed")'
 
+echo "==> Perfbench smoke: sweep_structural, cold builds and 6/8-port records identical to serial compare_schemes"
+python3 perfbench/run.py --workload sweep_structural --seed 1 --seconds 2 --trace 0 | tail -n 1 \
+    | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else "perfbench sweep_structural: output check failed")'
+
 echo "==> Perfbench smoke: traced serve_mixed through the HTTP service"
 python3 perfbench/run.py --workload serve_mixed --seed 1 --seconds 2 --trace 1 | tail -n 1 \
     | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else "perfbench serve_mixed: output check failed")'

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Profile single-point evaluation: the measurement every perf PR starts from.
 
-Runs ``compare_schemes`` under :mod:`cProfile` — one cold point (library
-and scheme construction included) by default, or fresh points over a
-warm structural cache with ``--warm``, which is the steady state the
-serving and distributed layers actually see — and prints the top
-functions by ``tottime``.
+Runs :func:`~repro.core.comparison.point_records`, the record path every
+executor serves, under :mod:`cProfile` — one cold point (library and
+scheme construction included) by default, or fresh points over a warm
+structural cache with ``--warm``, which is the steady state the serving
+and distributed layers actually see — and prints the top functions by
+``tottime``.
 
 Examples
 --------
@@ -31,14 +32,15 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro import compare_schemes, paper_experiment  # noqa: E402
+from repro import paper_experiment  # noqa: E402
 from repro.circuit.biasing import kernel_totals  # noqa: E402
+from repro.core.comparison import point_records  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
     """Profile one (or several) design-point evaluations and print a report."""
     parser = argparse.ArgumentParser(
-        description="cProfile the compare_schemes hot path.")
+        description="cProfile the point_records hot path.")
     parser.add_argument("--points", type=int, default=1,
                         help="how many points to profile (default 1)")
     parser.add_argument("--warm", action="store_true",
@@ -53,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
 
     base = paper_experiment()
     if args.warm:
-        compare_schemes(base)
+        point_records(base)
     # Distinct activity scalars: fresh points, never analysis-memo replays.
     configs = [base.with_overrides(static_probability=0.05 + 0.9 * i / max(1, args.points))
                for i in range(args.points)]
@@ -64,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     profiler.enable()
     for config in configs:
-        compare_schemes(config)
+        point_records(config)
     profiler.disable()
     elapsed = time.perf_counter() - start
 

@@ -44,7 +44,9 @@ from .power import (
 )
 from .technology import TechnologyLibrary, default_45nm
 
-__version__ = "1.0.0"
+#: The model version: part of every cache key and checked in the fleet
+#: handshake, so bump it whenever a record can change for the same config.
+__version__ = "1.1.0"
 
 __all__ = [
     "CrossbarConfig",

@@ -15,12 +15,12 @@ the structural analyses need:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import CircuitError
-from ..technology.transistor import Polarity, VtFlavor
+from ..technology.transistor import Mosfet, Polarity, VtFlavor
 from .devices import DeviceInstance, DeviceRole
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -43,6 +43,34 @@ class NetlistStatistics:
     count_by_polarity: dict[Polarity, int]
     count_by_role: dict[DeviceRole, int]
     width_by_flavor: dict[VtFlavor, float]
+
+    @classmethod
+    def of_inventory(cls, inventory: Iterable[tuple[Mosfet, DeviceRole, int]]
+                     ) -> "NetlistStatistics":
+        """Statistics of ``(device, role, count)`` entries: ``count``
+        instances of each sized device, no netlist needed."""
+        by_flavor: dict[VtFlavor, int] = {}
+        by_polarity: dict[Polarity, int] = {}
+        by_role: dict[DeviceRole, int] = {}
+        width_by_flavor: dict[VtFlavor, float] = {}
+        device_count = 0
+        total_width = 0.0
+        for mosfet, role, count in inventory:
+            flavor, width = mosfet.vt_flavor, count * mosfet.width
+            by_flavor[flavor] = by_flavor.get(flavor, 0) + count
+            by_polarity[mosfet.polarity] = by_polarity.get(mosfet.polarity, 0) + count
+            by_role[role] = by_role.get(role, 0) + count
+            width_by_flavor[flavor] = width_by_flavor.get(flavor, 0.0) + width
+            device_count += count
+            total_width += width
+        return cls(
+            device_count=device_count,
+            total_width=total_width,
+            count_by_flavor=by_flavor,
+            count_by_polarity=by_polarity,
+            count_by_role=by_role,
+            width_by_flavor=width_by_flavor,
+        )
 
     @property
     def high_vt_fraction(self) -> float:
@@ -147,26 +175,8 @@ class Netlist:
     # -- statistics ------------------------------------------------------------------
     def statistics(self) -> NetlistStatistics:
         """Aggregate device statistics for reporting."""
-        by_flavor: Counter[VtFlavor] = Counter()
-        by_polarity: Counter[Polarity] = Counter()
-        by_role: Counter[DeviceRole] = Counter()
-        width_by_flavor: dict[VtFlavor, float] = {}
-        total_width = 0.0
-        for device in self._devices.values():
-            by_flavor[device.vt_flavor] += 1
-            by_polarity[device.polarity] += 1
-            by_role[device.role] += 1
-            width_by_flavor[device.vt_flavor] = (
-                width_by_flavor.get(device.vt_flavor, 0.0) + device.width
-            )
-            total_width += device.width
-        return NetlistStatistics(
-            device_count=len(self._devices),
-            total_width=total_width,
-            count_by_flavor=dict(by_flavor),
-            count_by_polarity=dict(by_polarity),
-            count_by_role=dict(by_role),
-            width_by_flavor=width_by_flavor,
+        return NetlistStatistics.of_inventory(
+            (device.mosfet, device.role, 1) for device in self._devices.values()
         )
 
     def __len__(self) -> int:

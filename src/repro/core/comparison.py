@@ -4,21 +4,37 @@ Evaluates every scheme under one experiment configuration and assembles
 the paper's Table 1: delays, savings relative to SC, minimum idle times
 and total power, plus a rendered text table and a machine-readable dict
 the benchmarks assert against.
+
+Two entry points produce the same records:
+
+* :func:`compare_schemes` builds the object API — a
+  :class:`SchemeComparison` of per-scheme evaluations and savings, with
+  the rendered table — and is the reference the record path is tested
+  against;
+* :func:`point_records` is the engine's record path: it reads every
+  Table 1 figure straight off each built scheme's activity profile and
+  writes the record dicts directly, bit-identical to
+  ``compare_schemes(...).as_records()`` without the intermediate
+  analysis objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from ..crossbar.base import CrossbarScheme
 from ..crossbar.factory import available_schemes
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, PowerError
+from ..power.idle_time import minimum_idle_cycles
 from ..power.report import format_table1
 from ..power.savings import SchemeEvaluation, SchemeSavings, savings_versus_baseline
+from ..timing.delay_analysis import DelayReport
 from ..units import seconds_to_picoseconds, watts_to_milliwatts
 from .config import ExperimentConfig
 from .scheme_evaluator import SchemeEvaluator, SchemeResult
 
-__all__ = ["SchemeComparison", "compare_schemes"]
+__all__ = ["SchemeComparison", "compare_schemes", "point_records"]
 
 
 @dataclass
@@ -92,11 +108,7 @@ def compare_schemes(
 ) -> SchemeComparison:
     """Evaluate ``scheme_names`` (default: all) and compare against ``baseline_name``."""
     evaluator = SchemeEvaluator(config)
-    names = scheme_names if scheme_names is not None else available_schemes()
-    if baseline_name not in names:
-        raise ConfigurationError(
-            f"baseline {baseline_name!r} must be among the evaluated schemes {names}"
-        )
+    names = _checked_names(scheme_names, baseline_name)
     comparison = SchemeComparison(baseline_name=baseline_name)
     for name in names:
         comparison.results[name] = evaluator.evaluate(name)
@@ -108,3 +120,131 @@ def compare_schemes(
             comparison.results[name].evaluation, baseline
         )
     return comparison
+
+
+def _checked_names(scheme_names: list[str] | None, baseline_name: str) -> list[str]:
+    """The evaluated scheme names (default: all), which must include the
+    baseline."""
+    names = scheme_names if scheme_names is not None else available_schemes()
+    if baseline_name not in names:
+        raise ConfigurationError(
+            f"baseline {baseline_name!r} must be among the evaluated schemes {names}"
+        )
+    return names
+
+
+class _Figures(NamedTuple):
+    """One scheme's Table 1 figures at one (p, t) point, in SI units."""
+
+    scheme: CrossbarScheme
+    delay: DelayReport
+    active_power: float
+    standby_power: float
+    total_power: float
+    transition_energy: float
+    power_saved_in_standby: float
+
+
+def _scheme_figures(scheme: CrossbarScheme, config: ExperimentConfig) -> _Figures:
+    """Every figure a record needs, each computed once from the scheme's
+    profile methods with the float operations of
+    :func:`~repro.power.savings.evaluate_scheme`, validated in its order."""
+    probability, toggle = config.static_probability, config.toggle_activity
+    clock = config.clock_frequency
+    if not 0.0 <= probability <= 1.0:
+        raise PowerError(f"static probability must be in [0, 1], got {probability}")
+    vdd = scheme.supply_voltage
+    active_power = scheme.active_leakage(probability).power(vdd)
+    idle_power = scheme.idle_leakage(probability).power(vdd)
+    standby_power = scheme.standby_leakage().power(vdd)
+    if not 0.0 <= toggle <= 1.0:
+        raise PowerError(f"toggle_activity must be in [0, 1], got {toggle}")
+    if clock <= 0:
+        raise PowerError("frequency must be positive")
+    dynamic_power = scheme.dynamic_energy_per_cycle(toggle, probability) * clock
+    if not scheme.has_sleep_mode:
+        raise PowerError(f"scheme {scheme.name!r} has no standby mode")
+    return _Figures(
+        scheme=scheme,
+        delay=scheme.delay_report(),
+        active_power=active_power,
+        standby_power=standby_power,
+        total_power=dynamic_power + active_power,
+        transition_energy=scheme.sleep_transition_energy(probability),
+        power_saved_in_standby=max(idle_power - standby_power, 0.0),
+    )
+
+
+def _idle_cycles(figures: _Figures, clock: float) -> int:
+    return minimum_idle_cycles(figures.scheme.name, figures.transition_energy,
+                               figures.power_saved_in_standby, clock)
+
+
+def point_records(
+    config: ExperimentConfig | None = None,
+    scheme_names: list[str] | None = None,
+    baseline_name: str = "SC",
+) -> list[dict[str, float | str]]:
+    """``compare_schemes(config, scheme_names, baseline_name).as_records()``,
+    computed straight from each scheme's activity profile.
+
+    Schemes come from the structural cache exactly as for
+    :func:`compare_schemes`; each Table 1 figure is then computed once
+    per scheme and written into the record dict, with no evaluation,
+    savings or comparison objects in between.  The contract is exact:
+    the same keys in the same order, bit-identical floats, and the same
+    validation — an invalid point raises the same exception (type and
+    message) for the same first failing scheme.
+    """
+    evaluator = SchemeEvaluator(config)
+    names = _checked_names(scheme_names, baseline_name)
+    config = evaluator.config
+    clock = config.clock_frequency
+    figures: dict[str, _Figures] = {}
+    for name in names:
+        figures[name] = _scheme_figures(evaluator.build_scheme(name), config)
+
+    # Savings of every non-baseline scheme first, then the records: the
+    # order in which compare_schemes raises.
+    baseline = figures[baseline_name]
+    savings: dict[str, tuple[float, float, float, int]] = {}
+    for name, scheme_figures in figures.items():
+        if name == baseline_name:
+            continue
+        if baseline.active_power <= 0 or baseline.standby_power <= 0:
+            raise PowerError("baseline leakage must be positive to compute savings")
+        if baseline.total_power <= 0:
+            raise PowerError("baseline total power must be positive")
+        savings[name] = (
+            (1.0 - scheme_figures.active_power / baseline.active_power) * 100.0,
+            (1.0 - scheme_figures.standby_power / baseline.standby_power) * 100.0,
+            scheme_figures.delay.penalty_versus(baseline.delay) * 100.0,
+            _idle_cycles(scheme_figures, clock),
+        )
+
+    records: list[dict[str, float | str]] = []
+    for name, scheme_figures in figures.items():
+        saving = savings.get(name)
+        if saving is None:
+            active_saving = standby_saving = delay_penalty = 0.0
+            idle_cycles = _idle_cycles(scheme_figures, clock)
+        else:
+            active_saving, standby_saving, delay_penalty, idle_cycles = saving
+        delay = scheme_figures.delay
+        records.append(
+            {
+                "scheme": name,
+                "high_to_low_ps": seconds_to_picoseconds(delay.high_to_low),
+                "low_to_high_ps": seconds_to_picoseconds(delay.low_to_high),
+                "active_leakage_mw": watts_to_milliwatts(scheme_figures.active_power),
+                "standby_leakage_mw": watts_to_milliwatts(scheme_figures.standby_power),
+                "active_leakage_saving_percent": active_saving,
+                "standby_leakage_saving_percent": standby_saving,
+                "minimum_idle_cycles": idle_cycles,
+                "total_power_mw": watts_to_milliwatts(scheme_figures.total_power),
+                "delay_penalty_percent": delay_penalty,
+                "high_vt_device_fraction":
+                    scheme_figures.scheme.single_bit_statistics.high_vt_fraction,
+            }
+        )
+    return records

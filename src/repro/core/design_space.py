@@ -3,21 +3,21 @@
 The paper fixes one design point; a downstream user adopting these
 crossbars will immediately ask how the conclusions move with technology
 node, temperature, corner, flit width or crossbar radix.  This module
-keeps the original one-parameter ``sweep_parameter`` API as a thin
-wrapper over :mod:`repro.engine`, which generalises it to full grids,
-caching and parallel execution — new code should use the engine
-directly.
+keeps the original one-parameter ``sweep_parameter`` API, which returns
+a live :class:`~repro.core.comparison.SchemeComparison` per point.  The
+grid comes from :mod:`repro.engine`, which generalises it to full grids,
+caching and parallel execution over plain records — new code should use
+the engine directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..engine.evaluator import Evaluator
 from ..engine.grid import SWEEPABLE_FIELDS
 from ..engine.grid import DesignSpace as _DesignSpace
 from ..errors import ConfigurationError
-from .comparison import SchemeComparison
+from .comparison import SchemeComparison, compare_schemes
 from .config import ExperimentConfig
 
 __all__ = ["SweepPoint", "DesignSpaceResult", "sweep_parameter"]
@@ -67,21 +67,21 @@ def sweep_parameter(
 ) -> DesignSpaceResult:
     """Run the full scheme comparison for every value of ``parameter``.
 
-    Thin wrapper over :class:`repro.engine.Evaluator` with the serial
-    executor, so every point carries its live
-    :class:`~repro.core.comparison.SchemeComparison`.  ``parameter`` may
-    be a flat field, a dotted config path (``"crossbar.port_count"``) or
-    an unambiguous alias; the result reports the name as given.
+    Every point keeps its live
+    :class:`~repro.core.comparison.SchemeComparison` from
+    :func:`~repro.core.comparison.compare_schemes`; the points are
+    materialised (and validated) before any is evaluated.  ``parameter``
+    may be a flat field, a dotted config path (``"crossbar.port_count"``)
+    or an unambiguous alias; the result reports the name as given.
     """
     space = _DesignSpace.single_sweep(parameter, values)
     canonical = space.parameters[0]
-    evaluator = Evaluator(base_config=base_config, scheme_names=scheme_names,
-                          executor="serial")
-    results = evaluator.evaluate(space)
+    configs = space.configs(base_config)
     result = DesignSpaceResult(parameter=parameter)
-    for point in results:
-        assert point.comparison is not None  # serial executor keeps comparisons
-        result.points.append(SweepPoint(parameter=parameter,
-                                        value=point.overrides[canonical],
-                                        comparison=point.comparison))
+    for point, config in zip(space.points(), configs):
+        result.points.append(SweepPoint(
+            parameter=parameter,
+            value=point.overrides[canonical],
+            comparison=compare_schemes(config, scheme_names=scheme_names),
+        ))
     return result

@@ -60,13 +60,13 @@ from ..circuit.leakage import (
     LeakageAccumulator,
     LeakageBreakdown,
 )
-from ..circuit.netlist import Netlist
+from ..circuit.netlist import Netlist, NetlistStatistics
 from ..errors import CrossbarError
 from ..interconnect.pi_model import PiModel
 from ..interconnect.segmentation import SegmentationPlan, SegmentedWire
 from ..interconnect.wire import Wire
 from ..technology.library import TechnologyLibrary
-from ..technology.transistor import VtFlavor
+from ..technology.transistor import Mosfet, VtFlavor
 from ..timing.delay_analysis import DelayReport, contention_factor, pass_rise_penalty
 from ..timing.path import TimingPath, TimingStage
 from .ports import CrossbarConfig, PortDirection
@@ -901,10 +901,17 @@ class CrossbarScheme:
     # ------------------------------------------------------------------ #
     # structural netlists                                                  #
     # ------------------------------------------------------------------ #
-    def output_path_netlist(self, output: PortDirection = PortDirection.PE, bit: int = 0) -> Netlist:
-        """Netlist of one output row for one bit — the Fig. 1/2 schematic."""
-        netlist = Netlist(f"{self.name}.out_{output.value}.bit{bit}")
-        self._add_output_path(netlist, output, bit)
+    def output_path_netlist(self, output: PortDirection | str = PortDirection.PE,
+                            bit: int = 0) -> Netlist:
+        """Netlist of one output row for one bit — the Fig. 1/2 schematic.
+
+        ``output`` is a :class:`PortDirection` or a name from
+        :attr:`CrossbarConfig.port_names` (``"port5"`` and up on radixes
+        above five).
+        """
+        name = output.value if isinstance(output, PortDirection) else output
+        netlist = Netlist(f"{self.name}.out_{name}.bit{bit}")
+        self._add_output_path(netlist, name, bit)
         return netlist
 
     def build_netlist(self, bits: int | None = None) -> Netlist:
@@ -922,12 +929,12 @@ class CrossbarScheme:
                 f"bits must be between 1 and the flit width, got {bit_count}"
             )
         netlist = Netlist(f"{self.name}.crossbar")
-        ports = PortDirection.ordered()[: self.config.port_count]
+        ports = self.config.port_names
         for bit in range(bit_count):
             for port in ports:
                 self._add_output_path(netlist, port, bit)
             for port in ports:
-                prefix = f"in_{port.value}.bit{bit}"
+                prefix = f"in_{port}.bit{bit}"
                 input_net = netlist.add_net(f"{prefix}.wire")
                 data_net = netlist.add_net(f"{prefix}.data")
                 for device in self.input_driver.devices(
@@ -936,12 +943,14 @@ class CrossbarScheme:
                     netlist.add_device(device)
         return netlist
 
-    def _add_output_path(self, netlist: Netlist, output: PortDirection, bit: int) -> None:
-        """Add one output row (one bit) to ``netlist``."""
+    def _add_output_path(self, netlist: Netlist, output: str, bit: int) -> None:
+        """Add one output row (one bit) of port ``output`` to ``netlist``:
+        ``inputs_per_output`` crosspoints, one per other port (or every
+        port, with self-connection), in port order."""
         config = self.config
-        prefix = f"out_{output.value}.bit{bit}"
-        inputs = [port for port in PortDirection.ordered()[: config.port_count]
-                  if config.allow_self_connection or port is not output]
+        prefix = f"out_{output}.bit{bit}"
+        inputs = [port for port in config.port_names
+                  if config.allow_self_connection or port != output]
         inputs = inputs[: config.inputs_per_output]
         near_net = netlist.add_net(f"{prefix}.merge_near")
         far_net = netlist.add_net(f"{prefix}.merge_far") if self.features.segmented else near_net
@@ -952,13 +961,13 @@ class CrossbarScheme:
 
         near_count = self._near_inputs()
         for index, port in enumerate(inputs):
-            grant_net = netlist.add_net(f"{prefix}.grant_{port.value}")
-            input_net = netlist.add_net(f"in_{port.value}.bit{bit}.wire")
+            grant_net = netlist.add_net(f"{prefix}.grant_{port}")
+            input_net = netlist.add_net(f"in_{port}.bit{bit}.wire")
             on_near_segment = index < near_count or not self.features.segmented
             switch = self.near_pass_switch if (self.features.segmented and on_near_segment) \
                 else self.pass_switch
             merge = near_net if on_near_segment else far_net
-            for device in switch.devices(grant_net, input_net, merge, f"{prefix}.xp_{port.value}"):
+            for device in switch.devices(grant_net, input_net, merge, f"{prefix}.xp_{port}"):
                 netlist.add_device(device)
 
         if self.features.segmented:
@@ -990,14 +999,41 @@ class CrossbarScheme:
         for device in self.driver2.devices(internal_net, output_net, f"{prefix}.drv2"):
             netlist.add_device(device)
 
+    def _output_path_inventory(self) -> list[tuple[Mosfet, DeviceRole, int]]:
+        """Every device of one output path as ``(device, role, count)``:
+        what :meth:`output_path_netlist` instantiates, without the nets."""
+        inputs = self.config.inputs_per_output
+        segments = 2 if self.features.segmented else 1
+        if self.features.segmented:
+            near = self._near_inputs()
+            inventory = [
+                (self.near_pass_switch.nmos, DeviceRole.PASS_TRANSISTOR, near),
+                (self.pass_switch.nmos, DeviceRole.PASS_TRANSISTOR, inputs - near),
+                (self.segment_switch.nmos, DeviceRole.SEGMENT_SWITCH, 1),
+            ]
+        else:
+            inventory = [(self.pass_switch.nmos, DeviceRole.PASS_TRANSISTOR, inputs)]
+        if self.keeper is not None:
+            inventory.append((self.keeper.pmos, DeviceRole.KEEPER, 1))
+        if self.sleep is not None:
+            inventory.append((self.sleep.nmos, DeviceRole.SLEEP, segments))
+        if self.precharge is not None:
+            inventory.append((self.precharge.pmos, DeviceRole.PRECHARGE, segments))
+        for driver in (self.driver1, self.driver2):
+            inventory.append((driver.pmos, DeviceRole.DRIVER, 1))
+            inventory.append((driver.nmos, DeviceRole.DRIVER, 1))
+        return inventory
+
+    @cached_property
+    def single_bit_statistics(self) -> NetlistStatistics:
+        """Device statistics of a single output path (cached), counted
+        in closed form: the same counts as
+        ``output_path_netlist().statistics()``, without building it."""
+        return NetlistStatistics.of_inventory(self._output_path_inventory())
+
     # ------------------------------------------------------------------ #
     # misc                                                                 #
     # ------------------------------------------------------------------ #
-    @cached_property
-    def single_bit_statistics(self):
-        """Netlist statistics for a single output path (cached)."""
-        return self.output_path_netlist().statistics()
-
     @staticmethod
     def _check_probability(value: float) -> None:
         if not 0.0 <= value <= 1.0:

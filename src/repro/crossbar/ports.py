@@ -142,6 +142,15 @@ class CrossbarConfig:
         return self.port_count - 1
 
     @property
+    def port_names(self) -> tuple[str, ...]:
+        """Names of the crossbar's ports, one per port: the five mesh
+        directions in :meth:`PortDirection.ordered` order, then
+        ``port5``, ``port6``, ... for radixes above five."""
+        names = [port.value for port in PortDirection.ordered()]
+        names += [f"port{index}" for index in range(len(names), self.port_count)]
+        return tuple(names[: self.port_count])
+
+    @property
     def output_count(self) -> int:
         """Number of output ports."""
         return self.port_count

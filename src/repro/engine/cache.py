@@ -48,6 +48,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import secrets
@@ -55,9 +56,9 @@ import time
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from ..core.comparison import SchemeComparison
 from ..core.config import ExperimentConfig
 from ..errors import ConfigurationError
 
@@ -131,9 +132,25 @@ def point_key(config: ExperimentConfig, scheme_names: Sequence[str],
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"), default=repr)``
+#: with the encoder built once rather than per call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=repr)
+
+
 def _canonical_json(value) -> str:
-    """``value`` in the canonical JSON form every key is hashed from."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=repr)
+    """``value`` in the canonical JSON form every key is hashed from.
+
+    Strings, ints and finite floats, the bulk of a config, take the
+    encoder's own scalar spellings directly.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return _CANONICAL_ENCODER.encode(value)
 
 
 #: Canonical text of recently keyed sub-configs, by identity.  Each entry
@@ -145,13 +162,25 @@ _SUBCONFIG_TEXT_MAX = 256
 #: Top-level config fields in canonical (sorted) key order.
 _CONFIG_FIELD_NAMES = tuple(sorted(f.name for f in dataclasses.fields(ExperimentConfig)))
 
+#: Leaf types ``dataclasses.asdict`` passes through unchanged.
+_FLAT_TYPES = (str, int, float, bool, type(None))
+
+
+def _field_payload(subconfig) -> dict:
+    """``dataclasses.asdict(subconfig)``: a shallow field dict when every
+    field is a scalar (the common case), else the deep copy."""
+    payload = {f.name: getattr(subconfig, f.name) for f in dataclasses.fields(subconfig)}
+    if all(type(value) in _FLAT_TYPES for value in payload.values()):
+        return payload
+    return dataclasses.asdict(subconfig)
+
 
 def _subconfig_text(subconfig, extension_defaults: dict[str, object]) -> str:
     """Canonical text of one frozen sub-config (e.g. the crossbar), cached."""
     cached = _SUBCONFIG_TEXT.get(id(subconfig))
     if cached is not None and cached[0] is subconfig:
         return cached[1]
-    payload = dataclasses.asdict(subconfig)
+    payload = _field_payload(subconfig)
     for name, default in extension_defaults.items():
         if payload.get(name) == default:
             payload.pop(name, None)
@@ -204,11 +233,9 @@ class CacheStats:
 
 @dataclass
 class CachedEntry:
-    """One cached evaluation: JSON-safe records plus, when the point was
-    evaluated in this process, the live comparison object."""
+    """One cached evaluation: its JSON-safe comparison records."""
 
     records: list[dict]
-    comparison: SchemeComparison | None = None
 
 
 def _shard_and_name(key: str) -> tuple[str, str]:

@@ -768,7 +768,7 @@ class DistributedExecutor:
     # -- the run(items) contract -------------------------------------------------
     def run(self, items: list[WorkItem]) -> list[EvaluatedPoint]:
         """Evaluate ``items`` across the fleet; results return in
-        submission order, carrying records only (no live comparison).
+        submission order.
 
         Raises :class:`~repro.errors.DistributedError` when the fleet
         cannot finish the batch; the pool survives a failed run.

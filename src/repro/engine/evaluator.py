@@ -145,9 +145,7 @@ class Evaluator:
                     f"executor {getattr(executor, 'name', executor)!r} "
                     f"returned {len(outcomes)} results for {len(items)} items"
                 )
-            entries = [CachedEntry(records=outcome.records,
-                                   comparison=outcome.comparison)
-                       for outcome in outcomes]
+            entries = [CachedEntry(records=outcome.records) for outcome in outcomes]
         write_failures = 0
         for (key, _config), entry in zip(misses, entries):
             try:
@@ -200,7 +198,6 @@ class Evaluator:
                 items=grid_point.items,
                 config=config,
                 records=tuple(entry.records),
-                comparison=entry.comparison,
                 from_cache=cached,
             ))
         return ResultSet(parameters=space.parameters, points=results)

@@ -1,14 +1,15 @@
 """Executor layer: how design points are fanned out.
 
-Four strategies share one interface:
+Four strategies share one interface, and one record path: every
+executor turns a work item into its JSON-safe comparison records with
+:func:`~repro.core.comparison.point_records`, which reads them straight
+off each built scheme's activity profile (no live comparison objects).
 
-* ``serial`` — evaluate in-process, in order.  Keeps the live
-  :class:`~repro.core.comparison.SchemeComparison` objects, which the
-  legacy ``sweep_parameter`` wrapper needs.
+* ``serial`` — evaluate in-process, in order.
 * ``process`` — fan out across cores with
   :class:`concurrent.futures.ProcessPoolExecutor`.  Work items travel as
-  pickled frozen configs; results come back as the JSON-safe comparison
-  records, reassembled in submission order.  The pool is *persistent*:
+  pickled frozen configs; records come back reassembled in submission
+  order.  The pool is *persistent*:
   it spins up on the first ``run`` and is reused by every subsequent
   one until :meth:`ProcessExecutor.close` (or the context manager)
   shuts it down — a service flushing batch after batch pays pool
@@ -37,12 +38,14 @@ import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 
-from ..core.comparison import SchemeComparison, compare_schemes
+from ..core.comparison import compare_schemes, point_records
 from ..core.config import ExperimentConfig
 from ..errors import ConfigurationError
 
+# ``compare_schemes`` (the object API the records are checked against) is
+# re-exported here: perfbench's tracer wraps it under this module's name.
 __all__ = ["WorkItem", "EvaluatedPoint", "SerialExecutor", "ProcessExecutor",
-           "auto_executor_name", "chunk_size", "resolve_executor"]
+           "auto_executor_name", "chunk_size", "compare_schemes", "resolve_executor"]
 
 #: Below this many misses, ``auto`` stays serial: pool start-up costs more
 #: than the evaluation itself.
@@ -73,24 +76,14 @@ class WorkItem:
 
 @dataclass
 class EvaluatedPoint:
-    """The outcome of one work item.
-
-    ``comparison`` is only populated by the serial executor; results
-    crossing a process boundary carry records alone.
-    """
+    """The outcome of one work item: its comparison records."""
 
     records: list[dict]
-    comparison: SchemeComparison | None = None
 
 
 def _evaluate_work_item(item: WorkItem) -> list[dict]:
-    """Process-pool worker: evaluate one point and return its records."""
-    comparison = compare_schemes(
-        item.config,
-        scheme_names=list(item.scheme_names),
-        baseline_name=item.baseline_name,
-    )
-    return comparison.as_records()
+    """Evaluate one work item into its records (every executor's path)."""
+    return point_records(item.config, list(item.scheme_names), item.baseline_name)
 
 
 class SerialExecutor:
@@ -99,18 +92,8 @@ class SerialExecutor:
     name = "serial"
 
     def run(self, items: list[WorkItem]) -> list[EvaluatedPoint]:
-        """Evaluate ``items`` in order; every outcome keeps its live
-        :class:`~repro.core.comparison.SchemeComparison`."""
-        results = []
-        for item in items:
-            comparison = compare_schemes(
-                item.config,
-                scheme_names=list(item.scheme_names),
-                baseline_name=item.baseline_name,
-            )
-            results.append(EvaluatedPoint(records=comparison.as_records(),
-                                          comparison=comparison))
-        return results
+        """Evaluate ``items`` in order."""
+        return [EvaluatedPoint(records=_evaluate_work_item(item)) for item in items]
 
 
 class ProcessExecutor:
@@ -165,7 +148,7 @@ class ProcessExecutor:
 
     def run(self, items: list[WorkItem]) -> list[EvaluatedPoint]:
         """Evaluate ``items`` across the pool; results return in
-        submission order, carrying records only (no live comparison)."""
+        submission order."""
         if not items:
             return []
         workers = self._resolved_workers(len(items))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from ..core.comparison import SchemeComparison
 from ..core.config import ExperimentConfig
 from ..core.paths import normalize_path
 from ..errors import ConfigurationError
@@ -28,7 +27,6 @@ class PointResult:
     items: tuple[tuple[str, object], ...]
     config: ExperimentConfig
     records: tuple[dict, ...]
-    comparison: SchemeComparison | None
     from_cache: bool
 
     @property

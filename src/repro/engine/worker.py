@@ -6,7 +6,7 @@ registers, and then evaluates ``evaluate`` frames until told to shut
 down.  A frame carries a chunk of work items; each item's dotted-path
 overrides are rebuilt into an :class:`~repro.core.config.ExperimentConfig`
 (:func:`~repro.engine.distributed.config_from_wire`) and run through
-:func:`~repro.core.comparison.compare_schemes`, exactly what the serial
+:func:`~repro.core.comparison.point_records`, exactly what the serial
 executor would have done in-process, and the ``result`` frame answers
 with one records list per item, in order.  Because the process is
 persistent, the structural memoisation in
@@ -41,7 +41,7 @@ import sys
 import time
 from collections.abc import Mapping, Sequence
 
-from ..core.comparison import compare_schemes
+from ..core.comparison import point_records
 from ..errors import DistributedError, ReproError
 from .distributed import (
     PROTOCOL_VERSION,
@@ -63,12 +63,11 @@ def _evaluate_item(item: object) -> list[dict]:
     """Evaluate one wire item (``overrides``, ``schemes``, ``baseline``)."""
     if not isinstance(item, Mapping):
         raise TypeError(f"work item must be an object, got {type(item).__name__}")
-    comparison = compare_schemes(
+    return point_records(
         config_from_wire(item.get("overrides", {})),
         scheme_names=[str(name) for name in item["schemes"]],
         baseline_name=str(item["baseline"]),
     )
-    return comparison.as_records()
 
 
 def _evaluate_frame(sock: socket.socket, message: dict) -> int:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from ..crossbar.base import CrossbarScheme
 from ..errors import PowerError
 
-__all__ = ["IdleTimeAnalysis", "analyse_minimum_idle_time"]
+__all__ = ["IdleTimeAnalysis", "analyse_minimum_idle_time", "break_even_cycles",
+           "minimum_idle_cycles"]
 
 
 @dataclass(frozen=True)
@@ -50,29 +51,46 @@ class IdleTimeAnalysis:
     @property
     def break_even_cycles(self) -> float:
         """Exact (fractional) break-even idle length in cycles."""
-        if self.energy_saved_per_cycle <= 0:
-            return math.inf
-        return self.transition_energy / self.energy_saved_per_cycle
+        return break_even_cycles(self.transition_energy, self.power_saved_in_standby,
+                                 self.clock_frequency)
 
     @property
     def minimum_idle_cycles(self) -> int:
-        """Minimum whole number of idle cycles for standby to pay off.
-
-        ``math.inf`` break-evens (a scheme that saves nothing in standby)
-        raise, because asking for its minimum idle time indicates a
-        misconfigured experiment.
-        """
-        cycles = self.break_even_cycles
-        if math.isinf(cycles):
-            raise PowerError(
-                f"scheme {self.scheme!r} saves no power in standby; minimum idle time undefined"
-            )
-        return max(1, math.ceil(cycles))
+        """Minimum whole number of idle cycles for standby to pay off
+        (see :func:`minimum_idle_cycles`)."""
+        return minimum_idle_cycles(self.scheme, self.transition_energy,
+                                   self.power_saved_in_standby, self.clock_frequency)
 
     @property
     def minimum_idle_time_seconds(self) -> float:
         """Minimum idle duration in seconds."""
         return self.minimum_idle_cycles * self.clock_period
+
+
+def break_even_cycles(transition_energy: float, power_saved_in_standby: float,
+                      clock_frequency: float) -> float:
+    """Idle cycles whose saved leakage pays for one standby entry + exit
+    (``math.inf`` when standby saves nothing)."""
+    energy_saved_per_cycle = power_saved_in_standby * (1.0 / clock_frequency)
+    if energy_saved_per_cycle <= 0:
+        return math.inf
+    return transition_energy / energy_saved_per_cycle
+
+
+def minimum_idle_cycles(scheme: str, transition_energy: float,
+                        power_saved_in_standby: float, clock_frequency: float) -> int:
+    """Minimum whole number of idle cycles for standby to pay off.
+
+    ``math.inf`` break-evens (a scheme that saves nothing in standby)
+    raise, because asking for its minimum idle time indicates a
+    misconfigured experiment.
+    """
+    cycles = break_even_cycles(transition_energy, power_saved_in_standby, clock_frequency)
+    if math.isinf(cycles):
+        raise PowerError(
+            f"scheme {scheme!r} saves no power in standby; minimum idle time undefined"
+        )
+    return max(1, math.ceil(cycles))
 
 
 def analyse_minimum_idle_time(

@@ -182,6 +182,74 @@ class TestSchemeStructure:
             schemes["SC"].build_netlist(bits=1000)
 
 
+class TestOutputPathInventory:
+    """The closed-form single-bit inventory, and netlists of every radix."""
+
+    @pytest.mark.parametrize("node", ["90nm", "45nm"])
+    def test_closed_form_statistics_match_the_netlist(self, node):
+        from repro.technology.library import default_library_for_node
+
+        library = default_library_for_node(node)
+        for ports in range(2, 9):
+            for self_connection in (False, True):
+                config = CrossbarConfig(port_count=ports, flit_width=16,
+                                        allow_self_connection=self_connection)
+                for name in available_schemes():
+                    try:
+                        scheme = create_scheme(name, library, config)
+                    except CrossbarError:
+                        # Only a 2-port, no-self crossbar is too small to
+                        # segment (one crosspoint per row).
+                        assert (ports, self_connection) == (2, False)
+                        continue
+                    closed = scheme.single_bit_statistics
+                    netlist = scheme.output_path_netlist().statistics()
+                    case = (node, ports, self_connection, name)
+                    assert closed.device_count == netlist.device_count, case
+                    assert closed.count_by_flavor == netlist.count_by_flavor, case
+                    assert closed.count_by_polarity == netlist.count_by_polarity, case
+                    assert closed.count_by_role == netlist.count_by_role, case
+                    assert closed.width_by_flavor.keys() == netlist.width_by_flavor.keys()
+                    for flavor, width in netlist.width_by_flavor.items():
+                        assert closed.width_by_flavor[flavor] == pytest.approx(
+                            width, rel=1e-12), case
+                    assert closed.total_width == pytest.approx(netlist.total_width,
+                                                               rel=1e-12), case
+
+    @pytest.mark.parametrize("ports", [6, 8])
+    @pytest.mark.parametrize("self_connection", [False, True])
+    def test_wide_crossbar_netlists_carry_every_crosspoint(self, library, ports,
+                                                           self_connection):
+        from repro.circuit import DeviceRole
+
+        config = CrossbarConfig(port_count=ports, flit_width=4,
+                                allow_self_connection=self_connection)
+        assert config.port_names == ("north", "south", "west", "east", "pe") + tuple(
+            f"port{index}" for index in range(5, ports))
+        scheme = create_scheme("SC", library, config)
+        path = scheme.output_path_netlist().statistics()
+        assert path.count_by_role[DeviceRole.PASS_TRANSISTOR] == config.inputs_per_output
+        # Crosspoints + keeper + sleep + two driver inverters.
+        assert path.device_count == config.inputs_per_output + 6
+        assert len(scheme.output_path_netlist("port5")) == path.device_count
+        netlist = scheme.build_netlist(bits=1)
+        rows = {device.name.split(".")[0] for device in netlist.devices
+                if device.name.startswith("out_")}
+        assert rows == {f"out_{port}" for port in config.port_names}
+        assert len(netlist.devices_with_role(DeviceRole.PASS_TRANSISTOR)) == \
+            ports * config.inputs_per_output
+        assert len(netlist.devices_with_role(DeviceRole.INPUT_DRIVER)) == 2 * ports
+
+    def test_high_vt_fraction_counts_every_crosspoint_of_an_eight_port_row(self):
+        from repro import compare_schemes, paper_experiment
+
+        config = paper_experiment().with_overrides(**{"crossbar.port_count": 8})
+        records = {record["scheme"]: record
+                   for record in compare_schemes(config).as_records()}
+        # DFC: high-Vt keeper and sleep among 7 crosspoints + 6 other devices.
+        assert records["DFC"]["high_vt_device_fraction"] == 2 / 13
+
+
 class TestSchemeTiming:
     def test_all_delays_in_crossbar_plausible_range(self, schemes):
         for name, scheme in schemes.items():

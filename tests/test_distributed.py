@@ -344,7 +344,6 @@ class TestDistributedRuns:
             assert executor.stats.workers_registered == 2
         assert [point.records for point in distributed] \
             == [point.records for point in serial]
-        assert all(point.comparison is None for point in distributed)
         assert len(again) == 1
 
     def test_worker_death_redispatches_items(self):

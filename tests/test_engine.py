@@ -122,7 +122,6 @@ class TestCache:
         entry = reader.get("deadbeef")
         assert entry is not None
         assert entry.records == [{"scheme": "SC", "x": 1.25}]
-        assert entry.comparison is None
         assert reader.stats.disk_hits == 1
 
     def test_unsafe_keys_are_hashed_not_traversed(self, tmp_path):
@@ -405,11 +404,13 @@ class TestCache:
     def test_key_hashes_the_canonical_config_payload(self):
         """point_key assembles its canonical text piecewise; it must hash
         exactly the sorted-key JSON of config_payload — including for
-        values equal but differently serialised (1 vs 1.0), and when the
-        same sub-config object is keyed again."""
+        values equal but differently serialised (1 vs 1.0), for a fresh
+        sub-config object equal to one already keyed, and when the same
+        sub-config object is keyed again."""
         import hashlib
 
         import repro
+        from repro.crossbar import CrossbarConfig
 
         def reference(config, schemes, baseline="SC"):
             payload = {"schema": CACHE_SCHEMA_VERSION,
@@ -429,11 +430,29 @@ class TestCache:
             base.with_overrides(**{"crossbar.input_buffer_depth": 8}),
             base.with_overrides(**{"crossbar.layout_overhead": 1}),
             base.with_overrides(**{"crossbar.layout_overhead": 1.0}),
+            ExperimentConfig(crossbar=CrossbarConfig()),
         ]
+        assert configs[-1].crossbar is not base.crossbar
+        assert point_key(configs[-1], SCHEMES) == point_key(base, SCHEMES)
         for config in configs + configs:
             for schemes, baseline in ((SCHEMES, "SC"), (["SDPC", "SC"], "SDPC")):
                 assert point_key(config, schemes, baseline) == \
                     reference(config, schemes, baseline)
+
+    def test_scalar_fast_path_spells_values_like_json_dumps(self):
+        import enum
+
+        from repro.engine.cache import _canonical_json
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        values = ["45nm", "tempér\u00e9\n\"", "", 0, -7, 2**70, True, False, None,
+                  0.1, 1.0, -0.0, 1e-300, 3.0e9, float("inf"), float("-inf"),
+                  float("nan"), Level.HIGH, ["SC", "DFC"], {"b": 1, "a": [1.5, None]}]
+        for value in values:
+            assert _canonical_json(value) == json.dumps(
+                value, sort_keys=True, separators=(",", ":"), default=repr), value
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         directory = tmp_path / "cache"
@@ -459,8 +478,6 @@ class TestExecutors:
         process = Evaluator(scheme_names=SCHEMES,
                             executor=ProcessExecutor(max_workers=2)).evaluate(space)
         assert [p.records for p in process] == [p.records for p in serial]
-        assert process.points[0].comparison is None
-        assert serial.points[0].comparison is not None
 
     def test_invalid_worker_and_chunk_counts(self):
         with pytest.raises(ConfigurationError):
