@@ -21,18 +21,16 @@ Two entry points produce the same records:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from ..crossbar.base import CrossbarScheme
 from ..crossbar.factory import available_schemes
 from ..errors import ConfigurationError, PowerError
 from ..power.idle_time import minimum_idle_cycles
 from ..power.report import format_table1
 from ..power.savings import SchemeEvaluation, SchemeSavings, savings_versus_baseline
-from ..timing.delay_analysis import DelayReport
 from ..units import seconds_to_picoseconds, watts_to_milliwatts
+from . import scheme_evaluator
 from .config import ExperimentConfig
-from .scheme_evaluator import SchemeEvaluator, SchemeResult
+from .scheme_evaluator import SchemeEvaluator, SchemeFigures, SchemeResult
 
 __all__ = ["SchemeComparison", "compare_schemes", "point_records"]
 
@@ -133,49 +131,7 @@ def _checked_names(scheme_names: list[str] | None, baseline_name: str) -> list[s
     return names
 
 
-class _Figures(NamedTuple):
-    """One scheme's Table 1 figures at one (p, t) point, in SI units."""
-
-    scheme: CrossbarScheme
-    delay: DelayReport
-    active_power: float
-    standby_power: float
-    total_power: float
-    transition_energy: float
-    power_saved_in_standby: float
-
-
-def _scheme_figures(scheme: CrossbarScheme, config: ExperimentConfig) -> _Figures:
-    """Every figure a record needs, each computed once from the scheme's
-    profile methods with the float operations of
-    :func:`~repro.power.savings.evaluate_scheme`, validated in its order."""
-    probability, toggle = config.static_probability, config.toggle_activity
-    clock = config.clock_frequency
-    if not 0.0 <= probability <= 1.0:
-        raise PowerError(f"static probability must be in [0, 1], got {probability}")
-    vdd = scheme.supply_voltage
-    active_power = scheme.active_leakage(probability).power(vdd)
-    idle_power = scheme.idle_leakage(probability).power(vdd)
-    standby_power = scheme.standby_leakage().power(vdd)
-    if not 0.0 <= toggle <= 1.0:
-        raise PowerError(f"toggle_activity must be in [0, 1], got {toggle}")
-    if clock <= 0:
-        raise PowerError("frequency must be positive")
-    dynamic_power = scheme.dynamic_energy_per_cycle(toggle, probability) * clock
-    if not scheme.has_sleep_mode:
-        raise PowerError(f"scheme {scheme.name!r} has no standby mode")
-    return _Figures(
-        scheme=scheme,
-        delay=scheme.delay_report(),
-        active_power=active_power,
-        standby_power=standby_power,
-        total_power=dynamic_power + active_power,
-        transition_energy=scheme.sleep_transition_energy(probability),
-        power_saved_in_standby=max(idle_power - standby_power, 0.0),
-    )
-
-
-def _idle_cycles(figures: _Figures, clock: float) -> int:
+def _idle_cycles(figures: SchemeFigures, clock: float) -> int:
     return minimum_idle_cycles(figures.scheme.name, figures.transition_energy,
                                figures.power_saved_in_standby, clock)
 
@@ -200,9 +156,12 @@ def point_records(
     names = _checked_names(scheme_names, baseline_name)
     config = evaluator.config
     clock = config.clock_frequency
-    figures: dict[str, _Figures] = {}
+    # Looked up on the module per call, so a wrapper installed there
+    # (perfbench's tracer times each scheme this way) sees every scheme.
+    evaluate = scheme_evaluator.evaluate_scheme
+    figures: dict[str, SchemeFigures] = {}
     for name in names:
-        figures[name] = _scheme_figures(evaluator.build_scheme(name), config)
+        figures[name] = evaluate(evaluator.build_scheme(name), config)
 
     # Savings of every non-baseline scheme first, then the records: the
     # order in which compare_schemes raises.

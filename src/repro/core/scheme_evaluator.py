@@ -1,9 +1,16 @@
 """Single-scheme evaluation driver.
 
 Combines an :class:`~repro.core.config.ExperimentConfig` with a scheme
-name and produces the full :class:`~repro.power.savings.SchemeEvaluation`
-plus the structural inventory — everything the comparison engine,
-benchmarks and examples consume.
+name and produces either of two per-scheme results the comparison
+engine, benchmarks and examples consume:
+
+* :meth:`SchemeEvaluator.evaluate` — the full
+  :class:`~repro.power.savings.SchemeEvaluation` plus the structural
+  inventory (the object API behind
+  :func:`~repro.core.comparison.compare_schemes`);
+* :func:`evaluate_scheme` — a built scheme's :class:`SchemeFigures`,
+  every Table 1 figure read once off its activity profile (the record
+  path behind :func:`~repro.core.comparison.point_records`).
 
 Structural memoisation
 ----------------------
@@ -23,13 +30,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..circuit.netlist import NetlistStatistics
 from ..crossbar.base import CrossbarScheme
 from ..crossbar.factory import create_scheme
 from ..crossbar.ports import CrossbarConfig
-from ..power.savings import SchemeEvaluation, evaluate_scheme
+from ..errors import PowerError
+from ..power import savings
+from ..power.savings import SchemeEvaluation
 from ..technology.library import TechnologyLibrary
+from ..timing.delay_analysis import DelayReport
 from .config import ExperimentConfig
 
 __all__ = ["SchemeResult", "SchemeEvaluator", "StructuralCacheStats",
@@ -233,7 +244,7 @@ class SchemeEvaluator:
     def evaluate(self, name: str) -> SchemeResult:
         """Fully evaluate one scheme."""
         scheme = self.build_scheme(name)
-        evaluation = evaluate_scheme(
+        evaluation = savings.evaluate_scheme(
             scheme,
             static_probability=self.config.static_probability,
             toggle_activity=self.config.toggle_activity,
@@ -244,3 +255,46 @@ class SchemeEvaluator:
             evaluation=evaluation,
             single_bit_inventory=scheme.single_bit_statistics,
         )
+
+
+class SchemeFigures(NamedTuple):
+    """One scheme's Table 1 figures at one (p, t) point, in SI units."""
+
+    scheme: CrossbarScheme
+    delay: DelayReport
+    active_power: float
+    standby_power: float
+    total_power: float
+    transition_energy: float
+    power_saved_in_standby: float
+
+
+def evaluate_scheme(scheme: CrossbarScheme, config: ExperimentConfig) -> SchemeFigures:
+    """Every figure a record needs, each computed once from the scheme's
+    profile methods with the float operations of
+    :func:`~repro.power.savings.evaluate_scheme` (which builds the
+    analysis objects instead), validated in its order."""
+    probability, toggle = config.static_probability, config.toggle_activity
+    clock = config.clock_frequency
+    if not 0.0 <= probability <= 1.0:
+        raise PowerError(f"static probability must be in [0, 1], got {probability}")
+    vdd = scheme.supply_voltage
+    active_power = scheme.active_leakage(probability).power(vdd)
+    idle_power = scheme.idle_leakage(probability).power(vdd)
+    standby_power = scheme.standby_leakage().power(vdd)
+    if not 0.0 <= toggle <= 1.0:
+        raise PowerError(f"toggle_activity must be in [0, 1], got {toggle}")
+    if clock <= 0:
+        raise PowerError("frequency must be positive")
+    dynamic_power = scheme.dynamic_energy_per_cycle(toggle, probability) * clock
+    if not scheme.has_sleep_mode:
+        raise PowerError(f"scheme {scheme.name!r} has no standby mode")
+    return SchemeFigures(
+        scheme=scheme,
+        delay=scheme.delay_report(),
+        active_power=active_power,
+        standby_power=standby_power,
+        total_power=dynamic_power + active_power,
+        transition_energy=scheme.sleep_transition_energy(probability),
+        power_saved_in_standby=max(idle_power - standby_power, 0.0),
+    )

@@ -38,12 +38,10 @@ import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 
-from ..core.comparison import compare_schemes, point_records
+from ..core.comparison import point_records
 from ..core.config import ExperimentConfig
 from ..errors import ConfigurationError
 
-# ``compare_schemes`` (the object API the records are checked against) is
-# re-exported here: perfbench's tracer wraps it under this module's name.
 __all__ = ["WorkItem", "EvaluatedPoint", "SerialExecutor", "ProcessExecutor",
            "auto_executor_name", "chunk_size", "compare_schemes", "resolve_executor"]
 
@@ -81,8 +79,16 @@ class EvaluatedPoint:
     records: list[dict]
 
 
-def _evaluate_work_item(item: WorkItem) -> list[dict]:
-    """Evaluate one work item into its records (every executor's path)."""
+def compare_schemes(item: WorkItem) -> list[dict]:
+    """Compare the schemes of one work item: its records, from
+    :func:`~repro.core.comparison.point_records`.
+
+    The per-point step of the serial and process executors, looked up on
+    this module at call time (perfbench's tracer times it as
+    ``compare.point``).  Unlike the object API
+    :func:`repro.core.comparison.compare_schemes`, it returns the
+    JSON-safe records alone.
+    """
     return point_records(item.config, list(item.scheme_names), item.baseline_name)
 
 
@@ -93,7 +99,7 @@ class SerialExecutor:
 
     def run(self, items: list[WorkItem]) -> list[EvaluatedPoint]:
         """Evaluate ``items`` in order."""
-        return [EvaluatedPoint(records=_evaluate_work_item(item)) for item in items]
+        return [EvaluatedPoint(records=compare_schemes(item)) for item in items]
 
 
 class ProcessExecutor:
@@ -155,13 +161,13 @@ class ProcessExecutor:
         chunksize = self._resolved_chunksize(len(items), workers)
         try:
             all_records = list(self._ensure_pool().map(
-                _evaluate_work_item, items, chunksize=chunksize))
+                compare_schemes, items, chunksize=chunksize))
         except BrokenExecutor:
             # A killed worker poisons the whole pool: rebuild it and give
             # the batch one more chance before surfacing the failure.
             self.close()
             all_records = list(self._ensure_pool().map(
-                _evaluate_work_item, items, chunksize=chunksize))
+                compare_schemes, items, chunksize=chunksize))
         return [EvaluatedPoint(records=records) for records in all_records]
 
     def close(self) -> None:
