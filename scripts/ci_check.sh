@@ -34,6 +34,10 @@ echo "==> Perfbench smoke: sweep_structural, cold builds and 6/8-port records id
 python3 perfbench/run.py --workload sweep_structural --seed 1 --seconds 2 --trace 0 | tail -n 1 \
     | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else "perfbench sweep_structural: output check failed")'
 
+echo "==> Perfbench smoke: traced sweep_structural, the tracer's scheme-build and library-build wrappers still see the cold path"
+python3 perfbench/run.py --workload sweep_structural --seed 1 --seconds 2 --trace 1 | tail -n 1 \
+    | python3 -c 'import json, sys; d = json.loads(sys.stdin.read()); sys.exit(0 if d.get("correct") is True and d["metrics"].get("structural.scheme_misses", {}).get("value", 0) > 0 else "perfbench sweep_structural (traced): output check failed or no structural spans")'
+
 echo "==> Perfbench smoke: traced serve_mixed through the HTTP service"
 python3 perfbench/run.py --workload serve_mixed --seed 1 --seconds 2 --trace 1 | tail -n 1 \
     | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else "perfbench serve_mixed: output check failed")'

@@ -17,6 +17,13 @@ Profile the paper's point, cold::
 Profile 32 fresh points over warm structure, top 15 rows::
 
     PYTHONPATH=src python scripts/profile_point.py --warm --points 32 --top 15
+
+Profile 300 distinct (library, crossbar) structures in the order
+``perfbench/inputs.py:structural_block`` emits them (one warm-up point
+at the paper's structure first, so the first library's one-off costs
+stay out of the profile)::
+
+    PYTHONPATH=src python scripts/profile_point.py --structural 300
 """
 
 from __future__ import annotations
@@ -28,13 +35,25 @@ import sys
 import time
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro import paper_experiment  # noqa: E402
 from repro.circuit.biasing import kernel_totals  # noqa: E402
 from repro.core.comparison import point_records  # noqa: E402
+
+
+def _structural_points(count: int) -> list[dict]:
+    """The first ``count`` points of the seed-1 ``sweep_structural``
+    stream: ``structural_block`` blocks in order, every point its own
+    (library, crossbar) structure."""
+    sys.path.insert(0, str(_ROOT / "perfbench"))
+    from inputs import point_stream, structural_block
+
+    stream = point_stream(structural_block, 1)
+    return [next(stream) for _ in range(count)]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -46,6 +65,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--warm", action="store_true",
                         help="pre-build libraries/schemes so the profile shows "
                              "the steady-state (cache-warm) hot path")
+    parser.add_argument("--structural", type=int, default=0, metavar="N",
+                        help="profile N distinct structures in the benchmark's "
+                             "structural_block order instead (the cold stream)")
     parser.add_argument("--sort", default="tottime",
                         choices=["tottime", "cumtime", "ncalls"],
                         help="pstats sort column (default tottime)")
@@ -54,11 +76,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     base = paper_experiment()
-    if args.warm:
+    if args.structural:
         point_records(base)
-    # Distinct activity scalars: fresh points, never analysis-memo replays.
-    configs = [base.with_overrides(static_probability=0.05 + 0.9 * i / max(1, args.points))
-               for i in range(args.points)]
+        configs = [base.with_overrides(**point)
+                   for point in _structural_points(args.structural)]
+        label = "distinct structures"
+    else:
+        if args.warm:
+            point_records(base)
+        # Distinct activity scalars: fresh points, never analysis-memo replays.
+        configs = [base.with_overrides(static_probability=0.05 + 0.9 * i / max(1, args.points))
+                   for i in range(args.points)]
+        label = f"{'warm' if args.warm else 'cold'} structural cache"
 
     before = kernel_totals()
     before_lookups, before_misses = before.lookups, before.misses
@@ -73,12 +102,12 @@ def main(argv: list[str] | None = None) -> int:
     totals = kernel_totals()
     lookups = totals.lookups - before_lookups
     misses = totals.misses - before_misses
-    print(f"{args.points} point(s), {'warm' if args.warm else 'cold'} "
-          f"structural cache: {elapsed * 1e3:.1f} ms total, "
-          f"{args.points / elapsed:.1f} points/s")
+    count = len(configs)
+    print(f"{count} point(s), {label}: {elapsed * 1e3:.1f} ms total, "
+          f"{count / elapsed:.1f} points/s")
     if lookups:
-        print(f"leakage kernel: {lookups / args.points:.1f} lookups/point, "
-              f"{misses / args.points:.1f} misses/point "
+        print(f"leakage kernel: {lookups / count:.1f} lookups/point, "
+              f"{misses / count:.1f} misses/point "
               f"({(lookups - misses) / lookups * 100.0:.1f}% memo hits)")
     print()
     pstats.Stats(profiler).strip_dirs().sort_stats(args.sort).print_stats(args.top)

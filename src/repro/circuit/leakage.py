@@ -163,6 +163,25 @@ class AffineLeakage:
     high: LeakageBreakdown
     low: LeakageBreakdown
 
+    def floats(self) -> tuple[float, ...]:
+        """The nine components: ``fixed``, ``high`` and ``low``, each as
+        (subthreshold, gate, junction)."""
+        fixed, high, low = self.fixed, self.high, self.low
+        return (fixed.subthreshold, fixed.gate, fixed.junction,
+                high.subthreshold, high.gate, high.junction,
+                low.subthreshold, low.gate, low.junction)
+
+    @classmethod
+    def from_floats(cls, values, offset: int = 0) -> "AffineLeakage":
+        """The inverse of :meth:`floats`, reading the nine components
+        from ``values[offset:offset + 9]`` (one validation for all nine)."""
+        v, o = values, offset
+        if min(v[o:o + 9]) < 0:
+            raise CircuitError("leakage components cannot be negative")
+        return cls(_unchecked(v[o], v[o + 1], v[o + 2]),
+                   _unchecked(v[o + 3], v[o + 4], v[o + 5]),
+                   _unchecked(v[o + 6], v[o + 7], v[o + 8]))
+
     def mixed_at(self, other: "AffineLeakage", weight: float, probability: float,
                  scale: float = 1.0) -> LeakageBreakdown:
         """``scale * (weight * self(p) + (1 - weight) * other(p))``, where

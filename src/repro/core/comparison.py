@@ -202,8 +202,7 @@ def point_records(
                 "minimum_idle_cycles": idle_cycles,
                 "total_power_mw": watts_to_milliwatts(scheme_figures.total_power),
                 "delay_penalty_percent": delay_penalty,
-                "high_vt_device_fraction":
-                    scheme_figures.scheme.single_bit_statistics.high_vt_fraction,
+                "high_vt_device_fraction": scheme_figures.scheme.high_vt_device_fraction,
             }
         )
     return records

@@ -17,23 +17,38 @@ Structural memoisation
 Building a :class:`~repro.crossbar.base.CrossbarScheme` resolves wire
 geometry, device sizing and the technology library — none of which
 depend on the activity scalars (``static_probability``,
-``toggle_activity``).  A process-wide bounded cache therefore shares
-libraries keyed by their technology point and built schemes keyed by
-(library, crossbar config, scheme name), so a design-space sweep that
-varies only non-structural scalars builds each scheme's geometry once
-instead of once per point.  Schemes are analytically pure (every
-activity-dependent method takes the scalars as arguments), which is what
-makes the sharing sound.
+``toggle_activity``).  A process-wide bounded cache therefore has three
+keyspaces:
+
+* libraries, keyed by their technology point;
+* built schemes, keyed by (library, crossbar config, scheme name), so a
+  design-space sweep that varies only non-structural scalars builds each
+  scheme's geometry once instead of once per point;
+* device parts (:meth:`CrossbarScheme.derive_device_part
+  <repro.crossbar.base.CrossbarScheme.derive_device_part>`: the
+  state-dependent leakage terms and the high-Vt device fraction), keyed
+  by value — technology point, scheme class, features, Vt plan and the
+  :data:`~repro.crossbar.base.DEVICE_PART_FIELDS` of the crossbar — so a
+  new crossbar that differs from a seen one only in flit width or wire
+  geometry skips the leakage walk.  Entries are flat arrays of 40
+  doubles, about 0.9 KB each with their key and LRU slot.
+
+Schemes are analytically pure (every activity-dependent method takes the
+scalars as arguments), which is what makes the sharing sound.  Only
+schemes obtained through the cache share device parts; a scheme built on
+a caller-supplied library derives its own.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from ..circuit.netlist import NetlistStatistics
-from ..crossbar.base import CrossbarScheme
+from ..crossbar.base import DEVICE_PART_FIELDS, CrossbarScheme
 from ..crossbar.factory import create_scheme
 from ..crossbar.ports import CrossbarConfig
 from ..errors import PowerError
@@ -80,6 +95,8 @@ class StructuralCacheStats:
     library_misses: int = 0
     scheme_hits: int = 0
     scheme_misses: int = 0
+    device_part_hits: int = 0
+    device_part_misses: int = 0
 
     @property
     def kernel_hits(self) -> int:
@@ -109,22 +126,30 @@ class StructuralCacheStats:
             "library_misses": self.library_misses,
             "scheme_hits": self.scheme_hits,
             "scheme_misses": self.scheme_misses,
+            "device_part_hits": self.device_part_hits,
+            "device_part_misses": self.device_part_misses,
             "kernel_hits": self.kernel_hits,
             "kernel_misses": self.kernel_misses,
             "kernel_hit_rate": self.kernel_hit_rate,
         }
 
 
-class _StructuralCache:
-    """Bounded LRU store of built libraries and schemes."""
+_device_fields = attrgetter(*DEVICE_PART_FIELDS)
 
-    def __init__(self, max_libraries: int = 32, max_schemes: int = 256) -> None:
+
+class _StructuralCache:
+    """Bounded LRU store of built libraries, schemes and device parts."""
+
+    def __init__(self, max_libraries: int = 32, max_schemes: int = 256,
+                 max_device_parts: int = 2048) -> None:
         self.max_libraries = max_libraries
         self.max_schemes = max_schemes
+        self.max_device_parts = max_device_parts
         self.stats = StructuralCacheStats()
         self._libraries: OrderedDict[_LibraryKey, TechnologyLibrary] = OrderedDict()
         self._schemes: OrderedDict[tuple[_LibraryKey, CrossbarConfig, str],
                                    CrossbarScheme] = OrderedDict()
+        self._device_parts: OrderedDict[tuple, array] = OrderedDict()
 
     def library_for(self, config: ExperimentConfig) -> TechnologyLibrary:
         key = _LibraryKey.of(config)
@@ -150,14 +175,35 @@ class _StructuralCache:
             return scheme
         self.stats.scheme_misses += 1
         scheme = create_scheme(name, library, crossbar)
+        scheme.device_part = self.device_part_for(library_key, scheme)
         self._schemes[key] = scheme
         while len(self._schemes) > self.max_schemes:
             self._schemes.popitem(last=False)
         return scheme
 
+    def device_part_for(self, library_key: _LibraryKey, scheme: CrossbarScheme) -> array:
+        """The shared device part of ``scheme``, built on ``library_key``'s
+        library, derived from ``scheme`` on a miss.  The key holds the
+        scheme's class, features and Vt plan rather than its name, so a
+        re-registered name cannot alias another scheme's entry."""
+        key = (library_key, type(scheme), scheme.features, scheme.vt_plan,
+               *_device_fields(scheme.config))
+        part = self._device_parts.get(key)
+        if part is not None:
+            self._device_parts.move_to_end(key)
+            self.stats.device_part_hits += 1
+            return part
+        self.stats.device_part_misses += 1
+        part = scheme.derive_device_part()
+        self._device_parts[key] = part
+        while len(self._device_parts) > self.max_device_parts:
+            self._device_parts.popitem(last=False)
+        return part
+
     def clear(self) -> None:
         self._libraries.clear()
         self._schemes.clear()
+        self._device_parts.clear()
         self.stats = StructuralCacheStats()
 
 
@@ -165,12 +211,14 @@ _STRUCTURAL_CACHE = _StructuralCache()
 
 
 def structural_cache_stats() -> StructuralCacheStats:
-    """Counters of the process-wide library/scheme structural cache."""
+    """Counters of the process-wide structural cache (libraries, schemes,
+    device parts and the leakage kernels)."""
     return _STRUCTURAL_CACHE.stats
 
 
 def clear_structural_cache() -> None:
-    """Drop all memoised libraries and schemes (mainly for tests).
+    """Drop all memoised libraries, schemes and device parts (mainly for
+    tests).
 
     Also zeroes the leakage-kernel counters — the process-wide totals
     *and* the per-kernel stats of any kernel still alive on a library a

@@ -38,10 +38,23 @@ method is then a few float multiply-adds on it:
 * dynamic energy per cycle is affine in ``p`` and ``t``;
 * the standby transition energy is affine in ``p``;
 * delays and standby leakage do not depend on either.
+
+Device part
+-----------
+The leakage terms of the profile and the high-Vt device fraction depend
+only on the technology point, the scheme's features and Vt plan, the
+device widths and the number of crosspoints per row — not on the flit
+width or the wire geometry.  :meth:`CrossbarScheme.derive_device_part`
+packs them into a flat :class:`array.array` of
+:data:`DEVICE_PART_LENGTH` doubles (layout below), which the structural
+cache shares by value across every crossbar of one library that has
+the same :data:`DEVICE_PART_FIELDS`; the profile is then rebuilt from
+it with the float operations it would have used itself.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,7 +84,30 @@ from ..timing.delay_analysis import DelayReport, contention_factor, pass_rise_pe
 from ..timing.path import TimingPath, TimingStage
 from .ports import CrossbarConfig, PortDirection
 
-__all__ = ["VtPlan", "SchemeFeatures", "ActivityProfile", "CrossbarScheme"]
+__all__ = ["VtPlan", "SchemeFeatures", "ActivityProfile", "CrossbarScheme",
+           "DEVICE_PART_FIELDS", "DEVICE_PART_LENGTH"]
+
+#: The :class:`CrossbarConfig` fields a scheme's device part reads: the
+#: crosspoint count per row and the widths of every output-path device.
+#: The input driver and the wire geometry are not among them.
+DEVICE_PART_FIELDS: tuple[str, ...] = (
+    "port_count", "allow_self_connection",
+    "pass_width", "keeper_width", "sleep_width", "precharge_width",
+    "segment_switch_width",
+    "driver1_nmos_width", "driver1_pmos_width",
+    "driver2_nmos_width", "driver2_pmos_width",
+)
+
+#: ``(merge_high, granted)`` states of :attr:`ActivityProfile.path_leakage`
+#: in device-part order.
+_PATH_STATES = ((True, True), (True, False), (False, True), (False, False))
+#: Device-part layout: each path state's ``fixed``, ``high`` and ``low``
+#: terms as (subthreshold, gate, junction) — 36 doubles — then one
+#: path's sleep leakage (three doubles, zero without a sleep mode), then
+#: the single-path high-Vt device fraction.
+_SLEEP_OFFSET = 9 * len(_PATH_STATES)
+_HIGH_VT_OFFSET = _SLEEP_OFFSET + 3
+DEVICE_PART_LENGTH = _HIGH_VT_OFFSET + 1
 
 
 @dataclass(frozen=True)
@@ -179,6 +215,7 @@ class CrossbarScheme:
         self.config = config if config is not None else CrossbarConfig()
         self.features = features
         self.vt_plan = vt_plan
+        self._merge_stages: dict[tuple[bool, bool], TimingStage] = {}
         self._build_components()
 
     # ------------------------------------------------------------------ #
@@ -308,6 +345,10 @@ class CrossbarScheme:
         For non-segmented schemes this is the whole merge node.  Wire
         capacitance is accounted separately through the pi models.
         """
+        return self._near_merge_capacitance
+
+    @cached_property
+    def _near_merge_capacitance(self) -> float:
         cap = self.driver1.input_capacitance()
         pass_cap = (
             self.near_pass_switch.terminal_capacitance()
@@ -343,6 +384,10 @@ class CrossbarScheme:
 
     def internal_node_capacitance(self) -> float:
         """Capacitance of the node between I1 and I2 (plus keeper feedback)."""
+        return self._internal_node_capacitance
+
+    @cached_property
+    def _internal_node_capacitance(self) -> float:
         cap = self.driver1.output_capacitance() + self.driver2.input_capacitance()
         if self.keeper is not None:
             cap += self.keeper.feedback_capacitance()
@@ -373,7 +418,16 @@ class CrossbarScheme:
         return self.pass_switch
 
     def _merge_stage(self, falling: bool, far_path: bool) -> TimingStage:
-        """Stage 1: input driver through the pass device onto the merge node."""
+        """Stage 1: input driver through the pass device onto the merge node
+        (built once per direction and path: the falling far-path stage
+        serves both the delay report and the contention energy)."""
+        stage = self._merge_stages.get((falling, far_path))
+        if stage is None:
+            stage = self._merge_stages[falling, far_path] = self._build_merge_stage(
+                falling, far_path)
+        return stage
+
+    def _build_merge_stage(self, falling: bool, far_path: bool) -> TimingStage:
         driver_resistance = (
             self.input_driver.pull_down_resistance()
             if falling
@@ -668,8 +722,8 @@ class CrossbarScheme:
         """
         return self.activity_profile.standby
 
-    def _sleep_leakage(self) -> LeakageBreakdown:
-        """Standby leakage of a scheme with a sleep mode."""
+    def _sleep_path_leakage(self) -> LeakageBreakdown:
+        """One output-bit path's standby leakage (sleep mode asserted)."""
         acc = LeakageAccumulator()
         acc.add(self._driver_chain_leakage(merge_high=False))
         self._add_merge_support_leakage(acc, merge_high=False, standby=True)
@@ -677,7 +731,7 @@ class CrossbarScheme:
         if self.features.segmented:
             self._add_far_support_leakage(acc, far_high=False, far_standby=True)
             self._add_segment_switch_leakage(acc, False, 0.0, 0.0)
-        return acc.freeze().scaled(self.output_path_count)
+        return acc.freeze()
 
     def active_leakage_power(self, static_probability: float = 0.5) -> float:
         """Active leakage expressed as power (watts)."""
@@ -820,18 +874,16 @@ class CrossbarScheme:
         Schemes are structurally immutable after construction (and shared
         through the structural cache), so the first analysis pays for the
         circuit walk and every later ``(static_probability,
-        toggle_activity)`` point is arithmetic on this profile.
+        toggle_activity)`` point is arithmetic on this profile.  The
+        leakage terms come from :attr:`device_part`.
         """
         vdd = self.supply_voltage
-        path_leakage = {}
-        for merge_high in (True, False):
-            node_leakage = self._awake_node_leakage(merge_high)
-            for granted in (True, False):
-                path_leakage[merge_high, granted] = self._path_leakage(
-                    merge_high, granted, node_leakage
-                )
+        part = self.device_part
+        path_leakage = {state: AffineLeakage.from_floats(part, 9 * index)
+                        for index, state in enumerate(_PATH_STATES)}
         if self.features.has_sleep:
-            standby = self._sleep_leakage()
+            sleep = LeakageBreakdown(*part[_SLEEP_OFFSET:_SLEEP_OFFSET + 3])
+            standby = sleep.scaled(self.output_path_count)
         else:
             standby = self._expected_path_leakage(path_leakage, 0.5, 0.5, granted=False)
 
@@ -891,6 +943,38 @@ class CrossbarScheme:
             internal_node_energy=internal_node_energy,
         )
 
+    @cached_property
+    def device_part(self) -> array:
+        """This scheme's device part (see the module docstring): derived
+        on first use unless the structural cache assigned a shared one."""
+        return self.derive_device_part()
+
+    def derive_device_part(self) -> array:
+        """Walk the circuit for the device part: every path state's
+        affine leakage, one path's sleep leakage and the single-path
+        high-Vt device fraction, as :data:`DEVICE_PART_LENGTH` doubles.
+
+        Reads only the library, :attr:`features`, :attr:`vt_plan` and
+        the :data:`DEVICE_PART_FIELDS` of :attr:`config`: the structural
+        cache shares parts on exactly that key, so a subclass's leakage
+        must not read more.
+        """
+        values: list[float] = []
+        # _PATH_STATES order; both granted states share the node leakage.
+        for merge_high in (True, False):
+            node_leakage = self._awake_node_leakage(merge_high)
+            for granted in (True, False):
+                values.extend(self._path_leakage(merge_high, granted, node_leakage).floats())
+        sleep = self._sleep_path_leakage() if self.features.has_sleep else LeakageBreakdown()
+        values.extend((sleep.subthreshold, sleep.gate, sleep.junction))
+        values.append(NetlistStatistics.of_inventory(self._output_path_inventory()).high_vt_fraction)
+        return array("d", values)
+
+    @property
+    def high_vt_device_fraction(self) -> float:
+        """Fraction of one output path's devices that are high-Vt (the
+        Table 1 record field), read from :attr:`device_part`."""
+        return self.device_part[_HIGH_VT_OFFSET]
 
     def standby_power_saving(self, static_probability: float = 0.5) -> float:
         """Leakage power saved per second of standby, relative to idling awake (watts)."""

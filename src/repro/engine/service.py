@@ -512,7 +512,9 @@ class EvaluationService:
         Always carries ``service``, ``cache``, ``kernel`` (the
         process-wide leakage-kernel memo aggregate — *this* process
         only, so under process/distributed executors it reflects the
-        coordinator, not the workers) and ``config``
+        coordinator, not the workers), ``structural`` (the library,
+        scheme and device-part hit/miss counters of the structural
+        cache, same scope) and ``config``
         blocks; when the executor is a distributed fleet (anything with
         a ``stats_payload()`` of its own, e.g.
         :class:`~repro.engine.distributed.DistributedExecutor`), its
@@ -520,6 +522,7 @@ class EvaluationService:
         observability needs no second endpoint.
         """
         from ..circuit.biasing import kernel_totals
+        from ..core.scheme_evaluator import structural_cache_stats
 
         evaluator = self.evaluator
         spec = evaluator.executor
@@ -536,6 +539,7 @@ class EvaluationService:
                 "memory_entries": len(self.cache),
             },
             "kernel": kernel_totals().as_payload(),
+            "structural": structural_cache_stats().as_payload(),
             "config": {
                 "schemes": list(evaluator.scheme_names),
                 "baseline": evaluator.baseline_name,

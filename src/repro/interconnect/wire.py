@@ -4,11 +4,17 @@ A :class:`Wire` binds a length and a layer's per-unit-length electrical
 model into the quantities the delay and power analyses need: total R and
 C, lumped pi models, and ladder insertion into an
 :class:`~repro.circuit.rc_network.RCTree`.
+
+Wires are immutable, so each computes its R, C and pi model once, and
+:meth:`Wire.on_layer` shares one wire per (length, layer, neighbours)
+within a technology library: the input, row and output wires of every
+scheme built on one crossbar geometry are the same object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import TechnologyError
 from ..technology.bptm import WireElectricalModel
@@ -16,6 +22,10 @@ from ..technology.library import TechnologyLibrary
 from .pi_model import PiModel
 
 __all__ = ["Wire"]
+
+#: Bound on one library's shared wires; a sweep over more distinct
+#: lengths clears the memo rather than growing it.
+_WIRE_MEMO_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -47,16 +57,26 @@ class Wire:
     @classmethod
     def on_layer(cls, library: TechnologyLibrary, length: float, layer: str = "intermediate",
                  neighbours: int = 2) -> "Wire":
-        """Build a wire from a technology library and layer name."""
-        return cls(length=length, model=library.wire_model(layer), neighbours=neighbours)
+        """The wire of ``length`` on ``layer`` of a technology library,
+        shared with every earlier request for the same wire."""
+        model = library.wire_model(layer)
+        memo = library.wire_memo
+        key = (length, layer, neighbours)
+        wire = memo.get(key)
+        if wire is None or wire.model is not model:
+            wire = cls(length=length, model=model, neighbours=neighbours)
+            if len(memo) >= _WIRE_MEMO_ENTRIES:
+                memo.clear()
+            memo[key] = wire
+        return wire
 
     # -- electrical totals -------------------------------------------------------
-    @property
+    @cached_property
     def resistance(self) -> float:
         """Total series resistance (ohms)."""
         return self.model.resistance(self.length)
 
-    @property
+    @cached_property
     def capacitance(self) -> float:
         """Total capacitance with quiet neighbours (farads)."""
         return self.model.capacitance(self.length, self.neighbours)
@@ -68,6 +88,10 @@ class Wire:
     # -- reduced-order views --------------------------------------------------------
     def pi_model(self) -> PiModel:
         """Symmetric pi reduction (C/2 - R - C/2)."""
+        return self._pi_model
+
+    @cached_property
+    def _pi_model(self) -> PiModel:
         return PiModel(
             near_capacitance=self.capacitance / 2.0,
             resistance=self.resistance,

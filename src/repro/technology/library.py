@@ -119,17 +119,34 @@ class TechnologyLibrary:
         # per-device leakage memos hit across call sites (the NoC buffer
         # model sizes the same bit cell on every evaluation).
         self._transistor_memo: dict[tuple[Polarity, VtFlavor, float], Mosfet] = {}
+        # Corner-applied parameters per (polarity, flavor), each stored
+        # with the base parameters and corner it was derived from, so an
+        # edited device table or corner is never served stale.
+        self._parameter_memo: dict[tuple[Polarity, VtFlavor],
+                                   tuple[MosfetParameters, ProcessCorner,
+                                         MosfetParameters]] = {}
+        #: Wires of this library by (length, layer, neighbours), filled by
+        #: :meth:`repro.interconnect.wire.Wire.on_layer` (typed loosely:
+        #: the interconnect layer sits above this one).  Wires hold their
+        #: layer model, not the library, so sharing them makes no cycle.
+        self.wire_memo: dict[tuple[float, str, int], object] = {}
 
     # -- device access -------------------------------------------------------
     def device_parameters(self, polarity: Polarity, flavor: VtFlavor) -> MosfetParameters:
-        """Corner-adjusted parameters for a device type."""
+        """Corner-adjusted parameters for a device type (memoised)."""
         try:
             base = self.devices[(polarity, flavor)]
         except KeyError as exc:
             raise TechnologyError(
                 f"no device parameters for ({polarity.value}, {flavor.value})"
             ) from exc
-        return self.corner.apply(base)
+        corner = self.corner
+        memo = self._parameter_memo.get((polarity, flavor))
+        if memo is not None and memo[0] is base and memo[1] is corner:
+            return memo[2]
+        applied = corner.apply(base)
+        self._parameter_memo[(polarity, flavor)] = (base, corner, applied)
+        return applied
 
     def make_transistor(self, polarity: Polarity, flavor: VtFlavor, width: float) -> Mosfet:
         """The sized transistor at this library's operating point.

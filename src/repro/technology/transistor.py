@@ -35,6 +35,11 @@ class Polarity(enum.Enum):
     NMOS = "nmos"
     PMOS = "pmos"
 
+    #: Members are singletons compared by identity, so they hash by
+    #: identity too: in C, unlike ``Enum.__hash__``.  Device memos and
+    #: the structural cache's keys hash these on every scheme build.
+    __hash__ = object.__hash__
+
 
 class VtFlavor(enum.Enum):
     """Threshold-voltage flavor in a multi-Vt process.
@@ -46,6 +51,9 @@ class VtFlavor(enum.Enum):
     NOMINAL = "nominal"
     HIGH = "high"
     LOW = "low"
+
+    #: Identity hash, as for :class:`Polarity`.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

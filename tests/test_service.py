@@ -711,3 +711,25 @@ def test_persistent_process_pool_is_reused_across_flushes(monkeypatch):
     service = asyncio.run(scenario())
     assert service.stats.batches == 2
     assert len(pools) == 1
+
+
+def test_stats_payload_carries_structural_cache_counters():
+    """GET /stats shows the structural cache's hits and misses, device
+    parts included."""
+    from repro.core.scheme_evaluator import clear_structural_cache
+
+    async def scenario():
+        clear_structural_cache()
+        service = make_service(max_batch_size=1)
+        await service.evaluate({"crossbar.flit_width": 32})
+        await service.evaluate({"crossbar.flit_width": 16})
+        payload = service.stats_payload()
+        await service.stop()
+        return payload
+
+    structural = json.loads(json.dumps(asyncio.run(scenario())))["structural"]
+    schemes = len(SCHEMES)
+    assert structural["scheme_misses"] == 2 * schemes
+    assert structural["device_part_misses"] == schemes
+    assert structural["device_part_hits"] == schemes
+    assert structural["kernel_misses"] > 0
