@@ -26,6 +26,10 @@ echo "==> Perfbench smoke: sweep_scalar outputs identical to serial compare_sche
 python3 perfbench/run.py --workload sweep_scalar --seed 1 --seconds 2 --trace 0 | tail -n 1 \
     | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else "perfbench sweep_scalar: output check failed")'
 
+echo "==> Perfbench smoke: traced sweep_scalar, the tracer's compare.point and scheme.* wrappers still see the warm record path"
+python3 perfbench/run.py --workload sweep_scalar --seed 1 --seconds 2 --trace 1 | tail -n 1 \
+    | python3 -c 'import json, sys; d = json.loads(sys.stdin.read()); m = d["metrics"]; sys.exit(0 if d.get("correct") is True and m.get("compare.point_ms_p50", {}).get("value", 0) > 0 and m.get("scheme.SC.evaluate_ms_p50", {}).get("value", 0) > 0 else "perfbench sweep_scalar (traced): output check failed or no compare.point / scheme.SC spans")'
+
 echo "==> Perfbench smoke: sweep_fleet, every fleet-evaluated point identical to serial compare_schemes"
 python3 perfbench/run.py --workload sweep_fleet --seed 1 --seconds 2 --trace 0 | tail -n 1 \
     | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else "perfbench sweep_fleet: output check failed")'

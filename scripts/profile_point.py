@@ -24,6 +24,13 @@ at the paper's structure first, so the first library's one-off costs
 stay out of the profile)::
 
     PYTHONPATH=src python scripts/profile_point.py --structural 300
+
+Profile 40 fresh 64-point ``perfbench/inputs.py:scalar_block`` grids
+through ``Evaluator.evaluate`` — point keys, config building, the
+in-memory cache and the serial executor included, the loop the
+``sweep_scalar`` benchmark times (after one warm-up point)::
+
+    PYTHONPATH=src python scripts/profile_point.py --sweep 40
 """
 
 from __future__ import annotations
@@ -43,17 +50,32 @@ if str(_SRC) not in sys.path:
 from repro import paper_experiment  # noqa: E402
 from repro.circuit.biasing import kernel_totals  # noqa: E402
 from repro.core.comparison import point_records  # noqa: E402
+from repro.engine.evaluator import Evaluator  # noqa: E402
+from repro.engine.grid import DesignSpace  # noqa: E402
+
+
+def _perfbench_inputs():
+    sys.path.insert(0, str(_ROOT / "perfbench"))
+    import inputs
+
+    return inputs
 
 
 def _structural_points(count: int) -> list[dict]:
     """The first ``count`` points of the seed-1 ``sweep_structural``
     stream: ``structural_block`` blocks in order, every point its own
     (library, crossbar) structure."""
-    sys.path.insert(0, str(_ROOT / "perfbench"))
-    from inputs import point_stream, structural_block
-
-    stream = point_stream(structural_block, 1)
+    inputs = _perfbench_inputs()
+    stream = inputs.point_stream(inputs.structural_block, 1)
     return [next(stream) for _ in range(count)]
+
+
+def _sweep_blocks(count: int) -> list:
+    """The first ``count`` seed-1 ``scalar_block`` grids, each a
+    :class:`~repro.engine.grid.DesignSpace` of 64 fresh points."""
+    inputs = _perfbench_inputs()
+    return [DesignSpace.from_points(inputs.scalar_block(1, block))
+            for block in range(count)]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,6 +90,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--structural", type=int, default=0, metavar="N",
                         help="profile N distinct structures in the benchmark's "
                              "structural_block order instead (the cold stream)")
+    parser.add_argument("--sweep", type=int, default=0, metavar="N",
+                        help="profile N fresh 64-point scalar_block grids through "
+                             "Evaluator.evaluate instead (the sweep_scalar loop)")
     parser.add_argument("--sort", default="tottime",
                         choices=["tottime", "cumtime", "ncalls"],
                         help="pstats sort column (default tottime)")
@@ -76,33 +101,47 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     base = paper_experiment()
-    if args.structural:
-        point_records(base)
-        configs = [base.with_overrides(**point)
-                   for point in _structural_points(args.structural)]
-        label = "distinct structures"
+    if args.sweep:
+        evaluator = Evaluator()
+        evaluator.evaluate(DesignSpace.from_points([{}]))
+        spaces = _sweep_blocks(args.sweep)
+        count = sum(len(space) for space in spaces)
+        label = "fresh points through Evaluator.evaluate"
+
+        def run() -> None:
+            for space in spaces:
+                evaluator.evaluate(space)
     else:
-        if args.warm:
+        if args.structural:
             point_records(base)
-        # Distinct activity scalars: fresh points, never analysis-memo replays.
-        configs = [base.with_overrides(static_probability=0.05 + 0.9 * i / max(1, args.points))
-                   for i in range(args.points)]
-        label = f"{'warm' if args.warm else 'cold'} structural cache"
+            configs = [base.with_overrides(**point)
+                       for point in _structural_points(args.structural)]
+            label = "distinct structures"
+        else:
+            if args.warm:
+                point_records(base)
+            # Distinct activity scalars: fresh points, never analysis-memo replays.
+            configs = [base.with_overrides(static_probability=0.05 + 0.9 * i / max(1, args.points))
+                       for i in range(args.points)]
+            label = f"{'warm' if args.warm else 'cold'} structural cache"
+        count = len(configs)
+
+        def run() -> None:
+            for config in configs:
+                point_records(config)
 
     before = kernel_totals()
     before_lookups, before_misses = before.lookups, before.misses
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    for config in configs:
-        point_records(config)
+    run()
     profiler.disable()
     elapsed = time.perf_counter() - start
 
     totals = kernel_totals()
     lookups = totals.lookups - before_lookups
     misses = totals.misses - before_misses
-    count = len(configs)
     print(f"{count} point(s), {label}: {elapsed * 1e3:.1f} ms total, "
           f"{count / elapsed:.1f} points/s")
     if lookups:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..crossbar.factory import available_schemes
 from ..errors import ConfigurationError, PowerError
 from ..power.idle_time import minimum_idle_cycles
 from ..power.report import format_table1
@@ -30,7 +29,7 @@ from ..power.savings import SchemeEvaluation, SchemeSavings, savings_versus_base
 from ..units import seconds_to_picoseconds, watts_to_milliwatts
 from . import scheme_evaluator
 from .config import ExperimentConfig
-from .scheme_evaluator import SchemeEvaluator, SchemeFigures, SchemeResult
+from .scheme_evaluator import SchemeEvaluator, SchemeFigures, SchemeResult, checked_names
 
 __all__ = ["SchemeComparison", "compare_schemes", "point_records"]
 
@@ -106,7 +105,7 @@ def compare_schemes(
 ) -> SchemeComparison:
     """Evaluate ``scheme_names`` (default: all) and compare against ``baseline_name``."""
     evaluator = SchemeEvaluator(config)
-    names = _checked_names(scheme_names, baseline_name)
+    names = checked_names(scheme_names, baseline_name)
     comparison = SchemeComparison(baseline_name=baseline_name)
     for name in names:
         comparison.results[name] = evaluator.evaluate(name)
@@ -118,17 +117,6 @@ def compare_schemes(
             comparison.results[name].evaluation, baseline
         )
     return comparison
-
-
-def _checked_names(scheme_names: list[str] | None, baseline_name: str) -> list[str]:
-    """The evaluated scheme names (default: all), which must include the
-    baseline."""
-    names = scheme_names if scheme_names is not None else available_schemes()
-    if baseline_name not in names:
-        raise ConfigurationError(
-            f"baseline {baseline_name!r} must be among the evaluated schemes {names}"
-        )
-    return names
 
 
 def _idle_cycles(figures: SchemeFigures, clock: float) -> int:
@@ -145,23 +133,24 @@ def point_records(
     computed straight from each scheme's activity profile.
 
     Schemes come from the structural cache exactly as for
-    :func:`compare_schemes`; each Table 1 figure is then computed once
-    per scheme and written into the record dict, with no evaluation,
-    savings or comparison objects in between.  The contract is exact:
-    the same keys in the same order, bit-identical floats, and the same
+    :func:`compare_schemes`, through one :func:`schemes_for
+    <repro.core.scheme_evaluator.schemes_for>` lookup per point; each
+    Table 1 figure is then computed once per scheme from its record
+    terms and written into the record dict, with no evaluation, savings
+    or comparison objects in between.  The contract is exact: the same
+    keys in the same order, bit-identical floats, and the same
     validation — an invalid point raises the same exception (type and
     message) for the same first failing scheme.
     """
-    evaluator = SchemeEvaluator(config)
-    names = _checked_names(scheme_names, baseline_name)
-    config = evaluator.config
+    if config is None:
+        config = ExperimentConfig()
     clock = config.clock_frequency
     # Looked up on the module per call, so a wrapper installed there
     # (perfbench's tracer times each scheme this way) sees every scheme.
     evaluate = scheme_evaluator.evaluate_scheme
     figures: dict[str, SchemeFigures] = {}
-    for name in names:
-        figures[name] = evaluate(evaluator.build_scheme(name), config)
+    for name, scheme in scheme_evaluator.schemes_for(config, scheme_names, baseline_name):
+        figures[name] = evaluate(scheme, config)
 
     # Savings of every non-baseline scheme first, then the records: the
     # order in which compare_schemes raises.

@@ -9,7 +9,7 @@ engine, benchmarks and examples consume:
   inventory (the object API behind
   :func:`~repro.core.comparison.compare_schemes`);
 * :func:`evaluate_scheme` — a built scheme's :class:`SchemeFigures`,
-  every Table 1 figure read once off its activity profile (the record
+  every Table 1 figure computed once from its record terms (the record
   path behind :func:`~repro.core.comparison.point_records`).
 
 Structural memoisation
@@ -37,21 +37,43 @@ Schemes are analytically pure (every activity-dependent method takes the
 scalars as arguments), which is what makes the sharing sound.  Only
 schemes obtained through the cache share device parts; a scheme built on
 a caller-supplied library derives its own.
+
+The record path asks for a whole point's schemes at once
+(:func:`schemes_for`).  A small **structure memo** maps (library key,
+crossbar config, scheme names) to the built schemes, checked first by
+identity against the last structure served (an evaluator's grid reuses
+one crossbar object), so a warm point makes one lookup instead of one
+library and five scheme lookups.  A memo hit counts as the library and
+scheme hits it replaces, and its LRU entries get the recency those
+lookups would have given them before the next eviction.  Any eviction
+from the library or scheme LRU empties the memo, so it never serves a
+scheme whose library was replaced and never keeps a scheme alive past
+the LRU.
+
+Record terms
+------------
+:func:`evaluate_scheme` reads each scheme's **record terms**: a flat
+tuple derived once from its activity profile (layout at
+:func:`_derive_record_terms`) and cached on the scheme, from which a
+point's figures are a few dozen float operations with the order of the
+profile methods they replace.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections import OrderedDict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
 from ..circuit.netlist import NetlistStatistics
 from ..crossbar.base import DEVICE_PART_FIELDS, CrossbarScheme
-from ..crossbar.factory import create_scheme
+from ..crossbar.factory import available_schemes, create_scheme
 from ..crossbar.ports import CrossbarConfig
-from ..errors import PowerError
+from ..errors import ConfigurationError, PowerError
 from ..power import savings
 from ..power.savings import SchemeEvaluation
 from ..technology.library import TechnologyLibrary
@@ -59,11 +81,10 @@ from ..timing.delay_analysis import DelayReport
 from .config import ExperimentConfig
 
 __all__ = ["SchemeResult", "SchemeEvaluator", "StructuralCacheStats",
-           "structural_cache_stats", "clear_structural_cache"]
+           "structural_cache_stats", "clear_structural_cache", "schemes_for"]
 
 
-@dataclass(frozen=True)
-class _LibraryKey:
+class _LibraryKey(NamedTuple):
     """The experiment scalars a technology library depends on."""
 
     technology_node: str
@@ -73,12 +94,8 @@ class _LibraryKey:
 
     @classmethod
     def of(cls, config: ExperimentConfig) -> "_LibraryKey":
-        return cls(
-            technology_node=config.technology_node,
-            temperature_celsius=config.temperature_celsius,
-            corner=config.corner,
-            clock_frequency=config.clock_frequency,
-        )
+        return cls(config.technology_node, config.temperature_celsius,
+                   config.corner, config.clock_frequency)
 
 
 @dataclass
@@ -137,22 +154,45 @@ class StructuralCacheStats:
 _device_fields = attrgetter(*DEVICE_PART_FIELDS)
 
 
+class _Structure:
+    """One memoised point structure: the built schemes of (library key,
+    crossbar config, scheme names), with the LRU keys they occupy.  A
+    class rather than a tuple, so sets of structures hash by identity."""
+
+    __slots__ = ("library_key", "crossbar", "names", "pairs")
+
+    def __init__(self, library_key: _LibraryKey, crossbar: CrossbarConfig,
+                 names: tuple[str, ...],
+                 pairs: tuple[tuple[str, CrossbarScheme], ...]) -> None:
+        self.library_key = library_key
+        self.crossbar = crossbar
+        self.names = names
+        self.pairs = pairs
+
+
 class _StructuralCache:
-    """Bounded LRU store of built libraries, schemes and device parts."""
+    """Bounded LRU store of built libraries, schemes and device parts,
+    plus the structure memo in front of the first two."""
 
     def __init__(self, max_libraries: int = 32, max_schemes: int = 256,
-                 max_device_parts: int = 2048) -> None:
+                 max_device_parts: int = 2048, max_structures: int = 8) -> None:
         self.max_libraries = max_libraries
         self.max_schemes = max_schemes
         self.max_device_parts = max_device_parts
+        self.max_structures = max_structures
         self.stats = StructuralCacheStats()
         self._libraries: OrderedDict[_LibraryKey, TechnologyLibrary] = OrderedDict()
         self._schemes: OrderedDict[tuple[_LibraryKey, CrossbarConfig, str],
                                    CrossbarScheme] = OrderedDict()
         self._device_parts: OrderedDict[tuple, array] = OrderedDict()
+        self._structures: OrderedDict[tuple, _Structure] = OrderedDict()
+        self._last: _Structure | None = None
+        # Structures served from the memo since the LRUs last saw them.
+        self._touched: set[_Structure] = set()
 
-    def library_for(self, config: ExperimentConfig) -> TechnologyLibrary:
-        key = _LibraryKey.of(config)
+    def library_for(self, config: ExperimentConfig,
+                    key: _LibraryKey | None = None) -> TechnologyLibrary:
+        key = _LibraryKey.of(config) if key is None else key
         library = self._libraries.get(key)
         if library is not None:
             self._libraries.move_to_end(key)
@@ -160,9 +200,7 @@ class _StructuralCache:
             return library
         self.stats.library_misses += 1
         library = config.build_library()
-        self._libraries[key] = library
-        while len(self._libraries) > self.max_libraries:
-            self._libraries.popitem(last=False)
+        self._insert(self._libraries, key, library, self.max_libraries)
         return library
 
     def scheme_for(self, library_key: _LibraryKey, library: TechnologyLibrary,
@@ -176,10 +214,81 @@ class _StructuralCache:
         self.stats.scheme_misses += 1
         scheme = create_scheme(name, library, crossbar)
         scheme.device_part = self.device_part_for(library_key, scheme)
-        self._schemes[key] = scheme
-        while len(self._schemes) > self.max_schemes:
-            self._schemes.popitem(last=False)
+        self._insert(self._schemes, key, scheme, self.max_schemes)
         return scheme
+
+    def _insert(self, lru: OrderedDict, key, value, bound: int) -> None:
+        """Insert into the library or scheme LRU.  Before it evicts, the
+        structures served from the memo since the last eviction get the
+        recency their lookups would have given them, and the memo is
+        emptied: it never serves, or keeps alive, an evicted entry."""
+        if len(lru) >= bound and key not in lru:
+            for structure in self._touched:
+                library_key, crossbar = structure.library_key, structure.crossbar
+                self._libraries.move_to_end(library_key)
+                for name, _ in structure.pairs:
+                    self._schemes.move_to_end((library_key, crossbar, name))
+            self._clear_structures()
+        lru[key] = value
+        while len(lru) > bound:
+            lru.popitem(last=False)
+
+    def schemes_for(self, config: ExperimentConfig, scheme_names: list[str] | None,
+                    baseline_name: str) -> Iterable[tuple[str, CrossbarScheme]]:
+        """The ``(name, scheme)`` pairs of one point, in ``scheme_names``
+        order (default: all registered schemes), which must include
+        ``baseline_name``.
+
+        Served from the structure memo when this (technology point,
+        crossbar, names) was built before, counting one library hit and
+        one scheme hit per name.  Otherwise the library is looked up and
+        the names checked now, and each scheme is looked up as the pairs
+        are iterated, so a caller that evaluates each scheme as it gets
+        it sees the errors in :func:`~repro.core.comparison.compare_schemes`
+        order; the structure is memoised once every scheme is built.
+        """
+        names = _scheme_names(scheme_names)
+        library_key = _LibraryKey.of(config)
+        crossbar = config.crossbar
+        key_names = tuple(names)
+        structure = self._last
+        if (structure is None or structure.crossbar is not crossbar
+                or structure.names != key_names or structure.library_key != library_key):
+            structure = self._structures.get((library_key, crossbar, key_names))
+            if structure is None:
+                library = self.library_for(config, library_key)
+                _check_baseline(names, baseline_name)
+                return self._build(library_key, library, crossbar, key_names)
+            self._structures.move_to_end((library_key, crossbar, key_names))
+            self._last = structure
+        self.stats.library_hits += 1
+        _check_baseline(names, baseline_name)
+        self.stats.scheme_hits += len(key_names)
+        self._touched.add(structure)
+        return structure.pairs
+
+    def _build(self, library_key: _LibraryKey, library: TechnologyLibrary,
+               crossbar: CrossbarConfig, names: tuple[str, ...]
+               ) -> Iterator[tuple[str, CrossbarScheme]]:
+        pairs = []
+        for name in names:
+            pair = (name, self.scheme_for(library_key, library, crossbar, name))
+            pairs.append(pair)
+            yield pair
+        # With more names than the scheme LRU holds, the build evicted its
+        # own first schemes: the memo holds only what the LRUs hold.
+        if len(names) > self.max_schemes:
+            return
+        structure = _Structure(library_key, crossbar, names, tuple(pairs))
+        self._structures[library_key, crossbar, names] = structure
+        self._last = structure
+        while len(self._structures) > self.max_structures:
+            self._touched.discard(self._structures.popitem(last=False)[1])
+
+    def _clear_structures(self) -> None:
+        self._structures.clear()
+        self._last = None
+        self._touched.clear()
 
     def device_part_for(self, library_key: _LibraryKey, scheme: CrossbarScheme) -> array:
         """The shared device part of ``scheme``, built on ``library_key``'s
@@ -204,6 +313,7 @@ class _StructuralCache:
         self._libraries.clear()
         self._schemes.clear()
         self._device_parts.clear()
+        self._clear_structures()
         self.stats = StructuralCacheStats()
 
 
@@ -217,8 +327,8 @@ def structural_cache_stats() -> StructuralCacheStats:
 
 
 def clear_structural_cache() -> None:
-    """Drop all memoised libraries, schemes and device parts (mainly for
-    tests).
+    """Drop all memoised libraries, schemes, device parts and structures,
+    and the record terms cached on any scheme (mainly for tests).
 
     Also zeroes the leakage-kernel counters — the process-wide totals
     *and* the per-kernel stats of any kernel still alive on a library a
@@ -229,9 +339,46 @@ def clear_structural_cache() -> None:
     from ..circuit.biasing import reset_kernel_totals
 
     _STRUCTURAL_CACHE.clear()
+    for scheme in list(_TERMED_SCHEMES):
+        scheme.__dict__.pop("_record_terms", None)
+    _TERMED_SCHEMES.clear()
     reset_kernel_totals()
 
 
+def _scheme_names(scheme_names: list[str] | None) -> list[str]:
+    """The evaluated scheme names: ``scheme_names``, or every registered
+    scheme."""
+    return scheme_names if scheme_names is not None else available_schemes()
+
+
+def _check_baseline(names: list[str], baseline_name: str) -> None:
+    if baseline_name not in names:
+        raise ConfigurationError(
+            f"baseline {baseline_name!r} must be among the evaluated schemes {names}"
+        )
+
+
+def checked_names(scheme_names: list[str] | None, baseline_name: str) -> list[str]:
+    """The evaluated scheme names (default: all), which must include the
+    baseline."""
+    names = _scheme_names(scheme_names)
+    _check_baseline(names, baseline_name)
+    return names
+
+
+def schemes_for(config: ExperimentConfig, scheme_names: list[str] | None = None,
+                baseline_name: str = "SC") -> Iterable[tuple[str, CrossbarScheme]]:
+    """The ``(name, scheme)`` pairs of one point from the structural
+    cache: the library of ``config``'s technology point, then each scheme
+    of ``scheme_names`` (default: all) on ``config.crossbar``, which must
+    include ``baseline_name``.
+
+    Iterate the result once.  On a memo miss, each scheme is looked up
+    (or built) as the iteration reaches it, so evaluating each scheme as
+    it arrives raises in :func:`~repro.core.comparison.compare_schemes`
+    order; the counters are those of the per-scheme lookups either way.
+    """
+    return _STRUCTURAL_CACHE.schemes_for(config, scheme_names, baseline_name)
 
 
 @dataclass(frozen=True)
@@ -317,32 +464,96 @@ class SchemeFigures(NamedTuple):
     power_saved_in_standby: float
 
 
-def evaluate_scheme(scheme: CrossbarScheme, config: ExperimentConfig) -> SchemeFigures:
-    """Every figure a record needs, each computed once from the scheme's
-    profile methods with the float operations of
-    :func:`~repro.power.savings.evaluate_scheme` (which builds the
-    analysis objects instead), validated in its order."""
-    probability, toggle = config.static_probability, config.toggle_activity
-    clock = config.clock_frequency
-    if not 0.0 <= probability <= 1.0:
-        raise PowerError(f"static probability must be in [0, 1], got {probability}")
+#: Schemes carrying cached record terms, so a clear can drop them all.
+_TERMED_SCHEMES: "weakref.WeakSet[CrossbarScheme]" = weakref.WeakSet()
+
+# Record-terms layout (see _derive_record_terms).
+_PATHS, _WIRES, _OUTPUTS = 1, 2, 3
+#: Each path state's nine AffineLeakage floats, in device-part state
+#: order: (merge high, granted), (high, idle), (low, granted), (low, idle).
+_GRANTED_HIGH, _IDLE_HIGH, _GRANTED_LOW, _IDLE_LOW = 4, 13, 22, 31
+_STANDBY_POWER, _ENERGY, _DELAY, _HAS_SLEEP = 40, 41, 50, 51
+
+
+def _derive_record_terms(scheme: CrossbarScheme) -> tuple:
+    """The record terms of ``scheme``, derived from its activity profile
+    and cached on it: vdd; the output-path, input-wire and output counts;
+    the four path states' :meth:`AffineLeakage.floats
+    <repro.circuit.leakage.AffineLeakage.floats>` (36 floats); the
+    standby power; the nine energy terms of the profile; the delay
+    report; and whether the scheme has a standby mode."""
+    profile = scheme.activity_profile
     vdd = scheme.supply_voltage
-    active_power = scheme.active_leakage(probability).power(vdd)
-    idle_power = scheme.idle_leakage(probability).power(vdd)
-    standby_power = scheme.standby_leakage().power(vdd)
+    leakage = profile.path_leakage
+    terms = (
+        vdd, scheme.output_path_count, scheme.input_wire_count, scheme.config.output_count,
+        *leakage[True, True].floats(), *leakage[True, False].floats(),
+        *leakage[False, True].floats(), *leakage[False, False].floats(),
+        profile.standby.power(vdd),
+        profile.precharged_energy, profile.toggled_energy, profile.contention_energy,
+        profile.clocked_energy, profile.input_wire_energy, profile.grant_energy,
+        profile.sleep_control_energy, profile.parked_merge_energy,
+        profile.internal_node_energy,
+        profile.delay, scheme.has_sleep_mode,
+    )
+    scheme._record_terms = terms
+    _TERMED_SCHEMES.add(scheme)
+    return terms
+
+
+def _expected_leakage_power(high: tuple, low: tuple, p: float, scale: int,
+                            vdd: float) -> float:
+    """``high.mixed_at(low, p, p, scale).power(vdd)`` on two path states'
+    nine floats, with the float operations of
+    :meth:`~repro.circuit.leakage.AffineLeakage.mixed_at` and
+    :meth:`~repro.circuit.leakage.LeakageBreakdown.power`."""
+    a_fs, a_fg, a_fj, a_hs, a_hg, a_hj, a_ls, a_lg, a_lj = high
+    b_fs, b_fg, b_fj, b_hs, b_hg, b_hj, b_ls, b_lg, b_lj = low
+    q = rest = 1.0 - p
+    subthreshold = (p * (a_fs + p * a_hs + q * a_ls) + rest * (b_fs + p * b_hs + q * b_ls)) * scale
+    gate = (p * (a_fg + p * a_hg + q * a_lg) + rest * (b_fg + p * b_hg + q * b_lg)) * scale
+    junction = (p * (a_fj + p * a_hj + q * a_lj) + rest * (b_fj + p * b_hj + q * b_lj)) * scale
+    return (subthreshold + gate + junction) * vdd
+
+
+def evaluate_scheme(scheme: CrossbarScheme, config: ExperimentConfig) -> SchemeFigures:
+    """Every figure a record needs, computed from the scheme's record
+    terms with the float operations of its profile methods (and so of
+    :func:`~repro.power.savings.evaluate_scheme`, which builds the
+    analysis objects instead), validated in the same order: static
+    probability, toggle activity, clock, standby mode."""
+    p, toggle = config.static_probability, config.toggle_activity
+    clock = config.clock_frequency
+    if not 0.0 <= p <= 1.0:
+        raise PowerError(f"static probability must be in [0, 1], got {p}")
+    try:
+        terms = scheme._record_terms
+    except AttributeError:
+        terms = _derive_record_terms(scheme)
+    vdd, paths = terms[0], terms[_PATHS]
+    active_power = _expected_leakage_power(
+        terms[_GRANTED_HIGH:_IDLE_HIGH], terms[_GRANTED_LOW:_IDLE_LOW], p, paths, vdd)
+    idle_power = _expected_leakage_power(
+        terms[_IDLE_HIGH:_GRANTED_LOW], terms[_IDLE_LOW:_STANDBY_POWER], p, paths, vdd)
+    standby_power = terms[_STANDBY_POWER]
     if not 0.0 <= toggle <= 1.0:
         raise PowerError(f"toggle_activity must be in [0, 1], got {toggle}")
     if clock <= 0:
         raise PowerError("frequency must be positive")
-    dynamic_power = scheme.dynamic_energy_per_cycle(toggle, probability) * clock
-    if not scheme.has_sleep_mode:
+    (precharged, toggled, contention, clocked, input_wire, grant,
+     sleep_control, parked_merge, internal_node) = terms[_ENERGY:_DELAY]
+    # dynamic_energy_per_cycle(toggle, p) * clock
+    rising = toggle / 2.0
+    per_output_bit = (1.0 - p) * precharged + rising * toggled + rising * contention + clocked
+    per_input_bit = rising * input_wire
+    dynamic_power = (per_output_bit * paths + per_input_bit * terms[_WIRES]
+                     + grant * terms[_OUTPUTS]) * clock
+    if not terms[_HAS_SLEEP]:
         raise PowerError(f"scheme {scheme.name!r} has no standby mode")
+    # Fields in order: scheme, delay, active, standby and total power,
+    # sleep_transition_energy(p), the power saved in standby.
     return SchemeFigures(
-        scheme=scheme,
-        delay=scheme.delay_report(),
-        active_power=active_power,
-        standby_power=standby_power,
-        total_power=dynamic_power + active_power,
-        transition_energy=scheme.sleep_transition_energy(probability),
-        power_saved_in_standby=max(idle_power - standby_power, 0.0),
+        scheme, terms[_DELAY], active_power, standby_power, dynamic_power + active_power,
+        (sleep_control + p * parked_merge + p * internal_node) * paths,
+        max(idle_power - standby_power, 0.0),
     )

@@ -5,13 +5,17 @@ straight from each scheme's activity profile; every executor serves it.
 It must equal ``compare_schemes(...).as_records()`` exactly: the same
 keys in the same order and bit-identical floats (compared with ``==``,
 no tolerance), and for an invalid point the same exception type and
-message.  The points come from both committed goldens and from a seeded
+message.  The points come from both committed goldens, from a seeded
 sample of the perfbench structural grid, which reaches the 6- and
-8-port crossbars the goldens do not.
+8-port crossbars the goldens do not, and from seeded perfbench scalar
+sweeps, served both through the structure memo's identity check (one
+crossbar object, as an evaluator's grid) and through its value lookup
+(a fresh crossbar object per point, as fleet and service items).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import random
@@ -20,8 +24,16 @@ from pathlib import Path
 import pytest
 
 from repro import compare_schemes, paper_experiment
+from repro.core import scheme_evaluator
 from repro.core.comparison import point_records
+from repro.core.scheme_evaluator import (
+    SchemeEvaluator,
+    clear_structural_cache,
+    schemes_for,
+    structural_cache_stats,
+)
 from repro.crossbar import factory
+from repro.crossbar.factory import available_schemes
 from repro.crossbar.base import CrossbarScheme, SchemeFeatures, VtPlan
 from repro.crossbar.sdfc import SegmentedDualVtFeedbackCrossbar
 from repro.errors import ConfigurationError, CrossbarError, PowerError
@@ -40,13 +52,17 @@ def _golden_configs(name: str) -> list:
         for case in cases]
 
 
-def _structural_sample(seed: int = 7, size: int = 60) -> list:
-    """A seeded sample of one perfbench ``sweep_structural`` block."""
+def _perfbench_inputs():
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", ROOT / "perfbench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    block = inputs.structural_block(seed, 0)
+    return inputs
+
+
+def _structural_sample(seed: int = 7, size: int = 60) -> list:
+    """A seeded sample of one perfbench ``sweep_structural`` block."""
+    block = _perfbench_inputs().structural_block(seed, 0)
     sample = random.Random(seed).sample(block, size)
     return [paper_experiment().with_overrides(**point) for point in sample]
 
@@ -152,3 +168,146 @@ def test_the_first_failing_scheme_in_order_raises(monkeypatch):
     # NOSLEEP fails while its figures are computed, before SDFC's savings.
     outcome = _assert_exact_parity(config, ["SC", "SDFC", "NOSLEEP"])
     assert outcome == (PowerError, "scheme 'NOSLEEP' has no standby mode")
+
+
+# --------------------------------------------------------------------------- #
+# the structure memo and the record terms                                      #
+# --------------------------------------------------------------------------- #
+
+#: Structural-cache counters a memo hit must reproduce (the kernel
+#: counters are not the memo's).
+_COUNTERS = ("library_hits", "library_misses", "scheme_hits", "scheme_misses",
+             "device_part_hits", "device_part_misses")
+
+
+def _counters() -> dict[str, int]:
+    stats = structural_cache_stats()
+    return {name: getattr(stats, name) for name in _COUNTERS}
+
+
+def _scalar_sweep(seeds=(1, 2, 3), blocks: int = 4) -> list:
+    """Seeded perfbench ``scalar_block`` grids at the paper point, each
+    config built from one base, so all share its crossbar object."""
+    inputs = _perfbench_inputs()
+    base = paper_experiment()
+    return [base.with_overrides(**point)
+            for seed in seeds for block in range(blocks)
+            for point in inputs.scalar_block(seed, block)]
+
+
+def _fresh_crossbar(config):
+    return dataclasses.replace(config, crossbar=dataclasses.replace(config.crossbar))
+
+
+def test_scalar_sweep_on_one_crossbar_object_matches_exactly():
+    """The identity path, with a cache clear halfway through."""
+    configs = _scalar_sweep()
+    assert all(config.crossbar is configs[0].crossbar for config in configs)
+    clear_structural_cache()
+    for index, config in enumerate(configs):
+        if index == len(configs) // 2:
+            clear_structural_cache()
+        assert isinstance(_assert_exact_parity(config), list)
+    # Each half built its five schemes once.
+    assert structural_cache_stats().scheme_misses == len(available_schemes())
+
+
+def test_scalar_sweep_on_fresh_crossbar_objects_matches_exactly():
+    """The value path: every point carries its own, equal crossbar."""
+    configs = [_fresh_crossbar(config) for config in _scalar_sweep()]
+    assert configs[0].crossbar is not configs[1].crossbar
+    clear_structural_cache()
+    for index, config in enumerate(configs):
+        if index == len(configs) // 2:
+            clear_structural_cache()
+        assert isinstance(_assert_exact_parity(config), list)
+    assert structural_cache_stats().scheme_misses == len(available_schemes())
+
+
+@pytest.mark.parametrize("probability", [0.005, 1.0])
+@pytest.mark.parametrize("toggle", [0.0, 1.0])
+def test_activity_extremes_match_exactly_on_both_paths(probability, toggle):
+    config = paper_experiment().with_overrides(
+        static_probability=probability, toggle_activity=toggle)
+    for _ in range(2):  # a build, then the identity path
+        _assert_exact_parity(config)
+    _assert_exact_parity(_fresh_crossbar(config))
+
+
+def test_every_node_and_radix_of_the_structural_grid_matches_exactly():
+    firsts: dict[tuple, dict] = {}
+    for point in _perfbench_inputs().structural_block(11, 0):
+        firsts.setdefault((point["technology_node"], point["crossbar.port_count"]), point)
+    assert len(firsts) == 4 * 5
+    for point in firsts.values():
+        config = paper_experiment().with_overrides(**point)
+        for _ in range(2):  # a build, then the identity path
+            assert isinstance(_assert_exact_parity(config), list)
+        assert isinstance(_assert_exact_parity(_fresh_crossbar(config)), list)
+
+
+def _structure(node: str, flit_width: int, p: float = 0.5):
+    return paper_experiment().with_overrides(**{
+        "technology_node": node, "crossbar.flit_width": flit_width,
+        "static_probability": p})
+
+
+def test_memo_hits_count_and_evict_as_the_per_scheme_lookups(monkeypatch):
+    """The same stream of points through compare_schemes (a library and
+    a scheme lookup per scheme) and point_records (the memo) leaves the
+    same counters after every point, through library and scheme LRU
+    evictions: memo hits count as those lookups' hits and keep their
+    schemes as recent as those lookups would."""
+    cache = scheme_evaluator._STRUCTURAL_CACHE
+    monkeypatch.setattr(cache, "max_libraries", 2)
+    monkeypatch.setattr(cache, "max_schemes", 10)
+    stream = [("45nm", 128), ("45nm", 64), ("45nm", 128), ("45nm", 128),
+              ("45nm", 32), ("45nm", 128), ("45nm", 64), ("65nm", 128),
+              ("90nm", 128), ("45nm", 32), ("45nm", 32), ("65nm", 128)]
+    configs = [_structure(node, width, p=0.1 + 0.05 * index)
+               for index, (node, width) in enumerate(stream)]
+
+    def counters_after_each(evaluate) -> list[dict[str, int]]:
+        clear_structural_cache()
+        trace = []
+        for config in configs:
+            evaluate(config)
+            trace.append(_counters())
+        return trace
+
+    reference = counters_after_each(compare_schemes)
+    assert counters_after_each(point_records) == reference
+    assert reference[-1]["scheme_hits"] > 0 and reference[-1]["library_misses"] > 3
+
+
+def test_memo_never_serves_a_scheme_of_a_replaced_library(monkeypatch):
+    monkeypatch.setattr(scheme_evaluator._STRUCTURAL_CACHE, "max_libraries", 1)
+    clear_structural_cache()
+    paper, other = _structure("45nm", 128), _structure("65nm", 128)
+    first = dict(schemes_for(paper))
+    assert dict(schemes_for(paper)) == first  # served from the memo
+    point_records(other)  # replaces the 45 nm library
+    misses = structural_cache_stats().library_misses
+    served = dict(schemes_for(paper))
+    assert structural_cache_stats().library_misses == misses + 1
+    library = SchemeEvaluator(paper).library
+    assert all(scheme.library is library for scheme in served.values())
+    assert all(served[name] is not first[name] for name in first)
+    assert point_records(paper) == compare_schemes(paper).as_records()
+
+
+def test_clear_drops_the_memo_and_every_record_terms_tuple():
+    clear_structural_cache()
+    config = paper_experiment()
+    point_records(config)
+    held = dict(schemes_for(config))
+    assert all("_record_terms" in vars(scheme) for scheme in held.values())
+    clear_structural_cache()
+    assert not any("_record_terms" in vars(scheme) for scheme in held.values())
+    served = dict(schemes_for(config))
+    assert structural_cache_stats().scheme_misses == len(served)
+    assert all(served[name] is not held[name] for name in held)
+    # A held scheme re-derives its terms, to the same figures.
+    name = "SDPC"
+    assert (scheme_evaluator.evaluate_scheme(held[name], config)[1:]
+            == scheme_evaluator.evaluate_scheme(served[name], config)[1:])
