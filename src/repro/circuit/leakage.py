@@ -206,6 +206,25 @@ class AffineLeakage:
              + rest * (b_fixed.junction + p * b_high.junction + q * b_low.junction)) * scale,
         )
 
+    @staticmethod
+    def mixed_power_of_floats(a: tuple[float, ...], b: tuple[float, ...], weight: float,
+                              probability: float, scale: float, supply_voltage: float) -> float:
+        """``x.mixed_at(y, weight, probability, scale).power(supply_voltage)``
+        on ``a = x.floats()`` and ``b = y.floats()``, with the same float
+        operations in the same order (so bit-identical) and without
+        allocating.  Unvalidated, like :meth:`mixed_at`, and the caller
+        also checks ``supply_voltage`` is positive."""
+        a_fs, a_fg, a_fj, a_hs, a_hg, a_hj, a_ls, a_lg, a_lj = a
+        b_fs, b_fg, b_fj, b_hs, b_hg, b_hj, b_ls, b_lg, b_lj = b
+        p, q = probability, 1.0 - probability
+        rest = 1.0 - weight
+        subthreshold = (weight * (a_fs + p * a_hs + q * a_ls)
+                        + rest * (b_fs + p * b_hs + q * b_ls)) * scale
+        gate = (weight * (a_fg + p * a_hg + q * a_lg) + rest * (b_fg + p * b_hg + q * b_lg)) * scale
+        junction = (weight * (a_fj + p * a_hj + q * a_lj)
+                    + rest * (b_fj + p * b_hj + q * b_lj)) * scale
+        return (subthreshold + gate + junction) * supply_voltage
+
 
 class AffineLeakageAccumulator:
     """Three :class:`LeakageAccumulator` s building one :class:`AffineLeakage`.

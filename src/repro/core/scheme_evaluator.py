@@ -39,24 +39,25 @@ schemes obtained through the cache share device parts; a scheme built on
 a caller-supplied library derives its own.
 
 The record path asks for a whole point's schemes at once
-(:func:`schemes_for`).  A small **structure memo** maps (library key,
-crossbar config, scheme names) to the built schemes, checked first by
-identity against the last structure served (an evaluator's grid reuses
-one crossbar object), so a warm point makes one lookup instead of one
-library and five scheme lookups.  A memo hit counts as the library and
-scheme hits it replaces, and its LRU entries get the recency those
-lookups would have given them before the next eviction.  Any eviction
-from the library or scheme LRU empties the memo, so it never serves a
-scheme whose library was replaced and never keeps a scheme alive past
-the LRU.
+(:func:`schemes_for`).  A one-structure memo keeps the (library key,
+crossbar config, scheme names) of the last point served with its built
+schemes, checked first by identity (an evaluator's grid reuses one
+crossbar object), then by value (fleet and service items carry fresh,
+equal ones), so a warm point makes one check instead of one library and
+five scheme lookups.  A memo hit counts as the library and scheme hits
+it replaces, and its LRU entries get the recency those lookups would
+have given them before any other lookup.  Any eviction from the library
+or scheme LRU empties the memo, so it never serves a scheme whose
+library was replaced and never keeps a scheme alive past the LRU.
 
 Record terms
 ------------
-:func:`evaluate_scheme` reads each scheme's **record terms**: a flat
-tuple derived once from its activity profile (layout at
-:func:`_derive_record_terms`) and cached on the scheme, from which a
-point's figures are a few dozen float operations with the order of the
-profile methods they replace.
+:func:`evaluate_scheme` computes each scheme's figures from its
+**record terms**, a flat tuple derived once from its activity profile
+(:meth:`CrossbarScheme.derive_record_terms
+<repro.crossbar.base.CrossbarScheme.derive_record_terms>`, which owns
+the layout and the arithmetic) and cached on the scheme until
+:func:`clear_structural_cache`.
 """
 
 from __future__ import annotations
@@ -70,14 +71,13 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from ..circuit.netlist import NetlistStatistics
-from ..crossbar.base import DEVICE_PART_FIELDS, CrossbarScheme
+from ..crossbar.base import DEVICE_PART_FIELDS, CrossbarScheme, SchemeFigures
 from ..crossbar.factory import available_schemes, create_scheme
 from ..crossbar.ports import CrossbarConfig
 from ..errors import ConfigurationError, PowerError
 from ..power import savings
 from ..power.savings import SchemeEvaluation
 from ..technology.library import TechnologyLibrary
-from ..timing.delay_analysis import DelayReport
 from .config import ExperimentConfig
 
 __all__ = ["SchemeResult", "SchemeEvaluator", "StructuralCacheStats",
@@ -154,44 +154,50 @@ class StructuralCacheStats:
 _device_fields = attrgetter(*DEVICE_PART_FIELDS)
 
 
-class _Structure:
-    """One memoised point structure: the built schemes of (library key,
-    crossbar config, scheme names), with the LRU keys they occupy.  A
-    class rather than a tuple, so sets of structures hash by identity."""
+class _Structure(NamedTuple):
+    """The last point structure served: the built schemes of (library
+    key, crossbar config, scheme names)."""
 
-    __slots__ = ("library_key", "crossbar", "names", "pairs")
-
-    def __init__(self, library_key: _LibraryKey, crossbar: CrossbarConfig,
-                 names: tuple[str, ...],
-                 pairs: tuple[tuple[str, CrossbarScheme], ...]) -> None:
-        self.library_key = library_key
-        self.crossbar = crossbar
-        self.names = names
-        self.pairs = pairs
+    library_key: _LibraryKey
+    crossbar: CrossbarConfig
+    names: tuple[str, ...]
+    pairs: tuple[tuple[str, CrossbarScheme], ...]
 
 
 class _StructuralCache:
     """Bounded LRU store of built libraries, schemes and device parts,
-    plus the structure memo in front of the first two."""
+    plus a one-structure memo in front of the first two."""
 
     def __init__(self, max_libraries: int = 32, max_schemes: int = 256,
-                 max_device_parts: int = 2048, max_structures: int = 8) -> None:
+                 max_device_parts: int = 2048) -> None:
         self.max_libraries = max_libraries
         self.max_schemes = max_schemes
         self.max_device_parts = max_device_parts
-        self.max_structures = max_structures
         self.stats = StructuralCacheStats()
         self._libraries: OrderedDict[_LibraryKey, TechnologyLibrary] = OrderedDict()
         self._schemes: OrderedDict[tuple[_LibraryKey, CrossbarConfig, str],
                                    CrossbarScheme] = OrderedDict()
         self._device_parts: OrderedDict[tuple, array] = OrderedDict()
-        self._structures: OrderedDict[tuple, _Structure] = OrderedDict()
         self._last: _Structure | None = None
-        # Structures served from the memo since the LRUs last saw them.
-        self._touched: set[_Structure] = set()
+        # Whether _last was served since the LRUs last saw its entries.
+        self._touched = False
+
+    def _sync(self) -> None:
+        """Give the last structure's LRU entries the recency that the
+        lookups its memo hits stand for would have given them.  Called
+        before every other library or scheme lookup, so the LRUs see the
+        lookups in the order they were made (repeating the same lookups
+        leaves the same order)."""
+        if self._touched:
+            self._touched = False
+            library_key, crossbar, _, pairs = self._last
+            self._libraries.move_to_end(library_key)
+            for name, _ in pairs:
+                self._schemes.move_to_end((library_key, crossbar, name))
 
     def library_for(self, config: ExperimentConfig,
                     key: _LibraryKey | None = None) -> TechnologyLibrary:
+        self._sync()
         key = _LibraryKey.of(config) if key is None else key
         library = self._libraries.get(key)
         if library is not None:
@@ -205,6 +211,7 @@ class _StructuralCache:
 
     def scheme_for(self, library_key: _LibraryKey, library: TechnologyLibrary,
                    crossbar: CrossbarConfig, name: str) -> CrossbarScheme:
+        self._sync()
         key = (library_key, crossbar, name)
         scheme = self._schemes.get(key)
         if scheme is not None and scheme.library is library:
@@ -218,17 +225,11 @@ class _StructuralCache:
         return scheme
 
     def _insert(self, lru: OrderedDict, key, value, bound: int) -> None:
-        """Insert into the library or scheme LRU.  Before it evicts, the
-        structures served from the memo since the last eviction get the
-        recency their lookups would have given them, and the memo is
-        emptied: it never serves, or keeps alive, an evicted entry."""
-        if len(lru) >= bound and key not in lru:
-            for structure in self._touched:
-                library_key, crossbar = structure.library_key, structure.crossbar
-                self._libraries.move_to_end(library_key)
-                for name, _ in structure.pairs:
-                    self._schemes.move_to_end((library_key, crossbar, name))
-            self._clear_structures()
+        """Insert into the library or scheme LRU.  An eviction or a
+        replaced entry also empties the memo, so it never serves, or
+        keeps alive, an entry the LRU dropped."""
+        if key in lru or len(lru) >= bound:
+            self._last = None
         lru[key] = value
         while len(lru) > bound:
             lru.popitem(last=False)
@@ -239,33 +240,30 @@ class _StructuralCache:
         order (default: all registered schemes), which must include
         ``baseline_name``.
 
-        Served from the structure memo when this (technology point,
-        crossbar, names) was built before, counting one library hit and
-        one scheme hit per name.  Otherwise the library is looked up and
-        the names checked now, and each scheme is looked up as the pairs
-        are iterated, so a caller that evaluates each scheme as it gets
-        it sees the errors in :func:`~repro.core.comparison.compare_schemes`
-        order; the structure is memoised once every scheme is built.
+        Served from the memo when the last structure served has this
+        technology point, crossbar (checked by identity, then by value)
+        and names, counting one library hit and one scheme hit per name.
+        Otherwise the library is looked up and the names checked now, and
+        each scheme is looked up as the pairs are iterated, so a caller
+        that evaluates each scheme as it gets it sees the errors in
+        :func:`~repro.core.comparison.compare_schemes` order; the
+        structure is memoised once every scheme is built.
         """
         names = _scheme_names(scheme_names)
         library_key = _LibraryKey.of(config)
         crossbar = config.crossbar
         key_names = tuple(names)
-        structure = self._last
-        if (structure is None or structure.crossbar is not crossbar
-                or structure.names != key_names or structure.library_key != library_key):
-            structure = self._structures.get((library_key, crossbar, key_names))
-            if structure is None:
-                library = self.library_for(config, library_key)
-                _check_baseline(names, baseline_name)
-                return self._build(library_key, library, crossbar, key_names)
-            self._structures.move_to_end((library_key, crossbar, key_names))
-            self._last = structure
+        last = self._last
+        if (last is None or (last.crossbar is not crossbar and last.crossbar != crossbar)
+                or last.names != key_names or last.library_key != library_key):
+            library = self.library_for(config, library_key)
+            _check_baseline(names, baseline_name)
+            return self._build(library_key, library, crossbar, key_names)
         self.stats.library_hits += 1
         _check_baseline(names, baseline_name)
         self.stats.scheme_hits += len(key_names)
-        self._touched.add(structure)
-        return structure.pairs
+        self._touched = True
+        return last.pairs
 
     def _build(self, library_key: _LibraryKey, library: TechnologyLibrary,
                crossbar: CrossbarConfig, names: tuple[str, ...]
@@ -279,16 +277,8 @@ class _StructuralCache:
         # own first schemes: the memo holds only what the LRUs hold.
         if len(names) > self.max_schemes:
             return
-        structure = _Structure(library_key, crossbar, names, tuple(pairs))
-        self._structures[library_key, crossbar, names] = structure
-        self._last = structure
-        while len(self._structures) > self.max_structures:
-            self._touched.discard(self._structures.popitem(last=False)[1])
-
-    def _clear_structures(self) -> None:
-        self._structures.clear()
-        self._last = None
-        self._touched.clear()
+        self._sync()
+        self._last = _Structure(library_key, crossbar, names, tuple(pairs))
 
     def device_part_for(self, library_key: _LibraryKey, scheme: CrossbarScheme) -> array:
         """The shared device part of ``scheme``, built on ``library_key``'s
@@ -313,7 +303,8 @@ class _StructuralCache:
         self._libraries.clear()
         self._schemes.clear()
         self._device_parts.clear()
-        self._clear_structures()
+        self._last = None
+        self._touched = False
         self.stats = StructuralCacheStats()
 
 
@@ -452,76 +443,17 @@ class SchemeEvaluator:
         )
 
 
-class SchemeFigures(NamedTuple):
-    """One scheme's Table 1 figures at one (p, t) point, in SI units."""
-
-    scheme: CrossbarScheme
-    delay: DelayReport
-    active_power: float
-    standby_power: float
-    total_power: float
-    transition_energy: float
-    power_saved_in_standby: float
-
-
 #: Schemes carrying cached record terms, so a clear can drop them all.
 _TERMED_SCHEMES: "weakref.WeakSet[CrossbarScheme]" = weakref.WeakSet()
 
-# Record-terms layout (see _derive_record_terms).
-_PATHS, _WIRES, _OUTPUTS = 1, 2, 3
-#: Each path state's nine AffineLeakage floats, in device-part state
-#: order: (merge high, granted), (high, idle), (low, granted), (low, idle).
-_GRANTED_HIGH, _IDLE_HIGH, _GRANTED_LOW, _IDLE_LOW = 4, 13, 22, 31
-_STANDBY_POWER, _ENERGY, _DELAY, _HAS_SLEEP = 40, 41, 50, 51
-
-
-def _derive_record_terms(scheme: CrossbarScheme) -> tuple:
-    """The record terms of ``scheme``, derived from its activity profile
-    and cached on it: vdd; the output-path, input-wire and output counts;
-    the four path states' :meth:`AffineLeakage.floats
-    <repro.circuit.leakage.AffineLeakage.floats>` (36 floats); the
-    standby power; the nine energy terms of the profile; the delay
-    report; and whether the scheme has a standby mode."""
-    profile = scheme.activity_profile
-    vdd = scheme.supply_voltage
-    leakage = profile.path_leakage
-    terms = (
-        vdd, scheme.output_path_count, scheme.input_wire_count, scheme.config.output_count,
-        *leakage[True, True].floats(), *leakage[True, False].floats(),
-        *leakage[False, True].floats(), *leakage[False, False].floats(),
-        profile.standby.power(vdd),
-        profile.precharged_energy, profile.toggled_energy, profile.contention_energy,
-        profile.clocked_energy, profile.input_wire_energy, profile.grant_energy,
-        profile.sleep_control_energy, profile.parked_merge_energy,
-        profile.internal_node_energy,
-        profile.delay, scheme.has_sleep_mode,
-    )
-    scheme._record_terms = terms
-    _TERMED_SCHEMES.add(scheme)
-    return terms
-
-
-def _expected_leakage_power(high: tuple, low: tuple, p: float, scale: int,
-                            vdd: float) -> float:
-    """``high.mixed_at(low, p, p, scale).power(vdd)`` on two path states'
-    nine floats, with the float operations of
-    :meth:`~repro.circuit.leakage.AffineLeakage.mixed_at` and
-    :meth:`~repro.circuit.leakage.LeakageBreakdown.power`."""
-    a_fs, a_fg, a_fj, a_hs, a_hg, a_hj, a_ls, a_lg, a_lj = high
-    b_fs, b_fg, b_fj, b_hs, b_hg, b_hj, b_ls, b_lg, b_lj = low
-    q = rest = 1.0 - p
-    subthreshold = (p * (a_fs + p * a_hs + q * a_ls) + rest * (b_fs + p * b_hs + q * b_ls)) * scale
-    gate = (p * (a_fg + p * a_hg + q * a_lg) + rest * (b_fg + p * b_hg + q * b_lg)) * scale
-    junction = (p * (a_fj + p * a_hj + q * a_lj) + rest * (b_fj + p * b_hj + q * b_lj)) * scale
-    return (subthreshold + gate + junction) * vdd
-
 
 def evaluate_scheme(scheme: CrossbarScheme, config: ExperimentConfig) -> SchemeFigures:
-    """Every figure a record needs, computed from the scheme's record
-    terms with the float operations of its profile methods (and so of
-    :func:`~repro.power.savings.evaluate_scheme`, which builds the
-    analysis objects instead), validated in the same order: static
-    probability, toggle activity, clock, standby mode."""
+    """Every figure a record needs, from the scheme's record terms
+    (derived once and cached on it): :meth:`CrossbarScheme.figures_from_record_terms
+    <repro.crossbar.base.CrossbarScheme.figures_from_record_terms>`, so
+    the figures of :func:`~repro.power.savings.evaluate_scheme` without
+    its analysis objects, validated in its order: static probability,
+    toggle activity, clock, standby mode."""
     p, toggle = config.static_probability, config.toggle_activity
     clock = config.clock_frequency
     if not 0.0 <= p <= 1.0:
@@ -529,31 +461,12 @@ def evaluate_scheme(scheme: CrossbarScheme, config: ExperimentConfig) -> SchemeF
     try:
         terms = scheme._record_terms
     except AttributeError:
-        terms = _derive_record_terms(scheme)
-    vdd, paths = terms[0], terms[_PATHS]
-    active_power = _expected_leakage_power(
-        terms[_GRANTED_HIGH:_IDLE_HIGH], terms[_GRANTED_LOW:_IDLE_LOW], p, paths, vdd)
-    idle_power = _expected_leakage_power(
-        terms[_IDLE_HIGH:_GRANTED_LOW], terms[_IDLE_LOW:_STANDBY_POWER], p, paths, vdd)
-    standby_power = terms[_STANDBY_POWER]
+        terms = scheme._record_terms = scheme.derive_record_terms()
+        _TERMED_SCHEMES.add(scheme)
     if not 0.0 <= toggle <= 1.0:
         raise PowerError(f"toggle_activity must be in [0, 1], got {toggle}")
     if clock <= 0:
         raise PowerError("frequency must be positive")
-    (precharged, toggled, contention, clocked, input_wire, grant,
-     sleep_control, parked_merge, internal_node) = terms[_ENERGY:_DELAY]
-    # dynamic_energy_per_cycle(toggle, p) * clock
-    rising = toggle / 2.0
-    per_output_bit = (1.0 - p) * precharged + rising * toggled + rising * contention + clocked
-    per_input_bit = rising * input_wire
-    dynamic_power = (per_output_bit * paths + per_input_bit * terms[_WIRES]
-                     + grant * terms[_OUTPUTS]) * clock
-    if not terms[_HAS_SLEEP]:
+    if not scheme.has_sleep_mode:
         raise PowerError(f"scheme {scheme.name!r} has no standby mode")
-    # Fields in order: scheme, delay, active, standby and total power,
-    # sleep_transition_energy(p), the power saved in standby.
-    return SchemeFigures(
-        scheme, terms[_DELAY], active_power, standby_power, dynamic_power + active_power,
-        (sleep_control + p * parked_merge + p * internal_node) * paths,
-        max(idle_power - standby_power, 0.0),
-    )
+    return scheme.figures_from_record_terms(terms, p, toggle, clock)

@@ -50,6 +50,16 @@ packs them into a flat :class:`array.array` of
 cache shares by value across every crossbar of one library that has
 the same :data:`DEVICE_PART_FIELDS`; the profile is then rebuilt from
 it with the float operations it would have used itself.
+
+Record terms
+------------
+A point's Table 1 figures need only a few of those methods.
+:meth:`CrossbarScheme.derive_record_terms` flattens everything they read
+into one tuple (layout below), and
+:meth:`CrossbarScheme.figures_from_record_terms` computes a point's
+:class:`SchemeFigures` from it as straight-line float arithmetic, with
+the operations of the methods it stands in for in their order, so the
+figures are bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from ..circuit.dynamic import contention_energy, switching_energy
 from ..circuit.devices import DeviceRole
@@ -84,8 +95,8 @@ from ..timing.delay_analysis import DelayReport, contention_factor, pass_rise_pe
 from ..timing.path import TimingPath, TimingStage
 from .ports import CrossbarConfig, PortDirection
 
-__all__ = ["VtPlan", "SchemeFeatures", "ActivityProfile", "CrossbarScheme",
-           "DEVICE_PART_FIELDS", "DEVICE_PART_LENGTH"]
+__all__ = ["VtPlan", "SchemeFeatures", "ActivityProfile", "SchemeFigures",
+           "CrossbarScheme", "DEVICE_PART_FIELDS", "DEVICE_PART_LENGTH"]
 
 #: The :class:`CrossbarConfig` fields a scheme's device part reads: the
 #: crosspoint count per row and the widths of every output-path device.
@@ -108,6 +119,17 @@ _PATH_STATES = ((True, True), (True, False), (False, True), (False, False))
 _SLEEP_OFFSET = 9 * len(_PATH_STATES)
 _HIGH_VT_OFFSET = _SLEEP_OFFSET + 3
 DEVICE_PART_LENGTH = _HIGH_VT_OFFSET + 1
+#: Record-terms layout: vdd, then the output-path, input-wire and output
+#: counts, then each path state's nine :meth:`AffineLeakage.floats
+#: <repro.circuit.leakage.AffineLeakage.floats>` in ``_PATH_STATES``
+#: order (granted high, idle high, granted low, idle low), then the
+#: standby power, the nine profile energies (``ActivityProfile`` field
+#: order) and the delay report.
+_TERMS_PATHS, _TERMS_WIRES, _TERMS_OUTPUTS = 1, 2, 3
+_TERMS_GRANTED_HIGH, _TERMS_IDLE_HIGH, _TERMS_GRANTED_LOW, _TERMS_IDLE_LOW = 4, 13, 22, 31
+_TERMS_STANDBY_POWER = _TERMS_IDLE_LOW + 9
+_TERMS_ENERGY = _TERMS_STANDBY_POWER + 1
+_TERMS_DELAY = _TERMS_ENERGY + 9
 
 
 @dataclass(frozen=True)
@@ -189,6 +211,18 @@ class ActivityProfile:
     parked_merge_energy: float
     #: Driver internal node flipped by a forced merge-node transition.
     internal_node_energy: float
+
+
+class SchemeFigures(NamedTuple):
+    """One scheme's Table 1 figures at one (p, t) point, in SI units."""
+
+    scheme: "CrossbarScheme"
+    delay: DelayReport
+    active_power: float
+    standby_power: float
+    total_power: float
+    transition_energy: float
+    power_saved_in_standby: float
 
 
 class CrossbarScheme:
@@ -941,6 +975,56 @@ class CrossbarScheme:
             sleep_control_energy=sleep_control_energy,
             parked_merge_energy=parked_merge_energy,
             internal_node_energy=internal_node_energy,
+        )
+
+    def derive_record_terms(self) -> tuple:
+        """The flat tuple :meth:`figures_from_record_terms` reads (layout
+        at ``_TERMS_PATHS``), derived from :attr:`activity_profile`."""
+        profile = self.activity_profile
+        vdd = self.supply_voltage
+        leakage = profile.path_leakage
+        return (
+            vdd, self.output_path_count, self.input_wire_count, self.config.output_count,
+            *(floats for state in _PATH_STATES for floats in leakage[state].floats()),
+            profile.standby.power(vdd),
+            profile.precharged_energy, profile.toggled_energy, profile.contention_energy,
+            profile.clocked_energy, profile.input_wire_energy, profile.grant_energy,
+            profile.sleep_control_energy, profile.parked_merge_energy,
+            profile.internal_node_energy,
+            profile.delay,
+        )
+
+    def figures_from_record_terms(self, terms: tuple, static_probability: float,
+                                  toggle_activity: float, frequency: float) -> SchemeFigures:
+        """This scheme's figures at one point from ``terms`` (its
+        :meth:`derive_record_terms`): :meth:`active_leakage_power`,
+        :meth:`standby_leakage_power`, :meth:`total_power`,
+        :meth:`sleep_transition_energy` and :meth:`standby_power_saving`,
+        each with the float operations of that method, in its order.
+
+        Unvalidated: the caller checks both probabilities lie in [0, 1],
+        ``frequency`` is positive and the scheme has a sleep mode.
+        """
+        p = static_probability
+        vdd, paths = terms[0], terms[_TERMS_PATHS]
+        mixed_power = AffineLeakage.mixed_power_of_floats
+        active_power = mixed_power(terms[_TERMS_GRANTED_HIGH:_TERMS_IDLE_HIGH],
+                                   terms[_TERMS_GRANTED_LOW:_TERMS_IDLE_LOW], p, p, paths, vdd)
+        idle_power = mixed_power(terms[_TERMS_IDLE_HIGH:_TERMS_GRANTED_LOW],
+                                 terms[_TERMS_IDLE_LOW:_TERMS_STANDBY_POWER], p, p, paths, vdd)
+        standby_power = terms[_TERMS_STANDBY_POWER]
+        (precharged, toggled, contention, clocked, input_wire, grant,
+         sleep_control, parked_merge, internal_node) = terms[_TERMS_ENERGY:_TERMS_DELAY]
+        # dynamic_energy_per_cycle(toggle_activity, p) * frequency
+        rising = toggle_activity / 2.0
+        per_output_bit = (1.0 - p) * precharged + rising * toggled + rising * contention + clocked
+        per_input_bit = rising * input_wire
+        dynamic_power = (per_output_bit * paths + per_input_bit * terms[_TERMS_WIRES]
+                         + grant * terms[_TERMS_OUTPUTS]) * frequency
+        return SchemeFigures(
+            self, terms[_TERMS_DELAY], active_power, standby_power, dynamic_power + active_power,
+            (sleep_control + p * parked_merge + p * internal_node) * paths,
+            max(idle_power - standby_power, 0.0),
         )
 
     @cached_property

@@ -252,41 +252,65 @@ def _structure(node: str, flit_width: int, p: float = 0.5):
         "static_probability": p})
 
 
-def test_memo_hits_count_and_evict_as_the_per_scheme_lookups(monkeypatch):
+#: (node, flit width) streams for the memo's counters.  The second holds
+#: the memo hit on A (45nm, 128) then a regular library hit on 65nm (C),
+#: then a third library (D, 90nm) that evicts one, then a 65nm point: an
+#: eviction that missed the regular hit's recency drops 65nm here.
+_MEMO_STREAMS = {
+    "mixed": [("45nm", 128), ("45nm", 64), ("45nm", 128), ("45nm", 128),
+              ("45nm", 32), ("45nm", 128), ("45nm", 64), ("65nm", 128),
+              ("90nm", 128), ("45nm", 32), ("45nm", 32), ("65nm", 128)],
+    "memo-hit-then-regular-hit": [("45nm", 128), ("65nm", 128), ("45nm", 128),
+                                  ("45nm", 128), ("65nm", 64), ("90nm", 128),
+                                  ("65nm", 128)],
+}
+
+
+@pytest.mark.parametrize("stream", list(_MEMO_STREAMS))
+def test_memo_hits_count_and_evict_as_the_per_scheme_lookups(monkeypatch, stream):
     """The same stream of points through compare_schemes (a library and
     a scheme lookup per scheme) and point_records (the memo) leaves the
     same counters after every point, through library and scheme LRU
-    evictions: memo hits count as those lookups' hits and keep their
-    schemes as recent as those lookups would."""
+    evictions, and the same LRU order at the end: memo hits count as
+    those lookups' hits and keep their schemes as recent as those
+    lookups would."""
     cache = scheme_evaluator._STRUCTURAL_CACHE
     monkeypatch.setattr(cache, "max_libraries", 2)
     monkeypatch.setattr(cache, "max_schemes", 10)
-    stream = [("45nm", 128), ("45nm", 64), ("45nm", 128), ("45nm", 128),
-              ("45nm", 32), ("45nm", 128), ("45nm", 64), ("65nm", 128),
-              ("90nm", 128), ("45nm", 32), ("45nm", 32), ("65nm", 128)]
     configs = [_structure(node, width, p=0.1 + 0.05 * index)
-               for index, (node, width) in enumerate(stream)]
+               for index, (node, width) in enumerate(_MEMO_STREAMS[stream])]
 
-    def counters_after_each(evaluate) -> list[dict[str, int]]:
+    def trace_of(evaluate) -> tuple[list[dict[str, int]], list, list]:
         clear_structural_cache()
         trace = []
         for config in configs:
             evaluate(config)
             trace.append(_counters())
-        return trace
+        cache._sync()  # the order the next lookup sees
+        return trace, list(cache._libraries), list(cache._schemes)
 
-    reference = counters_after_each(compare_schemes)
-    assert counters_after_each(point_records) == reference
-    assert reference[-1]["scheme_hits"] > 0 and reference[-1]["library_misses"] > 3
+    reference = trace_of(compare_schemes)
+    assert trace_of(point_records) == reference
+    assert reference[0][-1]["scheme_hits"] > 0 and reference[0][-1]["library_misses"] > 2
 
 
-def test_memo_never_serves_a_scheme_of_a_replaced_library(monkeypatch):
+def test_a_value_equal_crossbar_is_served_from_the_memo():
+    clear_structural_cache()
+    config = paper_experiment()
+    first = dict(schemes_for(config))
+    memoised = scheme_evaluator._STRUCTURAL_CACHE._last
+    assert dict(schemes_for(_fresh_crossbar(config))) == first
+    assert scheme_evaluator._STRUCTURAL_CACHE._last is memoised
+
+
+@pytest.mark.parametrize("evaluate", [point_records, compare_schemes])
+def test_memo_never_serves_a_scheme_of_a_replaced_library(monkeypatch, evaluate):
     monkeypatch.setattr(scheme_evaluator._STRUCTURAL_CACHE, "max_libraries", 1)
     clear_structural_cache()
     paper, other = _structure("45nm", 128), _structure("65nm", 128)
     first = dict(schemes_for(paper))
     assert dict(schemes_for(paper)) == first  # served from the memo
-    point_records(other)  # replaces the 45 nm library
+    evaluate(other)  # replaces the 45 nm library
     misses = structural_cache_stats().library_misses
     served = dict(schemes_for(paper))
     assert structural_cache_stats().library_misses == misses + 1
