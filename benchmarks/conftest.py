@@ -1,4 +1,5 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-reproduction benchmarks (Table 1, figures,
+ablations, NoC).
 
 Run with ``pytest benchmarks/ --benchmark-only``.  Each benchmark both
 times the evaluation it wraps and prints the regenerated table/figure
@@ -9,10 +10,7 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import json
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -22,123 +20,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro import compare_schemes, paper_experiment  # noqa: E402
-
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-BENCH_PATH = _REPO_ROOT / "BENCH_engine.json"
-HISTORY_PATH = _REPO_ROOT / "BENCH_history.json"
-
-
-class BenchStore:
-    """Accessor for the committed benchmark record and its history.
-
-    ``BENCH_engine.json`` is the latest snapshot — different bench
-    modules merge their keys into it instead of overwriting each other.
-    ``BENCH_history.json`` is an append-only (capped) list of per-run
-    records, so the perf trend across PRs is plottable and the
-    regression gate can use a rolling median instead of whatever the
-    single last run happened to measure.
-    """
-
-    #: History records kept (oldest dropped beyond this).
-    HISTORY_LIMIT = 50
-    #: How many recent records the rolling-median baseline considers.
-    ROLLING_WINDOW = 5
-
-    def __init__(self, bench_path: Path = BENCH_PATH,
-                 history_path: Path = HISTORY_PATH) -> None:
-        self.bench_path = bench_path
-        self.history_path = history_path
-
-    def load(self) -> dict:
-        """The current snapshot (empty dict when missing/corrupt)."""
-        try:
-            payload = json.loads(self.bench_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return {}
-        return payload if isinstance(payload, dict) else {}
-
-    def merge(self, updates: dict) -> dict:
-        """Merge ``updates`` into the snapshot and write it back."""
-        payload = self.load()
-        payload.update(updates)
-        self.bench_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        return payload
-
-    def history(self) -> list[dict]:
-        """All history records, oldest first (empty when missing/corrupt)."""
-        try:
-            payload = json.loads(self.history_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return []
-        if not isinstance(payload, list):
-            return []
-        return [record for record in payload if isinstance(record, dict)]
-
-    def append_history(self, record: dict) -> None:
-        """Append one timestamped record, capped to ``HISTORY_LIMIT``."""
-        records = self.history()
-        stamped = dict(record)
-        stamped.setdefault("recorded_at",
-                           time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
-        records.append(stamped)
-        records = records[-self.HISTORY_LIMIT:]
-        self.history_path.write_text(
-            json.dumps(records, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-
-    def regression_gate(self, metric: str, value: float, *,
-                        regression_factor: float = 3.0,
-                        min_records: int = 5,
-                        label: str = "gate") -> None:
-        """Assert ``value`` has not regressed more than ``regression_factor``
-        below the rolling-median baseline of ``metric``.
-
-        Arms only once ``min_records`` history records carry the metric
-        (a single-sample baseline would gate on noise); prints the
-        armed/disarmed state either way.  Call it BEFORE writing the
-        run's own record, so a failing run cannot poison its baseline.
-        """
-        history_values = [record[metric] for record in self.history()
-                          if isinstance(record.get(metric), (int, float))]
-        if len(history_values) < min_records:
-            print(f"  {label}: disarmed ({len(history_values)} of "
-                  f"{min_records} history records)")
-            return
-        baseline = self.rolling_baseline(metric)
-        floor = baseline / regression_factor
-        print(f"  {label}: rolling-median baseline {baseline:.1f} "
-              f"({len(history_values)} records), fail below {floor:.1f}")
-        assert value >= floor, (
-            f"{metric} regressed more than {regression_factor:.0f}x: "
-            f"{value:.1f} vs rolling-median baseline {baseline:.1f} "
-            f"(floor {floor:.1f})"
-        )
-
-    def rolling_baseline(self, metric: str,
-                         window: int | None = None) -> float | None:
-        """Median of ``metric`` over the last ``window`` history records.
-
-        Records missing the metric (other bench modules' entries) are
-        skipped.  Falls back to the snapshot's value when the history
-        has none, so the gate keeps working on repos predating the
-        history file.
-        """
-        window = window if window is not None else self.ROLLING_WINDOW
-        values = [record[metric] for record in self.history()
-                  if isinstance(record.get(metric), (int, float))]
-        if values:
-            return float(statistics.median(values[-window:]))
-        snapshot = self.load().get(metric)
-        return float(snapshot) if isinstance(snapshot, (int, float)) else None
-
-
-@pytest.fixture(scope="session")
-def bench_store():
-    """The shared BENCH_engine.json / BENCH_history.json accessor."""
-    return BenchStore()
-
 
 #: Paper Table 1 values (DATE 2005), used for side-by-side printing.
 PAPER_TABLE1 = {

@@ -1,14 +1,25 @@
-"""Packaging for the `repro` library.
+"""Packaging for the `repro` library (``src/repro``, src layout).
 
-Metadata lives in ``setup.cfg`` rather than ``pyproject.toml`` on
-purpose: the reproduction environment is fully offline and lacks the
-``wheel`` package, so pip's PEP 517/660 build path (which a
-``pyproject.toml`` triggers, including network-reaching build isolation)
-cannot run.  With only ``setup.py``/``setup.cfg`` present,
-``pip install -e .`` falls back to the legacy editable install, which
-works everywhere with the locally installed setuptools.
+``pip install -e .`` installs it in place; offline, add
+``--no-build-isolation`` so pip uses the installed ``setuptools`` and
+``wheel`` instead of fetching them.  Where ``wheel`` is missing,
+``python setup.py develop`` does the same with ``setuptools`` alone.
+The version is read from ``src/repro/__init__.py``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(encoding="utf-8"),
+                    re.MULTILINE).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

@@ -56,13 +56,12 @@ Record terms
 **record terms**, a flat tuple derived once from its activity profile
 (:meth:`CrossbarScheme.derive_record_terms
 <repro.crossbar.base.CrossbarScheme.derive_record_terms>`, which owns
-the layout and the arithmetic) and cached on the scheme until
-:func:`clear_structural_cache`.
+the layout and the arithmetic) and cached on the scheme as
+:attr:`~repro.crossbar.base.CrossbarScheme.record_terms`.
 """
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
@@ -318,8 +317,8 @@ def structural_cache_stats() -> StructuralCacheStats:
 
 
 def clear_structural_cache() -> None:
-    """Drop all memoised libraries, schemes, device parts and structures,
-    and the record terms cached on any scheme (mainly for tests).
+    """Drop all memoised libraries, schemes, device parts and structures
+    (mainly for tests).
 
     Also zeroes the leakage-kernel counters — the process-wide totals
     *and* the per-kernel stats of any kernel still alive on a library a
@@ -330,9 +329,6 @@ def clear_structural_cache() -> None:
     from ..circuit.biasing import reset_kernel_totals
 
     _STRUCTURAL_CACHE.clear()
-    for scheme in list(_TERMED_SCHEMES):
-        scheme.__dict__.pop("_record_terms", None)
-    _TERMED_SCHEMES.clear()
     reset_kernel_totals()
 
 
@@ -443,10 +439,6 @@ class SchemeEvaluator:
         )
 
 
-#: Schemes carrying cached record terms, so a clear can drop them all.
-_TERMED_SCHEMES: "weakref.WeakSet[CrossbarScheme]" = weakref.WeakSet()
-
-
 def evaluate_scheme(scheme: CrossbarScheme, config: ExperimentConfig) -> SchemeFigures:
     """Every figure a record needs, from the scheme's record terms
     (derived once and cached on it): :meth:`CrossbarScheme.figures_from_record_terms
@@ -458,11 +450,7 @@ def evaluate_scheme(scheme: CrossbarScheme, config: ExperimentConfig) -> SchemeF
     clock = config.clock_frequency
     if not 0.0 <= p <= 1.0:
         raise PowerError(f"static probability must be in [0, 1], got {p}")
-    try:
-        terms = scheme._record_terms
-    except AttributeError:
-        terms = scheme._record_terms = scheme.derive_record_terms()
-        _TERMED_SCHEMES.add(scheme)
+    terms = scheme.record_terms
     if not 0.0 <= toggle <= 1.0:
         raise PowerError(f"toggle_activity must be in [0, 1], got {toggle}")
     if clock <= 0:

@@ -977,6 +977,12 @@ class CrossbarScheme:
             internal_node_energy=internal_node_energy,
         )
 
+    @cached_property
+    def record_terms(self) -> tuple:
+        """This scheme's :meth:`derive_record_terms`, derived once: a pure
+        function of the immutable scheme, like :attr:`activity_profile`."""
+        return self.derive_record_terms()
+
     def derive_record_terms(self) -> tuple:
         """The flat tuple :meth:`figures_from_record_terms` reads (layout
         at ``_TERMS_PATHS``), derived from :attr:`activity_profile`."""

@@ -338,7 +338,28 @@ class TestDistributedRuns:
         items = items_for((0.1, 0.3, 0.5, 0.7, 0.9))
         serial = SerialExecutor().run(items)
         with DistributedExecutor(spawn_workers=2) as executor:
+            # One item a chunk.  Each worker's thread holds its first
+            # chunk until the other has taken one, so both spawned workers
+            # complete an item whatever the scheduling; on a timeout the
+            # run still finishes and the count below fails.
+            both_hold = threading.Barrier(2, timeout=30.0)
+            dispatch = executor._dispatch
+
+            def dispatch_once_both_hold(handle, chunk):
+                if chunk.start < 2:
+                    try:
+                        both_hold.wait()
+                    except threading.BrokenBarrierError:
+                        pass
+                return dispatch(handle, chunk)
+
+            executor._dispatch = dispatch_once_both_hold
             distributed = executor.run(items)
+            executor._dispatch = dispatch
+            completed = [worker["completed"]
+                         for worker in executor.workers_payload().values()]
+            assert len(completed) == 2 and min(completed) >= 1
+            assert sum(completed) == len(items)
             # Persistent pool: a second run reuses the same fleet.
             again = executor.run(items_for((0.2,)))
             assert executor.stats.workers_registered == 2

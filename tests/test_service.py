@@ -85,17 +85,31 @@ def test_duplicate_in_flight_queries_coalesce():
 
 
 def test_repeat_after_completion_is_a_cache_hit():
+    warm = {"static_probability": 0.4}
+    # Warm repeats, fresh misses and concurrent duplicates in one burst.
+    burst = ([warm] * 4 + [{"static_probability": 0.15}, {"static_probability": 0.85}]
+             + [{"temperature_celsius": 40.0}, {"temperature_celsius": 70.0}] * 3)
+
     async def scenario():
         service = make_service(max_batch_size=1)
-        miss = await service.evaluate({"static_probability": 0.4})
-        hit = await service.evaluate({"static_probability": 0.4})
+        miss = await service.evaluate(warm)
+        hit = await service.evaluate(warm)
+        hits = service.stats.cache_hits
+        answers = await asyncio.gather(*[service.evaluate(query) for query in burst])
         await service.stop()
-        return service, miss, hit
+        return service, miss, hit, hits, answers
 
-    service, miss, hit = asyncio.run(scenario())
+    service, miss, hit, hits, answers = asyncio.run(scenario())
     assert not miss.from_cache and hit.from_cache
     assert hit.records == miss.records
-    assert service.stats.cache_hits == 1
+    assert hits == 1
+    # Every warm repeat is a hit; the rest split between evaluations,
+    # coalesced duplicates and (a duplicate arriving after its twin
+    # finished) hits by arrival timing, but every query is exactly one.
+    assert all(answer.from_cache for answer in answers[:4])
+    assert (sum(answer.from_cache for answer in answers)
+            + sum(answer.coalesced for answer in answers)
+            + service.stats.evaluated - 1) == len(burst)
 
 
 def test_alias_and_dotted_spellings_share_one_cache_entry():
