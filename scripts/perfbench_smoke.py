@@ -29,9 +29,9 @@ REPO = Path(__file__).resolve().parents[1]
 #: going off a cliff.  Perfbench scales its timings to a reference host
 #: speed, so the floors travel.
 FLOORS = {
-    "sweep_scalar": 3017.0,      # median 9050 points/s
+    "sweep_scalar": 3428.0,      # median 10284 points/s
     "sweep_structural": 157.0,   # median 471
-    "sweep_fleet": 1409.0,       # median 4228
+    "sweep_fleet": 1755.0,       # median 5264
     "serve_mixed": 574.0,        # median 1723 requests/s
 }
 

@@ -31,6 +31,9 @@ in-memory cache and the serial executor included, the loop the
 ``sweep_scalar`` benchmark times (after one warm-up point)::
 
     PYTHONPATH=src python scripts/profile_point.py --sweep 40
+
+``--sweep`` also prints the cumulative shares of ``with_overrides``
+(config building), ``point_key`` and ``point_records`` in the profile.
 """
 
 from __future__ import annotations
@@ -76,6 +79,24 @@ def _sweep_blocks(count: int) -> list:
     inputs = _perfbench_inputs()
     return [DesignSpace.from_points(inputs.scalar_block(1, block))
             for block in range(count)]
+
+
+#: The parts of a ``--sweep`` point: config building and the point key
+#: (the evaluator's front) and the records, as ``(file, function)``.
+_SWEEP_PARTS = (("config.py", "with_overrides"), ("cache.py", "point_key"),
+                ("comparison.py", "point_records"))
+
+
+def _sweep_split(stats: pstats.Stats) -> str:
+    """One line: each of :data:`_SWEEP_PARTS`'s share of the profile's
+    total time, cumulative (callees included)."""
+    shares = []
+    for filename, function in _SWEEP_PARTS:
+        cumulative = sum(
+            row[3] for (path, _, name), row in stats.stats.items()
+            if name == function and Path(path).name == filename)
+        shares.append(f"{function} {cumulative / stats.total_tt * 100.0:.1f} %")
+    return "cumulative share: " + ", ".join(shares)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -148,8 +169,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"leakage kernel: {lookups / count:.1f} lookups/point, "
               f"{misses / count:.1f} misses/point "
               f"({(lookups - misses) / lookups * 100.0:.1f}% memo hits)")
+    stats = pstats.Stats(profiler)
+    if args.sweep:
+        print(_sweep_split(stats))
     print()
-    pstats.Stats(profiler).strip_dirs().sort_stats(args.sort).print_stats(args.top)
+    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     return 0
 
 

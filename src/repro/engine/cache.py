@@ -119,17 +119,37 @@ def point_key(config: ExperimentConfig, scheme_names: Sequence[str],
     from .. import __version__
 
     # The canonical text of {"baseline", "config", "model_version",
-    # "schema", "schemes"} with sorted keys, assembled from parts so the
-    # config's sub-configs are serialised once rather than per point.
-    canonical = (
-        '{"baseline":' + _canonical_json(baseline_name)
-        + ',"config":' + _config_text(config)
-        + ',"model_version":' + _canonical_json(__version__)
-        + ',"schema":' + _canonical_json(CACHE_SCHEMA_VERSION)
-        + ',"schemes":' + _canonical_json(list(scheme_names))
-        + "}"
-    )
+    # "schema", "schemes"} with sorted keys: the text around the config is
+    # cached per (schemes, baseline, versions), and the config's
+    # sub-configs are serialised once rather than per point.
+    frame_key = (tuple(scheme_names), baseline_name, __version__, CACHE_SCHEMA_VERSION)
+    frame = _KEY_FRAMES.get(frame_key)
+    if frame is None:
+        frame = _key_frame(*frame_key)
+    canonical = frame[0] + _config_text(config) + frame[1]
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+#: The canonical key text before and after the config, by the
+#: ``(scheme names, baseline, model version, schema version)`` it spells.
+_KEY_FRAMES: dict[tuple, tuple[str, str]] = {}
+_KEY_FRAMES_MAX = 64
+
+
+def _key_frame(scheme_names: tuple, baseline_name, version, schema) -> tuple[str, str]:
+    """The key text around the config, cached when every part is a string
+    (or the schema an int), so that equal but differently spelled values
+    (``1`` and ``True``) can never share an entry."""
+    frame = ('{"baseline":' + _canonical_json(baseline_name) + ',"config":',
+             ',"model_version":' + _canonical_json(version)
+             + ',"schema":' + _canonical_json(schema)
+             + ',"schemes":' + _canonical_json(list(scheme_names)) + "}")
+    if (type(baseline_name) is str and type(version) is str and type(schema) is int
+            and all(type(name) is str for name in scheme_names)):
+        if len(_KEY_FRAMES) >= _KEY_FRAMES_MAX:
+            _KEY_FRAMES.clear()
+        _KEY_FRAMES[(scheme_names, baseline_name, version, schema)] = frame
+    return frame
 
 
 #: ``json.dumps(value, sort_keys=True, separators=(",", ":"), default=repr)``
@@ -158,9 +178,6 @@ def _canonical_json(value) -> str:
 #: equality is not enough (``1 == 1.0`` but they serialise differently).
 _SUBCONFIG_TEXT: dict[int, tuple[object, str]] = {}
 _SUBCONFIG_TEXT_MAX = 256
-
-#: Top-level config fields in canonical (sorted) key order.
-_CONFIG_FIELD_NAMES = tuple(sorted(f.name for f in dataclasses.fields(ExperimentConfig)))
 
 #: Leaf types ``dataclasses.asdict`` passes through unchanged.
 _FLAT_TYPES = (str, int, float, bool, type(None))
@@ -191,19 +208,37 @@ def _subconfig_text(subconfig, extension_defaults: dict[str, object]) -> str:
     return text
 
 
+#: Marks a top-level field that is always part of the key.
+_ALWAYS = object()
+
+#: ``(field, '"field":', value omitted from the key or _ALWAYS,
+#: extension defaults of a sub-config held there)`` per top-level
+#: config field, in canonical (sorted) key order.
+_CONFIG_FIELDS = tuple(
+    (name, f'"{name}":', _ROOT_EXTENSION_DEFAULTS.get(name, _ALWAYS),
+     _CROSSBAR_EXTENSION_DEFAULTS if name == "crossbar" else {})
+    for name in sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+)
+
+
 def _config_text(config: ExperimentConfig) -> str:
-    """``_canonical_json(config_payload(config))``, without the deep copy."""
+    """``_canonical_json(config_payload(config))``, without the deep copy:
+    finite floats and strings are spelled inline, sub-configs come from
+    the identity cache."""
     parts = []
-    for name in _CONFIG_FIELD_NAMES:
+    for name, label, omitted, extension_defaults in _CONFIG_FIELDS:
         value = getattr(config, name)
-        if name in _ROOT_EXTENSION_DEFAULTS and value == _ROOT_EXTENSION_DEFAULTS[name]:
+        if omitted is not _ALWAYS and value == omitted:
             continue
-        if dataclasses.is_dataclass(value):
-            defaults = _CROSSBAR_EXTENSION_DEFAULTS if name == "crossbar" else {}
-            text = _subconfig_text(value, defaults)
+        kind = type(value)
+        if kind is float and math.isfinite(value):
+            parts.append(label + float.__repr__(value))
+        elif kind is str:
+            parts.append(label + encode_basestring_ascii(value))
+        elif dataclasses.is_dataclass(value):
+            parts.append(label + _subconfig_text(value, extension_defaults))
         else:
-            text = _canonical_json(value)
-        parts.append(f'"{name}":{text}')
+            parts.append(label + _canonical_json(value))
     return "{" + ",".join(parts) + "}"
 
 

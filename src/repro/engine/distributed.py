@@ -178,6 +178,12 @@ def recv_frame(sock: socket.socket) -> dict | None:
 # config serialisation: dotted-path overrides against the default config
 # ---------------------------------------------------------------------------
 
+#: The config every wire message is decoded against.  It is frozen, so
+#: one instance serves every item, and scalar-only items share its
+#: crossbar object (the worker's structure memo then hits by identity).
+_WIRE_BASE = ExperimentConfig()
+
+
 @functools.cache
 def _wire_readers() -> tuple:
     """:func:`~repro.core.paths.leaf_layout` with a compiled reader for
@@ -231,7 +237,7 @@ def config_from_wire(overrides: object) -> ExperimentConfig:
             f"wire overrides must be an object, got {type(overrides).__name__}"
         )
     try:
-        return ExperimentConfig().with_overrides(
+        return _WIRE_BASE.with_overrides(
             **{str(path): value for path, value in overrides.items()})
     except ReproError:
         raise

@@ -128,10 +128,15 @@ class DesignSpace:
 
     @classmethod
     def from_points(cls, points: Sequence[Mapping[str, object]]) -> "DesignSpace":
-        """An explicit list of points, all over the same parameter set."""
+        """An explicit list of points, all over the same parameter set.
+
+        Points may list their parameters in any order; the space takes
+        the first point's order.
+        """
         if not points:
             raise ConfigurationError("a design space needs at least one point")
         given = tuple(points[0])
+        given_set = set(given)
         parameters = tuple(_canonical_parameter(name) for name in given)
         if len(set(parameters)) != len(parameters):
             raise ConfigurationError(
@@ -140,7 +145,7 @@ class DesignSpace:
             )
         values = []
         for point in points:
-            if tuple(point) != given:
+            if point.keys() != given_set:
                 raise ConfigurationError(
                     f"every point must set the same parameters {given}, "
                     f"got {tuple(point)}"

@@ -69,6 +69,14 @@ class TestDesignSpace:
         with pytest.raises(ConfigurationError):
             DesignSpace.from_points([])
 
+    def test_point_list_accepts_parameters_in_any_order(self):
+        space = DesignSpace.from_points([
+            {"static_probability": 0.2, "toggle_activity": 0.3},
+            {"toggle_activity": 0.4, "static_probability": 0.1},
+        ])
+        assert space.parameters == ("static_probability", "toggle_activity")
+        assert space.point_values == ((0.2, 0.3), (0.1, 0.4))
+
     def test_rejects_ragged_point_list(self):
         with pytest.raises(ConfigurationError, match="same parameters"):
             DesignSpace.from_points([{"corner": "TT"},

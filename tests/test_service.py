@@ -174,6 +174,28 @@ def test_invalid_value_names_the_path():
     assert error.payload["path"] == "static_probability"
 
 
+def test_first_invalid_value_in_query_order_is_named():
+    """Overrides of one node are applied together; a rejected query is
+    still attributed to its first invalid path, in the order given."""
+    async def scenario():
+        service = make_service()
+        payloads = []
+        for overrides in ({"crossbar.flit_width": 0, "crossbar.port_count": 1},
+                          {"crossbar.port_count": 1, "crossbar.flit_width": 0},
+                          {"crossbar.port_count": 4, "static_probability": 1.5}):
+            with pytest.raises(InvalidRequestError) as excinfo:
+                await service.evaluate(overrides)
+            payloads.append(excinfo.value.payload)
+        await service.stop()
+        return payloads
+
+    payloads = asyncio.run(scenario())
+    assert [payload["path"] for payload in payloads] == [
+        "crossbar.flit_width", "crossbar.port_count", "static_probability"]
+    assert all(payload["error"] == "invalid-value" for payload in payloads)
+    assert "flit_width" in payloads[0]["message"]
+
+
 def test_duplicate_paths_and_bad_shapes_are_rejected():
     async def scenario():
         service = make_service()
