@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from ..crossbar.ports import CrossbarConfig
 from ..errors import ConfigurationError
 from ..technology.library import TechnologyLibrary, default_library_for_node
-from .paths import (PATH_SEPARATOR, _group_leaves, _LeafGroup, _replace_grouped,
-                    normalize_path, set_path)
+from .paths import normalize_path, set_path
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from ..noc.noc_power import NocPowerConfig
@@ -86,51 +85,30 @@ class ExperimentConfig:
         replacements apply first, then dotted paths in the order given,
         so ``crossbar=...`` composes with ``crossbar.port_count=...``.
 
-        The result, and any error, is that of applying the dotted paths
-        one :func:`~repro.core.paths.set_path` at a time; the overrides
-        are applied with one ``replace`` per touched config node, and
-        only a rejected set of overrides is re-applied path by path to
-        report the first invalid one.
+        Override names resolve once per distinct name tuple.
         """
-        plan = _override_plan(tuple(overrides))
-        if not plan.groups:
+        direct, nested = _override_plan(tuple(overrides))
+        if not nested:
             return replace(self, **overrides) if overrides else self
-        values = tuple(overrides.values())
-        try:
-            return _replace_grouped(
-                self, {name: values[index] for name, index in plan.direct},
-                plan.groups, values)
-        except Exception:
-            pass
-        config = self
-        if plan.direct:
-            config = replace(config, **{name: values[index] for name, index in plan.direct})
-        for path, index in plan.nested:
-            config = set_path(config, path, values[index])
+        config = replace(self, **{name: overrides[name] for name in direct}) if direct else self
+        for name, path in nested:
+            config = set_path(config, path, overrides[name])
         return config
-
-
-class _OverridePlan(NamedTuple):
-    """How one tuple of ``with_overrides`` names applies: the direct
-    fields and the canonical dotted paths, each with the index of its
-    value, and the dotted paths grouped by owning sub-config."""
-
-    direct: tuple[tuple[str, int], ...]
-    nested: tuple[tuple[str, int], ...]
-    groups: tuple[_LeafGroup, ...]
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 @functools.lru_cache(maxsize=256)
-def _override_plan(names: tuple[str, ...]) -> _OverridePlan:
-    """Resolve ``with_overrides`` names, once per distinct name tuple."""
-    direct: list[tuple[str, int]] = []
-    nested: dict[str, int] = {}
-    for index, name in enumerate(names):
+def _override_plan(names: tuple[str, ...]
+                   ) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """Split ``with_overrides`` names into the direct fields and the
+    ``(name, canonical dotted path)`` pairs, once per name tuple."""
+    direct: list[str] = []
+    nested: dict[str, str] = {}
+    for name in names:
         if name in _FIELD_NAMES:
-            direct.append((name, index))
+            direct.append(name)
             continue
         try:
             path = normalize_path(name)
@@ -143,11 +121,8 @@ def _override_plan(names: tuple[str, ...]) -> _OverridePlan:
             raise ConfigurationError(
                 f"override {name!r} duplicates config path {path!r}"
             )
-        nested[path] = index
-    groups = _group_leaves(
-        ExperimentConfig(),
-        [(tuple(path.split(PATH_SEPARATOR)), index) for path, index in nested.items()])
-    return _OverridePlan(tuple(direct), tuple(nested.items()), groups)
+        nested[path] = name
+    return tuple(direct), tuple((name, path) for path, name in nested.items())
 
 
 def paper_experiment() -> ExperimentConfig:

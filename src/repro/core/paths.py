@@ -10,10 +10,6 @@ address any leaf of that tree by a dotted path such as
 
 * :func:`get_path` / :func:`set_path` read and functionally update one
   leaf (``set_path`` returns a new config; nothing is mutated);
-* several leaves at once are grouped by the sub-config owning them and
-  applied with one ``dataclasses.replace`` per touched node
-  (``ExperimentConfig.with_overrides`` does this; ``set_path`` stays
-  the one-leaf reference it must agree with);
 * :func:`sweepable_paths` enumerates every leaf the engine may sweep,
   derived from the dataclass tree itself rather than a hand-kept list;
 * :func:`normalize_path` resolves user-facing spellings — canonical
@@ -34,8 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Callable, Iterator, Sequence
-from typing import NamedTuple
+from collections.abc import Iterator
 
 from ..errors import ConfigurationError
 
@@ -175,60 +170,6 @@ def set_path(config, path: str, value: object):
         return dataclasses.replace(node, **{segment: rebuild(child, depth + 1)})
 
     return rebuild(config, 0)
-
-
-class _LeafGroup(NamedTuple):
-    """The dotted overrides that land in one sub-config: its field on the
-    parent node, the default factory of an unset optional sub-config, the
-    leaves set on it as ``(field, index into the override values)``, and
-    the groups of its own sub-configs."""
-
-    field: str
-    factory: Callable[[], object] | None
-    leaves: tuple[tuple[str, int], ...]
-    children: tuple["_LeafGroup", ...]
-
-
-def _group_leaves(node: object, paths: Sequence[tuple[tuple[str, ...], int]]
-                  ) -> tuple[_LeafGroup, ...]:
-    """Group dotted paths, given as ``(segments, value index)`` relative to
-    ``node``, by the sub-config owning each leaf.  ``node`` is a
-    prototype tree (a default config); it supplies the factories of
-    optional sub-configs.  Every path must resolve on it."""
-    members: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-    for segments, index in paths:
-        members.setdefault(segments[0], []).append((segments[1:], index))
-    fields = {field.name: field for field in dataclasses.fields(node)}
-    return tuple(
-        _LeafGroup(
-            name,
-            fields[name].metadata.get("subconfig_factory"),
-            tuple((rest[0], index) for rest, index in below if len(rest) == 1),
-            _group_leaves(_prototype_child(node, fields[name]),
-                          [(rest, index) for rest, index in below if len(rest) > 1]),
-        )
-        for name, below in members.items()
-    )
-
-
-def _replace_grouped(node, changes: dict, groups: tuple[_LeafGroup, ...],
-                     values: Sequence[object]):
-    """``dataclasses.replace(node, **changes)`` with every group's leaves
-    applied to its sub-config first: one ``replace`` (and one
-    ``__post_init__``) per touched node.  A sub-config named in
-    ``changes`` is the one the leaves apply to; ``changes`` is consumed.
-
-    Applying several leaves of one node at once validates them together,
-    so a failure may name a different leaf than a path-by-path
-    :func:`set_path` fold would; callers re-run the fold to report it.
-    """
-    for name, factory, leaves, children in groups:
-        child = changes[name] if name in changes else getattr(node, name)
-        if child is None and factory is not None:
-            child = factory()
-        changes[name] = _replace_grouped(
-            child, {leaf: values[index] for leaf, index in leaves}, children, values)
-    return dataclasses.replace(node, **changes)
 
 
 # ---------------------------------------------------------------------------

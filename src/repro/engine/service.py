@@ -290,15 +290,10 @@ class EvaluationService:
         return canonical
 
     def _config_for(self, canonical: Mapping[str, object]) -> ExperimentConfig:
-        """Apply canonical overrides to the base config.  When they are
-        rejected, re-apply them one path at a time, so a rejected value
-        (e.g. a probability outside ``[0, 1]``) is attributed to the
-        path that carried it."""
+        """Apply canonical overrides one path at a time, so a rejected
+        value (e.g. a probability outside ``[0, 1]``) is attributed to
+        the path that carried it."""
         config = self.evaluator.base_config
-        try:
-            return config.with_overrides(**canonical)
-        except Exception:
-            pass
         for path, value in canonical.items():
             try:
                 config = set_path(config, path, value)

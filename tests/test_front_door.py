@@ -3,10 +3,10 @@
 Every way into the engine builds a config from overrides
 (``ExperimentConfig.with_overrides``, the fleet's ``config_from_wire``,
 the service's ``_config_for``) and keys it (``point_key``).  Both take
-shortcuts: overrides are applied with one ``replace`` per touched config
-node, and the key text around the config is cached.  These tests hold
-them to the definitions they replace: the path-by-path ``set_path``
-fold, and the SHA-256 of the sorted-key JSON of ``config_payload``.
+shortcuts: override names are resolved once per name tuple, and the key
+text around the config is cached.  These tests hold them to the
+definitions they replace: the path-by-path ``set_path`` fold, and the
+SHA-256 of the sorted-key JSON of ``config_payload``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core import config as config_module
 from repro.core.config import ExperimentConfig
 from repro.core.paths import leaf_layout, normalize_path, set_path
 from repro.crossbar.ports import CrossbarConfig
@@ -193,7 +192,7 @@ def test_random_pairs_and_triples_of_leaves_match_the_fold():
 
 def test_first_invalid_override_in_order_is_reported():
     """One ``replace`` of the crossbar would report its port count first;
-    the fold, and so ``with_overrides``, reports the first path given."""
+    ``with_overrides`` reports the first path given."""
     overrides = {"crossbar.flit_width": 0, "crossbar.port_count": 1}
     with pytest.raises(repro.errors.CrossbarError, match="flit_width"):
         ExperimentConfig().with_overrides(**overrides)
@@ -225,16 +224,6 @@ def test_two_level_leaf_materialises_an_unset_branch():
     assert config.noc.gating_policy.wakeup_cycles == 3
     assert config.noc.gating_policy.idle_detect_cycles == 9
     assert config.noc.buffer_depth == 6
-
-
-def test_valid_overrides_never_take_the_fold(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("set_path fold used for valid overrides")
-
-    monkeypatch.setattr(config_module, "set_path", refuse)
-    for point in benchmark_points()[::40]:
-        ExperimentConfig().with_overrides(**point)
-    edge_configs()
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,8 @@ def test_invalid_value_names_the_path():
 
 
 def test_first_invalid_value_in_query_order_is_named():
-    """Overrides of one node are applied together; a rejected query is
-    still attributed to its first invalid path, in the order given."""
+    """A rejected query is attributed to its first invalid path, in the
+    order given, even when two paths land in one sub-config."""
     async def scenario():
         service = make_service()
         payloads = []
