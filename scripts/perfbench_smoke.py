@@ -30,7 +30,7 @@ REPO = Path(__file__).resolve().parents[1]
 #: speed, so the floors travel.
 FLOORS = {
     "sweep_scalar": 3428.0,      # median 10284 points/s
-    "sweep_structural": 157.0,   # median 471
+    "sweep_structural": 230.0,   # median 692
     "sweep_fleet": 1755.0,       # median 5264
     "serve_mixed": 574.0,        # median 1723 requests/s
 }

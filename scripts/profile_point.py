@@ -19,9 +19,10 @@ Profile 32 fresh points over warm structure, top 15 rows::
     PYTHONPATH=src python scripts/profile_point.py --warm --points 32 --top 15
 
 Profile 300 distinct (library, crossbar) structures in the order
-``perfbench/inputs.py:structural_block`` emits them (one warm-up point
-at the paper's structure first, so the first library's one-off costs
-stay out of the profile)::
+``perfbench/inputs.py:structural_block`` emits them, in 64-point blocks
+through ``Evaluator.evaluate`` like the ``sweep_structural`` benchmark
+(one warm-up point at the paper's structure first, so the first
+library's one-off costs stay out of the profile)::
 
     PYTHONPATH=src python scripts/profile_point.py --structural 300
 
@@ -33,7 +34,12 @@ in-memory cache and the serial executor included, the loop the
     PYTHONPATH=src python scripts/profile_point.py --sweep 40
 
 ``--sweep`` also prints the cumulative shares of ``with_overrides``
-(config building), ``point_key`` and ``point_records`` in the profile.
+(config building), ``point_key`` and ``point_records`` in the profile,
+and what is left of ``Evaluator.evaluate`` (its own bookkeeping: cache
+gets and puts, results).  ``--structural`` prints the cold split:
+``with_overrides``, ``point_key``, ``library_for`` (library builds),
+``create_scheme`` (scheme construction), ``derive_device_part`` and
+``derive_record_terms``.
 """
 
 from __future__ import annotations
@@ -64,13 +70,17 @@ def _perfbench_inputs():
     return inputs
 
 
-def _structural_points(count: int) -> list[dict]:
+def _structural_blocks(count: int) -> list:
     """The first ``count`` points of the seed-1 ``sweep_structural``
-    stream: ``structural_block`` blocks in order, every point its own
-    (library, crossbar) structure."""
+    stream (``structural_block`` blocks in order, every point its own
+    (library, crossbar) structure), as 64-point
+    :class:`~repro.engine.grid.DesignSpace` blocks like the benchmark's."""
     inputs = _perfbench_inputs()
     stream = inputs.point_stream(inputs.structural_block, 1)
-    return [next(stream) for _ in range(count)]
+    points = [next(stream) for _ in range(count)]
+    side = inputs.BLOCK_SIDE * inputs.BLOCK_SIDE
+    return [DesignSpace.from_points(points[start:start + side])
+            for start in range(0, count, side)]
 
 
 def _sweep_blocks(count: int) -> list:
@@ -85,17 +95,32 @@ def _sweep_blocks(count: int) -> list:
 #: (the evaluator's front) and the records, as ``(file, function)``.
 _SWEEP_PARTS = (("config.py", "with_overrides"), ("cache.py", "point_key"),
                 ("comparison.py", "point_records"))
+#: The parts of a ``--structural`` point: the front, then the cold
+#: record path's library builds, scheme construction, device parts and
+#: record terms.
+_STRUCTURAL_PARTS = (("config.py", "with_overrides"), ("cache.py", "point_key"),
+                     ("scheme_evaluator.py", "library_for"),
+                     ("factory.py", "create_scheme"), ("base.py", "derive_device_part"),
+                     ("base.py", "derive_record_terms"))
+_EVALUATE = ("evaluator.py", "evaluate")
 
 
-def _sweep_split(stats: pstats.Stats) -> str:
-    """One line: each of :data:`_SWEEP_PARTS`'s share of the profile's
-    total time, cumulative (callees included)."""
-    shares = []
-    for filename, function in _SWEEP_PARTS:
-        cumulative = sum(
-            row[3] for (path, _, name), row in stats.stats.items()
-            if name == function and Path(path).name == filename)
-        shares.append(f"{function} {cumulative / stats.total_tt * 100.0:.1f} %")
+def _cumulative(stats: pstats.Stats, filename: str, function: str) -> float:
+    """``function``'s (in ``filename``) cumulative time, callees included."""
+    return sum(row[3] for (path, _, name), row in stats.stats.items()
+               if name == function and Path(path).name == filename)
+
+
+def _split(stats: pstats.Stats, parts: tuple, bookkeeping: bool) -> str:
+    """One line: each of ``parts``' share of the profile's total time,
+    cumulative; with ``bookkeeping``, also ``Evaluator.evaluate``'s
+    time outside them."""
+    times = [_cumulative(stats, filename, function) for filename, function in parts]
+    shares = [f"{function} {time / stats.total_tt * 100.0:.1f} %"
+              for (_, function), time in zip(parts, times)]
+    if bookkeeping:
+        own = _cumulative(stats, *_EVALUATE) - sum(times)
+        shares.append(f"Evaluator.evaluate bookkeeping {own / stats.total_tt * 100.0:.1f} %")
     return "cumulative share: " + ", ".join(shares)
 
 
@@ -122,29 +147,27 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     base = paper_experiment()
-    if args.sweep:
+    if args.sweep or args.structural:
         evaluator = Evaluator()
         evaluator.evaluate(DesignSpace.from_points([{}]))
-        spaces = _sweep_blocks(args.sweep)
+        if args.sweep:
+            spaces = _sweep_blocks(args.sweep)
+            label = "fresh points through Evaluator.evaluate"
+        else:
+            spaces = _structural_blocks(args.structural)
+            label = "distinct structures through Evaluator.evaluate"
         count = sum(len(space) for space in spaces)
-        label = "fresh points through Evaluator.evaluate"
 
         def run() -> None:
             for space in spaces:
                 evaluator.evaluate(space)
     else:
-        if args.structural:
+        if args.warm:
             point_records(base)
-            configs = [base.with_overrides(**point)
-                       for point in _structural_points(args.structural)]
-            label = "distinct structures"
-        else:
-            if args.warm:
-                point_records(base)
-            # Distinct activity scalars: fresh points, never analysis-memo replays.
-            configs = [base.with_overrides(static_probability=0.05 + 0.9 * i / max(1, args.points))
-                       for i in range(args.points)]
-            label = f"{'warm' if args.warm else 'cold'} structural cache"
+        # Distinct activity scalars: fresh points, never analysis-memo replays.
+        configs = [base.with_overrides(static_probability=0.05 + 0.9 * i / max(1, args.points))
+                   for i in range(args.points)]
+        label = f"{'warm' if args.warm else 'cold'} structural cache"
         count = len(configs)
 
         def run() -> None:
@@ -171,7 +194,9 @@ def main(argv: list[str] | None = None) -> int:
               f"({(lookups - misses) / lookups * 100.0:.1f}% memo hits)")
     stats = pstats.Stats(profiler)
     if args.sweep:
-        print(_sweep_split(stats))
+        print(_split(stats, _SWEEP_PARTS, bookkeeping=True))
+    elif args.structural:
+        print(_split(stats, _STRUCTURAL_PARTS, bookkeeping=False))
     print()
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     return 0

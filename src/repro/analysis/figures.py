@@ -144,8 +144,6 @@ def describe_segmentation(scheme: CrossbarScheme) -> SegmentationStructure:
         raise ReproError(f"scheme {scheme.name!r} is not segmented")
     near = scheme.segmented_row.near
     far = scheme.segmented_row.far
-    near_stage = scheme._merge_stage(falling=True, far_path=False)
-    far_stage = scheme._merge_stage(falling=True, far_path=True)
     return SegmentationStructure(
         scheme=scheme.name,
         near_inputs=scheme.segmentation_plan.inputs_on_near_segment,
@@ -154,6 +152,6 @@ def describe_segmentation(scheme: CrossbarScheme) -> SegmentationStructure:
         near_wire_capacitance=near.capacitance,
         far_wire_resistance=far.resistance,
         far_wire_capacitance=far.capacitance,
-        near_path_delay=near_stage.delay(),
-        far_path_delay=far_stage.delay(),
+        near_path_delay=scheme._merge_delay(falling=True, far_path=False),
+        far_path_delay=scheme._merge_delay(falling=True, far_path=True),
     )

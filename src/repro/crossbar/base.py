@@ -21,14 +21,18 @@ What distinguishes the schemes is captured by two small value objects —
 its modelling notes.  The heavy lifting (timing paths, state-dependent
 leakage, dynamic energy, standby-transition energy, netlist generation)
 lives here so that every scheme is analysed with exactly the same
-machinery and the Table 1 comparisons are apples-to-apples.
+machinery and the Table 1 comparisons are apples-to-apples.  Delays are
+stage-based static timing on plain floats: each stage's driver and
+series resistance, wire pi model, load and keeper contention go through
+:func:`~repro.timing.path.stage_delay`, and a path is the sum of its
+stages.
 
 Activity profile
 ----------------
 Every analysis depends on the data activity only through two scalars,
 the static probability ``p`` and the toggle activity ``t``; the rest is
-structure.  The first analysis of a built scheme therefore derives an
-:class:`ActivityProfile` — the delays, the standby leakage, the
+structure.  The first object-API analysis of a built scheme therefore
+derives an :class:`ActivityProfile` — the delays, the standby leakage, the
 capacitance-derived energy terms and each path's leakage split into the
 terms of an affine function of ``p`` — and every activity-dependent
 method is then a few float multiply-adds on it:
@@ -49,14 +53,19 @@ packs them into a flat :class:`array.array` of
 :data:`DEVICE_PART_LENGTH` doubles (layout below), which the structural
 cache shares by value across every crossbar of one library that has
 the same :data:`DEVICE_PART_FIELDS`; the profile is then rebuilt from
-it with the float operations it would have used itself.
+it with the float operations it would have used itself.  The rest of
+the profile — the nine energies and the delay report — is the scheme's
+geometry (``_geometry``), derived once per scheme as floats.
 
 Record terms
 ------------
 A point's Table 1 figures need only a few of those methods.
-:meth:`CrossbarScheme.derive_record_terms` flattens everything they read
-into one tuple (layout below), and
-:meth:`CrossbarScheme.figures_from_record_terms` computes a point's
+:meth:`CrossbarScheme.derive_record_terms` gathers everything they read
+into one tuple (layout below) without building the profile: the path
+leakage is the device part's first 36 doubles as they stand, the
+standby power is float arithmetic on its sleep triple, and the tail is
+the geometry.  :meth:`CrossbarScheme.figures_from_record_terms`
+computes a point's
 :class:`SchemeFigures` from it as straight-line float arithmetic, with
 the operations of the methods it stands in for in their order, so the
 figures are bit-identical to theirs.
@@ -85,14 +94,14 @@ from ..circuit.leakage import (
     LeakageBreakdown,
 )
 from ..circuit.netlist import Netlist, NetlistStatistics
-from ..errors import CrossbarError
+from ..errors import CircuitError, CrossbarError, TechnologyError
 from ..interconnect.pi_model import PiModel
 from ..interconnect.segmentation import SegmentationPlan, SegmentedWire
 from ..interconnect.wire import Wire
 from ..technology.library import TechnologyLibrary
 from ..technology.transistor import Mosfet, VtFlavor
 from ..timing.delay_analysis import DelayReport, contention_factor, pass_rise_penalty
-from ..timing.path import TimingPath, TimingStage
+from ..timing.path import stage_delay
 from .ports import CrossbarConfig, PortDirection
 
 __all__ = ["VtPlan", "SchemeFeatures", "ActivityProfile", "SchemeFigures",
@@ -249,7 +258,6 @@ class CrossbarScheme:
         self.config = config if config is not None else CrossbarConfig()
         self.features = features
         self.vt_plan = vt_plan
-        self._merge_stages: dict[tuple[bool, bool], TimingStage] = {}
         self._build_components()
 
     # ------------------------------------------------------------------ #
@@ -434,16 +442,21 @@ class CrossbarScheme:
     # ------------------------------------------------------------------ #
     # timing                                                               #
     # ------------------------------------------------------------------ #
-    def _row_pi(self, far_path: bool) -> PiModel:
-        """Pi model of the merge (row) wire seen by the worst-case input."""
+    def _row_pi_floats(self, far_path: bool) -> tuple[float, float, float]:
+        """Pi model (:meth:`PiModel.floats <repro.interconnect.PiModel.floats>`)
+        of the merge (row) wire seen by the worst-case input."""
         if not self.features.segmented:
-            return self.row_wire.pi_model()
-        near_pi = self.segmented_row.near.pi_model()
+            return self.row_wire.pi_model().floats()
+        near_pi = self.segmented_row.near.pi_model().floats()
         if not far_path:
             return near_pi
-        far_pi = self.segmented_row.far.pi_model()
-        switch_pi = PiModel(0.0, self.segment_switch.on_resistance(), 0.0)
-        return far_pi.cascaded_with(switch_pi).cascaded_with(near_pi)
+        switch_resistance = self.segment_switch.on_resistance()
+        if switch_resistance < 0:
+            # PiModel(0.0, switch_resistance, 0.0)'s check.
+            raise TechnologyError("pi-model resistance cannot be negative")
+        cascade = PiModel.cascade_of_floats
+        return cascade(cascade(self.segmented_row.far.pi_model().floats(),
+                               (0.0, switch_resistance, 0.0)), near_pi)
 
     def _granted_pass(self, far_path: bool) -> PassTransistorSwitch:
         """The pass switch on the path under analysis."""
@@ -451,17 +464,11 @@ class CrossbarScheme:
             return self.near_pass_switch
         return self.pass_switch
 
-    def _merge_stage(self, falling: bool, far_path: bool) -> TimingStage:
-        """Stage 1: input driver through the pass device onto the merge node
-        (built once per direction and path: the falling far-path stage
-        serves both the delay report and the contention energy)."""
-        stage = self._merge_stages.get((falling, far_path))
-        if stage is None:
-            stage = self._merge_stages[falling, far_path] = self._build_merge_stage(
-                falling, far_path)
-        return stage
-
-    def _build_merge_stage(self, falling: bool, far_path: bool) -> TimingStage:
+    def _merge_delay(self, falling: bool, far_path: bool) -> float:
+        """Stage 1: the input driver through the input wire, the pass
+        device and the row wire onto the merge node, fighting the keeper
+        when it falls."""
+        vdd = self.supply_voltage
         driver_resistance = (
             self.input_driver.pull_down_resistance()
             if falling
@@ -471,24 +478,17 @@ class CrossbarScheme:
         series = granted.on_resistance()
         if not falling:
             # An NMOS pass device pulls high slowly (threshold-drop regime).
-            series *= pass_rise_penalty(
-                self.supply_voltage, granted.nmos.parameters.threshold_voltage
-            )
-        wire = self.input_wire.pi_model().cascaded_with(self._row_pi(far_path))
+            series *= pass_rise_penalty(vdd, granted.nmos.parameters.threshold_voltage)
+        wire = PiModel.cascade_of_floats(self.input_wire.pi_model().floats(),
+                                         self._row_pi_floats(far_path))
         contention = 1.0
         if falling and self.keeper is not None:
-            drive_current = 0.75 * self.supply_voltage / (driver_resistance + series)
+            drive_current = 0.75 * vdd / (driver_resistance + series)
             contention = contention_factor(drive_current, self.keeper.opposing_current())
-        return TimingStage(
-            name="merge",
-            driver_resistance=driver_resistance,
-            series_resistance=series,
-            wire=wire,
-            load_capacitance=self.near_merge_capacitance(),
-            contention_factor=contention,
-        )
+        return stage_delay("merge", driver_resistance, self.near_merge_capacitance(),
+                           wire, series, contention)
 
-    def _driver_stages(self, output_falling: bool) -> list[TimingStage]:
+    def _driver_delays(self, output_falling: bool) -> tuple[float, float]:
         """Stages 2 and 3: I1 switches the internal node, I2 drives the port wire."""
         if output_falling:
             driver1_resistance = self.driver1.pull_up_resistance()
@@ -496,50 +496,10 @@ class CrossbarScheme:
         else:
             driver1_resistance = self.driver1.pull_down_resistance()
             driver2_resistance = self.driver2.pull_up_resistance()
-        stage2 = TimingStage(
-            name="driver1",
-            driver_resistance=driver1_resistance,
-            load_capacitance=self.internal_node_capacitance(),
-        )
-        stage3 = TimingStage(
-            name="driver2",
-            driver_resistance=driver2_resistance,
-            wire=self.output_wire.pi_model(),
-            load_capacitance=self.output_node_capacitance(),
-        )
-        return [stage2, stage3]
-
-    def high_to_low_path(self) -> TimingPath:
-        """Worst-case path for a falling output (data 0 traversal)."""
-        path = TimingPath(name=f"{self.name}:high_to_low")
-        path.add_stage(self._merge_stage(falling=True, far_path=True))
-        for stage in self._driver_stages(output_falling=True):
-            path.add_stage(stage)
-        return path
-
-    def low_to_high_path(self) -> TimingPath:
-        """Worst-case path for a rising output.
-
-        Feedback schemes propagate the rise through the pass device (with
-        the keeper completing the swing); pre-charged schemes report the
-        pre-charge path instead, matching the Table 1 row label
-        "Low to High / Precharge delay time".
-        """
-        path = TimingPath(name=f"{self.name}:low_to_high")
-        if self.features.has_precharge:
-            path.add_stage(
-                TimingStage(
-                    name="precharge",
-                    driver_resistance=self.precharge.on_resistance(),
-                    wire=self._row_pi(far_path=True),
-                    load_capacitance=self.near_merge_capacitance(),
-                )
-            )
-        else:
-            path.add_stage(self._merge_stage(falling=False, far_path=True))
-        for stage in self._driver_stages(output_falling=False):
-            path.add_stage(stage)
-        return path
+        driver1 = stage_delay("driver1", driver1_resistance, self.internal_node_capacitance())
+        driver2 = stage_delay("driver2", driver2_resistance, self.output_node_capacitance(),
+                              self.output_wire.pi_model().floats())
+        return driver1, driver2
 
     def delay_report(self) -> DelayReport:
         """Worst-case delays of this scheme (Table 1 delay rows)."""
@@ -778,22 +738,6 @@ class CrossbarScheme:
     # ------------------------------------------------------------------ #
     # dynamic energy / total power                                         #
     # ------------------------------------------------------------------ #
-    def _merge_fall_delay(self) -> float:
-        """Traffic-averaged delay of the merge-node falling transition.
-
-        Used for the keeper-contention energy: a transfer from a
-        near-segment input fights the keeper for much less time than one
-        from the far segment, so segmented schemes average the two with
-        the traffic split — one of the ways segmentation "mitigates
-        dynamic power" in the paper's words.
-        """
-        far_delay = self._merge_stage(falling=True, far_path=True).delay()
-        if not self.features.segmented:
-            return far_delay
-        near_delay = self._merge_stage(falling=True, far_path=False).delay()
-        near_fraction = self.segmentation_plan.near_traffic_fraction
-        return near_fraction * near_delay + (1.0 - near_fraction) * far_delay
-
     def _row_switched_capacitance(self) -> float:
         """Average row-wire capacitance switched per transfer (farads)."""
         if self.features.segmented:
@@ -909,21 +853,50 @@ class CrossbarScheme:
         through the structural cache), so the first analysis pays for the
         circuit walk and every later ``(static_probability,
         toggle_activity)`` point is arithmetic on this profile.  The
-        leakage terms come from :attr:`device_part`.
+        leakage terms come from :attr:`device_part`, the energies and
+        delays from :attr:`_geometry`.
         """
-        vdd = self.supply_voltage
         part = self.device_part
         path_leakage = {state: AffineLeakage.from_floats(part, 9 * index)
                         for index, state in enumerate(_PATH_STATES)}
         if self.features.has_sleep:
-            sleep = LeakageBreakdown(*part[_SLEEP_OFFSET:_SLEEP_OFFSET + 3])
+            sleep = LeakageBreakdown(*part[_SLEEP_OFFSET:_HIGH_VT_OFFSET])
             standby = sleep.scaled(self.output_path_count)
         else:
             standby = self._expected_path_leakage(path_leakage, 0.5, 0.5, granted=False)
+        (precharged, toggled, contention, clocked, input_wire, grant, sleep_control,
+         parked_merge, internal_node, delay) = self._geometry
+        return ActivityProfile(
+            delay=delay,
+            standby=standby,
+            path_leakage=path_leakage,
+            precharged_energy=precharged,
+            toggled_energy=toggled,
+            contention_energy=contention,
+            clocked_energy=clocked,
+            input_wire_energy=input_wire,
+            grant_energy=grant,
+            sleep_control_energy=sleep_control,
+            parked_merge_energy=parked_merge,
+            internal_node_energy=internal_node,
+        )
 
+    @cached_property
+    def _geometry(self) -> tuple:
+        """The profile's nine energies (:class:`ActivityProfile` field
+        order) and its :class:`DelayReport`, derived once from the
+        capacitances and the stage delays as floats: the tail of the
+        record terms.
+
+        The falling far-path merge stage is computed once and serves both
+        the high-to-low delay and the keeper-contention energy.
+        """
+        vdd = self.supply_voltage
+        features = self.features
         internal_node_energy = switching_energy(self.internal_node_capacitance(), vdd)
+        merge_fall = None
         precharged_energy = contention = clocked_energy = 0.0
-        if self.features.has_precharge:
+        if features.has_precharge:
             precharged_energy = switching_energy(
                 self._switched_merge_device_capacitance()
                 + self._row_switched_capacitance()
@@ -936,9 +909,17 @@ class CrossbarScheme:
         else:
             toggled_energy = switching_energy(self.data_path_capacitance(), vdd)
             if self.keeper is not None:
-                contention = contention_energy(
-                    self.keeper.opposing_current(), self._merge_fall_delay(), vdd
-                )
+                # Traffic-averaged delay of the merge-node fall: a transfer
+                # from a near-segment input fights the keeper for much less
+                # time than one from the far segment, one of the ways
+                # segmentation "mitigates dynamic power" in the paper's words.
+                merge_fall = self._merge_delay(falling=True, far_path=True)
+                fight = merge_fall
+                if features.segmented:
+                    near_delay = self._merge_delay(falling=True, far_path=False)
+                    near_fraction = self.segmentation_plan.near_traffic_fraction
+                    fight = near_fraction * near_delay + (1.0 - near_fraction) * merge_fall
+                contention = contention_energy(self.keeper.opposing_current(), fight, vdd)
 
         # One grant wire per (input, output) pair, loaded by the pass gates
         # of every bit of the flit; a new grant is established on a
@@ -947,34 +928,43 @@ class CrossbarScheme:
         grant_load = self.config.flit_width * self.pass_switch.grant_capacitance()
 
         sleep_control_energy = parked_merge_energy = 0.0
-        if self.features.has_sleep:
-            segments = 2 if self.features.segmented else 1
+        if features.has_sleep:
+            segments = 2 if features.segmented else 1
             sleep_control_energy = segments * switching_energy(
                 self.sleep.control_capacitance(), vdd
             )
-            row_capacitance = (self.segmented_row.total_capacitance if self.features.segmented
+            row_capacitance = (self.segmented_row.total_capacitance if features.segmented
                                else self.row_wire.capacitance)
             parked_merge_energy = switching_energy(
                 self.merge_capacitance() + row_capacitance, vdd
             )
 
-        return ActivityProfile(
-            delay=DelayReport(
-                scheme=self.name,
-                high_to_low=self.high_to_low_path().delay(),
-                low_to_high=self.low_to_high_path().delay(),
-            ),
-            standby=standby,
-            path_leakage=path_leakage,
-            precharged_energy=precharged_energy,
-            toggled_energy=toggled_energy,
-            contention_energy=contention,
-            clocked_energy=clocked_energy,
-            input_wire_energy=switching_energy(self.input_wire.capacitance, vdd),
-            grant_energy=grant_switch_probability * switching_energy(grant_load, vdd),
-            sleep_control_energy=sleep_control_energy,
-            parked_merge_energy=parked_merge_energy,
-            internal_node_energy=internal_node_energy,
+        # Worst-case paths, each the sum of its stage delays.  Falling
+        # output: the data 0 through the far-path pass device.  Rising
+        # output: feedback schemes propagate the rise through the pass
+        # device (the keeper completes the swing); pre-charged schemes
+        # report the pre-charge path instead, matching the Table 1 row
+        # label "Low to High / Precharge delay time".
+        if merge_fall is None:
+            merge_fall = self._merge_delay(falling=True, far_path=True)
+        driver1, driver2 = self._driver_delays(output_falling=True)
+        high_to_low = merge_fall + driver1 + driver2
+        if features.has_precharge:
+            merge_rise = stage_delay("precharge", self.precharge.on_resistance(),
+                                     self.near_merge_capacitance(),
+                                     self._row_pi_floats(far_path=True))
+        else:
+            merge_rise = self._merge_delay(falling=False, far_path=True)
+        driver1, driver2 = self._driver_delays(output_falling=False)
+        delay = DelayReport(scheme=self.name, high_to_low=high_to_low,
+                            low_to_high=merge_rise + driver1 + driver2)
+
+        return (
+            precharged_energy, toggled_energy, contention, clocked_energy,
+            switching_energy(self.input_wire.capacitance, vdd),
+            grant_switch_probability * switching_energy(grant_load, vdd),
+            sleep_control_energy, parked_merge_energy, internal_node_energy,
+            delay,
         )
 
     @cached_property
@@ -985,19 +975,46 @@ class CrossbarScheme:
 
     def derive_record_terms(self) -> tuple:
         """The flat tuple :meth:`figures_from_record_terms` reads (layout
-        at ``_TERMS_PATHS``), derived from :attr:`activity_profile`."""
-        profile = self.activity_profile
+        at ``_TERMS_PATHS``), in one pass that builds no profile, leakage
+        or timing object: the path leakage straight from
+        :attr:`device_part` (already in record-terms order), the standby
+        power with the float operations of :attr:`activity_profile`'s
+        ``standby.power(vdd)`` and the tail from :attr:`_geometry`.
+
+        Every check the profile's objects make is made here, in their
+        order: the path terms and the sleep leakage are non-negative, the
+        scaling factor too, then the geometry's checks, then the supply.
+        """
         vdd = self.supply_voltage
-        leakage = profile.path_leakage
+        paths = self.output_path_count
+        part = self.device_part
+        leakage = part[:_SLEEP_OFFSET]
+        if min(leakage) < 0:
+            # AffineLeakage.from_floats' check.
+            raise CircuitError("leakage components cannot be negative")
+        standby = None
+        if self.features.has_sleep:
+            # LeakageBreakdown(*sleep).scaled(paths)'s checks and products.
+            sleep = part[_SLEEP_OFFSET:_HIGH_VT_OFFSET]
+            for name, value in zip(("subthreshold", "gate", "junction"), sleep):
+                if value < 0:
+                    raise CircuitError(f"leakage component {name} cannot be negative")
+            if paths < 0:
+                raise CircuitError("scaling factor cannot be negative")
+            standby = (sleep[0] * paths, sleep[1] * paths, sleep[2] * paths)
+        geometry = self._geometry
+        if vdd <= 0:
+            # LeakageBreakdown.power's check.
+            raise CircuitError("supply voltage must be positive")
+        if standby is not None:
+            standby_power = (standby[0] + standby[1] + standby[2]) * vdd
+        else:
+            # idle_leakage(0.5).power(vdd): the idle states sit at 9 and 27.
+            standby_power = AffineLeakage.mixed_power_of_floats(
+                leakage[9:18], leakage[27:36], 0.5, 0.5, paths, vdd)
         return (
-            vdd, self.output_path_count, self.input_wire_count, self.config.output_count,
-            *(floats for state in _PATH_STATES for floats in leakage[state].floats()),
-            profile.standby.power(vdd),
-            profile.precharged_energy, profile.toggled_energy, profile.contention_energy,
-            profile.clocked_energy, profile.input_wire_energy, profile.grant_energy,
-            profile.sleep_control_energy, profile.parked_merge_energy,
-            profile.internal_node_energy,
-            profile.delay,
+            vdd, paths, self.input_wire_count, self.config.output_count,
+            *leakage, standby_power, *geometry,
         )
 
     def figures_from_record_terms(self, terms: tuple, static_probability: float,

@@ -430,10 +430,19 @@ class EvaluationService:
         task.add_done_callback(self._flush_tasks.discard)
 
     def _evaluate_and_persist(
-            self, batch: list[_PendingPoint]) -> tuple[list[CachedEntry], int]:
+            self, batch: list[_PendingPoint]
+    ) -> tuple[list[CachedEntry | ReproError], int]:
         """Worker-thread half of a flush: evaluate the batch and write it
-        to the cache (:meth:`Evaluator.evaluate_misses`), returning the
-        entries and the write-failure count.
+        to the cache (:meth:`Evaluator.evaluate_misses`), returning each
+        point's entry (or its own model error) and the write-failure
+        count.
+
+        A point the model rejects (a :class:`ReproError` other than
+        :class:`DistributedError`) must not fail the valid points that
+        happened to share its flush: when the batch raises one, every
+        point is re-run alone, so each gets its own entry or its own
+        error, and the valid ones are cached.  A one-point batch
+        re-raises instead.
 
         Runs off the event loop so neither the evaluation nor the disk
         persistence (per-entry writes plus the recency flush — possibly on
@@ -443,10 +452,31 @@ class EvaluationService:
         an entry mid-insert (costing a duplicate evaluation), never see
         a corrupt structure.  A failed write does not fail the query;
         an executor breaking the ``run(items)`` contract raises
-        :class:`RuntimeError` — a server fault, an HTTP 500.
+        :class:`RuntimeError` — a server fault, an HTTP 500 — and a
+        :class:`DistributedError` is a fleet fault, an HTTP 503: both
+        still fail the whole batch, in the batch run and the re-runs alike.
         """
-        return self.evaluator.evaluate_misses(
-            [(point.key, point.config) for point in batch])
+        misses = [(point.key, point.config) for point in batch]
+        try:
+            return self.evaluator.evaluate_misses(misses)
+        except DistributedError:
+            raise
+        except ReproError:
+            if len(misses) == 1:
+                raise
+        outcomes: list[CachedEntry | ReproError] = []
+        write_failures = 0
+        for miss in misses:
+            try:
+                (entry,), failures = self.evaluator.evaluate_misses([miss])
+            except DistributedError:
+                raise
+            except ReproError as exc:
+                outcomes.append(exc)
+                continue
+            outcomes.append(entry)
+            write_failures += failures
+        return outcomes, write_failures
 
     async def _flush(self) -> None:
         """Run the pending batch through the executor and settle futures.
@@ -456,7 +486,9 @@ class EvaluationService:
         batching the executor wants.  Evaluation and cache persistence
         happen in a worker thread (:meth:`_evaluate_and_persist`);
         futures are settled and in-flight keys released back on the
-        loop, on success and failure alike.
+        loop, on success and failure alike: each point's future gets its
+        own entry or its own model error, and a batch-level fault fails
+        every future of the batch.
         """
         if self._flush_lock is None:
             self._flush_lock = asyncio.Lock()
@@ -476,12 +508,18 @@ class EvaluationService:
                         point.future.set_exception(exc)
                 return
             self.stats.cache_write_failures += write_failures
+            evaluated = 0
             for point, entry in zip(batch, entries):
                 self._in_flight.pop(point.key, None)
+                if isinstance(entry, ReproError):
+                    if not point.future.done():
+                        point.future.set_exception(entry)
+                    continue
+                evaluated += 1
                 if not point.future.done():
                     point.future.set_result(entry)
             self.stats.batches += 1
-            self.stats.evaluated += len(batch)
+            self.stats.evaluated += evaluated
             self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
 
     async def stop(self) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..circuit.rc_network import LN2
 from ..errors import TechnologyError
 
 __all__ = ["PiModel"]
@@ -35,29 +36,53 @@ class PiModel:
         """Total wire capacitance (farads)."""
         return self.near_capacitance + self.far_capacitance
 
-    def driver_stage_delay(self, driver_resistance: float, load_capacitance: float) -> float:
-        """50 % delay of a driver pushing through this pi into a load.
+    def floats(self) -> tuple[float, float, float]:
+        """``(near_capacitance, resistance, far_capacitance)``: the form
+        :meth:`driver_stage_delay_of_floats` and :meth:`cascade_of_floats`
+        read."""
+        return self.near_capacitance, self.resistance, self.far_capacitance
 
-        Closed form: ``0.69 Rd (Cn + Cf + CL) + 0.69 R (Cf + CL)``; the
-        near capacitance never sees the wire resistance.
-        """
+    def driver_stage_delay(self, driver_resistance: float, load_capacitance: float) -> float:
+        """50 % delay of a driver pushing through this pi into a load
+        (:meth:`driver_stage_delay_of_floats`, validated)."""
         if driver_resistance < 0 or load_capacitance < 0:
             raise TechnologyError("driver resistance and load capacitance cannot be negative")
-        ln2 = 0.6931471805599453
-        return ln2 * (
-            driver_resistance * (self.total_capacitance + load_capacitance)
-            + self.resistance * (self.far_capacitance + load_capacitance)
+        return PiModel.driver_stage_delay_of_floats(
+            self.floats(), driver_resistance, load_capacitance)
+
+    @staticmethod
+    def driver_stage_delay_of_floats(pi: tuple[float, float, float], driver_resistance: float,
+                                     load_capacitance: float) -> float:
+        """50 % delay of a driver pushing through the pi ``pi`` (its
+        :meth:`floats`) into a load.
+
+        Closed form: ``0.69 Rd (Cn + Cf + CL) + 0.69 R (Cf + CL)``; the
+        near capacitance never sees the wire resistance.  Unvalidated:
+        the caller checks the driver resistance and the load are
+        non-negative.
+        """
+        near_capacitance, resistance, far_capacitance = pi
+        return LN2 * (
+            driver_resistance * (near_capacitance + far_capacitance + load_capacitance)
+            + resistance * (far_capacitance + load_capacitance)
         )
 
     def cascaded_with(self, other: "PiModel") -> "PiModel":
-        """Pi model of this wire followed immediately by ``other``.
+        """Pi model of this wire followed immediately by ``other``
+        (:meth:`cascade_of_floats`)."""
+        return PiModel(*PiModel.cascade_of_floats(self.floats(), other.floats()))
+
+    @staticmethod
+    def cascade_of_floats(first: tuple[float, float, float],
+                          second: tuple[float, float, float]) -> tuple[float, float, float]:
+        """The :meth:`floats` of ``first`` followed immediately by ``second``.
 
         The merge keeps total R and C exact and the boundary capacitance
         split between the two sides, which preserves the Elmore delay of
-        the cascade.
+        the cascade.  Non-negative inputs give a non-negative result, so
+        it needs no validation of its own.
         """
-        return PiModel(
-            near_capacitance=self.near_capacitance,
-            resistance=self.resistance + other.resistance,
-            far_capacitance=self.far_capacitance + other.total_capacitance,
-        )
+        near_capacitance, resistance, far_capacitance = first
+        second_near, second_resistance, second_far = second
+        return (near_capacitance, resistance + second_resistance,
+                far_capacitance + (second_near + second_far))

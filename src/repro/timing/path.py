@@ -1,4 +1,4 @@
-"""Timing paths: ordered driver stages with wires, loads and contention.
+"""Stage delays: one driver stage with its wire, load and contention.
 
 A crossbar delay path (Figures 1-3) is a chain of stages:
 
@@ -10,86 +10,46 @@ A crossbar delay path (Figures 1-3) is a chain of stages:
 4. for segmented schemes, an extra stage through the segment switch.
 
 Each stage is characterised by an effective driver resistance, an
-optional wire (as a pi model), a lumped load capacitance and a
-contention factor that inflates the delay when the stage must overpower
-a keeper.  The path delay is the sum of the stage delays — standard
-stage-based static timing.
+optional wire (as a pi model's :meth:`~repro.interconnect.PiModel.floats`),
+a lumped load capacitance and a contention factor that inflates the
+delay when the stage must overpower a keeper.  The path delay is the
+sum of the stage delays — standard stage-based static timing — which
+the crossbar schemes add up as plain floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ..circuit.rc_network import LN2
 from ..errors import TimingError
 from ..interconnect.pi_model import PiModel
-from ..circuit.rc_network import LN2
 
-__all__ = ["TimingStage", "TimingPath"]
-
-
-@dataclass(frozen=True)
-class TimingStage:
-    """One driver stage of a timing path."""
-
-    name: str
-    driver_resistance: float
-    load_capacitance: float
-    wire: PiModel | None = None
-    series_resistance: float = 0.0
-    contention_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.driver_resistance < 0:
-            raise TimingError(f"stage {self.name!r}: driver resistance cannot be negative")
-        if self.load_capacitance < 0:
-            raise TimingError(f"stage {self.name!r}: load capacitance cannot be negative")
-        if self.series_resistance < 0:
-            raise TimingError(f"stage {self.name!r}: series resistance cannot be negative")
-        if self.contention_factor < 1.0:
-            raise TimingError(
-                f"stage {self.name!r}: contention factor is a delay inflation and must be >= 1"
-            )
-
-    def delay(self) -> float:
-        """50 % delay of this stage in seconds.
-
-        The driver resistance and any series (pass-transistor) resistance
-        push through the optional wire into the lumped load; contention
-        multiplies the result.
-        """
-        total_driver = self.driver_resistance + self.series_resistance
-        if self.wire is None:
-            base = LN2 * total_driver * self.load_capacitance
-        else:
-            base = self.wire.driver_stage_delay(total_driver, self.load_capacitance)
-        return base * self.contention_factor
+__all__ = ["stage_delay"]
 
 
-@dataclass
-class TimingPath:
-    """An ordered list of stages from a launch point to a capture point."""
+def stage_delay(name: str, driver_resistance: float, load_capacitance: float,
+                wire: tuple[float, float, float] | None = None,
+                series_resistance: float = 0.0, contention_factor: float = 1.0) -> float:
+    """50 % delay of one driver stage in seconds.
 
-    name: str
-    stages: list[TimingStage] = field(default_factory=list)
-
-    def add_stage(self, stage: TimingStage) -> None:
-        """Append a stage to the path."""
-        self.stages.append(stage)
-
-    def delay(self) -> float:
-        """Total path delay in seconds."""
-        if not self.stages:
-            raise TimingError(f"path {self.name!r} has no stages")
-        return sum(stage.delay() for stage in self.stages)
-
-    def stage_delays(self) -> dict[str, float]:
-        """Per-stage delay breakdown (seconds), keyed by stage name."""
-        if not self.stages:
-            raise TimingError(f"path {self.name!r} has no stages")
-        return {stage.name: stage.delay() for stage in self.stages}
-
-    def critical_stage(self) -> TimingStage:
-        """The stage contributing the largest share of the path delay."""
-        if not self.stages:
-            raise TimingError(f"path {self.name!r} has no stages")
-        return max(self.stages, key=lambda stage: stage.delay())
+    The driver resistance and any series (pass-transistor) resistance
+    push through the optional ``wire`` (a pi model's ``(near
+    capacitance, resistance, far capacitance)``) into the lumped load;
+    contention multiplies the result.  ``name`` labels the stage in
+    errors.
+    """
+    if driver_resistance < 0:
+        raise TimingError(f"stage {name!r}: driver resistance cannot be negative")
+    if load_capacitance < 0:
+        raise TimingError(f"stage {name!r}: load capacitance cannot be negative")
+    if series_resistance < 0:
+        raise TimingError(f"stage {name!r}: series resistance cannot be negative")
+    if contention_factor < 1.0:
+        raise TimingError(
+            f"stage {name!r}: contention factor is a delay inflation and must be >= 1"
+        )
+    total_driver = driver_resistance + series_resistance
+    if wire is None:
+        base = LN2 * total_driver * load_capacitance
+    else:
+        base = PiModel.driver_stage_delay_of_floats(wire, total_driver, load_capacitance)
+    return base * contention_factor

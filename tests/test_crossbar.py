@@ -276,8 +276,8 @@ class TestSchemeTiming:
 
     def test_near_path_faster_than_far_path_in_segmented_schemes(self, schemes):
         sdfc = schemes["SDFC"]
-        near = sdfc._merge_stage(falling=True, far_path=False).delay()
-        far = sdfc._merge_stage(falling=True, far_path=True).delay()
+        near = sdfc._merge_delay(falling=True, far_path=False)
+        far = sdfc._merge_delay(falling=True, far_path=True)
         assert near < far
 
     def test_delays_shrink_with_smaller_crossbar(self, library):

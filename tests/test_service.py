@@ -769,3 +769,62 @@ def test_stats_payload_carries_structural_cache_counters():
     assert structural["device_part_misses"] == schemes
     assert structural["device_part_hits"] == schemes
     assert structural["kernel_misses"] > 0
+
+
+# ---------------------------------------------------------------------------
+# per-point error isolation within a batch
+# ---------------------------------------------------------------------------
+
+#: A valid point and one the model rejects (at p = 0.001 DFC's standby
+#: saves nothing), sent concurrently so they share one flush.
+VALID_POINT = {"static_probability": 0.4321, "toggle_activity": 0.3}
+REJECTED_POINT = {"static_probability": 0.001}
+REJECTED_MESSAGE = "scheme 'DFC' saves no power in standby; minimum idle time undefined"
+
+
+def test_a_rejected_point_does_not_fail_its_batch_mates():
+    async def scenario():
+        service = make_service(scheme_names=None, max_batch_size=2, flush_interval=30.0)
+        results = await asyncio.gather(service.evaluate(VALID_POINT),
+                                       service.evaluate(REJECTED_POINT),
+                                       return_exceptions=True)
+        repeat = await service.evaluate(VALID_POINT)
+        await service.stop()
+        return service, results, repeat
+
+    service, (valid, rejected), repeat = asyncio.run(scenario())
+    assert not isinstance(valid, BaseException)
+    assert len(valid.records) == 5 and not valid.from_cache
+    assert repeat.from_cache and repeat.records == valid.records
+    assert type(rejected).__name__ == "PowerError"
+    assert str(rejected) == REJECTED_MESSAGE
+    assert len(service.cache) == 1  # the valid point only
+    assert service.stats.evaluated == 1
+    assert not service._in_flight
+
+
+def test_a_rejected_point_is_its_own_400_over_http():
+    async def scenario():
+        service = make_service(scheme_names=None, max_batch_size=2, flush_interval=30.0)
+        server = await EvaluationServer(service, port=0).start()
+        client = ServiceClient("127.0.0.1", server.port)
+        (valid_status, valid), (rejected_status, rejected) = await asyncio.gather(
+            client._request("POST", "/evaluate", {"overrides": VALID_POINT}),
+            client._request("POST", "/evaluate", {"overrides": REJECTED_POINT}))
+        repeat_status, repeat = await client._request(
+            "POST", "/evaluate", {"overrides": VALID_POINT})
+        cached = len(service.cache)
+        await server.stop()
+        await service.stop()
+        return (valid_status, valid, rejected_status, rejected, repeat_status, repeat,
+                cached)
+
+    (valid_status, valid, rejected_status, rejected, repeat_status, repeat,
+     cached) = asyncio.run(scenario())
+    assert valid_status == 200 and len(valid["records"]) == 5
+    assert valid["from_cache"] is False
+    assert rejected_status == 400
+    assert rejected == {"error": "evaluation-failed", "message": REJECTED_MESSAGE}
+    assert repeat_status == 200 and repeat["from_cache"] is True
+    assert repeat["records"] == valid["records"]
+    assert cached == 1  # the valid point only

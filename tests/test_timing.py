@@ -1,4 +1,4 @@
-"""Tests for the timing substrate: stages, paths, contention, slack and
+"""Tests for the timing substrate: stage delays, contention, slack and
 dual-Vt assignment."""
 
 from __future__ import annotations
@@ -10,63 +10,52 @@ from repro.interconnect import PiModel
 from repro.timing import (
     DelayReport,
     SlackReport,
-    TimingPath,
-    TimingStage,
     VtCandidate,
     assign_high_vt,
     contention_factor,
     pass_rise_penalty,
     required_time_from_clock,
+    stage_delay,
 )
 
 
-class TestTimingStage:
+class TestStageDelay:
     def test_delay_without_wire_is_rc(self):
-        stage = TimingStage("s", driver_resistance=1000.0, load_capacitance=10e-15)
-        assert stage.delay() == pytest.approx(0.693 * 1000.0 * 10e-15, rel=1e-3)
+        delay = stage_delay("s", driver_resistance=1000.0, load_capacitance=10e-15)
+        assert delay == pytest.approx(0.693 * 1000.0 * 10e-15, rel=1e-3)
 
     def test_series_resistance_adds_to_driver(self):
-        base = TimingStage("s", 1000.0, 10e-15)
-        with_pass = TimingStage("s", 1000.0, 10e-15, series_resistance=500.0)
-        assert with_pass.delay() == pytest.approx(1.5 * base.delay())
+        base = stage_delay("s", 1000.0, 10e-15)
+        with_pass = stage_delay("s", 1000.0, 10e-15, series_resistance=500.0)
+        assert with_pass == pytest.approx(1.5 * base)
 
     def test_contention_inflates_delay(self):
-        quiet = TimingStage("s", 1000.0, 10e-15)
-        fighting = TimingStage("s", 1000.0, 10e-15, contention_factor=1.5)
-        assert fighting.delay() == pytest.approx(1.5 * quiet.delay())
+        quiet = stage_delay("s", 1000.0, 10e-15)
+        fighting = stage_delay("s", 1000.0, 10e-15, contention_factor=1.5)
+        assert fighting == pytest.approx(1.5 * quiet)
 
     def test_wire_adds_delay(self):
-        bare = TimingStage("s", 1000.0, 10e-15)
-        wired = TimingStage("s", 1000.0, 10e-15, wire=PiModel(10e-15, 500.0, 10e-15))
-        assert wired.delay() > bare.delay()
+        bare = stage_delay("s", 1000.0, 10e-15)
+        wired = stage_delay("s", 1000.0, 10e-15, wire=PiModel(10e-15, 500.0, 10e-15).floats())
+        assert wired > bare
+
+    def test_wire_delay_is_the_pi_models(self):
+        pi = PiModel(10e-15, 500.0, 10e-15)
+        assert stage_delay("s", 1000.0, 10e-15, wire=pi.floats(), series_resistance=200.0) \
+            == pi.driver_stage_delay(1200.0, 10e-15)
 
     def test_invalid_contention_rejected(self):
-        with pytest.raises(TimingError):
-            TimingStage("s", 1000.0, 10e-15, contention_factor=0.5)
+        with pytest.raises(TimingError, match="contention factor is a delay inflation"):
+            stage_delay("s", 1000.0, 10e-15, contention_factor=0.5)
 
-    def test_negative_resistance_rejected(self):
-        with pytest.raises(TimingError):
-            TimingStage("s", -1.0, 10e-15)
-
-
-class TestTimingPath:
-    def _path(self):
-        path = TimingPath("p")
-        path.add_stage(TimingStage("a", 1000.0, 10e-15))
-        path.add_stage(TimingStage("b", 500.0, 30e-15))
-        return path
-
-    def test_delay_is_sum_of_stages(self):
-        path = self._path()
-        assert path.delay() == pytest.approx(sum(path.stage_delays().values()))
-
-    def test_critical_stage_is_largest_contributor(self):
-        path = self._path()
-        assert path.critical_stage().name == "b"
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(TimingError):
-            TimingPath("empty").delay()
+    @pytest.mark.parametrize("field, arguments", [
+        ("driver resistance", (-1.0, 10e-15)),
+        ("load capacitance", (1000.0, -1e-15)),
+        ("series resistance", (1000.0, 10e-15, None, -1.0)),
+    ])
+    def test_negative_values_rejected(self, field, arguments):
+        with pytest.raises(TimingError, match=f"stage 's': {field} cannot be negative"):
+            stage_delay("s", *arguments)
 
 
 class TestContentionAndRisePenalty:
