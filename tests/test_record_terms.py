@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import importlib.util
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import pytest
 
@@ -41,8 +39,8 @@ from repro.interconnect.pi_model import PiModel
 from repro.timing.delay_analysis import DelayReport, contention_factor, pass_rise_penalty
 
 from test_device_parts import PERTURBATIONS
+from test_point_records import _perfbench_inputs
 
-ROOT = Path(__file__).resolve().parents[1]
 LN2 = 0.6931471805599453
 
 # ---------------------------------------------------------------------------
@@ -263,11 +261,7 @@ def _outcome(evaluate):
 def _structural_sample(seed: int = 7, size: int = 40) -> list[dict]:
     """A seeded sample of one ``sweep_structural`` block holding every
     (node, corner) pair and every port count it sweeps."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", ROOT / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    block = inputs.structural_block(seed, 0)
+    block = _perfbench_inputs().structural_block(seed, 0)
     chosen: dict = {}
     for point in block:
         chosen.setdefault((point["technology_node"], point["corner"]), point)
