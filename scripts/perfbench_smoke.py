@@ -29,9 +29,9 @@ REPO = Path(__file__).resolve().parents[1]
 #: going off a cliff.  Perfbench scales its timings to a reference host
 #: speed, so the floors travel.
 FLOORS = {
-    "sweep_scalar": 3428.0,      # median 10284 points/s
+    "sweep_scalar": 5883.0,      # median 17650 points/s
     "sweep_structural": 230.0,   # median 692
-    "sweep_fleet": 1755.0,       # median 5264
+    "sweep_fleet": 1953.0,       # median 5858
     "serve_mixed": 574.0,        # median 1723 requests/s
 }
 

@@ -36,7 +36,9 @@ in-memory cache and the serial executor included, the loop the
 ``--sweep`` also prints the cumulative shares of ``with_overrides``
 (config building), ``point_key`` and ``point_records`` in the profile,
 and what is left of ``Evaluator.evaluate`` (its own bookkeeping: cache
-gets and puts, results).  ``--structural`` prints the cold split:
+gets and puts, results), and the ``evaluate_scheme`` calls per
+scheme-point: the share of points that miss their record plan's
+static-probability slot (1/8 on the benchmark's p-major grids).  ``--structural`` prints the cold split:
 ``with_overrides``, ``point_key``, ``library_for`` (library builds),
 ``create_scheme`` (scheme construction), ``derive_device_part`` and
 ``derive_record_terms``.
@@ -103,11 +105,19 @@ _STRUCTURAL_PARTS = (("config.py", "with_overrides"), ("cache.py", "point_key"),
                      ("factory.py", "create_scheme"), ("base.py", "derive_device_part"),
                      ("base.py", "derive_record_terms"))
 _EVALUATE = ("evaluator.py", "evaluate")
+#: The per-scheme evaluation a point that misses its plan's slot calls.
+_EVALUATE_SCHEME = ("scheme_evaluator.py", "evaluate_scheme")
 
 
 def _cumulative(stats: pstats.Stats, filename: str, function: str) -> float:
     """``function``'s (in ``filename``) cumulative time, callees included."""
     return sum(row[3] for (path, _, name), row in stats.stats.items()
+               if name == function and Path(path).name == filename)
+
+
+def _calls(stats: pstats.Stats, filename: str, function: str) -> int:
+    """How many times ``function`` (in ``filename``) was called."""
+    return sum(row[1] for (path, _, name), row in stats.stats.items()
                if name == function and Path(path).name == filename)
 
 
@@ -195,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     stats = pstats.Stats(profiler)
     if args.sweep:
         print(_split(stats, _SWEEP_PARTS, bookkeeping=True))
+        scheme_points = count * len(evaluator.scheme_names)
+        print(f"evaluate_scheme calls per scheme-point: "
+              f"{_calls(stats, *_EVALUATE_SCHEME) / scheme_points:.3f}")
     elif args.structural:
         print(_split(stats, _STRUCTURAL_PARTS, bookkeeping=False))
     print()

@@ -11,17 +11,21 @@ Two entry points produce the same records:
   :class:`SchemeComparison` of per-scheme evaluations and savings, with
   the rendered table — and is the reference the record path is tested
   against;
-* :func:`point_records` is the engine's record path: it reads every
-  Table 1 figure straight off each built scheme's activity profile and
-  writes the record dicts directly, bit-identical to
-  ``compare_schemes(...).as_records()`` without the intermediate
-  analysis objects.
+* :func:`point_records` is the engine's record path: it computes every
+  Table 1 figure from each built scheme's record terms, reusing what the
+  structure's record plan holds (the structure constants and the
+  leakage of the last static probability), and writes the record dicts
+  directly, bit-identical to ``compare_schemes(...).as_records()``
+  without the intermediate analysis objects.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from math import copysign
 
+from ..crossbar.base import CrossbarScheme, record_dynamic_power
 from ..errors import ConfigurationError, PowerError
 from ..power.idle_time import minimum_idle_cycles
 from ..power.report import format_table1
@@ -29,7 +33,14 @@ from ..power.savings import SchemeEvaluation, SchemeSavings, savings_versus_base
 from ..units import seconds_to_picoseconds, watts_to_milliwatts
 from . import scheme_evaluator
 from .config import ExperimentConfig
-from .scheme_evaluator import SchemeEvaluator, SchemeFigures, SchemeResult, checked_names
+from .scheme_evaluator import (
+    RecordPlan,
+    SchemeEvaluator,
+    SchemeFigures,
+    SchemeResult,
+    check_toggle_activity,
+    checked_names,
+)
 
 __all__ = ["SchemeComparison", "compare_schemes", "point_records"]
 
@@ -130,68 +141,123 @@ def point_records(
     baseline_name: str = "SC",
 ) -> list[dict[str, float | str]]:
     """``compare_schemes(config, scheme_names, baseline_name).as_records()``,
-    computed straight from each scheme's activity profile.
+    computed straight from each scheme's record terms.
 
     Schemes come from the structural cache exactly as for
-    :func:`compare_schemes`, through one :func:`schemes_for
-    <repro.core.scheme_evaluator.schemes_for>` lookup per point; each
-    Table 1 figure is then computed once per scheme from its record
-    terms and written into the record dict, with no evaluation, savings
-    or comparison objects in between.  The contract is exact: the same
-    keys in the same order, bit-identical floats, and the same
-    validation — an invalid point raises the same exception (type and
-    message) for the same first failing scheme.
+    :func:`compare_schemes`, through one :func:`structure_for
+    <repro.core.scheme_evaluator.structure_for>` lookup per point, with
+    the structure's :class:`~repro.core.scheme_evaluator.RecordPlan`.
+    A point whose static probability is the plan's slot's (the same
+    float bits, so ``0.0`` and ``-0.0`` differ) and whose baseline is
+    the slot's reads every figure but the total power from the slot and
+    computes only the dynamic power
+    (:func:`~repro.crossbar.base.record_dynamic_power`).  Any other
+    point evaluates each scheme (:func:`evaluate_scheme
+    <repro.core.scheme_evaluator.evaluate_scheme>`, once per scheme in
+    order), then refills the slot and, for a new baseline, the plan's
+    constants.  The contract is exact: the same keys in the same order,
+    bit-identical floats, and the same validation — an invalid point
+    raises the same exception (type and message) for the same first
+    failing scheme.
     """
     if config is None:
         config = ExperimentConfig()
+    p = config.static_probability
+    pairs, plan = scheme_evaluator.structure_for(config, scheme_names, baseline_name)
+    slot_probability, slot_baseline, baseline_index, rows = plan.slot
+    if (p == slot_probability and baseline_name == slot_baseline
+            and (p or copysign(1.0, p) == copysign(1.0, slot_probability))):
+        # Every check but these two passed when the slot was filled.
+        toggle, clock = config.toggle_activity, config.clock_frequency
+        check_toggle_activity(toggle)
+        totals = [record_dynamic_power(row[1], p, toggle, clock) + row[6] for row in rows]
+        if len(rows) > 1:
+            _check_baseline_total(totals[baseline_index])
+        return _write_records(rows, totals)
+    return _fill_slot(config, pairs, plan, baseline_name)
+
+
+def _fill_slot(config: ExperimentConfig, pairs: Iterable[tuple[str, CrossbarScheme]],
+               plan: RecordPlan, baseline_name: str) -> list[dict[str, float | str]]:
+    """A point that misses the slot: evaluate every scheme, check and
+    compute the savings in :func:`compare_schemes` order, then write the
+    records and make this point's static probability the slot's."""
     clock = config.clock_frequency
     # Looked up on the module per call, so a wrapper installed there
     # (perfbench's tracer times each scheme this way) sees every scheme.
     evaluate = scheme_evaluator.evaluate_scheme
     figures: dict[str, SchemeFigures] = {}
-    for name, scheme in scheme_evaluator.schemes_for(config, scheme_names, baseline_name):
+    for name, scheme in pairs:
         figures[name] = evaluate(scheme, config)
-
-    # Savings of every non-baseline scheme first, then the records: the
-    # order in which compare_schemes raises.
     baseline = figures[baseline_name]
-    savings: dict[str, tuple[float, float, float, int]] = {}
+    constants = plan.constants
+    if constants[0] != baseline_name:
+        constants = plan.constants = _plan_constants(figures, baseline_name)
+
+    # Savings of every non-baseline scheme first, then the baseline's
+    # idle cycles: the order in which compare_schemes raises.
+    savings: dict[str, tuple[float, float, int]] = {}
     for name, scheme_figures in figures.items():
         if name == baseline_name:
             continue
         if baseline.active_power <= 0 or baseline.standby_power <= 0:
             raise PowerError("baseline leakage must be positive to compute savings")
-        if baseline.total_power <= 0:
-            raise PowerError("baseline total power must be positive")
+        _check_baseline_total(baseline.total_power)
         savings[name] = (
             (1.0 - scheme_figures.active_power / baseline.active_power) * 100.0,
             (1.0 - scheme_figures.standby_power / baseline.standby_power) * 100.0,
-            scheme_figures.delay.penalty_versus(baseline.delay) * 100.0,
             _idle_cycles(scheme_figures, clock),
         )
+    savings[baseline_name] = (0.0, 0.0, _idle_cycles(baseline, clock))
 
-    records: list[dict[str, float | str]] = []
-    for name, scheme_figures in figures.items():
-        saving = savings.get(name)
-        if saving is None:
-            active_saving = standby_saving = delay_penalty = 0.0
-            idle_cycles = _idle_cycles(scheme_figures, clock)
-        else:
-            active_saving, standby_saving, delay_penalty, idle_cycles = saving
-        delay = scheme_figures.delay
-        records.append(
-            {
-                "scheme": name,
-                "high_to_low_ps": seconds_to_picoseconds(delay.high_to_low),
-                "low_to_high_ps": seconds_to_picoseconds(delay.low_to_high),
-                "active_leakage_mw": watts_to_milliwatts(scheme_figures.active_power),
-                "standby_leakage_mw": watts_to_milliwatts(scheme_figures.standby_power),
-                "active_leakage_saving_percent": active_saving,
-                "standby_leakage_saving_percent": standby_saving,
-                "minimum_idle_cycles": idle_cycles,
-                "total_power_mw": watts_to_milliwatts(scheme_figures.total_power),
-                "delay_penalty_percent": delay_penalty,
-                "high_vt_device_fraction": scheme_figures.scheme.high_vt_device_fraction,
-            }
-        )
+    rows = tuple(
+        (*row, scheme_figures.active_power, watts_to_milliwatts(scheme_figures.active_power),
+         watts_to_milliwatts(scheme_figures.standby_power), *savings[row[0]])
+        for row, scheme_figures in zip(constants[2], figures.values()))
+    records = _write_records(rows, [scheme_figures.total_power
+                                    for scheme_figures in figures.values()])
+    plan.slot = (config.static_probability, baseline_name, constants[1], rows)
     return records
+
+
+def _check_baseline_total(total_power: float) -> None:
+    if total_power <= 0:
+        raise PowerError("baseline total power must be positive")
+
+
+def _plan_constants(figures: dict[str, SchemeFigures], baseline_name: str) -> tuple:
+    """A :class:`~repro.core.scheme_evaluator.RecordPlan`'s constants for
+    the schemes of ``figures`` against ``baseline_name``."""
+    baseline_delay = figures[baseline_name].delay
+    rows = tuple(
+        (name, scheme_figures.scheme.record_terms,
+         seconds_to_picoseconds(scheme_figures.delay.high_to_low),
+         seconds_to_picoseconds(scheme_figures.delay.low_to_high),
+         0.0 if name == baseline_name
+         else scheme_figures.delay.penalty_versus(baseline_delay) * 100.0,
+         scheme_figures.scheme.high_vt_device_fraction)
+        for name, scheme_figures in figures.items())
+    return baseline_name, list(figures).index(baseline_name), rows
+
+
+def _write_records(rows: tuple, totals: list[float]) -> list[dict[str, float | str]]:
+    """The records of a plan's slot ``rows`` with each scheme's total
+    power in watts."""
+    return [
+        {
+            "scheme": name,
+            "high_to_low_ps": high_to_low,
+            "low_to_high_ps": low_to_high,
+            "active_leakage_mw": active_mw,
+            "standby_leakage_mw": standby_mw,
+            "active_leakage_saving_percent": active_saving,
+            "standby_leakage_saving_percent": standby_saving,
+            "minimum_idle_cycles": idle_cycles,
+            "total_power_mw": watts_to_milliwatts(total),
+            "delay_penalty_percent": delay_penalty,
+            "high_vt_device_fraction": high_vt_fraction,
+        }
+        for (name, _, high_to_low, low_to_high, delay_penalty, high_vt_fraction, _,
+             active_mw, standby_mw, active_saving, standby_saving, idle_cycles), total
+        in zip(rows, totals)
+    ]

@@ -53,11 +53,17 @@ library was replaced and never keeps a scheme alive past the LRU.
 Record terms
 ------------
 :func:`evaluate_scheme` computes each scheme's figures from its
-**record terms**, a flat tuple derived once from its activity profile
+**record terms**, a flat tuple derived once per scheme
 (:meth:`CrossbarScheme.derive_record_terms
 <repro.crossbar.base.CrossbarScheme.derive_record_terms>`, which owns
 the layout and the arithmetic) and cached on the scheme as
 :attr:`~repro.crossbar.base.CrossbarScheme.record_terms`.
+
+The memo entry also carries the structure's :class:`RecordPlan`: what
+the records of its points share (the structure constants, and the
+leakage of the last static probability served), so
+:func:`~repro.core.comparison.point_records` computes only the dynamic
+power of a point whose static probability the plan already holds.
 """
 
 from __future__ import annotations
@@ -79,8 +85,9 @@ from ..power.savings import SchemeEvaluation
 from ..technology.library import TechnologyLibrary
 from .config import ExperimentConfig
 
-__all__ = ["SchemeResult", "SchemeEvaluator", "StructuralCacheStats",
-           "structural_cache_stats", "clear_structural_cache", "schemes_for"]
+__all__ = ["SchemeResult", "SchemeEvaluator", "StructuralCacheStats", "RecordPlan",
+           "structural_cache_stats", "clear_structural_cache", "schemes_for",
+           "structure_for"]
 
 
 class _LibraryKey(NamedTuple):
@@ -153,14 +160,46 @@ class StructuralCacheStats:
 _device_fields = attrgetter(*DEVICE_PART_FIELDS)
 
 
+class RecordPlan:
+    """What the records of one structure's points share, kept on its
+    memo entry and filled and read by
+    :func:`~repro.core.comparison.point_records`.
+
+    * ``constants``: ``(baseline name, baseline index, rows)``, with one
+      row per evaluated scheme in record order — its name, record terms,
+      the two delays in picoseconds, the delay penalty in percent
+      against that baseline and the high-Vt device fraction: everything
+      of a record that depends on the structure alone;
+    * ``slot``: ``(static probability, baseline name, baseline index,
+      rows)`` of the last point served in full, each row the constants
+      row followed by the scheme's active leakage power in watts, its
+      active and standby leakage in milliwatts, its two savings in
+      percent and its minimum idle cycles: everything that depends on
+      the structure and the static probability, not on the toggle
+      activity.  One entry, so no bound.
+
+    Each is replaced whole, never updated in place, so a reader sees a
+    consistent tuple.  The plan holds no scheme and lives and dies with
+    its memo entry: an eviction, a cache clear or a re-registered scheme
+    drops it.
+    """
+
+    __slots__ = ("constants", "slot")
+
+    def __init__(self) -> None:
+        self.constants: tuple = (None, 0, ())
+        self.slot: tuple = (None, None, 0, ())
+
+
 class _Structure(NamedTuple):
     """The last point structure served: the built schemes of (library
-    key, crossbar config, scheme names)."""
+    key, crossbar config, scheme names) and their record plan."""
 
     library_key: _LibraryKey
     crossbar: CrossbarConfig
     names: tuple[str, ...]
     pairs: tuple[tuple[str, CrossbarScheme], ...]
+    plan: RecordPlan
 
 
 class _StructuralCache:
@@ -189,7 +228,7 @@ class _StructuralCache:
         leaves the same order)."""
         if self._touched:
             self._touched = False
-            library_key, crossbar, _, pairs = self._last
+            library_key, crossbar, _, pairs, _ = self._last
             self._libraries.move_to_end(library_key)
             for name, _ in pairs:
                 self._schemes.move_to_end((library_key, crossbar, name))
@@ -233,11 +272,12 @@ class _StructuralCache:
         while len(lru) > bound:
             lru.popitem(last=False)
 
-    def schemes_for(self, config: ExperimentConfig, scheme_names: list[str] | None,
-                    baseline_name: str) -> Iterable[tuple[str, CrossbarScheme]]:
+    def structure_for(self, config: ExperimentConfig, scheme_names: list[str] | None,
+                      baseline_name: str
+                      ) -> tuple[Iterable[tuple[str, CrossbarScheme]], RecordPlan]:
         """The ``(name, scheme)`` pairs of one point, in ``scheme_names``
         order (default: all registered schemes), which must include
-        ``baseline_name``.
+        ``baseline_name``, and the structure's record plan.
 
         Served from the memo when the last structure served has this
         technology point, crossbar (checked by identity, then by value)
@@ -246,7 +286,8 @@ class _StructuralCache:
         each scheme is looked up as the pairs are iterated, so a caller
         that evaluates each scheme as it gets it sees the errors in
         :func:`~repro.core.comparison.compare_schemes` order; the
-        structure is memoised once every scheme is built.
+        structure is memoised, with a new empty plan, once every scheme
+        is built.
         """
         names = _scheme_names(scheme_names)
         library_key = _LibraryKey.of(config)
@@ -257,15 +298,16 @@ class _StructuralCache:
                 or last.names != key_names or last.library_key != library_key):
             library = self.library_for(config, library_key)
             _check_baseline(names, baseline_name)
-            return self._build(library_key, library, crossbar, key_names)
+            plan = RecordPlan()
+            return self._build(library_key, library, crossbar, key_names, plan), plan
         self.stats.library_hits += 1
         _check_baseline(names, baseline_name)
         self.stats.scheme_hits += len(key_names)
         self._touched = True
-        return last.pairs
+        return last.pairs, last.plan
 
     def _build(self, library_key: _LibraryKey, library: TechnologyLibrary,
-               crossbar: CrossbarConfig, names: tuple[str, ...]
+               crossbar: CrossbarConfig, names: tuple[str, ...], plan: RecordPlan
                ) -> Iterator[tuple[str, CrossbarScheme]]:
         pairs = []
         for name in names:
@@ -277,7 +319,7 @@ class _StructuralCache:
         if len(names) > self.max_schemes:
             return
         self._sync()
-        self._last = _Structure(library_key, crossbar, names, tuple(pairs))
+        self._last = _Structure(library_key, crossbar, names, tuple(pairs), plan)
 
     def device_part_for(self, library_key: _LibraryKey, scheme: CrossbarScheme) -> array:
         """The shared device part of ``scheme``, built on ``library_key``'s
@@ -365,7 +407,16 @@ def schemes_for(config: ExperimentConfig, scheme_names: list[str] | None = None,
     it arrives raises in :func:`~repro.core.comparison.compare_schemes`
     order; the counters are those of the per-scheme lookups either way.
     """
-    return _STRUCTURAL_CACHE.schemes_for(config, scheme_names, baseline_name)
+    return _STRUCTURAL_CACHE.structure_for(config, scheme_names, baseline_name)[0]
+
+
+def structure_for(config: ExperimentConfig, scheme_names: list[str] | None = None,
+                  baseline_name: str = "SC"
+                  ) -> tuple[Iterable[tuple[str, CrossbarScheme]], RecordPlan]:
+    """:func:`schemes_for`'s pairs and the :class:`RecordPlan` of their
+    structure: the memoised one on a memo hit, a new empty one on a miss
+    (memoised with the structure once the pairs are exhausted)."""
+    return _STRUCTURAL_CACHE.structure_for(config, scheme_names, baseline_name)
 
 
 @dataclass(frozen=True)
@@ -439,6 +490,14 @@ class SchemeEvaluator:
         )
 
 
+def check_toggle_activity(toggle: float) -> None:
+    """The toggle-activity check of :func:`evaluate_scheme` and of a
+    point served from its record plan's slot, with the object API's
+    message (:mod:`repro.power.dynamic_analysis`)."""
+    if not 0.0 <= toggle <= 1.0:
+        raise PowerError(f"toggle_activity must be in [0, 1], got {toggle}")
+
+
 def evaluate_scheme(scheme: CrossbarScheme, config: ExperimentConfig) -> SchemeFigures:
     """Every figure a record needs, from the scheme's record terms
     (derived once and cached on it): :meth:`CrossbarScheme.figures_from_record_terms
@@ -451,8 +510,7 @@ def evaluate_scheme(scheme: CrossbarScheme, config: ExperimentConfig) -> SchemeF
     if not 0.0 <= p <= 1.0:
         raise PowerError(f"static probability must be in [0, 1], got {p}")
     terms = scheme.record_terms
-    if not 0.0 <= toggle <= 1.0:
-        raise PowerError(f"toggle_activity must be in [0, 1], got {toggle}")
+    check_toggle_activity(toggle)
     if clock <= 0:
         raise PowerError("frequency must be positive")
     if not scheme.has_sleep_mode:

@@ -68,7 +68,12 @@ the geometry.  :meth:`CrossbarScheme.figures_from_record_terms`
 computes a point's
 :class:`SchemeFigures` from it as straight-line float arithmetic, with
 the operations of the methods it stands in for in their order, so the
-figures are bit-identical to theirs.
+figures are bit-identical to theirs.  It is two halves, each the only
+copy of its formulas: :func:`record_leakage` (everything that depends
+on the static probability alone) and :func:`record_dynamic_power` (the
+switching power, which also depends on the toggle activity and the
+clock).  The engine's record plan reuses the first across the points of
+one static probability and calls the second per point.
 """
 
 from __future__ import annotations
@@ -105,7 +110,8 @@ from ..timing.path import stage_delay
 from .ports import CrossbarConfig, PortDirection
 
 __all__ = ["VtPlan", "SchemeFeatures", "ActivityProfile", "SchemeFigures",
-           "CrossbarScheme", "DEVICE_PART_FIELDS", "DEVICE_PART_LENGTH"]
+           "CrossbarScheme", "DEVICE_PART_FIELDS", "DEVICE_PART_LENGTH",
+           "record_leakage", "record_dynamic_power"]
 
 #: The :class:`CrossbarConfig` fields a scheme's device part reads: the
 #: crosspoint count per row and the widths of every output-path device.
@@ -139,6 +145,46 @@ _TERMS_GRANTED_HIGH, _TERMS_IDLE_HIGH, _TERMS_GRANTED_LOW, _TERMS_IDLE_LOW = 4, 
 _TERMS_STANDBY_POWER = _TERMS_IDLE_LOW + 9
 _TERMS_ENERGY = _TERMS_STANDBY_POWER + 1
 _TERMS_DELAY = _TERMS_ENERGY + 9
+
+
+def record_leakage(terms: tuple, static_probability: float
+                   ) -> tuple[float, float, float, float]:
+    """The leakage half of a point's figures from record terms (see
+    :meth:`CrossbarScheme.derive_record_terms`), which depends on the
+    static probability alone: the active and standby leakage power, the
+    standby transition energy and the power saved in standby, with the
+    float operations of :meth:`CrossbarScheme.active_leakage_power`,
+    :meth:`~CrossbarScheme.standby_leakage_power`,
+    :meth:`~CrossbarScheme.sleep_transition_energy` and
+    :meth:`~CrossbarScheme.standby_power_saving`.  Unvalidated."""
+    p = static_probability
+    vdd, paths = terms[0], terms[_TERMS_PATHS]
+    mixed_power = AffineLeakage.mixed_power_of_floats
+    active_power = mixed_power(terms[_TERMS_GRANTED_HIGH:_TERMS_IDLE_HIGH],
+                               terms[_TERMS_GRANTED_LOW:_TERMS_IDLE_LOW], p, p, paths, vdd)
+    idle_power = mixed_power(terms[_TERMS_IDLE_HIGH:_TERMS_GRANTED_LOW],
+                             terms[_TERMS_IDLE_LOW:_TERMS_STANDBY_POWER], p, p, paths, vdd)
+    standby_power = terms[_TERMS_STANDBY_POWER]
+    sleep_control, parked_merge, internal_node = terms[_TERMS_ENERGY + 6:_TERMS_DELAY]
+    return (active_power, standby_power,
+            (sleep_control + p * parked_merge + p * internal_node) * paths,
+            max(idle_power - standby_power, 0.0))
+
+
+def record_dynamic_power(terms: tuple, static_probability: float, toggle_activity: float,
+                         frequency: float) -> float:
+    """The dynamic half of a point's figures from record terms: the
+    switching power, ``dynamic_energy_per_cycle(toggle_activity, p) *
+    frequency`` with its float operations (a scheme's total power is
+    this plus its active leakage power).  Unvalidated."""
+    p = static_probability
+    precharged, toggled, contention, clocked, input_wire, grant = terms[
+        _TERMS_ENERGY:_TERMS_ENERGY + 6]
+    rising = toggle_activity / 2.0
+    per_output_bit = (1.0 - p) * precharged + rising * toggled + rising * contention + clocked
+    per_input_bit = rising * input_wire
+    return (per_output_bit * terms[_TERMS_PATHS] + per_input_bit * terms[_TERMS_WIRES]
+            + grant * terms[_TERMS_OUTPUTS]) * frequency
 
 
 @dataclass(frozen=True)
@@ -1020,7 +1066,9 @@ class CrossbarScheme:
     def figures_from_record_terms(self, terms: tuple, static_probability: float,
                                   toggle_activity: float, frequency: float) -> SchemeFigures:
         """This scheme's figures at one point from ``terms`` (its
-        :meth:`derive_record_terms`): :meth:`active_leakage_power`,
+        :meth:`derive_record_terms`): the leakage half
+        (:func:`record_leakage`) and the dynamic half
+        (:func:`record_dynamic_power`) of :meth:`active_leakage_power`,
         :meth:`standby_leakage_power`, :meth:`total_power`,
         :meth:`sleep_transition_energy` and :meth:`standby_power_saving`,
         each with the float operations of that method, in its order.
@@ -1028,27 +1076,12 @@ class CrossbarScheme:
         Unvalidated: the caller checks both probabilities lie in [0, 1],
         ``frequency`` is positive and the scheme has a sleep mode.
         """
-        p = static_probability
-        vdd, paths = terms[0], terms[_TERMS_PATHS]
-        mixed_power = AffineLeakage.mixed_power_of_floats
-        active_power = mixed_power(terms[_TERMS_GRANTED_HIGH:_TERMS_IDLE_HIGH],
-                                   terms[_TERMS_GRANTED_LOW:_TERMS_IDLE_LOW], p, p, paths, vdd)
-        idle_power = mixed_power(terms[_TERMS_IDLE_HIGH:_TERMS_GRANTED_LOW],
-                                 terms[_TERMS_IDLE_LOW:_TERMS_STANDBY_POWER], p, p, paths, vdd)
-        standby_power = terms[_TERMS_STANDBY_POWER]
-        (precharged, toggled, contention, clocked, input_wire, grant,
-         sleep_control, parked_merge, internal_node) = terms[_TERMS_ENERGY:_TERMS_DELAY]
-        # dynamic_energy_per_cycle(toggle_activity, p) * frequency
-        rising = toggle_activity / 2.0
-        per_output_bit = (1.0 - p) * precharged + rising * toggled + rising * contention + clocked
-        per_input_bit = rising * input_wire
-        dynamic_power = (per_output_bit * paths + per_input_bit * terms[_TERMS_WIRES]
-                         + grant * terms[_TERMS_OUTPUTS]) * frequency
-        return SchemeFigures(
-            self, terms[_TERMS_DELAY], active_power, standby_power, dynamic_power + active_power,
-            (sleep_control + p * parked_merge + p * internal_node) * paths,
-            max(idle_power - standby_power, 0.0),
-        )
+        active_power, standby_power, transition_energy, saved = record_leakage(
+            terms, static_probability)
+        dynamic_power = record_dynamic_power(terms, static_probability, toggle_activity,
+                                             frequency)
+        return SchemeFigures(self, terms[_TERMS_DELAY], active_power, standby_power,
+                             dynamic_power + active_power, transition_energy, saved)
 
     @cached_property
     def device_part(self) -> array:

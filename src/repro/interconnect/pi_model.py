@@ -42,14 +42,6 @@ class PiModel:
         read."""
         return self.near_capacitance, self.resistance, self.far_capacitance
 
-    def driver_stage_delay(self, driver_resistance: float, load_capacitance: float) -> float:
-        """50 % delay of a driver pushing through this pi into a load
-        (:meth:`driver_stage_delay_of_floats`, validated)."""
-        if driver_resistance < 0 or load_capacitance < 0:
-            raise TechnologyError("driver resistance and load capacitance cannot be negative")
-        return PiModel.driver_stage_delay_of_floats(
-            self.floats(), driver_resistance, load_capacitance)
-
     @staticmethod
     def driver_stage_delay_of_floats(pi: tuple[float, float, float], driver_resistance: float,
                                      load_capacitance: float) -> float:
@@ -59,18 +51,13 @@ class PiModel:
         Closed form: ``0.69 Rd (Cn + Cf + CL) + 0.69 R (Cf + CL)``; the
         near capacitance never sees the wire resistance.  Unvalidated:
         the caller checks the driver resistance and the load are
-        non-negative.
+        non-negative (:func:`repro.timing.stage_delay` does).
         """
         near_capacitance, resistance, far_capacitance = pi
         return LN2 * (
             driver_resistance * (near_capacitance + far_capacitance + load_capacitance)
             + resistance * (far_capacitance + load_capacitance)
         )
-
-    def cascaded_with(self, other: "PiModel") -> "PiModel":
-        """Pi model of this wire followed immediately by ``other``
-        (:meth:`cascade_of_floats`)."""
-        return PiModel(*PiModel.cascade_of_floats(self.floats(), other.floats()))
 
     @staticmethod
     def cascade_of_floats(first: tuple[float, float, float],

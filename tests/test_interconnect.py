@@ -60,13 +60,14 @@ class TestWire:
 
 class TestPiModel:
     def test_driver_stage_delay_grows_with_load(self):
-        pi = PiModel(10e-15, 500.0, 10e-15)
-        assert pi.driver_stage_delay(1000.0, 20e-15) > pi.driver_stage_delay(1000.0, 5e-15)
+        pi = PiModel(10e-15, 500.0, 10e-15).floats()
+        assert (PiModel.driver_stage_delay_of_floats(pi, 1000.0, 20e-15)
+                > PiModel.driver_stage_delay_of_floats(pi, 1000.0, 5e-15))
 
     def test_cascade_preserves_total_r_and_c(self):
         a = PiModel(5e-15, 200.0, 5e-15)
         b = PiModel(7e-15, 300.0, 7e-15)
-        cascade = a.cascaded_with(b)
+        cascade = PiModel(*PiModel.cascade_of_floats(a.floats(), b.floats()))
         assert cascade.resistance == pytest.approx(500.0)
         assert cascade.total_capacitance == pytest.approx(24e-15)
 
@@ -82,8 +83,9 @@ class TestPiModel:
             + 200.0 * (5e-15 + 14e-15 + load)
             + 300.0 * (7e-15 + load)
         )
-        cascade = a.cascaded_with(b)
-        assert cascade.driver_stage_delay(driver, load) == pytest.approx(manual, rel=0.15)
+        cascade = PiModel.cascade_of_floats(a.floats(), b.floats())
+        assert (PiModel.driver_stage_delay_of_floats(cascade, driver, load)
+                == pytest.approx(manual, rel=0.15))
 
     def test_negative_values_rejected(self):
         with pytest.raises(TechnologyError):

@@ -11,10 +11,14 @@ sample of the perfbench structural grid, which reaches the 6- and
 sweeps, served both through the structure memo's identity check (one
 crossbar object, as an evaluator's grid) and through its value lookup
 (a fresh crossbar object per point, as fleet and service items).
+Streams of points also drive the structure's record plan through slot
+hits and misses, baseline changes, evictions, clears and re-registered
+schemes, each point held to the reference on its own.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -89,6 +93,26 @@ def _assert_exact_parity(config, scheme_names=None, baseline_name="SC"):
     return reference
 
 
+def _assert_stream_matches(configs, scheme_names=None, baseline_name="SC"):
+    """``point_records`` over ``configs`` in order, from a cleared cache,
+    equals ``compare_schemes`` point by point: records ``==`` and with
+    the same ``repr`` (so -0.0 is not 0.0), or the same exception type
+    and message.  Returns the outcomes."""
+    expected = [_outcome(lambda config=config: compare_schemes(
+        config, scheme_names, baseline_name).as_records()) for config in configs]
+    clear_structural_cache()
+    for config, reference in zip(configs, expected):
+        outcome = _outcome(lambda: point_records(config, scheme_names, baseline_name))
+        assert outcome == reference
+        assert repr(outcome) == repr(reference)
+    return expected
+
+
+def _points(pairs, base=None):
+    base = paper_experiment() if base is None else base
+    return [base.with_overrides(static_probability=p, toggle_activity=t) for p, t in pairs]
+
+
 def test_activity_golden_points_match_exactly():
     outcomes = [_assert_exact_parity(config)
                 for config in _golden_configs("activity_parity.json")]
@@ -114,10 +138,12 @@ def test_structural_sample_matches_exactly_on_every_radix():
     (["SC"], "SC"),
     (["DFC", "SC", "DFC"], "SC"),
     (["sc", "dpc"], "sc"),
+    (["DPC", "SDFC", "SC", "DFC", "SDPC"], "DFC"),
 ])
 def test_scheme_subsets_orders_and_spellings_match(scheme_names, baseline_name):
-    config = paper_experiment().with_overrides(static_probability=0.3, toggle_activity=0.8)
-    _assert_exact_parity(config, scheme_names, baseline_name)
+    """Each set through a build, a record-plan slot hit and a slot miss."""
+    configs = _points([(0.3, 0.8), (0.3, 0.1), (0.6, 0.1), (0.6, 0.5)])
+    _assert_stream_matches(configs, scheme_names, baseline_name)
 
 
 #: 90 nm, 3 ports, p = 0.005: SDFC's standby saves nothing there, so
@@ -333,3 +359,176 @@ def test_clear_drops_the_memo_and_held_schemes_keep_equal_figures():
     name = "SDPC"
     assert (scheme_evaluator.evaluate_scheme(held[name], config)[1:]
             == scheme_evaluator.evaluate_scheme(served[name], config)[1:])
+
+
+# --------------------------------------------------------------------------- #
+# the record plan and its static-probability slot                              #
+# --------------------------------------------------------------------------- #
+
+
+class _CountedEvaluate:
+    """Counts :func:`scheme_evaluator.evaluate_scheme` calls, the work a
+    point that misses the plan's slot does once per scheme."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = 0
+        self._evaluate = scheme_evaluator.evaluate_scheme
+        monkeypatch.setattr(scheme_evaluator, "evaluate_scheme", self)
+
+    def __call__(self, scheme, config):
+        self.calls += 1
+        return self._evaluate(scheme, config)
+
+
+def test_grid_order_serves_seven_of_eight_points_from_the_slot(monkeypatch):
+    """A p-major grid: one full evaluation per static probability."""
+    configs = _scalar_sweep(seeds=(5,), blocks=2)
+    counted = _CountedEvaluate(monkeypatch)
+    _assert_stream_matches(configs)
+    schemes = len(available_schemes())
+    # compare_schemes does not call it; point_records once per p run.
+    runs = 1 + sum(a.static_probability != b.static_probability
+                   for a, b in zip(configs, configs[1:]))
+    assert runs == 2 * 8
+    assert counted.calls == runs * schemes
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_shuffled_and_alternating_orders_match(seed):
+    configs = _scalar_sweep(seeds=(seed,), blocks=2)
+    random.Random(seed).shuffle(configs)
+    _assert_stream_matches(configs)
+    alternating = _points([(0.2, 0.1), (0.7, 0.1), (0.2, 0.9), (0.7, 0.9), (0.2, 0.5)])
+    _assert_stream_matches(alternating)
+    _assert_stream_matches([_fresh_crossbar(config) for config in alternating])
+
+
+def test_one_probability_with_varied_toggles_matches(monkeypatch):
+    configs = _points([(0.37, t) for t in (0.0, 0.25, 1.0, 0.5, 0.0, 0.999)])
+    counted = _CountedEvaluate(monkeypatch)
+    _assert_stream_matches(configs)
+    assert counted.calls == len(available_schemes())
+
+
+def test_an_invalid_toggle_raises_on_a_slot_hit():
+    base = paper_experiment().with_overrides(static_probability=0.4, toggle_activity=0.5)
+    invalid = copy.copy(base)
+    object.__setattr__(invalid, "toggle_activity", 1.5)  # past the config's own check
+    outcomes = _assert_stream_matches([base, invalid, base])
+    assert outcomes[1] == (PowerError, "toggle_activity must be in [0, 1], got 1.5")
+
+
+def _tight_sleep(base: type, name: str) -> type:
+    """``base`` with 1 % of its sleep leakage, so standby pays off even
+    at p = 0 (where no bundled scheme's does)."""
+    return type(name, (base,), {
+        "name": name,
+        "_sleep_path_leakage": lambda self: base._sleep_path_leakage(self).scaled(0.01)})
+
+
+def test_zero_and_negative_zero_do_not_share_a_slot(monkeypatch):
+    from repro.crossbar.dpc import DualVtPrechargedCrossbar
+    from repro.crossbar.sc import SingleVtCrossbar
+
+    monkeypatch.setitem(factory._REGISTRY, "TSC", _tight_sleep(SingleVtCrossbar, "TSC"))
+    monkeypatch.setitem(factory._REGISTRY, "TDPC",
+                        _tight_sleep(DualVtPrechargedCrossbar, "TDPC"))
+    names = ["TSC", "TDPC"]
+    configs = _points([(0.0, 0.3), (-0.0, 0.3), (-0.0, 0.6), (0.0, 0.6)])
+    counted = _CountedEvaluate(monkeypatch)
+    outcomes = _assert_stream_matches(configs, names, "TSC")
+    assert all(isinstance(outcome, list) for outcome in outcomes)
+    # Equal as floats, so only the slot's bit match tells them apart.
+    assert counted.calls == 3 * len(names)
+    # With the bundled schemes p = 0 raises, on both signs.
+    outcomes = _assert_stream_matches(_points([(0.5, 0.3), (0.0, 0.3), (-0.0, 0.3)]))
+    assert outcomes[1] == outcomes[2] == (
+        PowerError, "scheme 'DFC' saves no power in standby; minimum idle time undefined")
+
+
+def test_a_failing_probability_after_a_warm_one_raises_and_leaves_the_slot(monkeypatch):
+    """0.001 misses the slot and raises DFC's idle-time error; it never
+    becomes the slot, so it raises again, and the warm p still hits."""
+    configs = _points([(0.5, 0.3), (0.5, 0.4), (0.001, 0.3), (0.001, 0.4), (0.5, 0.9)])
+    counted = _CountedEvaluate(monkeypatch)
+    outcomes = _assert_stream_matches(configs)
+    failure = (PowerError, "scheme 'DFC' saves no power in standby; minimum idle time undefined")
+    assert outcomes[2] == outcomes[3] == failure
+    assert counted.calls == 3 * len(available_schemes())
+
+
+def test_baseline_idle_cycles_raise_after_the_others_through_the_slot(monkeypatch):
+    """A warm slot, then a p where both the baseline (SDFC) and TWIN fail:
+    TWIN's error, as compare_schemes raises it."""
+    monkeypatch.setitem(factory._REGISTRY, "TWIN", _SegmentedTwin)
+    base = paper_experiment().with_overrides(**_SDFC_FAILS)
+    configs = [base.with_overrides(static_probability=p, toggle_activity=t)
+               for p, t in [(0.5, 0.2), (0.5, 0.3), (0.005, 0.2), (0.5, 0.4)]]
+    outcomes = _assert_stream_matches(configs, ["SDFC", "SC", "TWIN"], "SDFC")
+    assert outcomes[2][0] is PowerError and outcomes[2][1].startswith("scheme 'TWIN'")
+
+
+def test_a_new_baseline_on_the_same_structure_refills_the_plan():
+    """Same names, so the same memo entry, under two baselines in turn."""
+    names = ["SC", "DPC", "SDPC"]
+    clear_structural_cache()
+    for p, baseline in [(0.3, "SC"), (0.3, "DPC"), (0.3, "DPC"), (0.3, "SC"), (0.4, "SDPC")]:
+        config = paper_experiment().with_overrides(static_probability=p, toggle_activity=0.2)
+        assert (point_records(config, names, baseline)
+                == compare_schemes(config, names, baseline).as_records())
+
+
+def test_a_structure_switch_and_back_matches():
+    configs = []
+    for node in ("45nm", "65nm", "45nm"):
+        base = paper_experiment().with_overrides(technology_node=node)
+        configs += _points([(0.3, 0.2), (0.3, 0.7), (0.6, 0.7)], base)
+    _assert_stream_matches(configs)
+
+
+def _plan(config):
+    return scheme_evaluator.structure_for(config)[1]
+
+
+def test_an_eviction_drops_the_plan(monkeypatch):
+    """Another structure's lookups evict this structure's library: its
+    next point builds the structure again, with a new plan."""
+    monkeypatch.setattr(scheme_evaluator._STRUCTURAL_CACHE, "max_libraries", 1)
+    paper = _structure("45nm", 128, p=0.3)
+    other = _structure("65nm", 128, p=0.3)
+    clear_structural_cache()
+    point_records(paper)
+    plan = _plan(paper)
+    assert plan.slot[0] == 0.3
+    compare_schemes(other)  # per-scheme lookups: evicts the 45 nm library
+    misses = structural_cache_stats().library_misses
+    assert point_records(paper) == compare_schemes(paper).as_records()
+    assert structural_cache_stats().library_misses == misses + 1
+    assert _plan(paper) is not plan
+    library = SchemeEvaluator(paper).library
+    for (name, scheme), row in zip(schemes_for(paper), _plan(paper).slot[3]):
+        assert scheme.library is library
+        assert row[0] == name and row[1] is scheme.record_terms
+
+
+def test_clear_and_a_reregistered_scheme_drop_the_plan(monkeypatch):
+    from repro.crossbar.dfc import DualVtFeedbackCrossbar
+
+    monkeypatch.setitem(factory._REGISTRY, "TWIN", _SegmentedTwin)
+    names = ["SC", "TWIN"]
+    config = paper_experiment().with_overrides(static_probability=0.3, toggle_activity=0.2)
+    clear_structural_cache()
+    twin_as_sdfc = point_records(config, names)
+    assert twin_as_sdfc == compare_schemes(config, names).as_records()
+    plan = scheme_evaluator.structure_for(config, names)[1]
+    clear_structural_cache()
+    assert point_records(config, names) == twin_as_sdfc
+    assert scheme_evaluator.structure_for(config, names)[1] is not plan
+
+    class _DfcTwin(DualVtFeedbackCrossbar):
+        name = "TWIN"
+
+    factory.register_scheme("TWIN", _DfcTwin, overwrite=True)
+    twin_as_dfc = point_records(config, names)  # the slot's p, a new factory
+    assert twin_as_dfc == compare_schemes(config, names).as_records()
+    assert twin_as_dfc != twin_as_sdfc

@@ -125,7 +125,7 @@ class TestInterconnectProperties:
     def test_pi_cascade_conserves_totals(self, r1, r2, c1, c2):
         a = PiModel(c1 / 2, r1, c1 / 2)
         b = PiModel(c2 / 2, r2, c2 / 2)
-        cascade = a.cascaded_with(b)
+        cascade = PiModel(*PiModel.cascade_of_floats(a.floats(), b.floats()))
         assert cascade.resistance == pytest.approx(r1 + r2, rel=1e-12)
         assert cascade.total_capacitance == pytest.approx(c1 + c2, rel=1e-12)
 

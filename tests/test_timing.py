@@ -42,7 +42,7 @@ class TestStageDelay:
     def test_wire_delay_is_the_pi_models(self):
         pi = PiModel(10e-15, 500.0, 10e-15)
         assert stage_delay("s", 1000.0, 10e-15, wire=pi.floats(), series_resistance=200.0) \
-            == pi.driver_stage_delay(1200.0, 10e-15)
+            == PiModel.driver_stage_delay_of_floats(pi.floats(), 1200.0, 10e-15)
 
     def test_invalid_contention_rejected(self):
         with pytest.raises(TimingError, match="contention factor is a delay inflation"):
