@@ -40,6 +40,13 @@ points (and cache entries) but identical comparison records.
 
 The same records are served live by a running evaluation service at
 `GET /paths`.
+
+`static_probability` accepts `[0, 1]`, but at exactly `0` (or `-0.0`)
+every bundled scheme's standby saves nothing, so every such point
+raises `PowerError` ("saves no power in standby; minimum idle time
+undefined") and the service answers `400 evaluation-failed`.  Whether
+idle leakage should fall to the sleep-mode leakage at p = 0 is not yet
+checked against the paper (see [serving.md](serving.md)).
 """
 
 

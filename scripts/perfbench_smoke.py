@@ -32,7 +32,7 @@ FLOORS = {
     "sweep_scalar": 5883.0,      # median 17650 points/s
     "sweep_structural": 230.0,   # median 692
     "sweep_fleet": 1953.0,       # median 5858
-    "serve_mixed": 574.0,        # median 1723 requests/s
+    "serve_mixed": 1031.0,       # median 3094 requests/s
 }
 
 #: Span metrics a traced run must report above zero.  Each proves the

@@ -33,6 +33,19 @@ in-memory cache and the serial executor included, the loop the
 
     PYTHONPATH=src python scripts/profile_point.py --sweep 40
 
+Profile 3000 warm ``POST /evaluate`` answers in-process: the
+``serve_mixed`` closed loop's Zipf repeats over its 64 warm points
+(seed 1), each through ``EvaluationService.evaluate`` and the HTTP
+response encoder, after one unprofiled pass over the warm points::
+
+    PYTHONPATH=src python scripts/profile_point.py --serve 3000
+
+``--serve`` prints the split of a warm answer: the front
+(``canonical_overrides`` and ``_point_for``, the query memo, which
+calls ``_config_for`` and ``point_key`` on memo misses only),
+``cache.get``, the rest of ``service.evaluate``, and the encoding
+(``_encode_response``), plus the ``point_key`` calls per answer.
+
 ``--sweep`` also prints the cumulative shares of ``with_overrides``
 (config building), ``point_key`` and ``point_records`` in the profile,
 and what is left of ``Evaluator.evaluate`` (its own bookkeeping: cache
@@ -47,6 +60,7 @@ static-probability slot (1/8 on the benchmark's p-major grids).  ``--structural`
 from __future__ import annotations
 
 import argparse
+import asyncio
 import cProfile
 import pstats
 import sys
@@ -63,6 +77,7 @@ from repro.circuit.biasing import kernel_totals  # noqa: E402
 from repro.core.comparison import point_records  # noqa: E402
 from repro.engine.evaluator import Evaluator  # noqa: E402
 from repro.engine.grid import DesignSpace  # noqa: E402
+from repro.engine.service import EvaluationService, _encode_response  # noqa: E402
 
 
 def _perfbench_inputs():
@@ -105,6 +120,13 @@ _STRUCTURAL_PARTS = (("config.py", "with_overrides"), ("cache.py", "point_key"),
                      ("factory.py", "create_scheme"), ("base.py", "derive_device_part"),
                      ("base.py", "derive_record_terms"))
 _EVALUATE = ("evaluator.py", "evaluate")
+#: The parts of a ``--serve`` answer: the front (canonicalising, then
+#: the query memo, which builds the config and key on a miss only), the
+#: cache read and the response encoding.
+_SERVE_FRONT = (("service.py", "canonical_overrides"), ("service.py", "_point_for"))
+_SERVE_GET = ("cache.py", "get")
+_SERVE_EVALUATE = ("service.py", "evaluate")
+_SERVE_ENCODE = ("service.py", "_encode_response")
 #: The per-scheme evaluation a point that misses its plan's slot calls.
 _EVALUATE_SCHEME = ("scheme_evaluator.py", "evaluate_scheme")
 
@@ -134,6 +156,27 @@ def _split(stats: pstats.Stats, parts: tuple, bookkeeping: bool) -> str:
     return "cumulative share: " + ", ".join(shares)
 
 
+def _serve_split(stats: pstats.Stats) -> str:
+    """One line: the front, ``cache.get``, the rest of
+    ``service.evaluate`` and the encoding, as shares of the profile."""
+    front = sum(_cumulative(stats, *part) for part in _SERVE_FRONT)
+    get = _cumulative(stats, *_SERVE_GET)
+    rest = _cumulative(stats, *_SERVE_EVALUATE) - front - get
+    encode = _cumulative(stats, *_SERVE_ENCODE)
+    shares = [(f"front ({', '.join(function for _, function in _SERVE_FRONT)})", front),
+              ("cache.get", get), ("service.evaluate rest", rest),
+              ("_encode_response", encode)]
+    return "cumulative share: " + ", ".join(
+        f"{name} {time / stats.total_tt * 100.0:.1f} %" for name, time in shares)
+
+
+def _serve_requests(count: int) -> tuple[list[dict], list[dict]]:
+    """The seed-1 ``serve_mixed`` warm points and ``count`` closed-loop
+    warm repeats drawn from them."""
+    traffic = _perfbench_inputs().ServeTraffic(1)
+    return traffic.warm_points, [traffic.next_warm_request()[1] for _ in range(count)]
+
+
 def main(argv: list[str] | None = None) -> int:
     """Profile one (or several) design-point evaluations and print a report."""
     parser = argparse.ArgumentParser(
@@ -149,6 +192,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sweep", type=int, default=0, metavar="N",
                         help="profile N fresh 64-point scalar_block grids through "
                              "Evaluator.evaluate instead (the sweep_scalar loop)")
+    parser.add_argument("--serve", type=int, default=0, metavar="N",
+                        help="profile N warm answers of the evaluation service "
+                             "in-process instead (service.evaluate plus the "
+                             "HTTP response encoder)")
     parser.add_argument("--sort", default="tottime",
                         choices=["tottime", "cumtime", "ncalls"],
                         help="pstats sort column (default tottime)")
@@ -157,7 +204,24 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     base = paper_experiment()
-    if args.sweep or args.structural:
+    if args.serve:
+        service = EvaluationService(executor="serial", max_batch_size=1)
+        warm_points, requests = _serve_requests(args.serve)
+        label = "warm POST /evaluate answers in-process"
+        count = len(requests)
+
+        async def answer(points: list[dict]) -> None:
+            for point in points:
+                _encode_response(200, await service.evaluate(point), close=False)
+
+        # One pass fills the cache, the entries' records text and the
+        # query memo.
+        loop = asyncio.new_event_loop()
+        loop.run_until_complete(answer(warm_points))
+
+        def run() -> None:
+            loop.run_until_complete(answer(requests))
+    elif args.sweep or args.structural:
         evaluator = Evaluator()
         evaluator.evaluate(DesignSpace.from_points([{}]))
         if args.sweep:
@@ -210,6 +274,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{_calls(stats, *_EVALUATE_SCHEME) / scheme_points:.3f}")
     elif args.structural:
         print(_split(stats, _STRUCTURAL_PARTS, bookkeeping=False))
+    elif args.serve:
+        loop.close()
+        print(_serve_split(stats))
+        print(f"point_key calls per answer: {_calls(stats, 'cache.py', 'point_key') / count:.3f}")
     print()
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     return 0

@@ -42,11 +42,21 @@ _REGISTRY: dict[str, SchemeFactory] = {
 }
 
 
-def available_schemes() -> list[str]:
-    """Names of all registered schemes, Table 1 order first."""
+def _ordered_names() -> tuple[str, ...]:
+    """Registered names, Table 1 order first, then the others sorted."""
     ordered = [name for name in SCHEME_ORDER if name in _REGISTRY]
     extras = sorted(name for name in _REGISTRY if name not in SCHEME_ORDER)
-    return ordered + extras
+    return tuple(ordered + extras)
+
+
+#: :func:`available_schemes`, recomputed by :func:`register_scheme`.
+_ORDERED_NAMES = _ordered_names()
+
+
+def available_schemes() -> list[str]:
+    """Names of all registered schemes, Table 1 order first (a fresh list
+    each call, so a caller's changes never reach the registry)."""
+    return list(_ORDERED_NAMES)
 
 
 def register_scheme(name: str, factory: SchemeFactory, overwrite: bool = False) -> None:
@@ -56,10 +66,12 @@ def register_scheme(name: str, factory: SchemeFactory, overwrite: bool = False) 
     bundled names cannot be silently replaced unless ``overwrite`` is
     set.
     """
+    global _ORDERED_NAMES
     key = name.upper()
     if key in _REGISTRY and not overwrite:
         raise CrossbarError(f"scheme {name!r} is already registered (pass overwrite=True to replace)")
     _REGISTRY[key] = factory
+    _ORDERED_NAMES = _ordered_names()
     # A replaced factory invalidates any structurally memoised schemes
     # built under the old one (lazy import: the evaluator imports us).
     if overwrite:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -268,9 +269,20 @@ class CacheStats:
 
 @dataclass
 class CachedEntry:
-    """One cached evaluation: its JSON-safe comparison records."""
+    """One cached evaluation: its JSON-safe comparison records.
+
+    An entry is immutable once built: :attr:`records_json`, the one
+    encoding of its records, is computed on first use and kept, and the
+    disk file and every service answer splice that text in.  Mutating
+    ``records`` afterwards would leave the text stale.
+    """
 
     records: list[dict]
+
+    @functools.cached_property
+    def records_json(self) -> str:
+        """``json.dumps(self.records, sort_keys=True)``, computed once."""
+        return json.dumps(self.records, sort_keys=True)
 
 
 def _shard_and_name(key: str) -> tuple[str, str]:
@@ -502,9 +514,10 @@ class EvaluationCache:
         name = _shard_and_name(key)
         path = self._entry_path(name)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"schema": CACHE_SCHEMA_VERSION, "key": key,
-                   "records": entry.records}
-        data = json.dumps(payload, sort_keys=True).encode("utf-8")
+        # json.dumps({"schema", "key", "records"}, sort_keys=True), with
+        # the entry's records text spliced in.
+        data = ('{"key": ' + json.dumps(key) + ', "records": ' + entry.records_json
+                + ', "schema": ' + json.dumps(CACHE_SCHEMA_VERSION) + "}").encode("utf-8")
         tmp = path.with_name(f"{name[1]}.{secrets.token_hex(8)}.tmp")
         try:
             with open(tmp, "xb") as handle:

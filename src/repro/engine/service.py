@@ -45,7 +45,7 @@ import dataclasses
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..core.config import ExperimentConfig
 from ..core.paths import normalize_path, path_registry_records, set_path
@@ -76,6 +76,35 @@ MAX_BODY_BYTES = 1 << 20
 #: Most header lines accepted per message, same rationale (each line is
 #: already length-bounded by the stream reader's 64 KiB limit).
 MAX_HEADER_LINES = 100
+
+#: Entries a service's query memo holds before it is cleared.
+_QUERY_MEMO_MAX = 4096
+
+#: Override value types, besides float, that a query memo key holds as
+#: they are: hashable, and equal only when they encode the same.
+_MEMO_SCALARS = frozenset({str, int, bool, type(None)})
+
+
+def _query_memo_key(canonical: Mapping[str, object]) -> tuple | None:
+    """The query memo's key for canonical overrides, or ``None`` when a
+    value cannot be memoised (NaN, or anything but a plain scalar).
+
+    Each item is ``(path, type, value, sign)``: the type keeps ``1``,
+    ``1.0`` and ``True`` apart, and the sign of a float keeps ``0.0``
+    and ``-0.0`` apart, although each pair compares equal.
+    """
+    parts = []
+    for path, value in canonical.items():
+        kind = type(value)
+        if kind is float:
+            if value != value:
+                return None
+            parts.append((path, kind, value, math.copysign(1.0, value)))
+        elif kind in _MEMO_SCALARS:
+            parts.append((path, kind, value, 0.0))
+        else:
+            return None
+    return tuple(parts)
 
 
 class InvalidRequestError(ConfigurationError):
@@ -134,6 +163,10 @@ class ServiceResult:
     ``from_cache`` is true for points served from the warm cache;
     ``coalesced`` is true when the query attached to an identical
     in-flight evaluation instead of submitting its own.
+    ``records_json`` is the cache entry's one encoding of ``records``
+    (:attr:`~repro.engine.cache.CachedEntry.records_json`), which the
+    HTTP front splices into the body; ``None`` on a result built by
+    hand, whose body then encodes ``records``.
     """
 
     key: str
@@ -141,6 +174,7 @@ class ServiceResult:
     records: tuple[dict, ...]
     from_cache: bool
     coalesced: bool
+    records_json: str | None = field(default=None, repr=False, compare=False)
 
     def as_payload(self) -> dict:
         """The JSON-safe response body the HTTP front sends."""
@@ -212,6 +246,12 @@ class EvaluationService:
     default_timeout_s:
         Deadline applied to queries that do not carry their own
         ``timeout_s``; ``None`` (default) = wait indefinitely.
+
+    A repeated query skips building its config and key: the service
+    memoises each valid query's canonical overrides to its config and
+    key (at most ``_QUERY_MEMO_MAX`` entries, then cleared), so the
+    evaluator's base config, schemes and baseline are fixed for the
+    service's life.
     """
 
     def __init__(self, base_config: ExperimentConfig | None = None,
@@ -251,6 +291,8 @@ class EvaluationService:
         self._flush_handle: asyncio.TimerHandle | None = None
         self._flush_lock: asyncio.Lock | None = None
         self._flush_tasks: set[asyncio.Task] = set()
+        #: Query memo key -> (canonical items, point key, config).
+        self._query_memo: dict[tuple, tuple] = {}
 
     # -- request validation ------------------------------------------------------
     def canonical_overrides(self, overrides: object) -> dict[str, object]:
@@ -303,6 +345,26 @@ class EvaluationService:
                     {"error": "invalid-value", "path": path, "message": str(exc)},
                 ) from exc
         return config
+
+    def _point_for(self, canonical: Mapping[str, object]) -> tuple:
+        """``(items, key, config)`` of canonical overrides, from the query
+        memo when this query was answered before.
+
+        A query is memoised only once its config and key are built, so a
+        rejected one is rejected afresh each time."""
+        memo_key = _query_memo_key(canonical)
+        known = self._query_memo.get(memo_key) if memo_key is not None else None
+        if known is not None:
+            return known
+        config = self._config_for(canonical)
+        known = (tuple(canonical.items()),
+                 point_key(config, self.evaluator.scheme_names, self.evaluator.baseline_name),
+                 config)
+        if memo_key is not None:
+            if len(self._query_memo) >= _QUERY_MEMO_MAX:
+                self._query_memo.clear()
+            self._query_memo[memo_key] = known
+        return known
 
     def _resolve_timeout(self, timeout_s: object) -> float | None:
         """Validate a query's deadline; fall back to the service default."""
@@ -361,21 +423,18 @@ class EvaluationService:
                                       {"error": "service-stopped"})
         try:
             timeout_s = self._resolve_timeout(timeout_s)
-            canonical = self.canonical_overrides(overrides)
-            config = self._config_for(canonical)
+            items, key, config = self._point_for(self.canonical_overrides(overrides))
         except InvalidRequestError:
             self.stats.invalid_requests += 1
             raise
-        items = tuple(canonical.items())
-        key = point_key(config, self.evaluator.scheme_names,
-                        self.evaluator.baseline_name)
 
         entry = self.cache.get(key)
         if entry is not None:
             self.stats.cache_hits += 1
             return ServiceResult(key=key, overrides=items,
                                  records=tuple(entry.records),
-                                 from_cache=True, coalesced=False)
+                                 from_cache=True, coalesced=False,
+                                 records_json=entry.records_json)
 
         existing = self._in_flight.get(key)
         if existing is not None:
@@ -383,7 +442,8 @@ class EvaluationService:
             entry = await self._await_entry(existing, timeout_s, key)
             return ServiceResult(key=key, overrides=items,
                                  records=tuple(entry.records),
-                                 from_cache=False, coalesced=True)
+                                 from_cache=False, coalesced=True,
+                                 records_json=entry.records_json)
 
         if self.max_pending is not None and len(self._pending) >= self.max_pending:
             # Backpressure: shedding the query here keeps the pending
@@ -412,7 +472,8 @@ class EvaluationService:
         entry = await self._await_entry(future, timeout_s, key)
         return ServiceResult(key=key, overrides=items,
                              records=tuple(entry.records),
-                             from_cache=False, coalesced=False)
+                             from_cache=False, coalesced=False,
+                             records_json=entry.records_json)
 
     # -- batching ----------------------------------------------------------------
     def _cancel_flush_timer(self) -> None:
@@ -608,8 +669,31 @@ _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 504: "Gateway Timeout"}
 
 
-def _encode_response(status: int, payload: dict, *, close: bool) -> bytes:
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+#: ``json.dumps(..., sort_keys=True)`` with the encoder built once.
+_SORTED_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _result_body(result: ServiceResult) -> bytes:
+    """``json.dumps(result.as_payload(), sort_keys=True)``, byte for byte:
+    the small fields are encoded, and the records text, whose key sorts
+    last, is spliced in."""
+    records = result.records_json
+    if records is None:
+        records = _SORTED_ENCODER.encode([dict(record) for record in result.records])
+    head = _SORTED_ENCODER.encode({"coalesced": result.coalesced,
+                                   "from_cache": result.from_cache,
+                                   "key": result.key,
+                                   "overrides": dict(result.overrides)})
+    return (head[:-1] + ', "records": ' + records + "}").encode("utf-8")
+
+
+def _encode_response(status: int, payload: dict | ServiceResult, *, close: bool) -> bytes:
+    """One HTTP response: a :class:`ServiceResult` body is spliced
+    (:func:`_result_body`), any other payload is sorted-key JSON."""
+    if isinstance(payload, ServiceResult):
+        body = _result_body(payload)
+    else:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
         f"Content-Type: application/json\r\n"
@@ -735,7 +819,8 @@ class EvaluationServer:
                 pass
 
     async def _dispatch(self, method: str, target: str, body: bytes):
-        """Route one request; returns ``(status, JSON payload)``."""
+        """Route one request; returns ``(status, JSON payload)``, the
+        payload of a ``/evaluate`` answer being its :class:`ServiceResult`."""
         target = target.split("?", 1)[0]
         if target == "/evaluate":
             if method != "POST":
@@ -771,7 +856,7 @@ class EvaluationServer:
                 # Server faults (executor contract violations, bugs)
                 # must not masquerade as client errors.
                 return 500, {"error": "internal-error", "message": str(exc)}
-            return 200, result.as_payload()
+            return 200, result
         if method != "GET":
             return 405, {"error": "method-not-allowed", "target": target}
         if target == "/healthz":

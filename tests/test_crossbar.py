@@ -82,15 +82,33 @@ class TestFactory:
         with pytest.raises(CrossbarError):
             register_scheme("SC", SingleVtCrossbar)
 
-    def test_register_and_use_custom_scheme(self, library):
+    @staticmethod
+    def _isolate_registry(monkeypatch):
+        """Registration is process-wide: restore the registry and its
+        ordered names when the test ends."""
         from repro.crossbar import factory
 
+        monkeypatch.setattr(factory, "_REGISTRY", dict(factory._REGISTRY))
+        monkeypatch.setattr(factory, "_ORDERED_NAMES", factory._ORDERED_NAMES)
+        return factory
+
+    def test_register_and_use_custom_scheme(self, library, monkeypatch):
+        self._isolate_registry(monkeypatch)
         register_scheme("SC2", SingleVtCrossbar, overwrite=True)
-        try:
-            assert create_scheme("SC2", library).name == "SC"
-            assert "SC2" in available_schemes()
-        finally:
-            factory._REGISTRY.pop("SC2", None)
+        assert create_scheme("SC2", library).name == "SC"
+        assert "SC2" in available_schemes()
+
+    def test_available_schemes_lists_extras_last_in_a_fresh_list(self, monkeypatch):
+        factory = self._isolate_registry(monkeypatch)
+        register_scheme("ZZ", SingleVtCrossbar)
+        register_scheme("AA", SingleVtCrossbar)
+        names = available_schemes()
+        assert names == ["SC", "DFC", "DPC", "SDFC", "SDPC", "AA", "ZZ"]
+        names.append("XYZ")
+        names.remove("SC")
+        assert available_schemes() == ["SC", "DFC", "DPC", "SDFC", "SDPC", "AA", "ZZ"]
+        assert available_schemes() is not available_schemes()
+        assert "XYZ" not in factory._REGISTRY and "SC" in factory._REGISTRY
 
 
 class TestSchemeStructure:

@@ -12,6 +12,7 @@ import pytest
 from repro import ExperimentConfig, paper_experiment
 from repro.analysis import sweep_table
 from repro.analysis.sweep import SweepSeries, crossover_point, crossover_points
+from repro.core.comparison import point_records
 from repro.engine import (
     DesignSpace,
     EvaluationCache,
@@ -131,6 +132,39 @@ class TestCache:
         assert entry is not None
         assert entry.records == [{"scheme": "SC", "x": 1.25}]
         assert reader.stats.disk_hits == 1
+
+    def test_entry_files_are_the_sorted_key_json_of_the_entry(self, tmp_path):
+        """``put`` splices the entry's records text into the file, byte
+        for byte what ``json.dumps(payload, sort_keys=True)`` writes."""
+        directory = tmp_path / "cache"
+        cache = EvaluationCache(directory=directory)
+        real = point_records(paper_experiment(), list(SCHEMES), "SC")
+        cases = {
+            "0123abcd" * 8: real,
+            "deadbeef": [{"scheme": "SC", "x": -0.0, "y": 1e-300, "z": 3,
+                          "flag": True, "none": None, "nested": {"b": 1.5, "a": [2, "é"]}}],
+            'odd "key"/é': [{"zeta": float("inf"), "alpha": "naïve ✓"}],
+            "cafe0001": [],
+        }
+        for key, records in cases.items():
+            entry = CachedEntry(records=records)
+            cache.put(key, entry)
+            expected = json.dumps({"schema": CACHE_SCHEMA_VERSION, "key": key,
+                                   "records": records}, sort_keys=True).encode("utf-8")
+            assert cache._disk_path(key).read_bytes() == expected
+            assert entry.records_json == json.dumps(records, sort_keys=True)
+            assert EvaluationCache(directory=directory).get(key).records == records
+
+    def test_an_entry_encodes_its_records_once(self, monkeypatch):
+        from repro.engine import cache as cache_module
+
+        calls = []
+        real_dumps = json.dumps
+        monkeypatch.setattr(cache_module.json, "dumps",
+                            lambda value, **kw: calls.append(value) or real_dumps(value, **kw))
+        entry = CachedEntry(records=[{"scheme": "SC", "x": 0.5}])
+        assert entry.records_json == entry.records_json == '[{"scheme": "SC", "x": 0.5}]'
+        assert calls == [entry.records]
 
     def test_unsafe_keys_are_hashed_not_traversed(self, tmp_path):
         directory = tmp_path / "cache"

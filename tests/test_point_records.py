@@ -515,6 +515,8 @@ def test_clear_and_a_reregistered_scheme_drop_the_plan(monkeypatch):
     from repro.crossbar.dfc import DualVtFeedbackCrossbar
 
     monkeypatch.setitem(factory._REGISTRY, "TWIN", _SegmentedTwin)
+    # register_scheme below recomputes the ordered names; restore them too.
+    monkeypatch.setattr(factory, "_ORDERED_NAMES", factory._ORDERED_NAMES)
     names = ["SC", "TWIN"]
     config = paper_experiment().with_overrides(static_probability=0.3, toggle_activity=0.2)
     clear_structural_cache()

@@ -20,7 +20,12 @@ from repro.engine.service import (
     EvaluationService,
     InvalidRequestError,
     ServiceClient,
+    ServiceResult,
     _build_parser,
+    _encode_response,
+    _query_memo_key,
+    _read_http_message,
+    _result_body,
     service_from_args,
 )
 from repro.engine.service import main as service_main
@@ -828,3 +833,246 @@ def test_a_rejected_point_is_its_own_400_over_http():
     assert repeat_status == 200 and repeat["from_cache"] is True
     assert repeat["records"] == valid["records"]
     assert cached == 1  # the valid point only
+
+
+def test_zero_static_probability_is_rejected_by_every_layer():
+    """At p = 0 every bundled scheme's standby saves nothing, so no point
+    there can be answered: each layer raises the same PowerError, and the
+    service answers a 400 ``evaluation-failed`` (docs/serving.md)."""
+    from repro import paper_experiment
+    from repro.core.comparison import compare_schemes, point_records
+    from repro.engine import DesignSpace, Evaluator
+    from repro.errors import PowerError
+
+    message = "scheme 'DFC' saves no power in standby; minimum idle time undefined"
+    config = paper_experiment().with_overrides(static_probability=0.0)
+    for call in (lambda: compare_schemes(config),
+                 lambda: point_records(config),
+                 lambda: Evaluator().evaluate(
+                     DesignSpace.from_points([{"static_probability": 0.0}]))):
+        with pytest.raises(PowerError) as excinfo:
+            call()
+        assert type(excinfo.value) is PowerError and str(excinfo.value) == message
+
+    async def scenario():
+        service = make_service(scheme_names=None, max_batch_size=1)
+        server = await EvaluationServer(service, port=0).start()
+        client = ServiceClient("127.0.0.1", server.port)
+        answers = [await client._request("POST", "/evaluate",
+                                         {"overrides": {"static_probability": p}})
+                   for p in (0.0, -0.0, 0.0)]
+        await server.stop()
+        await service.stop()
+        return answers
+
+    for status, payload in asyncio.run(scenario()):
+        assert status == 400
+        assert payload == {"error": "evaluation-failed", "message": message}
+
+
+# ---------------------------------------------------------------------------
+# warm answers: one encoding per cache entry, and the query memo
+# ---------------------------------------------------------------------------
+
+def _sorted_json(result) -> bytes:
+    """The body every 200 ``/evaluate`` answer had before splicing."""
+    return json.dumps(result.as_payload(), sort_keys=True).encode("utf-8")
+
+
+async def _raw_evaluate(port: int, overrides: dict) -> tuple[int, bytes]:
+    """One ``POST /evaluate``; returns the status and the raw body bytes."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    body = json.dumps({"overrides": overrides}).encode("utf-8")
+    writer.write(b"POST /evaluate HTTP/1.1\r\nContent-Length: %d\r\n"
+                 b"Connection: close\r\n\r\n" % len(body) + body)
+    await writer.drain()
+    start, _headers, raw = await _read_http_message(reader)
+    writer.close()
+    await writer.wait_closed()
+    return int(start.split()[1]), raw
+
+
+#: Queries whose overrides hold a bool, an int, a float, -0.0, a flag as
+#: an int, and alias spellings next to dotted ones.
+SPELLED_QUERIES = [
+    {"toggle_activity": True},
+    {"toggle_activity": 1},
+    {"toggle_activity": 1.0},
+    {"toggle_activity": -0.0, "static_probability": 0.25},
+    {"port_count": 3, "crossbar.flit_width": 64},
+    {"allow_self_connection": 1},
+]
+
+
+def test_result_bodies_are_the_sorted_json_of_the_result(tmp_path):
+    """Misses, coalesced twins, memory hits and (on a second service)
+    disk hits all encode to ``json.dumps(as_payload(), sort_keys=True)``."""
+    cache_dir = tmp_path / "cache"
+
+    async def first():
+        service = make_service(cache_dir=cache_dir, max_batch_size=64, flush_interval=0.01)
+        cold = await asyncio.gather(*[service.evaluate(query)
+                                      for query in SPELLED_QUERIES for _ in range(2)])
+        warm = [await service.evaluate(query) for query in SPELLED_QUERIES]
+        await service.stop()
+        return cold, warm
+
+    async def second():
+        service = make_service(cache_dir=cache_dir)
+        results = [await service.evaluate(query) for query in SPELLED_QUERIES]
+        await service.stop()
+        return service, results
+
+    cold, warm = asyncio.run(first())
+    service, disk = asyncio.run(second())
+    assert [result.coalesced for result in cold] == [False, True] * len(SPELLED_QUERIES)
+    assert all(result.from_cache for result in warm + disk)
+    assert service.cache.stats.disk_hits == len(SPELLED_QUERIES)
+    for result in cold + warm + disk:
+        body = _sorted_json(result)
+        assert _result_body(result) == body
+        assert _encode_response(200, result, close=True).endswith(b"\r\n\r\n" + body)
+    # A result built by hand, without the entry's text, encodes its records.
+    by_hand = ServiceResult(key="kéy", overrides=(("technology_node", "45nmé"),),
+                            records=({"scheme": "✓", "x": -0.0},),
+                            from_cache=False, coalesced=True)
+    assert _result_body(by_hand) == _sorted_json(by_hand)
+
+
+def test_http_bodies_are_byte_identical_sorted_json():
+    async def scenario():
+        service = make_service(max_batch_size=64, flush_interval=0.01)
+        server = await EvaluationServer(service, port=0).start()
+        answers = []
+        for query in SPELLED_QUERIES:
+            answers += await asyncio.gather(_raw_evaluate(server.port, query),
+                                            _raw_evaluate(server.port, query))
+            answers.append(await _raw_evaluate(server.port, query))
+        await server.stop()
+        await service.stop()
+        return answers
+
+    answers = asyncio.run(scenario())
+    assert all(status == 200 for status, _ in answers)
+    bodies = [json.loads(body) for _, body in answers]
+    for (_, raw), body in zip(answers, bodies):
+        assert raw == json.dumps(body, sort_keys=True).encode("utf-8")
+    for index, query in enumerate(SPELLED_QUERIES):
+        miss, twin, hit = bodies[3 * index:3 * index + 3]
+        assert [miss["coalesced"], twin["coalesced"], hit["from_cache"]] == [False, True, True]
+        assert miss["records"] == twin["records"] == hit["records"]
+        assert miss["key"] == twin["key"] == hit["key"]
+    raw_overrides = [raw.split(b'"overrides": ', 1)[1].split(b', "records"', 1)[0]
+                     for _, raw in answers[::3]]
+    assert raw_overrides == [b'{"toggle_activity": true}', b'{"toggle_activity": 1}',
+                             b'{"toggle_activity": 1.0}',
+                             b'{"static_probability": 0.25, "toggle_activity": -0.0}',
+                             b'{"crossbar.flit_width": 64, "crossbar.port_count": 3}',
+                             b'{"crossbar.allow_self_connection": 1}']
+    assert len({body["key"] for body in bodies}) == len(SPELLED_QUERIES)
+
+
+def test_query_memo_keeps_types_and_zero_signs_apart():
+    """``1``/``1.0``/``True`` and ``0.0``/``-0.0`` are equal in Python but
+    spell different configs: each keeps its own memo entry and key."""
+    from repro.core.paths import set_path
+    from repro.engine.cache import point_key
+
+    values = [1, 1.0, True, 0.0, -0.0]
+
+    async def scenario():
+        service = make_service(max_batch_size=1)
+        rounds = [[await service.evaluate({"toggle_activity": value}) for value in values]
+                  for _ in range(2)]
+        await service.stop()
+        return service, rounds
+
+    service, (first, second) = asyncio.run(scenario())
+    base = service.evaluator.base_config
+    expected = [point_key(set_path(base, "toggle_activity", value), SCHEMES, "SC")
+                for value in values]
+    assert [result.key for result in first] == expected
+    assert [result.key for result in second] == expected
+    assert len(set(expected)) == len(values)
+    assert all(result.from_cache for result in second)
+    for value, result in zip(values, second):
+        echoed = dict(result.overrides)["toggle_activity"]
+        assert type(echoed) is type(value) and repr(echoed) == repr(value)
+    assert len(service._query_memo) == len(values)
+
+
+def test_query_memo_never_stores_a_rejected_query():
+    rejected = [{"static_probability": 1.5}, {"crossbar.port_count": 1},
+                {"toggle_activity": float("nan")}, {"no.such.path": 1}]
+
+    async def scenario():
+        service = make_service()
+        server = await EvaluationServer(service, port=0).start()
+        client = ServiceClient("127.0.0.1", server.port)
+        answers = [await client._request("POST", "/evaluate", {"overrides": query})
+                   for _ in range(2) for query in rejected]
+        memo = dict(service._query_memo)
+        await server.stop()
+        await service.stop()
+        return service, answers, memo
+
+    service, answers, memo = asyncio.run(scenario())
+    assert memo == {}
+    assert answers[:len(rejected)] == answers[len(rejected):]
+    assert all(status == 400 for status, _ in answers)
+    assert [payload["error"] for _, payload in answers[:len(rejected)]] == [
+        "invalid-value", "invalid-value", "invalid-value", "unknown-path"]
+    assert service.stats.invalid_requests == 2 * len(rejected)
+
+
+def test_query_memo_is_per_service():
+    from repro import ExperimentConfig
+
+    query = {"toggle_activity": 0.3}
+
+    async def scenario():
+        hot = make_service(base_config=ExperimentConfig())
+        cool = make_service(base_config=ExperimentConfig(temperature_celsius=25.0))
+        answers = [await hot.evaluate(query), await cool.evaluate(query),
+                   await hot.evaluate(query), await cool.evaluate(query)]
+        await hot.stop()
+        await cool.stop()
+        return hot, cool, answers
+
+    hot, cool, (hot1, cool1, hot2, cool2) = asyncio.run(scenario())
+    assert hot1.key != cool1.key
+    assert (hot2.key, cool2.key) == (hot1.key, cool1.key)
+    assert hot2.records == hot1.records and cool2.records == cool1.records
+    assert hot2.records != cool2.records
+    assert len(hot._query_memo) == len(cool._query_memo) == 1
+
+
+def test_query_memo_stays_within_its_bound(monkeypatch):
+    from repro.engine import service as service_module
+
+    monkeypatch.setattr(service_module, "_QUERY_MEMO_MAX", 3)
+    queries = [{"toggle_activity": 0.1 * step} for step in range(1, 8)]
+
+    async def scenario():
+        service = make_service(max_batch_size=1)
+        sizes, results = [], []
+        for query in queries + queries:
+            results.append(await service.evaluate(query))
+            sizes.append(len(service._query_memo))
+        await service.stop()
+        return sizes, results
+
+    sizes, results = asyncio.run(scenario())
+    assert max(sizes) == 3 and min(sizes) == 1
+    first, second = results[:len(queries)], results[len(queries):]
+    assert [result.key for result in second] == [result.key for result in first]
+    assert all(result.from_cache for result in second)
+
+
+def test_query_memo_key_skips_nan_and_non_scalars():
+    assert _query_memo_key({"toggle_activity": float("nan")}) is None
+    assert _query_memo_key({"a": [1]}) is None
+    assert _query_memo_key({"a": (0.0,)}) is None
+    assert _query_memo_key({"a": 0.0}) != _query_memo_key({"a": -0.0})
+    assert len({_query_memo_key({"a": value}) for value in (1, 1.0, True)}) == 3
+    assert _query_memo_key({}) == ()
