@@ -4,8 +4,8 @@ ablations, NoC).
 Run with ``pytest benchmarks/ --benchmark-only``.  Each benchmark both
 times the evaluation it wraps and prints the regenerated table/figure
 content (paper value next to measured value where applicable), so the
-benchmark log doubles as the reproduction record summarised in
-EXPERIMENTS.md.
+benchmark log doubles as the reproduction record; :data:`PAPER_TABLE1`
+below holds the paper's Table 1 values.
 """
 
 from __future__ import annotations

@@ -58,7 +58,8 @@ def test_segmentation_ablation(benchmark):
     # switched capacitance at this design point, and the per-segment control
     # devices claw some of it back, so we only require that segmentation does
     # not *cost* more than a few percent of dynamic power (the row-wire
-    # mechanism itself is asserted by the unit tests).  See EXPERIMENTS.md.
+    # mechanism itself is asserted by the unit tests).  PAPER_TABLE1 in
+    # benchmarks/conftest.py holds the paper's figures.
     for values in ablation.values():
         assert values["active_reduction"] > 0.0
         assert values["dynamic_reduction"] > -0.06

@@ -109,7 +109,7 @@ def test_table1_total_power(benchmark, paper_values):
     rows = [[name, totals[name], paper_values[name]["total_mw"]] for name in SCHEMES]
     print()
     print(render_table(["scheme", "measured (mW)", "paper (mW)"], rows,
-                       title="Table 1 total power (absolute values differ; see EXPERIMENTS.md)"))
+                       title="Table 1 total power (absolute values differ; see PAPER_TABLE1)"))
 
 
 def test_table1_delay_penalty_row(benchmark, table1_records, paper_values):

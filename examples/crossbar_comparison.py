@@ -22,7 +22,7 @@ def main() -> None:
     config = paper_experiment()
     comparison = compare_schemes(config)
 
-    print("Reproduction of Table 1 (see EXPERIMENTS.md for the paper-reported values)")
+    print("Reproduction of Table 1 (paper-reported values: PAPER_TABLE1 in benchmarks/conftest.py)")
     print()
     print(comparison.as_table_text())
     print()

@@ -38,13 +38,17 @@ FLOORS = {
 #: Span metrics a traced run must report above zero.  Each proves the
 #: tracer still finds the name it wraps where its caller looks it up
 #: (renaming one away empties the span): the warm record path for
-#: ``sweep_scalar``, the cold scheme builds for ``sweep_structural``.
-#: A traced ``serve_mixed`` crashes outright if a traced service entry
-#: point is renamed, so it needs no span of its own.
+#: ``sweep_scalar``, the cold scheme builds for ``sweep_structural`` and,
+#: for ``serve_mixed``, the spans every request records, hit or miss.
+#: The miss-path ``serve_mixed`` metrics (``cache.put_us_p50``,
+#: ``cache.point_key_us_p50``, ``service.batch_wait_ms_p50``) stay
+#: unchecked: a 2 s run sees fewer misses than perfbench's percentile
+#: needs, so they read 0.0 there, and perfbench is the benchmark's own
+#: code, not this gate's to change.
 SPANS = {
     "sweep_scalar": ("compare.point_ms_p50", "scheme.SC.evaluate_ms_p50"),
     "sweep_structural": ("structural.scheme_misses",),
-    "serve_mixed": (),
+    "serve_mixed": ("service.evaluate_ms_p50", "service.http_ms_p50", "cache.get_us_p50"),
 }
 
 #: ``(workload, traced)`` pairs, in run order.

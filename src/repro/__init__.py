@@ -17,8 +17,9 @@ Quickstart::
     comparison = compare_schemes(paper_experiment())
     print(comparison.as_table_text())
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-versus-measured record of every table and figure.
+See ``docs/architecture.md`` for the system inventory and
+``PAPER_TABLE1`` in ``benchmarks/conftest.py`` for the paper-reported
+Table 1 values the benchmarks print next to the measured ones.
 """
 
 from .core.comparison import SchemeComparison, compare_schemes

@@ -1,4 +1,4 @@
-"""Reporting and analysis helpers (DESIGN.md S9)."""
+"""Reporting and analysis helpers (docs/architecture.md)."""
 
 from .figures import (
     OutputPathStructure,

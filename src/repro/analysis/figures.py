@@ -64,11 +64,6 @@ class SegmentationStructure:
     far_path_delay: float
 
     @property
-    def path_delay_ratio(self) -> float:
-        """Far-path (path 2) delay over near-path (path 1) delay; > 1 by design."""
-        return self.far_path_delay / self.near_path_delay
-
-    @property
     def near_path_slack_fraction(self) -> float:
         """Fraction of the far-path delay that the near path does not need."""
         return 1.0 - self.near_path_delay / self.far_path_delay

@@ -1,7 +1,7 @@
 """Circuit substrate: netlists, gates, RC delay and state-dependent leakage.
 
-See ``DESIGN.md`` S2.  This layer replaces the paper's SPICE decks with
-analytical models of the same circuits.
+See ``docs/architecture.md``.  This layer replaces the paper's SPICE
+decks with analytical models of the same circuits.
 """
 
 from .biasing import (
@@ -14,37 +14,20 @@ from .biasing import (
     reset_kernel_totals,
 )
 from .devices import DeviceInstance, DeviceRole
-from .dynamic import (
-    contention_energy,
-    dynamic_power,
-    precharge_energy_per_cycle,
-    switching_energy,
-)
+from .dynamic import contention_energy, dynamic_power, switching_energy
 from .gates import (
-    Buffer,
     Inverter,
     Keeper,
-    Nand2,
-    Nor2,
     PassTransistorSwitch,
     PrechargeTransistor,
     SleepTransistor,
-    TransmissionGate,
 )
-from .leakage import (
-    BiasState,
-    LeakageAccumulator,
-    LeakageBreakdown,
-    StateLeakage,
-    device_leakage,
-)
+from .leakage import LeakageAccumulator, LeakageBreakdown
 from .netlist import GROUND_NET, SUPPLY_NET, Netlist, NetlistStatistics
-from .rc_network import LN2, RCTree, lumped_stage_delay
+from .rc_network import LN2, RCTree
 from .transient import RCTransientSolver, TransientResult
 
 __all__ = [
-    "BiasState",
-    "Buffer",
     "DeviceInstance",
     "DeviceRole",
     "GROUND_NET",
@@ -55,10 +38,8 @@ __all__ = [
     "LeakageAccumulator",
     "LeakageBreakdown",
     "LeakageKernel",
-    "Nand2",
     "Netlist",
     "NetlistStatistics",
-    "Nor2",
     "OFF_OVERLAP_GATE_FRACTION",
     "PassTransistorSwitch",
     "PrechargeTransistor",
@@ -66,17 +47,12 @@ __all__ = [
     "RCTree",
     "SUPPLY_NET",
     "SleepTransistor",
-    "StateLeakage",
     "TransientResult",
-    "TransmissionGate",
     "contention_energy",
-    "device_leakage",
     "dynamic_power",
     "kernel_for",
     "kernel_totals",
     "leakage_from_node_voltages",
-    "lumped_stage_delay",
-    "precharge_energy_per_cycle",
     "reset_kernel_totals",
     "switching_energy",
 ]

@@ -13,9 +13,9 @@ Three dynamic components matter for the paper's Table 1:
   savings alone would suggest.
 * **Pre-charge energy** of the DPC/SDPC schemes: every cycle in which
   the output was left low, the pre-charge device must pull the wire back
-  to Vdd, so the pre-charge penalty grows with the probability of the
-  "0" state — which is why the paper quotes 50 % static probability as
-  the worst case.
+  to Vdd (a :func:`switching_energy` weighted by the probability of the
+  "0" state in the scheme's activity profile), which is why the paper
+  quotes 50 % static probability as the worst case.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "switching_energy",
     "dynamic_power",
     "contention_energy",
-    "precharge_energy_per_cycle",
 ]
 
 
@@ -81,20 +80,3 @@ def contention_energy(opposing_current: float, transition_time: float, supply_vo
     if supply_voltage <= 0:
         raise PowerError("supply voltage must be positive")
     return opposing_current * transition_time * supply_voltage
-
-
-def precharge_energy_per_cycle(
-    wire_capacitance: float,
-    supply_voltage: float,
-    probability_discharged: float,
-) -> float:
-    """Average energy (joules per cycle) spent restoring a pre-charged wire.
-
-    A pre-charged-high wire only costs energy when the previous
-    evaluation left it low, which happens with probability
-    ``probability_discharged`` (the static probability of a logic 0 for
-    a pre-charged-high design).
-    """
-    if not 0.0 <= probability_discharged <= 1.0:
-        raise PowerError("probability must be in [0, 1]")
-    return switching_energy(wire_capacitance, supply_voltage) * probability_discharged

@@ -1,8 +1,8 @@
 """Gate-level building blocks used by the crossbar generators.
 
 Each class combines the small number of transistors making up one
-circuit idiom from the paper's Figures 1-3 — CMOS inverters/buffers for
-the wire drivers (I1, I2), NMOS pass transistors for the crossbar switch
+circuit idiom from the paper's Figures 1-3 — CMOS inverters for the
+wire drivers (I1, I2), NMOS pass transistors for the crossbar switch
 points (N1-N4), the shared sleep transistor (N5), the pre-charge PMOS
 (P1 in Fig. 2), and the feedback keeper (P1 in Fig. 1) — and exposes the
 three things the analysis layers need from it:
@@ -32,14 +32,10 @@ from .netlist import GROUND_NET, SUPPLY_NET
 
 __all__ = [
     "Inverter",
-    "Buffer",
     "PassTransistorSwitch",
-    "TransmissionGate",
     "SleepTransistor",
     "PrechargeTransistor",
     "Keeper",
-    "Nand2",
-    "Nor2",
 ]
 
 
@@ -119,44 +115,6 @@ class Inverter:
         return {"nmos": self.nmos, "pmos": self.pmos}
 
 
-class Buffer:
-    """Two cascaded inverters: the paper's I1-I2 output driver."""
-
-    def __init__(self, first: Inverter, second: Inverter, name: str = "buf") -> None:
-        self.first = first
-        self.second = second
-        self.name = name
-
-    def input_capacitance(self) -> float:
-        """Capacitance presented at the buffer input (farads)."""
-        return self.first.input_capacitance()
-
-    def intermediate_capacitance(self) -> float:
-        """Capacitance on the internal node between the two inverters."""
-        return self.first.output_capacitance() + self.second.input_capacitance()
-
-    def output_capacitance(self) -> float:
-        """Diffusion capacitance on the buffer output."""
-        return self.second.output_capacitance()
-
-    def leakage(self, input_is_high: bool) -> LeakageBreakdown:
-        """Leakage with the input parked at a rail (internal node follows)."""
-        return self.first.leakage(input_is_high) + self.second.leakage(not input_is_high)
-
-    def average_leakage(self, probability_input_high: float = 0.5) -> LeakageBreakdown:
-        """State-probability-weighted leakage."""
-        high = self.leakage(True).scaled(probability_input_high)
-        low = self.leakage(False).scaled(1.0 - probability_input_high)
-        return high + low
-
-    def devices(self, input_net: str, output_net: str, prefix: str,
-                role: DeviceRole = DeviceRole.DRIVER) -> list[DeviceInstance]:
-        """Structural devices; the internal net is ``<prefix>.<name>.mid``."""
-        internal = f"{prefix}.{self.name}.mid"
-        return self.first.devices(input_net, internal, f"{prefix}.{self.name}.i1", role) + \
-            self.second.devices(internal, output_net, f"{prefix}.{self.name}.i2", role)
-
-
 class PassTransistorSwitch:
     """An NMOS pass transistor: one crosspoint of the matrix crossbar.
 
@@ -196,56 +154,6 @@ class PassTransistorSwitch:
             DeviceInstance(
                 f"{prefix}.{self.name}", self.nmos, grant_net, output_net, input_net, role,
             )
-        ]
-
-
-class TransmissionGate:
-    """Complementary NMOS + PMOS pass structure (full-swing crosspoint).
-
-    Not used by the paper's schemes (they use single NMOS devices plus a
-    keeper or pre-charge), but provided so the design-space exploration
-    can quantify what the paper gave up by not paying for the PMOS.
-    """
-
-    def __init__(self, library: TechnologyLibrary, nmos_width: float, pmos_width: float,
-                 flavor: VtFlavor = VtFlavor.NOMINAL, name: str = "tgate") -> None:
-        self.library = library
-        self._kernel = kernel_for(library)
-        self.name = name
-        self.nmos = library.make_transistor(Polarity.NMOS, flavor, nmos_width)
-        self.pmos = library.make_transistor(Polarity.PMOS, flavor, pmos_width)
-
-    def on_resistance(self) -> float:
-        """Parallel channel resistance when enabled (ohms)."""
-        rn = self.nmos.effective_resistance()
-        rp = self.pmos.effective_resistance()
-        return rn * rp / (rn + rp)
-
-    def grant_capacitance(self) -> float:
-        """Total gate capacitance across both control inputs."""
-        return self.nmos.gate_capacitance() + self.pmos.gate_capacitance()
-
-    def terminal_capacitance(self) -> float:
-        """Diffusion capacitance added to each connected net."""
-        return self.nmos.diffusion_capacitance() + self.pmos.diffusion_capacitance()
-
-    def leakage(self, granted: bool, input_voltage: float, output_voltage: float) -> LeakageBreakdown:
-        """Leakage for the given enable state and terminal voltages."""
-        vdd = self.library.supply_voltage
-        n_gate = _level(granted, vdd)
-        p_gate = _level(not granted, vdd)
-        nmos = self._kernel.evaluate(self.nmos, n_gate, input_voltage, output_voltage)
-        pmos = self._kernel.evaluate(self.pmos, p_gate, input_voltage, output_voltage)
-        return nmos + pmos
-
-    def devices(self, grant_net: str, grant_bar_net: str, input_net: str, output_net: str,
-                prefix: str) -> list[DeviceInstance]:
-        """Structural device instances."""
-        return [
-            DeviceInstance(f"{prefix}.{self.name}.mn", self.nmos, grant_net, output_net, input_net,
-                           DeviceRole.PASS_TRANSISTOR),
-            DeviceInstance(f"{prefix}.{self.name}.mp", self.pmos, grant_bar_net, output_net, input_net,
-                           DeviceRole.PASS_TRANSISTOR),
         ]
 
 
@@ -355,10 +263,6 @@ class Keeper:
         """Current (amperes) the keeper sources against a falling merge node."""
         return self.pmos.saturation_current()
 
-    def restore_resistance(self) -> float:
-        """Resistance with which the keeper completes a rising merge node."""
-        return self.pmos.effective_resistance()
-
     def node_capacitance(self) -> float:
         """Diffusion capacitance added to the merge node."""
         return self.pmos.diffusion_capacitance()
@@ -385,106 +289,3 @@ class Keeper:
             DeviceInstance(f"{prefix}.{self.name}", self.pmos, feedback_net, node_net, SUPPLY_NET,
                            DeviceRole.KEEPER)
         ]
-
-
-class _TwoInputGate:
-    """Shared machinery for NAND2/NOR2 control gates."""
-
-    def __init__(self, library: TechnologyLibrary, nmos_width: float, pmos_width: float,
-                 flavor: VtFlavor, name: str) -> None:
-        self.library = library
-        self._kernel = kernel_for(library)
-        self.name = name
-        self.nmos_a = library.make_transistor(Polarity.NMOS, flavor, nmos_width)
-        self.nmos_b = library.make_transistor(Polarity.NMOS, flavor, nmos_width)
-        self.pmos_a = library.make_transistor(Polarity.PMOS, flavor, pmos_width)
-        self.pmos_b = library.make_transistor(Polarity.PMOS, flavor, pmos_width)
-
-    def input_capacitance(self) -> float:
-        """Capacitance per input pin."""
-        return self.nmos_a.gate_capacitance() + self.pmos_a.gate_capacitance()
-
-    def output_capacitance(self) -> float:
-        """Diffusion capacitance on the output node."""
-        return (
-            self.nmos_a.diffusion_capacitance()
-            + self.pmos_a.diffusion_capacitance()
-            + self.pmos_b.diffusion_capacitance()
-        )
-
-
-class Nand2(_TwoInputGate):
-    """Two-input NAND used in the sleep/pre-charge control logic."""
-
-    def __init__(self, library: TechnologyLibrary, nmos_width: float, pmos_width: float,
-                 flavor: VtFlavor = VtFlavor.NOMINAL, name: str = "nand2") -> None:
-        super().__init__(library, nmos_width, pmos_width, flavor, name)
-
-    def pull_down_resistance(self) -> float:
-        """Worst-case (series stack) pull-down resistance."""
-        return self.nmos_a.effective_resistance() + self.nmos_b.effective_resistance()
-
-    def pull_up_resistance(self) -> float:
-        """Worst-case (single device) pull-up resistance."""
-        return self.pmos_a.effective_resistance()
-
-    def leakage(self, a_high: bool, b_high: bool) -> LeakageBreakdown:
-        """Leakage for a specific input combination."""
-        vdd = self.library.supply_voltage
-        va, vb = _level(a_high, vdd), _level(b_high, vdd)
-        out_low = a_high and b_high
-        vout = _level(not out_low, vdd)
-        # Series NMOS stack: internal node sits near ground unless both are off.
-        stack_depth = 2 if (not a_high and not b_high) else 1
-        internal = 0.0
-        result = self._kernel.evaluate(self.nmos_a, va, internal, 0.0, stack_depth)
-        result = result + self._kernel.evaluate(self.nmos_b, vb, vout, internal, stack_depth)
-        result = result + self._kernel.evaluate(self.pmos_a, va, vout, vdd)
-        result = result + self._kernel.evaluate(self.pmos_b, vb, vout, vdd)
-        return result
-
-    def average_leakage(self) -> LeakageBreakdown:
-        """Leakage averaged over the four equiprobable input states."""
-        total = LeakageBreakdown.zero()
-        for a_high in (False, True):
-            for b_high in (False, True):
-                total = total + self.leakage(a_high, b_high).scaled(0.25)
-        return total
-
-
-class Nor2(_TwoInputGate):
-    """Two-input NOR used in the request-detection logic of the DPC scheme."""
-
-    def __init__(self, library: TechnologyLibrary, nmos_width: float, pmos_width: float,
-                 flavor: VtFlavor = VtFlavor.NOMINAL, name: str = "nor2") -> None:
-        super().__init__(library, nmos_width, pmos_width, flavor, name)
-
-    def pull_down_resistance(self) -> float:
-        """Worst-case (single device) pull-down resistance."""
-        return self.nmos_a.effective_resistance()
-
-    def pull_up_resistance(self) -> float:
-        """Worst-case (series stack) pull-up resistance."""
-        return self.pmos_a.effective_resistance() + self.pmos_b.effective_resistance()
-
-    def leakage(self, a_high: bool, b_high: bool) -> LeakageBreakdown:
-        """Leakage for a specific input combination."""
-        vdd = self.library.supply_voltage
-        va, vb = _level(a_high, vdd), _level(b_high, vdd)
-        out_high = not (a_high or b_high)
-        vout = _level(out_high, vdd)
-        stack_depth = 2 if (a_high and b_high) else 1
-        internal = vdd
-        result = self._kernel.evaluate(self.pmos_a, va, internal, vdd, stack_depth)
-        result = result + self._kernel.evaluate(self.pmos_b, vb, vout, internal, stack_depth)
-        result = result + self._kernel.evaluate(self.nmos_a, va, vout, 0.0)
-        result = result + self._kernel.evaluate(self.nmos_b, vb, vout, 0.0)
-        return result
-
-    def average_leakage(self) -> LeakageBreakdown:
-        """Leakage averaged over the four equiprobable input states."""
-        total = LeakageBreakdown.zero()
-        for a_high in (False, True):
-            for b_high in (False, True):
-                total = total + self.leakage(a_high, b_high).scaled(0.25)
-        return total

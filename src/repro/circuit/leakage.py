@@ -17,13 +17,6 @@ bookkeeping:
   that is affine in one probability ``p`` (``fixed + p * high +
   (1 - p) * low``), held as its three terms so a fresh ``p`` costs three
   multiply-adds per mechanism instead of a re-walk of the circuit.
-* :class:`BiasState` — the terminal voltages that determine a device's
-  leakage.
-* :func:`device_leakage` — evaluate one device in one bias state.
-* :class:`StateLeakage` — a weighted collection of (device, bias,
-  multiplicity) contributions, e.g. "the DPC output path with node A
-  high", which the power layer combines across states using the static
-  probability.
 
 Allocation discipline
 ---------------------
@@ -39,14 +32,12 @@ only burn the inner loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import CircuitError
-from ..technology.leakage_model import stack_factor
-from ..technology.transistor import Mosfet
 
 __all__ = ["LeakageBreakdown", "LeakageAccumulator", "AffineLeakage",
-           "AffineLeakageAccumulator", "BiasState", "device_leakage", "StateLeakage"]
+           "AffineLeakageAccumulator"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,105 +234,3 @@ class AffineLeakageAccumulator:
     def freeze(self) -> AffineLeakage:
         """The accumulated terms as an immutable :class:`AffineLeakage`."""
         return AffineLeakage(self.fixed.freeze(), self.high.freeze(), self.low.freeze())
-
-
-@dataclass(frozen=True)
-class BiasState:
-    """Terminal conditions of a device for leakage evaluation.
-
-    All voltages are magnitudes in volts (the models are symmetric for
-    NMOS/PMOS once magnitudes are used).
-
-    Attributes
-    ----------
-    vgs:
-        Gate-source voltage magnitude.  0 for an off device, Vdd for a
-        fully-on device, intermediate values for e.g. a pass transistor
-        whose source has risen.
-    vds:
-        Drain-source voltage magnitude.  An off device with the full
-        supply across it leaks the most; a device whose drain and source
-        are at the same potential does not sub-threshold leak at all.
-    gate_oxide_voltage:
-        Voltage magnitude across the gate oxide, which drives gate
-        tunnelling.  For an on device this is typically Vdd (gate to
-        inverted channel); for an off device with a high drain it is the
-        gate-drain overlap voltage.
-    series_off_devices:
-        Number of off devices stacked in series with this one in its
-        leakage path (including itself); 2 or more engages the stack
-        effect.
-    """
-
-    vgs: float = 0.0
-    vds: float = 0.0
-    gate_oxide_voltage: float = 0.0
-    series_off_devices: int = 1
-
-    def __post_init__(self) -> None:
-        if self.vds < 0 or self.gate_oxide_voltage < 0:
-            raise CircuitError("bias voltages are magnitudes and must be non-negative")
-        if self.series_off_devices < 1:
-            raise CircuitError("series_off_devices counts this device and must be >= 1")
-
-
-def device_leakage(device: Mosfet, bias: BiasState) -> LeakageBreakdown:
-    """Leakage of one device in one bias state.
-
-    The stack effect is applied to the sub-threshold component only
-    (gate tunnelling does not benefit from stacking).
-    """
-    subthreshold = device.subthreshold_current(vgs=bias.vgs, vds=bias.vds)
-    if bias.series_off_devices > 1:
-        subthreshold *= stack_factor(bias.series_off_devices)
-    gate = device.gate_leakage(gate_voltage=bias.gate_oxide_voltage)
-    junction = device.junction_leakage(vds=bias.vds)
-    return LeakageBreakdown(subthreshold=subthreshold, gate=gate, junction=junction)
-
-
-@dataclass
-class StateLeakage:
-    """Leakage of a circuit in one named logic state.
-
-    Contributions are accumulated with :meth:`add`; each contribution is
-    one device, its bias and a multiplicity (how many identical copies of
-    that device exist in the circuit — e.g. 128 bits x 5 output ports).
-    """
-
-    state_name: str
-    contributions: list[tuple[str, LeakageBreakdown, float]] = field(default_factory=list)
-
-    def add(self, label: str, device: Mosfet, bias: BiasState, multiplicity: float = 1.0) -> None:
-        """Add ``multiplicity`` copies of ``device`` in ``bias`` to the state."""
-        if multiplicity < 0:
-            raise CircuitError("multiplicity cannot be negative")
-        self.contributions.append((label, device_leakage(device, bias), multiplicity))
-
-    def add_breakdown(self, label: str, breakdown: LeakageBreakdown, multiplicity: float = 1.0) -> None:
-        """Add a pre-computed breakdown (used by gate-level helpers)."""
-        if multiplicity < 0:
-            raise CircuitError("multiplicity cannot be negative")
-        self.contributions.append((label, breakdown, multiplicity))
-
-    def total(self) -> LeakageBreakdown:
-        """Sum of all contributions, weighted by multiplicity."""
-        acc = LeakageAccumulator()
-        for _, breakdown, multiplicity in self.contributions:
-            acc.add(breakdown, multiplicity)
-        return acc.freeze()
-
-    def total_current(self) -> float:
-        """Total leakage current in amperes."""
-        return self.total().total
-
-    def power(self, supply_voltage: float) -> float:
-        """Total leakage power in watts."""
-        return self.total().power(supply_voltage)
-
-    def by_label(self) -> dict[str, LeakageBreakdown]:
-        """Aggregate contributions by their label (e.g. per gate role)."""
-        grouped: dict[str, LeakageBreakdown] = {}
-        for label, breakdown, multiplicity in self.contributions:
-            current = grouped.get(label, LeakageBreakdown.zero())
-            grouped[label] = current + breakdown.scaled(multiplicity)
-        return grouped

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from ..errors import CircuitError
 
-__all__ = ["RCTree", "LN2", "lumped_stage_delay"]
+__all__ = ["RCTree", "LN2"]
 
 #: ln(2): converts an Elmore (first-moment) delay into a 50 % step delay.
 LN2 = math.log(2.0)
@@ -167,22 +167,3 @@ class RCTree:
     def step_delay_from_driver(self, sink: str, driver_resistance: float) -> float:
         """50 % step-response delay estimate: ``ln(2)`` times the Elmore delay."""
         return LN2 * self.elmore_delay_from_driver(sink, driver_resistance)
-
-
-def lumped_stage_delay(driver_resistance: float, load_capacitance: float,
-                       wire_resistance: float = 0.0, wire_capacitance: float = 0.0) -> float:
-    """50 % delay of one driver stage with an optional lumped wire.
-
-    Classic closed form: ``0.69 * Rd * (Cw + CL) + 0.69 * Rw * CL
-    + 0.38 * Rw * Cw`` — driver charges everything, the wire resistance
-    sees the load fully and its own capacitance distributed.
-    """
-    if driver_resistance < 0 or load_capacitance < 0:
-        raise CircuitError("driver resistance and load capacitance cannot be negative")
-    if wire_resistance < 0 or wire_capacitance < 0:
-        raise CircuitError("wire parasitics cannot be negative")
-    return (
-        LN2 * driver_resistance * (wire_capacitance + load_capacitance)
-        + LN2 * wire_resistance * load_capacitance
-        + 0.38 * wire_resistance * wire_capacitance
-    )

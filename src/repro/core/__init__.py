@@ -1,5 +1,5 @@
 """Core evaluation layer: experiment configuration, scheme evaluation,
-Table 1 comparison and design-space sweeps (DESIGN.md S8)."""
+Table 1 comparison and design-space sweeps (docs/architecture.md)."""
 
 from .comparison import SchemeComparison, compare_schemes
 from .config import ExperimentConfig, paper_experiment

@@ -462,18 +462,6 @@ class SchemeEvaluator:
             self._library_key, self.library, self.config.crossbar, name
         )
 
-    def kernel_stats(self):
-        """Leakage-kernel hit/miss stats of this evaluator's library.
-
-        The per-library share of the process-wide
-        :attr:`StructuralCacheStats.kernel_hits` aggregate — a
-        :class:`~repro.circuit.biasing.KernelStats` with ``hits``,
-        ``misses``, ``hit_rate`` and ``as_payload()``.
-        """
-        from ..circuit.biasing import kernel_for
-
-        return kernel_for(self.library).stats
-
     def evaluate(self, name: str) -> SchemeResult:
         """Fully evaluate one scheme."""
         scheme = self.build_scheme(name)

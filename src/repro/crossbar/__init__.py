@@ -1,7 +1,7 @@
 """The paper's contribution: the five leakage-aware crossbar designs.
 
-See ``DESIGN.md`` S5 and the per-module docstrings for the mapping to
-the paper's Figures 1-3.
+See ``docs/architecture.md`` and the per-module docstrings for the
+mapping to the paper's Figures 1-3.
 """
 
 from .base import CrossbarScheme, SchemeFeatures, VtPlan

@@ -8,8 +8,9 @@ studies.
 
 Sizing defaults (in metres) are chosen for a 45 nm crossbar driving
 ~100 um-class wires: micron-scale pass devices and output drivers, a
-weak keeper, a small sleep device.  The calibration notes in
-``EXPERIMENTS.md`` record the values used for the headline tables.
+weak keeper, a small sleep device.  ``PAPER_TABLE1`` in
+``benchmarks/conftest.py`` holds the paper's figures these defaults are
+compared against.
 """
 
 from __future__ import annotations
@@ -154,11 +155,6 @@ class CrossbarConfig:
     def output_count(self) -> int:
         """Number of output ports."""
         return self.port_count
-
-    @property
-    def total_crosspoints(self) -> int:
-        """Pass-transistor count for the whole crossbar (all bits)."""
-        return self.output_count * self.inputs_per_output * self.flit_width
 
     def crossbar_span(self, library: TechnologyLibrary) -> float:
         """Physical span (metres) of the wire array in one dimension."""

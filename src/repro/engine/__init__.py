@@ -1,4 +1,4 @@
-"""Parallel, cached design-space evaluation engine (DESIGN.md S8+).
+"""Parallel, cached design-space evaluation engine (docs/architecture.md).
 
 The engine generalises the single-parameter sweep to arbitrary grids
 and explicit point lists (:class:`DesignSpace`), memoises every
@@ -31,7 +31,7 @@ Quickstart::
         "crossbar.port_count": [3, 5, 8],
         "static_probability": [0.1, 0.5, 0.9],
     })
-    results = Evaluator(executor="auto").evaluate(space)
+    results = Evaluator(executor="serial").evaluate(space)
     for value, power in results.filter(static_probability=0.5).series(
             "SDPC", "total_power_mw", axis="crossbar.port_count"):
         print(value, power)

@@ -16,7 +16,7 @@ from ..crossbar.factory import available_schemes
 from ..errors import ConfigurationError
 from .cache import CachedEntry, EvaluationCache, point_key
 from .grid import DesignSpace
-from .executor import WorkItem, auto_executor_name, resolve_executor
+from .executor import EXECUTOR_NAMES, WorkItem, resolve_executor
 from .resultset import PointResult, ResultSet
 
 __all__ = ["Evaluator"]
@@ -35,7 +35,7 @@ class Evaluator:
         baseline — the same contract as
         :func:`~repro.core.comparison.compare_schemes`.
     executor:
-        ``"serial"``, ``"process"``, ``"auto"``, ``"distributed"``, or
+        ``"serial"``, ``"process"``, ``"distributed"``, or
         any object with a ``run(items) -> results`` method.  String
         specs are resolved once and the instances reused across
         :meth:`evaluate` calls, so process pools and distributed worker
@@ -63,6 +63,8 @@ class Evaluator:
             raise ConfigurationError(
                 f"baseline {baseline_name!r} must be among the evaluated schemes {names}"
             )
+        if not (hasattr(executor, "run") or executor in EXECUTOR_NAMES):
+            resolve_executor(executor)  # raises the canonical error
         self.scheme_names = tuple(names)
         self.baseline_name = baseline_name
         self.executor = executor
@@ -76,22 +78,15 @@ class Evaluator:
             raise ConfigurationError("pass either cache or cache_dir, not both")
         self.cache = cache if cache is not None else EvaluationCache(directory=cache_dir)
 
-    def _resolve_executor(self, point_count: int):
+    def _resolve_executor(self):
         """The executor for one batch: borrowed objects pass through;
-        string specs resolve to owned, session-persistent instances
-        (``"auto"`` still picks serial vs process per batch, but reuses
-        one process pool across every batch that goes parallel)."""
+        string specs resolve to owned, session-persistent instances."""
         spec = self.executor
         if hasattr(spec, "run"):
             return spec
-        if spec == "auto":
-            spec = auto_executor_name(point_count)
-        if not isinstance(spec, str):
-            return resolve_executor(spec)  # raises the canonical error
         owned = self._owned_executors.get(spec)
         if owned is None:
-            owned = resolve_executor(spec, point_count=point_count,
-                                     max_workers=self.max_workers)
+            owned = resolve_executor(spec, max_workers=self.max_workers)
             self._owned_executors[spec] = owned
         return owned
 
@@ -123,16 +118,15 @@ class Evaluator:
                         ) -> tuple[list[CachedEntry], int]:
         """Evaluate unique ``(key, config)`` cache misses and persist them.
 
-        The executor is resolved per batch (``"auto"`` sizes itself to
-        ``len(misses)``); a result count that breaks the ``run(items)``
-        contract raises :class:`RuntimeError` before anything is cached.
-        Writes are best effort — a failed ``put`` only leaves that point
-        unmemoised — and disk-hit recency is flushed once per batch.  Returns
-        the entries, in ``misses`` order, and the failed-write count.
+        A result count that breaks the ``run(items)`` contract raises
+        :class:`RuntimeError` before anything is cached.  Writes are best
+        effort — a failed ``put`` only leaves that point unmemoised — and
+        disk-hit recency is flushed once per batch.  Returns the entries,
+        in ``misses`` order, and the failed-write count.
         """
         entries: list[CachedEntry] = []
         if misses:
-            executor = self._resolve_executor(point_count=len(misses))
+            executor = self._resolve_executor()
             items = [WorkItem(config=config, scheme_names=self.scheme_names,
                               baseline_name=self.baseline_name)
                      for _key, config in misses]

@@ -1,9 +1,10 @@
 """Executor layer: how design points are fanned out.
 
-Four strategies share one interface, and one record path: every
+Three strategies share one interface, and one record path: every
 executor turns a work item into its JSON-safe comparison records with
-:func:`~repro.core.comparison.point_records`, which reads them straight
-off each built scheme's activity profile (no live comparison objects).
+:func:`~repro.core.comparison.point_records`, which computes them from
+each scheme's cached record terms through the per-structure record plan
+(no live comparison objects).
 
 * ``serial`` — evaluate in-process, in order.
 * ``process`` — fan out across cores with
@@ -14,8 +15,6 @@ off each built scheme's activity profile (no live comparison objects).
   one until :meth:`ProcessExecutor.close` (or the context manager)
   shuts it down — a service flushing batch after batch pays pool
   start-up once, not per flush.
-* ``auto`` — ``process`` when the machine has more than one core and
-  the batch is large enough to amortise pool start-up, else ``serial``.
 * ``distributed`` — fan out across *hosts* through
   :class:`~repro.engine.distributed.DistributedExecutor` and its TCP
   worker fleet (``python -m repro.engine.worker``).
@@ -43,11 +42,10 @@ from ..core.config import ExperimentConfig
 from ..errors import ConfigurationError
 
 __all__ = ["WorkItem", "EvaluatedPoint", "SerialExecutor", "ProcessExecutor",
-           "auto_executor_name", "chunk_size", "compare_schemes", "resolve_executor"]
+           "EXECUTOR_NAMES", "chunk_size", "compare_schemes", "resolve_executor"]
 
-#: Below this many misses, ``auto`` stays serial: pool start-up costs more
-#: than the evaluation itself.
-AUTO_PROCESS_THRESHOLD = 8
+#: The executor specs :func:`resolve_executor` builds from a string.
+EXECUTOR_NAMES = ("serial", "process", "distributed")
 
 #: Contiguous chunks a batch is cut into per worker: enough that a slow
 #: worker's last chunk holds up little, few enough that per-chunk
@@ -185,25 +183,14 @@ class ProcessExecutor:
         self.close()
 
 
-def auto_executor_name(point_count: int) -> str:
-    """The ``"auto"`` policy in one place: ``"process"`` when the
-    machine is multicore and the batch is large enough to amortise the
-    pool, else ``"serial"``."""
-    cores = os.cpu_count() or 1
-    if cores > 1 and point_count >= AUTO_PROCESS_THRESHOLD:
-        return "process"
-    return "serial"
-
-
-def resolve_executor(spec: object, point_count: int = 0,
-                     max_workers: int | None = None):
+def resolve_executor(spec: object, max_workers: int | None = None):
     """Turn an executor spec into an executor instance.
 
     ``spec`` may be an executor object (anything with a ``run`` method)
-    or one of the strings ``"serial"``, ``"process"``, ``"auto"``,
-    ``"distributed"``.  The ``"distributed"`` shorthand builds a
-    loopback fleet that spawns ``max_workers`` (default: the core
-    count) local worker processes; multi-host topologies construct
+    or one of the :data:`EXECUTOR_NAMES`.  The ``"distributed"``
+    shorthand builds a loopback fleet that spawns ``max_workers``
+    (default: the core count) local worker processes; multi-host
+    topologies construct
     :class:`~repro.engine.distributed.DistributedExecutor` directly.
     """
     if hasattr(spec, "run"):
@@ -217,10 +204,8 @@ def resolve_executor(spec: object, point_count: int = 0,
 
         return DistributedExecutor(
             spawn_workers=max_workers or os.cpu_count() or 1)
-    if spec == "auto":
-        return resolve_executor(auto_executor_name(point_count),
-                                max_workers=max_workers)
+    names = ", ".join(repr(name) for name in EXECUTOR_NAMES)
     raise ConfigurationError(
-        f"unknown executor {spec!r}; expected 'serial', 'process', 'auto', "
-        "'distributed' or an object with a run() method"
+        f"unknown executor {spec!r}; expected {names} "
+        "or an object with a run() method"
     )

@@ -22,7 +22,7 @@ The service is exposed three ways:
   ``GET /stats``, ``GET /paths``, ``GET /healthz``, with
   :class:`ServiceClient` as the matching asyncio client;
 * **CLI** — ``python -m repro.engine.service --host H --port P
-  --cache-dir DIR --executor auto`` runs a standalone server.
+  --cache-dir DIR --executor serial`` runs a standalone server.
 
 Request validation reuses :func:`~repro.core.paths.normalize_path`, so
 a malformed dotted path fails fast with a structured error naming the
@@ -52,6 +52,7 @@ from ..core.paths import normalize_path, path_registry_records, set_path
 from ..errors import ConfigurationError, DistributedError, ReproError
 from .cache import CachedEntry, EvaluationCache, point_key
 from .evaluator import Evaluator
+from .executor import EXECUTOR_NAMES
 
 __all__ = [
     "DEFAULT_PORT",
@@ -231,9 +232,9 @@ class EvaluationService:
         and savings baseline (part of the cache key, so service-level,
         not per-request), the shared cache (by default an in-memory one
         that lives as long as the service) and the executor: string
-        specs are resolved per flush (``"auto"`` sizes itself to each
-        batch) and closed by :meth:`stop`; executor objects are
-        borrowed, and whoever built one closes it.
+        specs are resolved once, reused by every flush and closed by
+        :meth:`stop`; executor objects are borrowed, and whoever built
+        one closes it.
     max_batch_size / flush_interval:
         Misses flush through the executor when ``max_batch_size`` points
         are pending, or ``flush_interval`` seconds after the first miss
@@ -967,8 +968,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="directory for the shared disk cache "
                              "(default: in-memory only)")
-    parser.add_argument("--executor", default="auto",
-                        choices=["serial", "process", "auto", "distributed"],
+    parser.add_argument("--executor", default="serial",
+                        choices=EXECUTOR_NAMES,
                         help="how batched misses are evaluated")
     parser.add_argument("--workers", type=int, default=None,
                         help="spawn this many local worker processes "

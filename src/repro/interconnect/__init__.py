@@ -1,34 +1,18 @@
-"""Interconnect substrate: wires, pi models, buses, repeaters, crosstalk, segmentation.
+"""Interconnect substrate: wires, pi models, repeaters, segmentation.
 
-See ``DESIGN.md`` S3.
+See ``docs/architecture.md``.
 """
 
-from .bus import Bus, BusTransition
-from .crosstalk import (
-    NeighbourActivity,
-    average_miller_factor,
-    coupling_delay_factor,
-    miller_factor,
-    worst_case_miller_factor,
-)
 from .pi_model import PiModel
-from .repeater import RepeaterDesign, optimal_repeaters, repeated_wire_delay
+from .repeater import RepeaterDesign, optimal_repeaters
 from .segmentation import SegmentationPlan, SegmentedWire
 from .wire import Wire
 
 __all__ = [
-    "Bus",
-    "BusTransition",
-    "NeighbourActivity",
     "PiModel",
     "RepeaterDesign",
     "SegmentationPlan",
     "SegmentedWire",
     "Wire",
-    "average_miller_factor",
-    "coupling_delay_factor",
-    "miller_factor",
     "optimal_repeaters",
-    "repeated_wire_delay",
-    "worst_case_miller_factor",
 ]

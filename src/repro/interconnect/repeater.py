@@ -4,8 +4,7 @@ Crossbar-internal wires are short enough to drive directly, but the
 inter-router links of the NoC substrate are not: a 1-2 mm link at 45 nm
 wants repeaters.  This module implements the classic closed-form optimal
 repeater sizing/spacing (Bakoglu) and the delay/energy of a repeated
-wire, which the NoC power model uses for link power and which the
-design-space example uses to show where segmentation stops paying off.
+wire, which the NoC power model uses for link power.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from ..technology.library import TechnologyLibrary
 from ..technology.transistor import Polarity, VtFlavor
 from .wire import Wire
 
-__all__ = ["RepeaterDesign", "optimal_repeaters", "repeated_wire_delay"]
+__all__ = ["RepeaterDesign", "optimal_repeaters"]
 
 
 @dataclass(frozen=True)
@@ -83,9 +82,3 @@ def optimal_repeaters(library: TechnologyLibrary, wire: Wire,
         total_delay=stages * stage_delay,
         total_repeater_capacitance=stages * driver_capacitance,
     )
-
-
-def repeated_wire_delay(library: TechnologyLibrary, wire: Wire,
-                        flavor: VtFlavor = VtFlavor.NOMINAL) -> float:
-    """Total 50 % delay (seconds) of the wire after optimal repeater insertion."""
-    return optimal_repeaters(library, wire, flavor).total_delay

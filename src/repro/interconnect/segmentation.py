@@ -69,15 +69,6 @@ class SegmentationPlan:
         """Probability a uniformly chosen input only uses the near segment."""
         return self.inputs_on_near_segment / self.total_inputs
 
-    def average_switched_fraction(self) -> float:
-        """Average fraction of wire capacitance switched per transfer.
-
-        Near-segment traffic switches only ``near_fraction``; far traffic
-        switches everything.
-        """
-        near = self.near_traffic_fraction
-        return near * self.near_fraction + (1.0 - near) * 1.0
-
 
 @dataclass(frozen=True)
 class SegmentedWire:

@@ -81,10 +81,6 @@ class Wire:
         """Total capacitance with quiet neighbours (farads)."""
         return self.model.capacitance(self.length, self.neighbours)
 
-    def switching_capacitance(self, miller_factor: float = 1.0) -> float:
-        """Capacitance seen by a switching event with the given Miller factor."""
-        return self.model.capacitance(self.length, self.neighbours, miller_factor)
-
     # -- reduced-order views --------------------------------------------------------
     def pi_model(self) -> PiModel:
         """Symmetric pi reduction (C/2 - R - C/2)."""

@@ -1,6 +1,6 @@
 """NoC substrate: routers, mesh, traffic, simulation, power gating and power roll-up.
 
-See ``DESIGN.md`` S7.  The simulator exists to ground the paper's
+See ``docs/architecture.md``.  The simulator exists to ground the paper's
 standby-mode claims in measured idle-interval distributions.
 """
 

@@ -1,6 +1,7 @@
 """Power analysis: leakage, dynamic, total power, break-even and savings.
 
-See ``DESIGN.md`` S6: these are the quantities of the paper's Table 1.
+See ``docs/architecture.md``: these are the quantities of the paper's
+Table 1.
 """
 
 from .dynamic_analysis import DynamicAnalysis, analyse_dynamic
@@ -13,11 +14,7 @@ from .savings import (
     evaluate_scheme,
     savings_versus_baseline,
 )
-from .total_power import (
-    TotalPowerAnalysis,
-    analyse_total_power,
-    power_versus_static_probability,
-)
+from .total_power import TotalPowerAnalysis, analyse_total_power
 
 __all__ = [
     "DynamicAnalysis",
@@ -33,6 +30,5 @@ __all__ = [
     "evaluate_scheme",
     "format_evaluation",
     "format_table1",
-    "power_versus_static_probability",
     "savings_versus_baseline",
 ]

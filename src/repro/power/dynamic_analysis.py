@@ -25,12 +25,6 @@ class DynamicAnalysis:
         """Average switching power (watts)."""
         return self.energy_per_cycle * self.frequency
 
-    def energy_per_flit(self, flit_width: int) -> float:
-        """Average switching energy per transferred flit bit-cycle (joules)."""
-        if flit_width < 1:
-            raise PowerError("flit width must be at least 1")
-        return self.energy_per_cycle / flit_width
-
 
 def analyse_dynamic(
     scheme: CrossbarScheme,

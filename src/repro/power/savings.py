@@ -42,16 +42,6 @@ class SchemeSavings:
     delay_penalty: float
     minimum_idle_cycles: int
 
-    def as_percentages(self) -> dict[str, float]:
-        """The savings expressed in percent, keyed like the Table 1 rows."""
-        return {
-            "active_leakage_saving_percent": self.active_leakage_saving * 100.0,
-            "standby_leakage_saving_percent": self.standby_leakage_saving * 100.0,
-            "total_power_saving_percent": self.total_power_saving * 100.0,
-            "delay_penalty_percent": self.delay_penalty * 100.0,
-            "minimum_idle_cycles": float(self.minimum_idle_cycles),
-        }
-
 
 def evaluate_scheme(
     scheme: CrossbarScheme,

@@ -3,10 +3,9 @@
 Total power is switching power plus active leakage power at the chosen
 operating point.  The paper flags the pre-charged schemes' figures as
 "worst case" because their switching power is maximised at 50 % static
-probability; :func:`power_versus_static_probability` exposes that
-dependence, which the ablation benchmark sweeps to reproduce the paper's
-closing remark that DPC/SDPC "target systems which have major data
-transfers within the same polarity".
+probability; the ablation benchmark sweeps ``static_probability`` to
+reproduce the paper's closing remark that DPC/SDPC "target systems which
+have major data transfers within the same polarity".
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from ..errors import PowerError
 from .dynamic_analysis import DynamicAnalysis, analyse_dynamic
 from .leakage_analysis import LeakageAnalysis, analyse_leakage
 
-__all__ = ["TotalPowerAnalysis", "analyse_total_power", "power_versus_static_probability"]
+__all__ = ["TotalPowerAnalysis", "analyse_total_power"]
 
 
 @dataclass(frozen=True)
@@ -36,13 +35,6 @@ class TotalPowerAnalysis:
     def total(self) -> float:
         """Total power in watts."""
         return self.dynamic_power + self.leakage_power
-
-    @property
-    def leakage_fraction(self) -> float:
-        """Fraction of the total power that is leakage."""
-        if self.total == 0:
-            return 0.0
-        return self.leakage_power / self.total
 
     def saving_versus(self, baseline: "TotalPowerAnalysis") -> float:
         """Fractional total-power saving relative to ``baseline``."""
@@ -76,23 +68,3 @@ def _combine_total_power(dynamic: DynamicAnalysis,
         dynamic_power=dynamic.power,
         leakage_power=leakage.active_power,
     )
-
-
-def power_versus_static_probability(
-    scheme: CrossbarScheme,
-    probabilities: list[float],
-    toggle_activity: float = 0.5,
-    frequency: float | None = None,
-) -> list[TotalPowerAnalysis]:
-    """Total power across a sweep of static probabilities.
-
-    Reproduces the polarity-sensitivity claim: pre-charged schemes get
-    cheaper as the data skews towards the pre-charged value while
-    feedback schemes are insensitive to polarity (only to toggling).
-    """
-    if not probabilities:
-        raise PowerError("the sweep needs at least one static probability")
-    return [
-        analyse_total_power(scheme, toggle_activity, probability, frequency)
-        for probability in probabilities
-    ]

@@ -2,7 +2,8 @@
 
 This package is the reproduction of the paper's technology inputs
 (ITRS interconnect parameters + Berkeley Predictive Technology Model);
-see ``DESIGN.md`` S1 for the substitution notes.
+``docs/architecture.md`` places it in the layer stack, and the module
+docstrings carry the substitution notes.
 """
 
 from .bptm import WireElectricalModel, wire_capacitance_per_meter, wire_resistance_per_meter

@@ -81,10 +81,6 @@ class WireGeometry:
         """Wire pitch (width + spacing) in metres."""
         return self.width + self.spacing
 
-    @property
-    def aspect_ratio(self) -> float:
-        """Metal aspect ratio (thickness over width)."""
-        return self.thickness / self.width
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ as plain dataclass fields so experiments can re-calibrate them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import TechnologyError
 from . import leakage_model
@@ -100,9 +100,6 @@ class MosfetParameters:
             if getattr(self, name) < 0:
                 raise TechnologyError(f"{name} must be non-negative")
 
-    def with_threshold(self, threshold_voltage: float) -> "MosfetParameters":
-        """Return a copy with a different threshold voltage."""
-        return replace(self, threshold_voltage=threshold_voltage)
 
 
 class Mosfet:
@@ -221,10 +218,6 @@ class Mosfet:
     def polarity(self) -> Polarity:
         """Channel polarity of the underlying parameter set."""
         return self.parameters.polarity
-
-    def resized(self, width: float) -> "Mosfet":
-        """Return a copy of this transistor with a different width."""
-        return Mosfet(self.parameters, width, self.supply_voltage, self.temperature)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

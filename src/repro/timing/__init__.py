@@ -1,6 +1,6 @@
 """Timing substrate: stage delays, delay analysis, slack and dual-Vt assignment.
 
-See ``DESIGN.md`` S4.
+See ``docs/architecture.md``.
 """
 
 from .delay_analysis import DelayReport, contention_factor, pass_rise_penalty

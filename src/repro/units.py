@@ -6,9 +6,7 @@ amperes, farads, ohms, watts, joules).  This module provides:
 * multiplicative constants (``NANO``, ``PICO``, ...) so call sites read
   naturally (``10 * PICO`` farads, ``61.4 * PICO`` seconds);
 * conversion helpers for the units the paper reports results in
-  (picoseconds, milliwatts, microns);
-* :func:`format_si` / :func:`parse_si` for human-readable engineering
-  notation used by the reporting layer.
+  (picoseconds, milliwatts).
 
 Keeping everything in SI avoids an entire class of unit bugs and keeps
 numpy vectorisation trivial; the only places non-SI numbers appear are
@@ -17,8 +15,6 @@ whose sources quote nm / µm values.
 """
 
 from __future__ import annotations
-
-import math
 
 # ---------------------------------------------------------------------------
 # SI prefixes (multiply a value expressed in the prefixed unit to obtain SI).
@@ -42,24 +38,6 @@ BOLTZMANN = 1.380649e-23  # J / K
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F / m
 ZERO_CELSIUS_IN_KELVIN = 273.15
-
-_PREFIXES = [
-    (1e-24, "y"),
-    (1e-21, "z"),
-    (1e-18, "a"),
-    (1e-15, "f"),
-    (1e-12, "p"),
-    (1e-9, "n"),
-    (1e-6, "u"),
-    (1e-3, "m"),
-    (1.0, ""),
-    (1e3, "k"),
-    (1e6, "M"),
-    (1e9, "G"),
-    (1e12, "T"),
-]
-
-_PREFIX_BY_SYMBOL = {symbol: scale for scale, symbol in _PREFIXES if symbol}
 
 
 def thermal_voltage(temperature_kelvin: float) -> float:
@@ -86,82 +64,6 @@ def seconds_to_picoseconds(value_seconds: float) -> float:
     return value_seconds / PICO
 
 
-def picoseconds_to_seconds(value_picoseconds: float) -> float:
-    """Convert picoseconds to seconds."""
-    return value_picoseconds * PICO
-
-
 def watts_to_milliwatts(value_watts: float) -> float:
     """Convert watts to milliwatts (the unit Table 1 reports power in)."""
     return value_watts / MILLI
-
-
-def milliwatts_to_watts(value_milliwatts: float) -> float:
-    """Convert milliwatts to watts."""
-    return value_milliwatts * MILLI
-
-
-def meters_to_microns(value_meters: float) -> float:
-    """Convert metres to microns."""
-    return value_meters / MICRO
-
-
-def microns_to_meters(value_microns: float) -> float:
-    """Convert microns to metres."""
-    return value_microns * MICRO
-
-
-def nanometers_to_meters(value_nanometers: float) -> float:
-    """Convert nanometres to metres."""
-    return value_nanometers * NANO
-
-
-def format_si(value: float, unit: str = "", digits: int = 3) -> str:
-    """Format ``value`` with an engineering SI prefix.
-
-    >>> format_si(61.4e-12, "s")
-    '61.4ps'
-    >>> format_si(0.18281, "W")
-    '183mW'
-    >>> format_si(0.0, "A")
-    '0A'
-    """
-    if value == 0:
-        return f"0{unit}"
-    if math.isnan(value):
-        return f"nan{unit}"
-    if math.isinf(value):
-        sign = "-" if value < 0 else ""
-        return f"{sign}inf{unit}"
-    magnitude = abs(value)
-    chosen_scale, chosen_symbol = _PREFIXES[0]
-    for scale, symbol in _PREFIXES:
-        if magnitude >= scale:
-            chosen_scale, chosen_symbol = scale, symbol
-    scaled = value / chosen_scale
-    text = f"{scaled:.{digits}g}"
-    return f"{text}{chosen_symbol}{unit}"
-
-
-def parse_si(text: str, unit: str = "") -> float:
-    """Parse an engineering-notation string produced by :func:`format_si`.
-
-    >>> parse_si('61.4ps', 's')
-    6.14e-11
-    >>> parse_si('3GHz', 'Hz')
-    3000000000.0
-    """
-    body = text.strip()
-    if unit and body.endswith(unit):
-        body = body[: -len(unit)]
-    body = body.strip()
-    if not body:
-        raise ValueError(f"cannot parse empty quantity from {text!r}")
-    scale = 1.0
-    if body[-1] in _PREFIX_BY_SYMBOL and not body[-1].isdigit():
-        scale = _PREFIX_BY_SYMBOL[body[-1]]
-        body = body[:-1]
-    try:
-        return float(body) * scale
-    except ValueError as exc:
-        raise ValueError(f"cannot parse quantity {text!r}") from exc

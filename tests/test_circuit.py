@@ -8,28 +8,19 @@ import pytest
 from repro.circuit import (
     GROUND_NET,
     SUPPLY_NET,
-    BiasState,
-    Buffer,
     DeviceRole,
     Inverter,
     Keeper,
     LeakageBreakdown,
-    Nand2,
     Netlist,
-    Nor2,
     PassTransistorSwitch,
     PrechargeTransistor,
     RCTransientSolver,
     RCTree,
     SleepTransistor,
-    StateLeakage,
-    TransmissionGate,
     contention_energy,
-    device_leakage,
     dynamic_power,
     leakage_from_node_voltages,
-    lumped_stage_delay,
-    precharge_energy_per_cycle,
     switching_energy,
 )
 from repro.circuit.devices import DeviceInstance
@@ -73,30 +64,9 @@ class TestLeakageBreakdown:
 class TestDeviceLeakage:
     def test_off_device_leaks_subthreshold(self, library):
         device = library.make_transistor(Polarity.NMOS, VtFlavor.NOMINAL, 1e-6)
-        breakdown = device_leakage(device, BiasState(vgs=0.0, vds=1.0, gate_oxide_voltage=0.0))
+        breakdown = leakage_from_node_voltages(device, 0.0, 1.0, 0.0)
         assert breakdown.subthreshold > 0
         assert breakdown.subthreshold == pytest.approx(device.off_current(), rel=1e-6)
-
-    def test_stack_effect_reduces_subthreshold(self, library):
-        device = library.make_transistor(Polarity.NMOS, VtFlavor.NOMINAL, 1e-6)
-        single = device_leakage(device, BiasState(vds=1.0))
-        stacked = device_leakage(device, BiasState(vds=1.0, series_off_devices=2))
-        assert stacked.subthreshold < single.subthreshold
-
-    def test_state_leakage_accumulates_with_multiplicity(self, library):
-        device = library.make_transistor(Polarity.NMOS, VtFlavor.NOMINAL, 1e-6)
-        state = StateLeakage("active")
-        state.add("pass", device, BiasState(vds=1.0), multiplicity=4)
-        state.add("driver", device, BiasState(vds=1.0), multiplicity=1)
-        assert state.total().subthreshold == pytest.approx(5 * device.off_current(), rel=1e-6)
-        assert state.total_current() > state.total().subthreshold  # junction leakage included
-        assert set(state.by_label()) == {"pass", "driver"}
-
-    def test_bias_state_validation(self):
-        with pytest.raises(CircuitError):
-            BiasState(vds=-0.1)
-        with pytest.raises(CircuitError):
-            BiasState(series_off_devices=0)
 
 
 class TestBiasing:
@@ -162,15 +132,6 @@ class TestGates:
         assert inverter.pull_down_resistance() > 0
         assert inverter.pull_up_resistance() > 0
 
-    def test_buffer_composes_two_inverters(self, library):
-        first = Inverter(library, 1e-6, 2e-6)
-        second = Inverter(library, 2e-6, 4e-6)
-        buffer = Buffer(first, second)
-        assert buffer.input_capacitance() == pytest.approx(first.input_capacitance())
-        assert buffer.leakage(True).total == pytest.approx(
-            (first.leakage(True) + second.leakage(False)).total
-        )
-
     def test_pass_transistor_off_leakage_depends_on_terminal_difference(self, library):
         switch = PassTransistorSwitch(library, 1.4e-6)
         different = switch.leakage(False, 1.0, 0.0).total
@@ -199,23 +160,6 @@ class TestGates:
         high = Keeper(library, 0.55e-6, flavor=VtFlavor.HIGH)
         assert high.opposing_current() < nominal.opposing_current()
         assert high.leakage(False).subthreshold < nominal.leakage(False).subthreshold
-
-    def test_transmission_gate_resistance_below_either_device(self, library):
-        tgate = TransmissionGate(library, 1e-6, 2e-6)
-        assert tgate.on_resistance() < tgate.nmos.effective_resistance()
-        assert tgate.on_resistance() < tgate.pmos.effective_resistance()
-
-    def test_nand_and_nor_average_leakage_positive(self, library):
-        nand = Nand2(library, 1e-6, 2e-6)
-        nor = Nor2(library, 1e-6, 2e-6)
-        assert nand.average_leakage().total > 0
-        assert nor.average_leakage().total > 0
-
-    def test_nand_leaks_least_with_both_inputs_low(self, library):
-        nand = Nand2(library, 1e-6, 2e-6)
-        both_low = nand.leakage(False, False).subthreshold
-        one_high = nand.leakage(True, False).subthreshold
-        assert both_low < one_high  # stack effect with both NMOS off
 
     def test_gate_devices_emit_netlist_instances(self, library):
         inverter = Inverter(library, 1e-6, 2e-6)
@@ -318,10 +262,6 @@ class TestRcTree:
         with pytest.raises(CircuitError):
             tree.elmore_delay("missing")
 
-    def test_lumped_stage_delay_closed_form(self):
-        delay = lumped_stage_delay(1000.0, 10e-15, wire_resistance=500.0, wire_capacitance=20e-15)
-        assert delay > 0.693 * 1000.0 * 30e-15  # at least the driver term
-
 
 class TestTransientSolver:
     def test_transient_matches_elmore_within_tolerance(self, library):
@@ -369,14 +309,9 @@ class TestDynamicHelpers:
     def test_contention_energy(self):
         assert contention_energy(1e-3, 50e-12, 1.0) == pytest.approx(50e-15)
 
-    def test_precharge_energy_zero_when_never_discharged(self):
-        assert precharge_energy_per_cycle(100e-15, 1.0, 0.0) == 0.0
-
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(PowerError):
             dynamic_power(1e-15, 1.0, 1e9, 1.5)
-        with pytest.raises(PowerError):
-            precharge_energy_per_cycle(1e-15, 1.0, -0.1)
 
     def test_negative_capacitance_rejected(self):
         with pytest.raises(PowerError):

@@ -12,9 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.crossbar import (
+    SCHEME_ORDER,
     CrossbarConfig,
     SchemeFeatures,
     available_schemes,
+    create_all_schemes,
     create_scheme,
     register_scheme,
 )
@@ -29,7 +31,6 @@ class TestCrossbarConfig:
         assert crossbar_config.port_count == 5
         assert crossbar_config.flit_width == 128
         assert crossbar_config.inputs_per_output == 4
-        assert crossbar_config.total_crosspoints == 5 * 4 * 128
 
     def test_self_connection_changes_fan_in(self):
         config = CrossbarConfig(allow_self_connection=True)
@@ -424,3 +425,71 @@ class TestDescriptions:
         assert len(sc.output_path_netlist()) == len(dfc.output_path_netlist())
         assert sc.features.has_keeper == dfc.features.has_keeper
         assert sc.features.has_sleep == dfc.features.has_sleep
+
+
+@pytest.fixture(scope="module")
+def corner_schemes(library, crossbar_config):
+    """Every scheme at the fast (FF) and slow (SS) process corners."""
+    return {corner: create_all_schemes(library.with_corner(corner), crossbar_config)
+            for corner in ("FF", "SS")}
+
+
+@pytest.mark.parametrize("name", SCHEME_ORDER)
+class TestEveryScheme:
+    """Mechanisms every one of the five schemes must show, one case per scheme."""
+
+    def test_data_nets_of_every_output_are_drivable(self, library, small_crossbar_config, name):
+        scheme = create_scheme(name, library, small_crossbar_config)
+        netlist = scheme.build_netlist(bits=1)
+        merges = ("merge_near", "merge_far") if scheme.features.segmented else ("merge_near",)
+        for port in small_crossbar_config.port_names:
+            for net in ("internal", "port_wire") + merges:
+                assert netlist.net_is_drivable(f"out_{port}.bit0.{net}"), (port, net)
+
+    def test_leakage_scales_linearly_with_flit_width(self, library, schemes, name):
+        narrow = create_scheme(name, library, CrossbarConfig(flit_width=64))
+        wide = schemes[name]
+        assert wide.active_leakage_power() == pytest.approx(
+            2 * narrow.active_leakage_power(), rel=1e-6)
+        assert wide.standby_leakage_power() == pytest.approx(
+            2 * narrow.standby_leakage_power(), rel=1e-6)
+
+    def test_leakage_rises_with_temperature(self, cold_library, crossbar_config, schemes, name):
+        hot = schemes[name]
+        cold = create_scheme(name, cold_library, crossbar_config)
+        assert hot.active_leakage_power() > 2 * cold.active_leakage_power()
+        assert hot.standby_leakage_power() > 2 * cold.standby_leakage_power()
+
+    def test_fast_corner_leaks_more_and_switches_faster_than_slow(self, corner_schemes, name):
+        fast, slow = corner_schemes["FF"][name], corner_schemes["SS"][name]
+        assert fast.active_leakage_power() > slow.active_leakage_power()
+        assert fast.delay_report().high_to_low < slow.delay_report().high_to_low
+        assert fast.delay_report().low_to_high < slow.delay_report().low_to_high
+
+    def test_dynamic_energy_is_affine_in_toggle_activity(self, schemes, name):
+        scheme = schemes[name]
+        energy = {activity: scheme.dynamic_energy_per_cycle(toggle_activity=activity)
+                  for activity in (0.2, 0.4, 0.8)}
+        assert energy[0.8] - energy[0.4] == pytest.approx(2 * (energy[0.4] - energy[0.2]),
+                                                          rel=1e-9)
+        assert energy[0.2] < energy[0.4] < energy[0.8]
+
+    def test_precharge_spends_energy_without_data_toggles(self, schemes, name):
+        scheme = schemes[name]
+        idle = scheme.dynamic_energy_per_cycle(toggle_activity=0.0)
+        busy = scheme.dynamic_energy_per_cycle(toggle_activity=0.5)
+        if scheme.features.has_precharge:
+            assert idle > 0.5 * busy
+        else:
+            assert idle < 0.05 * busy
+
+    def test_only_precharged_schemes_are_sensitive_to_data_polarity(self, schemes, name):
+        scheme = schemes[name]
+        energies = [scheme.dynamic_energy_per_cycle(static_probability=probability)
+                    for probability in (0.1, 0.5, 0.9)]
+        if scheme.features.has_precharge:
+            # Pre-charged high: data parked low discharges the merge node.
+            assert energies[0] > energies[1] > energies[2]
+        else:
+            assert energies[0] == pytest.approx(energies[2], rel=1e-12)
+            assert energies[1] == pytest.approx(energies[2], rel=1e-12)

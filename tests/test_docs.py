@@ -1,19 +1,23 @@
 """Docs stay true: generated references in sync, public API documented.
 
-Two guards from ISSUE 3: ``docs/config_paths.md`` must match what
-``scripts/gen_path_docs.py`` renders from the live path registry (so
-the committed reference can never drift from the code), and every
-public symbol of the engine API must carry a docstring.
+``docs/config_paths.md`` must match what ``scripts/gen_path_docs.py``
+renders from the live path registry (so the committed reference can
+never drift from the code), every public symbol of the engine API must
+carry a docstring, and every name a ``repro`` module lists in
+``__all__`` must exist.
 """
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import repro
 import repro.engine as engine
 import repro.engine.cache
 import repro.engine.distributed
@@ -125,3 +129,18 @@ def test_public_engine_symbols_are_documented(label, obj):
                 member, (classmethod, staticmethod)) else member
             assert _documented(target), (
                 f"{label}.{name} is missing a docstring")
+
+
+def test_every_all_name_of_every_module_resolves():
+    """No ``__all__`` entry outlives the definition it exports."""
+    modules = ["repro"] + [info.name for info in
+                           pkgutil.walk_packages(repro.__path__, "repro.")]
+    listed, missing = 0, []
+    for name in modules:
+        module = importlib.import_module(name)
+        for symbol in getattr(module, "__all__", ()):
+            listed += 1
+            if not hasattr(module, symbol):
+                missing.append(f"{name}.{symbol}")
+    assert listed > 300
+    assert missing == []

@@ -513,6 +513,13 @@ class TestExecutors:
         with pytest.raises(ConfigurationError):
             resolve_executor("threads")
 
+    def test_auto_is_not_an_executor_spec(self):
+        message = "'serial', 'process', 'distributed'"
+        with pytest.raises(ConfigurationError, match=message):
+            resolve_executor("auto")
+        with pytest.raises(ConfigurationError, match=message):
+            Evaluator(scheme_names=SCHEMES, executor="auto")
+
     def test_process_parity_with_serial(self):
         space = DesignSpace.grid({"static_probability": [0.2, 0.8],
                                   "temperature_celsius": [25.0, 110.0]})

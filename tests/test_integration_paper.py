@@ -3,7 +3,8 @@
 The reproduction uses analytical models rather than the authors' HSPICE
 decks, so these tests assert the *shape* of Table 1 — orderings, signs
 and broad ranges — rather than the exact percentages.  The exact measured
-values are recorded in EXPERIMENTS.md and printed by the benchmarks.
+values are in ``PAPER_TABLE1`` (benchmarks/conftest.py) and printed by the
+benchmarks.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Tests for the interconnect substrate: wires, pi models, buses,
-crosstalk, repeaters and segmentation."""
+"""Tests for the interconnect substrate: wires, pi models, repeaters
+and segmentation."""
 
 from __future__ import annotations
 
@@ -7,18 +7,12 @@ import pytest
 
 from repro.errors import CrossbarError, TechnologyError
 from repro.interconnect import (
-    Bus,
-    NeighbourActivity,
     PiModel,
+    RepeaterDesign,
     SegmentationPlan,
     SegmentedWire,
     Wire,
-    average_miller_factor,
-    coupling_delay_factor,
-    miller_factor,
     optimal_repeaters,
-    repeated_wire_delay,
-    worst_case_miller_factor,
 )
 
 
@@ -49,13 +43,13 @@ class TestWire:
         with pytest.raises(TechnologyError):
             wire.split([])
 
-    def test_switching_capacitance_with_miller(self, library):
-        wire = Wire.on_layer(library, 100e-6)
-        assert wire.switching_capacitance(2.0) > wire.capacitance
-
     def test_negative_length_rejected(self, library):
         with pytest.raises(TechnologyError):
             Wire(length=-1e-6, model=library.wire_model())
+
+    def test_neighbour_count_outside_zero_to_two_rejected(self, library):
+        with pytest.raises(TechnologyError):
+            Wire(length=1e-6, model=library.wire_model(), neighbours=3)
 
 
 class TestPiModel:
@@ -92,63 +86,6 @@ class TestPiModel:
             PiModel(-1e-15, 100.0, 1e-15)
 
 
-class TestCrosstalk:
-    def test_miller_factors(self):
-        assert miller_factor(NeighbourActivity.QUIET) == 1.0
-        assert miller_factor(NeighbourActivity.SAME_DIRECTION) == 0.0
-        assert miller_factor(NeighbourActivity.OPPOSITE_DIRECTION) == 2.0
-        assert worst_case_miller_factor() == 2.0
-
-    def test_average_miller_factor_weights(self):
-        assert average_miller_factor(1.0, 0.0, 0.0) == pytest.approx(1.0)
-        assert average_miller_factor(0.0, 0.0, 1.0) == pytest.approx(2.0)
-
-    def test_average_miller_rejects_bad_probabilities(self):
-        with pytest.raises(TechnologyError):
-            average_miller_factor(0.5, 0.5, 0.5)
-
-    def test_coupling_delay_factor_bounds(self):
-        assert coupling_delay_factor(1e-15, 1e-15, 2.0) > 1.0
-        assert coupling_delay_factor(1e-15, 1e-15, 0.0) < 1.0
-        assert coupling_delay_factor(1e-15, 0.0, 2.0) == pytest.approx(1.0)
-
-
-class TestBus:
-    def test_transition_energy_counts_rising_bits(self, library):
-        bus = Bus(8, 100e-6, library.wire_model())
-        zero_to_ones = bus.transition_energy(0b0000, 0b1111, 1.0)
-        assert zero_to_ones.switched_bits == 4
-        assert zero_to_ones.energy > 0
-
-    def test_no_transition_no_energy(self, library):
-        bus = Bus(8, 100e-6, library.wire_model())
-        transition = bus.transition_energy(0xAA, 0xAA, 1.0)
-        assert transition.switched_bits == 0
-        assert transition.energy == 0.0
-
-    def test_opposite_toggles_cost_more_than_same_direction(self, library):
-        bus = Bus(2, 100e-6, library.wire_model())
-        together = bus.transition_energy(0b00, 0b11, 1.0)
-        opposite = bus.transition_energy(0b01, 0b10, 1.0)
-        assert opposite.energy > together.energy
-
-    def test_random_data_energy_positive_and_scales_with_width(self, library):
-        narrow = Bus(32, 100e-6, library.wire_model())
-        wide = Bus(128, 100e-6, library.wire_model())
-        assert wide.random_data_energy_per_cycle(1.0) == pytest.approx(
-            4 * narrow.random_data_energy_per_cycle(1.0)
-        )
-
-    def test_total_capacitances(self, library):
-        bus = Bus(128, 100e-6, library.wire_model())
-        assert bus.total_ground_capacitance() > 0
-        assert bus.total_coupling_capacitance() > 0
-
-    def test_invalid_width_rejected(self, library):
-        with pytest.raises(TechnologyError):
-            Bus(0, 100e-6, library.wire_model())
-
-
 class TestRepeaters:
     def test_long_wire_gets_multiple_repeaters(self, library):
         wire = Wire.on_layer(library, 2e-3, "global")
@@ -156,20 +93,30 @@ class TestRepeaters:
         assert design.stage_count >= 2
         assert design.repeater_width > library.minimum_width
 
+    def test_zero_length_wire_rejected(self, library):
+        with pytest.raises(TechnologyError):
+            optimal_repeaters(library, Wire.on_layer(library, 0.0))
+
+    def test_short_wire_gets_one_stage(self, library):
+        design = optimal_repeaters(library, Wire.on_layer(library, 20e-6))
+        assert design.stage_count == 1
+        assert design.total_delay == pytest.approx(design.stage_delay)
+
+    def test_design_without_stages_rejected(self):
+        with pytest.raises(TechnologyError):
+            RepeaterDesign(stage_count=0, repeater_width=1e-7, stage_delay=1e-12,
+                           total_delay=0.0, total_repeater_capacitance=0.0)
+
     def test_repeated_delay_better_than_unrepeated_for_long_wire(self, library):
         wire = Wire.on_layer(library, 5e-3, "global")
         driver_resistance = 1000.0
         unrepeated = 0.69 * (driver_resistance * wire.capacitance + wire.resistance * wire.capacitance / 2)
-        assert repeated_wire_delay(library, wire) < unrepeated
+        assert optimal_repeaters(library, wire).total_delay < unrepeated
 
     def test_repeated_delay_scales_roughly_linearly_with_length(self, library):
-        one = repeated_wire_delay(library, Wire.on_layer(library, 1e-3, "global"))
-        two = repeated_wire_delay(library, Wire.on_layer(library, 2e-3, "global"))
+        one = optimal_repeaters(library, Wire.on_layer(library, 1e-3, "global")).total_delay
+        two = optimal_repeaters(library, Wire.on_layer(library, 2e-3, "global")).total_delay
         assert two == pytest.approx(2 * one, rel=0.35)
-
-    def test_zero_length_wire_rejected(self, library):
-        with pytest.raises(TechnologyError):
-            optimal_repeaters(library, Wire.on_layer(library, 0.0))
 
 
 class TestSegmentation:
@@ -185,10 +132,6 @@ class TestSegmentation:
         plan = SegmentationPlan(inputs_on_near_segment=2, total_inputs=4)
         assert plan.near_traffic_fraction == pytest.approx(0.5)
 
-    def test_average_switched_fraction_below_one(self):
-        plan = SegmentationPlan(near_fraction=0.5, inputs_on_near_segment=2, total_inputs=4)
-        assert plan.average_switched_fraction() == pytest.approx(0.75)
-
     def test_segmented_wire_preserves_totals(self, library):
         wire = Wire.on_layer(library, 100e-6)
         plan = SegmentationPlan()
@@ -200,3 +143,15 @@ class TestSegmentation:
         wire = Wire.on_layer(library, 100e-6)
         segmented = SegmentedWire.from_wire(wire, SegmentationPlan())
         assert segmented.average_switched_capacitance() < segmented.total_capacitance
+
+    def test_average_switched_fraction_below_one(self, library):
+        plan = SegmentationPlan(near_fraction=0.5, inputs_on_near_segment=2, total_inputs=4)
+        segmented = SegmentedWire.from_wire(Wire.on_layer(library, 100e-6), plan)
+        fraction = segmented.average_switched_capacitance() / segmented.total_capacitance
+        assert fraction == pytest.approx(0.75)
+
+    def test_near_segment_holds_its_share_of_the_wire(self, library):
+        wire = Wire.on_layer(library, 100e-6)
+        segmented = SegmentedWire.from_wire(wire, SegmentationPlan(near_fraction=0.3))
+        assert segmented.near.resistance == pytest.approx(0.3 * wire.resistance)
+        assert segmented.far.capacitance == pytest.approx(0.7 * wire.capacitance)

@@ -40,6 +40,7 @@ from repro.circuit.biasing import (
     leakage_from_node_voltages,
 )
 from repro.circuit.leakage import (
+    AffineLeakage,
     AffineLeakageAccumulator,
     LeakageAccumulator,
     LeakageBreakdown,
@@ -266,11 +267,11 @@ def test_port_count_sweep_shares_bias_points():
 
 
 def test_scheme_evaluator_exposes_kernel_stats():
-    """SchemeEvaluator.kernel_stats() reports its library's counters."""
+    """The kernel of an evaluator's library reports that library's counters."""
     clear_structural_cache()
     evaluator = SchemeEvaluator(paper_experiment())
     evaluator.evaluate("SC")
-    stats = evaluator.kernel_stats()
+    stats = kernel_for(evaluator.library).stats
     assert stats.misses > 0
     assert stats.lookups == stats.hits + stats.misses
     payload = stats.as_payload()
@@ -278,14 +279,14 @@ def test_scheme_evaluator_exposes_kernel_stats():
     # A second evaluation of the same scheme is memo-served end to end.
     before_misses = stats.misses
     evaluator.evaluate("SC")
-    assert evaluator.kernel_stats().misses == before_misses
+    assert kernel_for(evaluator.library).stats.misses == before_misses
 
     # Clearing the structural cache zeroes BOTH the aggregate and the
     # per-library counters of kernels still alive on held libraries, so
     # a library's stats stay a consistent share of the totals.
     clear_structural_cache()
     assert kernel_totals().lookups == 0
-    assert evaluator.kernel_stats().lookups == 0
+    assert kernel_for(evaluator.library).stats.lookups == 0
 
 
 def test_accumulator_matches_breakdown_arithmetic():
@@ -330,6 +331,34 @@ def test_affine_leakage_mix_matches_breakdown_arithmetic():
         for name in ("subthreshold", "gate", "junction"):
             assert math.isclose(getattr(mixed, name), getattr(expected, name),
                                 rel_tol=1e-15)
+
+
+def test_affine_leakage_mixed_power_of_floats_is_bit_identical_to_mixed_at():
+    """The allocation-free power of a mix is the breakdown route's, exactly."""
+    acc_a, acc_b = AffineLeakageAccumulator(), AffineLeakageAccumulator()
+    acc_a.fixed.add(LeakageBreakdown(1e-9, 2e-9, 3e-9))
+    acc_a.high.add(LeakageBreakdown(4e-9, 5e-9, 6e-9), 3.0)
+    acc_a.low.add(LeakageBreakdown(7e-9, 8e-9, 9e-9), 3.0)
+    acc_b.fixed.add(LeakageBreakdown(2e-9, 1e-9, 5e-9))
+    acc_b.high.add(LeakageBreakdown(3e-9, 2e-9, 1e-9), 2.0)
+    a, b = acc_a.freeze(), acc_b.freeze()
+    for weight, probability, scale in ((0.0, 0.0, 1.0), (1.0, 1.0, 640.0),
+                                       (0.3, 0.8, 128.0), (0.5, 0.005, 3.0)):
+        expected = a.mixed_at(b, weight, probability, scale).power(1.1)
+        assert AffineLeakage.mixed_power_of_floats(
+            a.floats(), b.floats(), weight, probability, scale, 1.1) == expected
+
+
+def test_affine_leakage_floats_round_trip_and_validate():
+    """from_floats inverts floats at any offset and rejects a negative term."""
+    acc = AffineLeakageAccumulator()
+    acc.fixed.add(LeakageBreakdown(1e-9, 2e-9, 3e-9))
+    acc.high.add(LeakageBreakdown(4e-9, 5e-9, 6e-9))
+    acc.low.add(LeakageBreakdown(7e-9, 8e-9, 9e-9))
+    affine = acc.freeze()
+    assert AffineLeakage.from_floats((0.0,) + affine.floats(), 1) == affine
+    with pytest.raises(CircuitError):
+        AffineLeakage.from_floats((-1e-12,) + affine.floats()[1:])
 
 
 def test_breakdown_arithmetic_still_validates_boundaries():

@@ -66,6 +66,9 @@ def test_a_bad_untraced_line_fails(line):
     ("sweep_scalar", "compare.point_ms_p50"),
     ("sweep_scalar", "scheme.SC.evaluate_ms_p50"),
     ("sweep_structural", "structural.scheme_misses"),
+    ("serve_mixed", "service.evaluate_ms_p50"),
+    ("serve_mixed", "service.http_ms_p50"),
+    ("serve_mixed", "cache.get_us_p50"),
 ])
 def test_a_traced_line_without_its_spans_fails(workload, missing):
     problems = smoke.check(workload, True, traced(workload, missing=missing))
@@ -74,6 +77,7 @@ def test_a_traced_line_without_its_spans_fails(workload, missing):
 
 def test_a_traced_line_ignores_the_floor_but_not_correctness():
     # Traced runs print per-layer metrics only, so no points_per_s.
-    assert smoke.check("serve_mixed", True, result_line()) == []
-    assert smoke.check("serve_mixed", True, result_line(correct=False))
-    assert smoke.check("serve_mixed", True, result_line(failed=2))
+    spans = {name: 1.0 for name in smoke.SPANS["serve_mixed"]}
+    assert smoke.check("serve_mixed", True, result_line(**spans)) == []
+    assert smoke.check("serve_mixed", True, result_line(correct=False, **spans))
+    assert smoke.check("serve_mixed", True, result_line(failed=2, **spans))

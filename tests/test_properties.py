@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import LeakageBreakdown, RCTree
-from repro.interconnect import Bus, PiModel, SegmentationPlan, Wire
+from repro.interconnect import PiModel, SegmentationPlan, SegmentedWire, Wire
 from repro.noc import RoundRobinArbiter
 from repro.technology import Polarity, VtFlavor, default_45nm, stack_factor, subthreshold_current
 from repro.timing import VtCandidate, assign_high_vt
@@ -131,27 +131,15 @@ class TestInterconnectProperties:
 
     @common_settings
     @given(
-        previous=st.integers(0, 2**16 - 1),
-        current=st.integers(0, 2**16 - 1),
-    )
-    def test_bus_transition_energy_non_negative_and_zero_only_without_toggles(self, previous, current):
-        bus = Bus(16, 100e-6, LIBRARY.wire_model())
-        transition = bus.transition_energy(previous, current, 1.0)
-        assert transition.energy >= 0.0
-        if previous == current:
-            assert transition.energy == 0.0
-            assert transition.switched_bits == 0
-
-    @common_settings
-    @given(
         near_fraction=st.floats(0.05, 0.95),
         near_inputs=st.integers(1, 3),
     )
     def test_segmentation_switched_fraction_bounded(self, near_fraction, near_inputs):
         plan = SegmentationPlan(near_fraction=near_fraction,
                                 inputs_on_near_segment=near_inputs, total_inputs=4)
-        fraction = plan.average_switched_fraction()
-        assert near_fraction <= fraction <= 1.0
+        segmented = SegmentedWire.from_wire(Wire.on_layer(LIBRARY, 100e-6), plan)
+        fraction = segmented.average_switched_capacitance() / segmented.total_capacitance
+        assert near_fraction * (1 - 1e-9) <= fraction <= 1.0 + 1e-12
 
 
 class TestVtAssignmentProperties:

@@ -501,6 +501,13 @@ def test_max_disk_entries_without_cache_dir_is_rejected():
     assert service_main(["--max-disk-bytes", "4096"]) == 2
 
 
+def test_cli_executor_defaults_to_serial_and_rejects_auto(capsys):
+    assert _build_parser().parse_args([]).executor == "serial"
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(["--executor", "auto"])
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
+
+
 def test_cli_args_build_the_described_service(tmp_path):
     args = _build_parser().parse_args([
         "--schemes", "SC,SDPC", "--baseline", "SC", "--executor", "serial",

@@ -3,6 +3,8 @@ MOSFET leakage/drive models, corners and the bundled library."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import TechnologyError
@@ -15,7 +17,6 @@ from repro.technology import (
     WireElectricalModel,
     WireGeometry,
     available_nodes,
-    default_45nm,
     default_library_for_node,
     get_corner,
     get_node,
@@ -42,10 +43,6 @@ class TestItrsNodes:
     def test_pitch_is_width_plus_spacing(self):
         layer = get_node("45nm").wire_layer("intermediate")
         assert layer.pitch == pytest.approx(layer.width + layer.spacing)
-
-    def test_aspect_ratio_is_thickness_over_width(self):
-        layer = get_node("45nm").wire_layer("global")
-        assert layer.aspect_ratio == pytest.approx(layer.thickness / layer.width)
 
     def test_wire_geometry_scales_down_with_node(self):
         older = get_node("90nm").wire_layer("intermediate")
@@ -223,18 +220,13 @@ class TestMosfet:
         cold = cold_library.make_transistor(Polarity.NMOS, VtFlavor.NOMINAL, 1e-6)
         assert hot.off_current() > 3.0 * cold.off_current()
 
-    def test_resized_preserves_parameters(self, library):
-        device = library.make_transistor(Polarity.NMOS, VtFlavor.HIGH, 1e-6)
-        bigger = device.resized(3e-6)
-        assert bigger.width == pytest.approx(3e-6)
-        assert bigger.vt_flavor is VtFlavor.HIGH
-
     def test_rejects_zero_width(self, library):
         with pytest.raises(TechnologyError):
             library.make_transistor(Polarity.NMOS, VtFlavor.NOMINAL, 0.0)
 
     def test_rejects_vt_above_supply(self, library):
-        params = library.device_parameters(Polarity.NMOS, VtFlavor.NOMINAL).with_threshold(1.5)
+        params = replace(library.device_parameters(Polarity.NMOS, VtFlavor.NOMINAL),
+                         threshold_voltage=1.5)
         with pytest.raises(TechnologyError):
             Mosfet(params, 1e-6, supply_voltage=1.0)
 

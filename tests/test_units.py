@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro import units
@@ -35,63 +33,10 @@ class TestCelsiusToKelvin:
 
 class TestConversions:
     def test_seconds_to_picoseconds_round_trip(self):
-        assert units.picoseconds_to_seconds(units.seconds_to_picoseconds(61.4e-12)) == pytest.approx(
-            61.4e-12
-        )
+        assert units.seconds_to_picoseconds(61.4e-12) == pytest.approx(61.4)
 
     def test_watts_to_milliwatts(self):
         assert units.watts_to_milliwatts(0.18281) == pytest.approx(182.81)
-
-    def test_milliwatts_to_watts(self):
-        assert units.milliwatts_to_watts(154.07) == pytest.approx(0.15407)
-
-    def test_micron_round_trip(self):
-        assert units.meters_to_microns(units.microns_to_meters(1.4)) == pytest.approx(1.4)
-
-    def test_nanometers(self):
-        assert units.nanometers_to_meters(45.0) == pytest.approx(45e-9)
-
-
-class TestFormatSi:
-    def test_picoseconds(self):
-        assert units.format_si(61.4e-12, "s") == "61.4ps"
-
-    def test_milliwatts(self):
-        assert units.format_si(0.18281, "W") == "183mW"
-
-    def test_zero(self):
-        assert units.format_si(0.0, "A") == "0A"
-
-    def test_nan_and_inf(self):
-        assert units.format_si(float("nan"), "V") == "nanV"
-        assert units.format_si(float("inf"), "V") == "infV"
-        assert units.format_si(float("-inf"), "V") == "-infV"
-
-    def test_large_values(self):
-        assert units.format_si(3e9, "Hz") == "3GHz"
-
-
-class TestParseSi:
-    def test_picoseconds(self):
-        assert units.parse_si("61.4ps", "s") == pytest.approx(61.4e-12)
-
-    def test_gigahertz(self):
-        assert units.parse_si("3GHz", "Hz") == pytest.approx(3e9)
-
-    def test_plain_number(self):
-        assert units.parse_si("42") == pytest.approx(42.0)
-
-    def test_round_trip_with_format(self):
-        value = 1.234e-6
-        assert units.parse_si(units.format_si(value, "F"), "F") == pytest.approx(value, rel=1e-2)
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            units.parse_si("not-a-number", "s")
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            units.parse_si("  ", "s")
 
 
 class TestConstants:
@@ -102,6 +47,3 @@ class TestConstants:
         assert units.BOLTZMANN / units.ELEMENTARY_CHARGE * 300 == pytest.approx(
             units.thermal_voltage(300.0)
         )
-
-    def test_nan_not_produced_by_format_parse_cycle(self):
-        assert not math.isnan(units.parse_si(units.format_si(1e-15, "F"), "F"))
