@@ -6,17 +6,17 @@ traffic patterns and injection rates, then apply the Table 1 break-even
 thresholds to report how much of the idle leakage each scheme actually
 recovers.
 
-Every mesh/traffic/simulation knob comes from the ``noc.*`` branch of
-:class:`~repro.core.config.ExperimentConfig` via dotted config paths —
-the same vocabulary the engine sweeps and the service accepts — so the
-workload these benches measure is one ``with_overrides`` call away from
-any other (wider meshes, hotter spots, longer runs), not a hard-coded
-constant.
+Every mesh/traffic/simulation knob comes from a
+:class:`~repro.noc.noc_power.NocPowerConfig`, so the workload these
+benches measure is one ``dataclasses.replace`` call away from any other
+(wider meshes, hotter spots, longer runs), not a hard-coded constant.
 """
 
 from __future__ import annotations
 
-from repro import ExperimentConfig, create_scheme, default_45nm, get_path
+from dataclasses import replace
+
+from repro import create_scheme, default_45nm
 from repro.analysis import render_table
 from repro.noc import (
     GatingPolicy,
@@ -27,40 +27,31 @@ from repro.noc import (
 )
 from repro.power import analyse_minimum_idle_time
 
-#: The benches' base point: the paper's config plus the simulated-mesh
-#: branch spelled out through dotted paths (all defaults made explicit,
-#: so the table titles below can quote the config rather than literals).
-BASE_CONFIG = ExperimentConfig().with_overrides(**{
-    "noc.mesh_columns": 4,
-    "noc.mesh_rows": 4,
-    "noc.traffic_seed": 3,
-    "noc.simulation_cycles": 2000,
-    "noc.warmup_cycles": 200,
-})
+#: The benches' base workload (the mesh and simulation defaults made
+#: explicit, so the table titles below can quote the config rather than
+#: literals).
+BASE_CONFIG = NocPowerConfig(
+    mesh_columns=4,
+    mesh_rows=4,
+    traffic_seed=3,
+    simulation_cycles=2000,
+    warmup_cycles=200,
+)
 
 
-def _mesh_title(config: ExperimentConfig, suffix: str) -> str:
-    columns = get_path(config, "noc.mesh_columns")
-    rows = get_path(config, "noc.mesh_rows")
-    return f"{columns}x{rows} mesh, {suffix}"
-
-
-def _simulate(config: ExperimentConfig):
-    """Run the simulation the config's ``noc`` branch describes."""
-    noc = config.noc if config.noc is not None else NocPowerConfig()
-    return noc.simulate()
+def _mesh_title(config: NocPowerConfig, suffix: str) -> str:
+    return f"{config.mesh_columns}x{config.mesh_rows} mesh, {suffix}"
 
 
 def test_noc_idle_interval_distribution(benchmark):
     """Idle-interval statistics of crossbar output ports under three patterns."""
-    base = BASE_CONFIG.with_overrides(**{"noc.injection_rate": 0.1})
+    base = replace(BASE_CONFIG, injection_rate=0.1)
 
     def measure():
         results = {}
         for pattern in (TrafficPattern.UNIFORM, TrafficPattern.TRANSPOSE,
                         TrafficPattern.HOTSPOT):
-            config = base.with_overrides(**{"noc.traffic_pattern": pattern.value})
-            result = _simulate(config)
+            result = replace(base, traffic_pattern=pattern.value).simulate()
             intervals = result.idle_intervals()
             results[pattern.value] = {
                 "latency": result.average_latency,
@@ -78,11 +69,10 @@ def test_noc_idle_interval_distribution(benchmark):
         for pattern, values in results.items()
     ]
     print()
-    rate = get_path(base, "noc.injection_rate")
     print(render_table(
         ["pattern", "avg latency (cyc)", "xbar util (%)", "idle intervals",
          "mean interval (cyc)", "intervals >= 10 cyc"],
-        rows, title=_mesh_title(base, f"injection {rate} flits/node/cycle"),
+        rows, title=_mesh_title(base, f"injection {base.injection_rate} flits/node/cycle"),
     ))
     for values in results.values():
         assert values["mean_interval"] >= 1.0
@@ -91,8 +81,7 @@ def test_noc_idle_interval_distribution(benchmark):
 def test_noc_power_gating_savings_per_scheme(benchmark):
     """Net leakage energy recovered by the standby mode for each scheme."""
     library = default_45nm()
-    config = BASE_CONFIG.with_overrides(**{"noc.injection_rate": 0.08})
-    simulation = _simulate(config)
+    simulation = replace(BASE_CONFIG, injection_rate=0.08).simulate()
     intervals = simulation.idle_intervals()
 
     def measure():
@@ -136,14 +125,13 @@ def test_noc_power_gating_savings_per_scheme(benchmark):
 def test_noc_injection_rate_sweep(benchmark):
     """Network power versus offered load for the SC and SDPC crossbars."""
     library = default_45nm()
-    base = BASE_CONFIG.with_overrides(**{"noc.simulation_cycles": 1500})
+    base = replace(BASE_CONFIG, simulation_cycles=1500)
     rates = [0.02, 0.1, 0.25]
 
     def measure():
         results = {}
         for rate in rates:
-            config = base.with_overrides(**{"noc.injection_rate": rate})
-            simulation = _simulate(config)
+            simulation = replace(base, injection_rate=rate).simulate()
             row = {"utilisation": simulation.average_crossbar_utilisation * 100}
             for name in ("SC", "SDPC"):
                 scheme = create_scheme(name, library)
@@ -173,19 +161,13 @@ def test_noc_gating_benefit_grows_with_burstiness(benchmark):
     """Bursty traffic lengthens idle intervals and increases the gating benefit."""
     library = default_45nm()
     scheme = create_scheme("DPC", library)
-    base = BASE_CONFIG.with_overrides(**{
-        "noc.injection_rate": 0.08,
-        "noc.traffic_burst_phase_length": 60,
-        "noc.traffic_seed": 7,
-        "noc.simulation_cycles": 2500,
-    })
+    base = replace(BASE_CONFIG, injection_rate=0.08, traffic_burst_phase_length=60,
+                   traffic_seed=7, simulation_cycles=2500)
 
     def measure():
         results = {}
         for burst_on in (1.0, 0.3):
-            config = base.with_overrides(
-                **{"noc.traffic_burst_on_fraction": burst_on})
-            simulation = _simulate(config)
+            simulation = replace(base, traffic_burst_on_fraction=burst_on).simulate()
             report = NocPowerModel(scheme, NocPowerConfig(gating_enabled=True)).evaluate(simulation)
             results[burst_on] = report.gating_net_saving * 1e3
         return results

@@ -31,4 +31,7 @@ python examples/serving.py > /dev/null
 echo "==> Example smoke: distributed fleet + two-writer shared cache (cache CLI compact/stats)"
 python examples/distributed.py > /dev/null
 
+echo "==> Example smoke: network simulation, power gating and NoC power roll-up"
+python examples/noc_power_gating.py > /dev/null
+
 echo "==> CI gate passed"

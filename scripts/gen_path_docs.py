@@ -33,10 +33,7 @@ HEADER = """\
 Every leaf of the nested `ExperimentConfig` tree is addressable by the
 dotted paths below — in grid axes (`DesignSpace.grid`), overrides
 (`with_overrides`), service queries (`POST /evaluate`), filters and
-series extraction.  Unambiguous leaf names work as aliases.  Paths
-flagged *network-level* feed the `NocPowerModel` rather than the
-per-scheme Table-1 records: sweeping them produces distinct config
-points (and cache entries) but identical comparison records.
+series extraction.  Unambiguous leaf names work as aliases.
 
 The same records are served live by a running evaluation service at
 `GET /paths`.

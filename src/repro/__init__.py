@@ -24,7 +24,6 @@ Table 1 values the benchmarks print next to the measured ones.
 
 from .core.comparison import SchemeComparison, compare_schemes
 from .core.config import ExperimentConfig, paper_experiment
-from .core.design_space import sweep_parameter
 from .core.paths import describe_path, get_path, set_path, sweepable_paths
 from .core.scheme_evaluator import SchemeEvaluator, SchemeResult
 from .engine import DesignSpace, EvaluationCache, Evaluator, ResultSet
@@ -77,6 +76,5 @@ __all__ = [
     "get_path",
     "paper_experiment",
     "set_path",
-    "sweep_parameter",
     "sweepable_paths",
 ]

@@ -7,14 +7,13 @@ from .figures import (
     describe_segmentation,
     sweep_table,
 )
-from .sweep import SweepSeries, crossover_point, crossover_points, run_sweep
+from .sweep import SweepSeries, crossover_points, run_sweep
 from .table import render_table
 
 __all__ = [
     "OutputPathStructure",
     "SegmentationStructure",
     "SweepSeries",
-    "crossover_point",
     "crossover_points",
     "describe_output_path",
     "describe_segmentation",

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from ..errors import ReproError
 
-__all__ = ["SweepSeries", "run_sweep", "crossover_point", "crossover_points"]
+__all__ = ["SweepSeries", "run_sweep", "crossover_points"]
 
 
 @dataclass(frozen=True)
@@ -59,27 +59,3 @@ def crossover_points(series_a: SweepSeries, series_b: SweepSeries) -> tuple[floa
             fraction = abs(previous) / (abs(previous) + abs(current))
             crossings.append(x0 + fraction * (x1 - x0))
     return tuple(sorted(crossings))
-
-
-def crossover_point(series_a: SweepSeries, series_b: SweepSeries) -> float | None:
-    """X value of the *unique* crossing of the two series.
-
-    Returns ``None`` when one series dominates the other over the whole
-    sweep — callers report "no crossover" in that case, which is itself
-    a result (e.g. "the pre-charged scheme never beats the feedback
-    scheme at any static probability").  When the series cross more than
-    once this raises :class:`~repro.errors.ReproError` rather than
-    silently returning the first crossing; use :func:`crossover_points`
-    to enumerate them.
-    """
-    crossings = crossover_points(series_a, series_b)
-    if not crossings:
-        return None
-    if len(crossings) > 1:
-        located = ", ".join(f"{x:g}" for x in crossings)
-        raise ReproError(
-            f"series {series_a.name!r} and {series_b.name!r} cross "
-            f"{len(crossings)} times (at x = {located}); use "
-            "crossover_points() to enumerate multiple crossings"
-        )
-    return crossings[0]

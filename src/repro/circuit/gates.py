@@ -22,7 +22,6 @@ sizing decisions.
 
 from __future__ import annotations
 
-from ..errors import CircuitError
 from ..technology.library import TechnologyLibrary
 from ..technology.transistor import Mosfet, Polarity, VtFlavor
 from .biasing import kernel_for
@@ -92,14 +91,6 @@ class Inverter:
         nmos = self._kernel.evaluate(self.nmos, vin, vout, 0.0)
         pmos = self._kernel.evaluate(self.pmos, vin, vout, vdd)
         return nmos + pmos
-
-    def average_leakage(self, probability_input_high: float = 0.5) -> LeakageBreakdown:
-        """State-probability-weighted leakage."""
-        if not 0.0 <= probability_input_high <= 1.0:
-            raise CircuitError("probability must be in [0, 1]")
-        high = self.leakage(True).scaled(probability_input_high)
-        low = self.leakage(False).scaled(1.0 - probability_input_high)
-        return high + low
 
     # -- structure ------------------------------------------------------------------
     def devices(self, input_net: str, output_net: str, prefix: str,

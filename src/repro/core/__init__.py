@@ -1,19 +1,16 @@
-"""Core evaluation layer: experiment configuration, scheme evaluation,
-Table 1 comparison and design-space sweeps (docs/architecture.md)."""
+"""Core evaluation layer: experiment configuration, scheme evaluation
+and the Table 1 comparison (docs/architecture.md); design-space sweeps
+run through :mod:`repro.engine`."""
 
 from .comparison import SchemeComparison, compare_schemes
 from .config import ExperimentConfig, paper_experiment
-from .design_space import DesignSpaceResult, SweepPoint, sweep_parameter
 from .scheme_evaluator import SchemeEvaluator, SchemeResult
 
 __all__ = [
-    "DesignSpaceResult",
     "ExperimentConfig",
     "SchemeComparison",
     "SchemeEvaluator",
     "SchemeResult",
-    "SweepPoint",
     "compare_schemes",
     "paper_experiment",
-    "sweep_parameter",
 ]

@@ -8,37 +8,23 @@ example and test refers to a single source of truth, and alternative
 points (other nodes, corners, crossbar radixes) are one ``replace`` away.
 
 The configuration is a tree: the crossbar's structural/sizing knobs live
-in the nested :class:`~repro.crossbar.ports.CrossbarConfig`, and the
-optional ``noc`` branch carries the network-level power parameters
-(:class:`~repro.noc.noc_power.NocPowerConfig`).  Any leaf of the tree
-can be addressed with a dotted path — ``with_overrides`` accepts
-``**{"crossbar.port_count": 8}`` alongside the flat top-level fields,
-via :mod:`repro.core.paths`.
+in the nested :class:`~repro.crossbar.ports.CrossbarConfig`.  Any leaf
+of the tree can be addressed with a dotted path — ``with_overrides``
+accepts ``**{"crossbar.port_count": 8}`` alongside the flat top-level
+fields, via :mod:`repro.core.paths`.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING
 
 from ..crossbar.ports import CrossbarConfig
 from ..errors import ConfigurationError
 from ..technology.library import TechnologyLibrary, default_library_for_node
 from .paths import normalize_path, set_path
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from ..noc.noc_power import NocPowerConfig
-
-__all__ = ["ExperimentConfig", "paper_experiment", "default_noc_config"]
-
-
-def default_noc_config() -> "NocPowerConfig":
-    """Default network power parameters (imported lazily: the ``noc``
-    package must not be a hard import of the core config layer)."""
-    from ..noc.noc_power import NocPowerConfig
-
-    return NocPowerConfig()
+__all__ = ["ExperimentConfig", "paper_experiment"]
 
 
 @dataclass(frozen=True)
@@ -52,11 +38,6 @@ class ExperimentConfig:
     static_probability: float = 0.5
     toggle_activity: float = 0.5
     crossbar: CrossbarConfig = field(default_factory=CrossbarConfig)
-    #: Optional network-level power parameters.  ``None`` means "the
-    #: defaults"; sweeping any ``noc.*`` path materialises the branch.
-    noc: "NocPowerConfig | None" = field(
-        default=None, metadata={"subconfig_factory": default_noc_config}
-    )
 
     def __post_init__(self) -> None:
         if self.clock_frequency <= 0:

@@ -1,12 +1,10 @@
 """Dotted config paths over the nested experiment dataclass tree.
 
 An :class:`~repro.core.config.ExperimentConfig` is a tree of frozen
-dataclasses — six top-level scalars, a nested
-:class:`~repro.crossbar.ports.CrossbarConfig`, and an optional
-:class:`~repro.noc.noc_power.NocPowerConfig` (itself nesting a
-:class:`~repro.noc.power_gating.GatingPolicy`).  The design-space layers
+dataclasses — six top-level scalars and a nested
+:class:`~repro.crossbar.ports.CrossbarConfig`.  The design-space layers
 address any leaf of that tree by a dotted path such as
-``"crossbar.port_count"`` or ``"noc.gating_policy.wakeup_cycles"``:
+``"crossbar.port_count"``:
 
 * :func:`get_path` / :func:`set_path` read and functionally update one
   leaf (``set_path`` returns a new config; nothing is mutated);
@@ -20,10 +18,7 @@ address any leaf of that tree by a dotted path such as
 
 The module is deliberately generic: it walks ``dataclasses.fields`` and
 never imports the config classes at module level, so the config layer
-can import it without cycles.  Optional sub-configs that default to
-``None`` (the ``noc`` branch) declare a ``subconfig_factory`` in their
-field metadata; ``set_path`` instantiates the default sub-config on
-first write and ``get_path`` reads defaults through the same factory.
+can import it without cycles.
 """
 
 from __future__ import annotations
@@ -60,35 +55,10 @@ _PATH_NOTES: dict[str, str] = {
     "toggle_activity": "switching intensity",
     "crossbar.port_count": "crossbar radix (crosspoints grow quadratically)",
     "crossbar.flit_width": "datapath width (wire spans scale with it)",
-    "crossbar.input_buffer_depth": "router input buffer depth (buffer leakage share)",
     "crossbar.layout_overhead": "wiring density margin on the crossbar span",
     "crossbar.wire_layer": "metal layer of the crossbar wires",
     "crossbar.timing_budget_fraction": "share of the cycle the crossbar may use",
-    "noc.buffer_depth": "network power model's buffer depth override",
-    "noc.link_length": "inter-router link length (link switching energy)",
-    "noc.bit_cell_width": "buffer bit-cell device width (buffer leakage)",
-    "noc.gating_policy.idle_detect_cycles": "sleep-entry timeout of the gating policy",
-    "noc.gating_policy.wakeup_cycles": "wake-up latency of the gating policy",
-    "noc.mesh_columns": "mesh width of the simulated network",
-    "noc.mesh_rows": "mesh height of the simulated network",
-    "noc.injection_rate": "offered load (flits/node/cycle) of the simulated traffic",
-    "noc.traffic_pattern": "spatial traffic pattern (uniform, transpose, bit_complement, hotspot)",
-    "noc.traffic_seed": "traffic generator seed (simulations are reproducible per seed)",
-    "noc.traffic_burst_on_fraction": "on/off burstiness (1.0 = steady; lower = longer idle bursts)",
-    "noc.traffic_burst_phase_length": "average burst phase length in cycles",
-    "noc.simulation_cycles": "measured simulation length in cycles",
-    "noc.warmup_cycles": "cycles discarded before measurement starts",
 }
-
-#: Suffix appended to paths that feed the *network-level* power model
-#: (NocPowerModel) rather than the per-scheme Table-1 comparison — a
-#: sweep over them produces distinct configs/cache entries but identical
-#: comparison records, which would otherwise read as "no effect".
-_NETWORK_LEVEL_NOTE = " [network-level: feeds NocPowerModel, not the Table-1 records]"
-
-
-def _is_network_level(path: str) -> bool:
-    return path.startswith("noc" + PATH_SEPARATOR) or path == "crossbar.input_buffer_depth"
 
 
 def _is_config_node(value: object) -> bool:
@@ -96,45 +66,26 @@ def _is_config_node(value: object) -> bool:
     return dataclasses.is_dataclass(value) and not isinstance(value, type)
 
 
-def _prototype_child(owner: object, field: dataclasses.Field) -> object:
-    """The value of ``field`` on ``owner``, instantiating an optional
-    sub-config from its declared factory when unset."""
-    value = getattr(owner, field.name)
-    if value is None:
-        factory = field.metadata.get("subconfig_factory")
-        if factory is not None:
-            return factory()
-    return value
-
-
-def _fields_by_name(node: object, path: str) -> dict[str, dataclasses.Field]:
+def _check_field(node: object, segment: str, path: str) -> None:
+    """Raise unless ``node`` is a nested config with a field ``segment``."""
     if not _is_config_node(node):
         raise ConfigurationError(
             f"config path {path!r} descends into {type(node).__name__!r}, "
             "which is not a nested config"
         )
-    return {field.name: field for field in dataclasses.fields(node)}
+    if not any(field.name == segment for field in dataclasses.fields(node)):
+        raise ConfigurationError(
+            f"unknown config path {path!r}: {type(node).__name__} "
+            f"has no field {segment!r}"
+        )
 
 
 def get_path(config: object, path: str) -> object:
-    """Read the leaf (or sub-config) at ``path`` of ``config``.
-
-    Unset optional sub-configs are read through their default factory,
-    so ``get_path(config, "noc.link_length")`` answers the value the
-    model would use even before the ``noc`` branch is materialised.
-    """
+    """Read the leaf (or sub-config) at ``path`` of ``config``."""
     node = config
-    segments = path.split(PATH_SEPARATOR)
-    for depth, segment in enumerate(segments):
-        fields = _fields_by_name(node, path)
-        if segment not in fields:
-            raise ConfigurationError(
-                f"unknown config path {path!r}: {type(node).__name__} "
-                f"has no field {segment!r}"
-            )
-        if depth == len(segments) - 1:
-            return getattr(node, segment)
-        node = _prototype_child(node, fields[segment])
+    for segment in path.split(PATH_SEPARATOR):
+        _check_field(node, segment, path)
+        node = getattr(node, segment)
     return node
 
 
@@ -142,31 +93,16 @@ def set_path(config, path: str, value: object):
     """Return a copy of ``config`` with the leaf at ``path`` replaced.
 
     Every dataclass on the way is rebuilt with ``dataclasses.replace``,
-    so all ``__post_init__`` validation re-runs; an unset optional
-    sub-config (``noc``) is instantiated from its default factory before
-    the leaf is applied.
+    so all ``__post_init__`` validation re-runs.
     """
     segments = path.split(PATH_SEPARATOR)
 
     def rebuild(node, depth: int):
         segment = segments[depth]
-        fields = _fields_by_name(node, path)
-        if segment not in fields:
-            raise ConfigurationError(
-                f"unknown config path {path!r}: {type(node).__name__} "
-                f"has no field {segment!r}"
-            )
+        _check_field(node, segment, path)
         if depth == len(segments) - 1:
             return dataclasses.replace(node, **{segment: value})
         child = getattr(node, segment)
-        if child is None:
-            factory = fields[segment].metadata.get("subconfig_factory")
-            if factory is None:
-                raise ConfigurationError(
-                    f"config path {path!r} descends into unset field "
-                    f"{segment!r} with no default sub-config"
-                )
-            child = factory()
         return dataclasses.replace(node, **{segment: rebuild(child, depth + 1)})
 
     return rebuild(config, 0)
@@ -180,41 +116,33 @@ _REGISTRY: dict[str, str] | None = None
 _ALIASES: dict[str, str] | None = None
 
 
-def _walk_leaves(node: object, prefix: str, branch: str | None = None
-                 ) -> Iterator[tuple[str, object, str | None]]:
-    """Yield ``(path, owning node, optional branch)`` for every leaf under
-    ``node``, in field order.  ``branch`` is the path of the outermost
-    optional sub-config (one declaring a ``subconfig_factory``) the leaf
-    lies under, or ``None``."""
+def _walk_leaves(node: object, prefix: str) -> Iterator[tuple[str, object]]:
+    """Yield ``(path, owning node)`` for every leaf under ``node``, in
+    field order."""
     for field in dataclasses.fields(node):
         path = f"{prefix}{field.name}"
-        child = _prototype_child(node, field)
+        child = getattr(node, field.name)
         if _is_config_node(child):
-            if branch is None and "subconfig_factory" in field.metadata:
-                yield from _walk_leaves(child, path + PATH_SEPARATOR, path)
-            else:
-                yield from _walk_leaves(child, path + PATH_SEPARATOR, branch)
+            yield from _walk_leaves(child, path + PATH_SEPARATOR)
         else:
-            yield path, node, branch
+            yield path, node
 
 
 @functools.cache
-def leaf_layout() -> tuple[tuple[str, object, str | None], ...]:
-    """Every sweepable leaf as ``(path, default, optional branch)``, in
-    registry order (the order of :func:`sweepable_paths`).
+def leaf_layout() -> tuple[tuple[str, object], ...]:
+    """Every sweepable leaf as ``(path, default)``, in registry order
+    (the order of :func:`sweepable_paths`).
 
     ``default`` is the leaf's value on a fresh
-    :class:`~repro.core.config.ExperimentConfig` (read through the
-    default factory for an unset optional branch); ``optional branch``
-    is the path of the optional sub-config the leaf lies under (``"noc"``
-    for every ``noc.*`` leaf) or ``None``.  Walked once per process.
+    :class:`~repro.core.config.ExperimentConfig`.  Walked once per
+    process.
     """
     # Imported here, not at module level: config.py imports this module.
     from .config import ExperimentConfig
 
     return tuple(
-        (path, getattr(owner, path.rsplit(PATH_SEPARATOR, 1)[-1]), branch)
-        for path, owner, branch in _walk_leaves(ExperimentConfig(), "")
+        (path, getattr(owner, path.rsplit(PATH_SEPARATOR, 1)[-1]))
+        for path, owner in _walk_leaves(ExperimentConfig(), "")
     )
 
 
@@ -223,27 +151,19 @@ def _build_registry() -> tuple[dict[str, str], dict[str, str]]:
 
     registry: dict[str, str] = {}
     leaf_owner_counts: dict[str, list[str]] = {}
-    for path, owner, _ in _walk_leaves(ExperimentConfig(), ""):
+    for path, owner in _walk_leaves(ExperimentConfig(), ""):
         note = _PATH_NOTES.get(path)
         if note is None:
             note = f"{type(owner).__name__} field"
-        if _is_network_level(path):
-            note += _NETWORK_LEVEL_NOTE
         registry[path] = note
         leaf = path.rsplit(PATH_SEPARATOR, 1)[-1]
         leaf_owner_counts.setdefault(leaf, []).append(path)
     # A bare leaf name aliases its path when that spelling is not already
-    # a canonical (top-level) path, exactly one leaf bears the name, and
-    # the target affects the scheme comparison.  Network-level paths get
-    # no shorthand: a user typing "buffer_depth" and silently landing on
-    # the NocPowerModel knob would read the resulting flat Table-1 series
-    # as "no effect" — those paths must be spelled out (and their notes
-    # say what they feed).
+    # a canonical (top-level) path and exactly one leaf bears the name.
     aliases = {
         leaf: paths[0]
         for leaf, paths in leaf_owner_counts.items()
         if leaf not in registry and len(paths) == 1
-        and not _is_network_level(paths[0])
     }
     return registry, aliases
 
@@ -301,10 +221,9 @@ def path_registry_records() -> list[dict]:
     """JSON-safe records of every sweepable path, in tree order.
 
     Each record carries the canonical ``path``, its ``note`` (from
-    :func:`describe_path`), any accepted alias spellings, the default
-    value on a fresh :class:`~repro.core.config.ExperimentConfig`, and
-    whether the path is network-level (feeds the NoC power model rather
-    than the Table-1 records).  This is the single source for the
+    :func:`describe_path`), any accepted alias spellings and the default
+    value on a fresh :class:`~repro.core.config.ExperimentConfig`.  This
+    is the single source for the
     generated ``docs/config_paths.md`` and the evaluation service's
     ``GET /paths`` endpoint, so the two can never drift apart.
     """
@@ -313,7 +232,7 @@ def path_registry_records() -> list[dict]:
         aliases_by_path.setdefault(target, []).append(alias)
     registry = _registry()
     records = []
-    for path, default, _ in leaf_layout():
+    for path, default in leaf_layout():
         note = registry[path]
         if not isinstance(default, (bool, int, float, str, type(None))):
             default = repr(default)
@@ -322,6 +241,5 @@ def path_registry_records() -> list[dict]:
             "note": note,
             "aliases": sorted(aliases_by_path.get(path, [])),
             "default": default,
-            "network_level": _is_network_level(path),
         })
     return records

@@ -64,9 +64,6 @@ class CrossbarConfig:
 
     port_count: int = 5
     flit_width: int = 128
-    #: Router input buffer depth (flits); consumed by the network-level
-    #: power roll-up, carried here so it is part of the structural point.
-    input_buffer_depth: int = 4
     allow_self_connection: bool = False
     wire_layer: str = "intermediate"
     layout_overhead: float = 1.0
@@ -102,11 +99,6 @@ class CrossbarConfig:
         if self.flit_width < 1:
             raise CrossbarError(
                 f"crossbar.flit_width must be at least 1 bit, got {self.flit_width}"
-            )
-        if self.input_buffer_depth < 1:
-            raise CrossbarError(
-                f"crossbar.input_buffer_depth must be at least 1 flit, "
-                f"got {self.input_buffer_depth}"
             )
         if self.layout_overhead < 1.0:
             raise CrossbarError("crossbar.layout_overhead must be >= 1")

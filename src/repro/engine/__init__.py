@@ -18,10 +18,7 @@ the sharded entry files are the cache's only on-disk state.
 Axes are config paths: the flat ``ExperimentConfig`` scalars, dotted
 paths into the nested structure (``"crossbar.port_count"``,
 ``"crossbar.flit_width"``), or unambiguous leaf aliases
-(``"port_count"``) — see :mod:`repro.core.paths`.  Paths marked
-``[network-level]`` in :func:`sweepable_paths` vary the config point for
-:class:`~repro.noc.noc_power.NocPowerModel` consumers but not the
-Table-1 records the evaluator caches.
+(``"port_count"``) — see :mod:`repro.core.paths`.
 
 Quickstart::
 
@@ -41,7 +38,7 @@ from ..core.paths import describe_path, get_path, normalize_path, set_path, swee
 from .cache import CacheStats, CachedEntry, EvaluationCache, point_key
 from .evaluator import Evaluator
 from .executor import ProcessExecutor, SerialExecutor, resolve_executor
-from .grid import SWEEPABLE_FIELDS, DesignSpace, GridPoint
+from .grid import DesignSpace, GridPoint
 from .resultset import PointResult, ResultSet
 
 #: Service and distributed-layer symbols resolved lazily (PEP 562):
@@ -90,7 +87,6 @@ __all__ = [
     "PointResult",
     "ProcessExecutor",
     "ResultSet",
-    "SWEEPABLE_FIELDS",
     "SerialExecutor",
     "ServiceClient",
     "ServiceOverloadedError",

@@ -2,8 +2,8 @@
 
 Every evaluation is keyed by a canonical hash of the full
 :class:`~repro.core.config.ExperimentConfig` (including the nested
-crossbar and optional noc sub-configs), the evaluated scheme set, the
-baseline, and the model version — so two points that happen to coincide
+crossbar sub-config), the evaluated scheme set, the baseline, and the
+model version — so two points that happen to coincide
 (overlapping sweeps, benchmark re-runs, a grid revisited with a wider
 axis) are evaluated once.  The cache is in-memory by default and
 optionally persists the JSON-safe comparison records to a directory.
@@ -80,32 +80,14 @@ _SHARD = re.compile(r"[0-9a-f]{2}")
 #: sharded by their own first two characters.
 _HEX_KEY = re.compile(r"[0-9a-f]{8,128}")
 
-#: Fields added to the config tree after PR 1, with the default values
-#: under which they are omitted from the canonical key payload.  This
-#: keeps keys (and therefore existing disk caches) byte-identical for
-#: every point that does not use the new structure.
-_ROOT_EXTENSION_DEFAULTS: dict[str, object] = {"noc": None}
-_CROSSBAR_EXTENSION_DEFAULTS: dict[str, object] = {"input_buffer_depth": 4}
-
 
 def config_payload(config: ExperimentConfig) -> dict:
     """JSON-safe nested dict of ``config`` for canonical hashing.
 
-    Post-PR-1 extension fields are omitted while they hold their
-    defaults, so flat-only points keep the keys they have always had.
     :func:`point_key` hashes exactly this payload's canonical JSON, built
     piecewise so sub-configs shared between points are serialised once.
     """
-    payload = dataclasses.asdict(config)
-    for name, default in _ROOT_EXTENSION_DEFAULTS.items():
-        if payload.get(name) == default:
-            payload.pop(name, None)
-    crossbar = payload.get("crossbar")
-    if isinstance(crossbar, dict):
-        for name, default in _CROSSBAR_EXTENSION_DEFAULTS.items():
-            if crossbar.get(name) == default:
-                crossbar.pop(name, None)
-    return payload
+    return dataclasses.asdict(config)
 
 
 def point_key(config: ExperimentConfig, scheme_names: Sequence[str],
@@ -113,9 +95,9 @@ def point_key(config: ExperimentConfig, scheme_names: Sequence[str],
     """Canonical content hash of one evaluation point.
 
     The key covers everything the result depends on: the experiment
-    configuration (including the nested crossbar sizing and, when set,
-    the noc branch), the scheme list *in order* (record order follows
-    it), the baseline, the model version and the cache schema version.
+    configuration (including the nested crossbar sizing), the scheme
+    list *in order* (record order follows it), the baseline, the model
+    version and the cache schema version.
     """
     from .. import __version__
 
@@ -193,31 +175,22 @@ def _field_payload(subconfig) -> dict:
     return dataclasses.asdict(subconfig)
 
 
-def _subconfig_text(subconfig, extension_defaults: dict[str, object]) -> str:
+def _subconfig_text(subconfig) -> str:
     """Canonical text of one frozen sub-config (e.g. the crossbar), cached."""
     cached = _SUBCONFIG_TEXT.get(id(subconfig))
     if cached is not None and cached[0] is subconfig:
         return cached[1]
-    payload = _field_payload(subconfig)
-    for name, default in extension_defaults.items():
-        if payload.get(name) == default:
-            payload.pop(name, None)
-    text = _canonical_json(payload)
+    text = _canonical_json(_field_payload(subconfig))
     if len(_SUBCONFIG_TEXT) >= _SUBCONFIG_TEXT_MAX:
         _SUBCONFIG_TEXT.clear()
     _SUBCONFIG_TEXT[id(subconfig)] = (subconfig, text)
     return text
 
 
-#: Marks a top-level field that is always part of the key.
-_ALWAYS = object()
-
-#: ``(field, '"field":', value omitted from the key or _ALWAYS,
-#: extension defaults of a sub-config held there)`` per top-level
-#: config field, in canonical (sorted) key order.
+#: ``(field, '"field":')`` per top-level config field, in canonical
+#: (sorted) key order.
 _CONFIG_FIELDS = tuple(
-    (name, f'"{name}":', _ROOT_EXTENSION_DEFAULTS.get(name, _ALWAYS),
-     _CROSSBAR_EXTENSION_DEFAULTS if name == "crossbar" else {})
+    (name, f'"{name}":')
     for name in sorted(f.name for f in dataclasses.fields(ExperimentConfig))
 )
 
@@ -227,17 +200,15 @@ def _config_text(config: ExperimentConfig) -> str:
     finite floats and strings are spelled inline, sub-configs come from
     the identity cache."""
     parts = []
-    for name, label, omitted, extension_defaults in _CONFIG_FIELDS:
+    for name, label in _CONFIG_FIELDS:
         value = getattr(config, name)
-        if omitted is not _ALWAYS and value == omitted:
-            continue
         kind = type(value)
         if kind is float and math.isfinite(value):
             parts.append(label + float.__repr__(value))
         elif kind is str:
             parts.append(label + encode_basestring_ascii(value))
         elif dataclasses.is_dataclass(value):
-            parts.append(label + _subconfig_text(value, extension_defaults))
+            parts.append(label + _subconfig_text(value))
         else:
             parts.append(label + _canonical_json(value))
     return "{" + ",".join(parts) + "}"

@@ -187,36 +187,27 @@ _WIRE_BASE = ExperimentConfig()
 @functools.cache
 def _wire_readers() -> tuple:
     """:func:`~repro.core.paths.leaf_layout` with a compiled reader for
-    each leaf and for its optional branch: ``(path, read, default,
-    read_branch)``."""
-    return tuple(
-        (path, operator.attrgetter(path), default,
-         None if branch is None else operator.attrgetter(branch))
-        for path, default, branch in leaf_layout()
-    )
+    each leaf: ``(path, read, default)``."""
+    return tuple((path, operator.attrgetter(path), default)
+                 for path, default in leaf_layout())
 
 
 def config_to_wire(config: ExperimentConfig) -> dict[str, object]:
     """JSON-safe dotted-path overrides that rebuild ``config``.
 
-    Leaves holding their default value are omitted — except under a
-    materialised optional branch (``noc``), whose every leaf is sent so
-    the worker materialises the branch too (an all-default branch would
-    otherwise vanish in transit).  Keys follow the path registry's order:
-    the leaves and their defaults come from
+    Leaves holding their default value are omitted.  Keys follow the
+    path registry's order: the leaves and their defaults come from
     :func:`~repro.core.paths.leaf_layout`, so a field added to any
     nested config ships without touching this module.
     """
     overrides: dict[str, object] = {}
-    for path, read, default, read_branch in _wire_readers():
+    for path, read, default in _wire_readers():
         try:
-            if read_branch is not None and read_branch(config) is None:
-                continue
             value = read(config)
         except AttributeError as exc:
             raise ConfigurationError(
                 f"config path {path!r} does not resolve: {exc}") from exc
-        if read_branch is not None or value != default:
+        if value != default:
             if not isinstance(value, _WIRE_SCALARS):
                 raise DistributedError(
                     f"config leaf {path!r} holds non-JSON-safe {value!r}"

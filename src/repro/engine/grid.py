@@ -9,61 +9,23 @@ processes and reassembled without ambiguity.
 
 Axes are named by config path: the flat ``ExperimentConfig`` scalars
 (``"temperature_celsius"``), dotted paths into the nested structure
-(``"crossbar.port_count"``, ``"noc.link_length"``), or any unambiguous
-leaf alias (``"port_count"``).  Names are normalised to canonical paths
-at construction, so a grid built from an alias and one built from the
+(``"crossbar.port_count"``), or any unambiguous leaf alias
+(``"port_count"``).  Names are normalised to canonical paths at
+construction, so a grid built from an alias and one built from the
 dotted path are the same design space.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from ..core.config import ExperimentConfig
-from ..core.paths import normalize_path, sweepable_paths
+from ..core.paths import normalize_path
 from ..errors import ConfigurationError
 
-__all__ = ["SWEEPABLE_FIELDS", "GridPoint", "DesignSpace"]
-
-
-class _SweepablePathMap(Mapping):
-    """Read-only view of the sweepable-path registry, built on first use.
-
-    Walking the registry instantiates the optional sub-config prototypes
-    (which imports the noc package); keeping that lazy preserves the
-    config layer's deliberate choice not to hard-import noc on
-    ``import repro``.
-    """
-
-    _cache: dict[str, str] | None = None
-
-    def _data(self) -> dict[str, str]:
-        if self._cache is None:
-            # The registry is immutable once built; one copy serves every
-            # mapping operation instead of a fresh dict per access.
-            type(self)._cache = sweepable_paths()
-        return self._cache
-
-    def __getitem__(self, key: str) -> str:
-        return self._data()[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._data())
-
-    def __len__(self) -> int:
-        return len(self._data())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"SWEEPABLE_FIELDS({self._data()!r})"
-
-
-#: Every config path a design space may vary, with a note on what it
-#: exercises.  Derived lazily from the nested ``ExperimentConfig``
-#: dataclass tree (see :mod:`repro.core.paths`); the historical six flat
-#: names are the top-level subset and remain valid spellings.
-SWEEPABLE_FIELDS: Mapping[str, str] = _SweepablePathMap()
+__all__ = ["GridPoint", "DesignSpace"]
 
 
 def _canonical_parameter(name: str) -> str:
@@ -155,7 +117,7 @@ class DesignSpace:
 
     @classmethod
     def single_sweep(cls, parameter: str, values: Sequence[object]) -> "DesignSpace":
-        """One-axis grid — the legacy ``sweep_parameter`` shape."""
+        """One-axis grid."""
         return cls.grid({parameter: values})
 
     def __len__(self) -> int:

@@ -41,13 +41,14 @@ class NocPowerConfig:
 
     Beyond the power roll-up knobs, this carries the *simulated
     workload*: mesh shape, traffic pattern/rate/seed and the simulation
-    length — so one :class:`~repro.core.config.ExperimentConfig` fully
-    describes a network-level experiment and every knob is sweepable as
-    a ``noc.*`` dotted path (benchmarks build their meshes and traffic
-    from these fields via :meth:`build_mesh` / :meth:`build_traffic` /
-    :meth:`simulate` instead of hard-coding constants).
+    length — so one config fully describes a network-level experiment
+    (benchmarks build their meshes and traffic from these fields via
+    :meth:`build_mesh` / :meth:`build_traffic` / :meth:`simulate`
+    instead of hard-coding constants).  It is not part of
+    :class:`~repro.core.config.ExperimentConfig`: the Table-1 records do
+    not depend on it.
     ``traffic_pattern`` is the string value of a
-    :class:`~repro.noc.traffic.TrafficPattern` so the config tree stays
+    :class:`~repro.noc.traffic.TrafficPattern` so the config stays
     JSON-safe; hotspot traffic pins its hotspot to node ``(0, 0)``.
     """
 
@@ -141,12 +142,7 @@ class NocPowerModel:
 
     def __init__(self, scheme: CrossbarScheme, config: NocPowerConfig | None = None) -> None:
         self.scheme = scheme
-        if config is None:
-            # Inherit the structural buffer depth declared on the crossbar
-            # config (sweepable as "crossbar.input_buffer_depth"); an
-            # explicit NocPowerConfig still overrides everything.
-            config = NocPowerConfig(buffer_depth=scheme.config.input_buffer_depth)
-        self.config = config
+        self.config = config if config is not None else NocPowerConfig()
         self.library = scheme.library
 
     # -- per-component building blocks ------------------------------------------------

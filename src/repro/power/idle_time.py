@@ -44,11 +44,6 @@ class IdleTimeAnalysis:
         return 1.0 / self.clock_frequency
 
     @property
-    def energy_saved_per_cycle(self) -> float:
-        """Leakage energy saved per standby cycle (joules)."""
-        return self.power_saved_in_standby * self.clock_period
-
-    @property
     def break_even_cycles(self) -> float:
         """Exact (fractional) break-even idle length in cycles."""
         return break_even_cycles(self.transition_energy, self.power_saved_in_standby,
@@ -60,11 +55,6 @@ class IdleTimeAnalysis:
         (see :func:`minimum_idle_cycles`)."""
         return minimum_idle_cycles(self.scheme, self.transition_energy,
                                    self.power_saved_in_standby, self.clock_frequency)
-
-    @property
-    def minimum_idle_time_seconds(self) -> float:
-        """Minimum idle duration in seconds."""
-        return self.minimum_idle_cycles * self.clock_period
 
 
 def break_even_cycles(transition_energy: float, power_saved_in_standby: float,

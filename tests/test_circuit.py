@@ -24,6 +24,7 @@ from repro.circuit import (
     switching_energy,
 )
 from repro.circuit.devices import DeviceInstance
+from repro.circuit.leakage import AffineLeakage
 from repro.errors import CircuitError, PowerError
 from repro.technology import Polarity, VtFlavor
 
@@ -116,9 +117,11 @@ class TestGates:
 
     def test_inverter_average_leakage_between_extremes(self, library):
         inverter = Inverter(library, 1e-6, 2e-6)
-        average = inverter.average_leakage(0.5).total
-        assert min(inverter.leakage(True).total, inverter.leakage(False).total) < average
-        assert average < max(inverter.leakage(True).total, inverter.leakage(False).total)
+        high, low = inverter.leakage(True), inverter.leakage(False)
+        states = AffineLeakage(LeakageBreakdown.zero(), high, low)
+        average = states.mixed_at(states, 1.0, 0.5).total
+        assert min(high.total, low.total) < average < max(high.total, low.total)
+        assert average == pytest.approx(0.5 * (high.total + low.total))
 
     def test_asymmetric_vt_inverter_leaks_less_in_matching_state(self, library):
         symmetric = Inverter(library, 1e-6, 2e-6)

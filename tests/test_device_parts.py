@@ -38,7 +38,6 @@ from inputs import structural_block  # noqa: E402
 PERTURBATIONS = {
     "crossbar.port_count": 6,
     "crossbar.flit_width": 64,
-    "crossbar.input_buffer_depth": 8,
     "crossbar.allow_self_connection": True,
     "crossbar.wire_layer": "global",
     "crossbar.layout_overhead": 1.25,

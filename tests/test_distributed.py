@@ -24,7 +24,7 @@ import pytest
 
 import repro
 from repro.core.config import ExperimentConfig
-from repro.core.paths import PATH_SEPARATOR, get_path, sweepable_paths
+from repro.core.paths import get_path, sweepable_paths
 from repro.engine import DistributedExecutor, Evaluator
 from repro.engine.distributed import (
     MAX_CHUNK_ITEMS,
@@ -45,7 +45,6 @@ from repro.engine.executor import (
 )
 from repro.engine.worker import serve_connection
 from repro.errors import ConfigurationError, DistributedError
-from repro.noc.noc_power import NocPowerConfig
 
 SCHEMES = ("SC", "SDPC")
 
@@ -148,13 +147,10 @@ _WIRE_SCALARS = (bool, int, float, str, type(None))
 def registry_walk_to_wire(config: ExperimentConfig) -> dict[str, object]:
     """The reference encoder: one ``get_path`` pair per registry path."""
     base = ExperimentConfig()
-    noc_prefix = "noc" + PATH_SEPARATOR
     overrides: dict[str, object] = {}
     for path in sweepable_paths():
-        if path.startswith(noc_prefix) and config.noc is None:
-            continue
         value = get_path(config, path)
-        if path.startswith(noc_prefix) or value != get_path(base, path):
+        if value != get_path(base, path):
             if not isinstance(value, _WIRE_SCALARS):
                 raise DistributedError(
                     f"config leaf {path!r} holds non-JSON-safe {value!r}"
@@ -171,28 +167,20 @@ class TestConfigWire:
         config = ExperimentConfig().with_overrides(**{
             "crossbar.port_count": 7,
             "static_probability": 0.3,
-            "noc.injection_rate": 0.25,
-            "noc.gating_policy.wakeup_cycles": 2,
         })
         wire = config_to_wire(config)
-        assert wire["crossbar.port_count"] == 7
-        # A materialised noc branch ships whole so the worker
-        # materialises it too.
-        assert wire["noc.mesh_columns"] == 4
+        assert wire == {"static_probability": 0.3, "crossbar.port_count": 7}
         assert config_from_wire(wire) == config
 
     def test_flat_config_round_trips_without_noc(self):
         config = ExperimentConfig(temperature_celsius=55.0)
         wire = config_to_wire(config)
-        assert not any(path.startswith("noc.") for path in wire)
-        rebuilt = config_from_wire(wire)
-        assert rebuilt == config and rebuilt.noc is None
+        assert wire == {"temperature_celsius": 55.0}
+        assert config_from_wire(wire) == config
 
     def test_encoder_matches_the_registry_walk_definition(self):
         rng = random.Random(20051)
-        configs = [ExperimentConfig(),
-                   ExperimentConfig(noc=NocPowerConfig()),
-                   ExperimentConfig().with_overrides(**{"noc.injection_rate": 0.1})]
+        configs = [ExperimentConfig()]
         for _ in range(40):
             overrides = {
                 "crossbar.port_count": rng.choice((2, 3, 5, 8)),
@@ -202,8 +190,6 @@ class TestConfigWire:
                 "static_probability": rng.choice((0.5, rng.random())),
                 "temperature_celsius": rng.choice((110.0, 25.0)),
             }
-            if rng.random() < 0.3:
-                overrides["noc.gating_policy.wakeup_cycles"] = rng.choice((1, 2))
             keep = rng.sample(sorted(overrides), rng.randint(1, len(overrides)))
             configs.append(ExperimentConfig().with_overrides(
                 **{path: overrides[path] for path in keep}))
@@ -211,9 +197,6 @@ class TestConfigWire:
             wire = config_to_wire(config)
             assert list(wire.items()) == list(registry_walk_to_wire(config).items())
         assert config_to_wire(ExperimentConfig()) == {}
-        all_default_noc = config_to_wire(ExperimentConfig(noc=NocPowerConfig()))
-        assert all_default_noc and all(path.startswith("noc.") for path in all_default_noc)
-        assert config_from_wire(all_default_noc).noc == NocPowerConfig()
 
     def test_non_json_safe_leaf_is_refused_like_the_registry_walk(self):
         from fractions import Fraction

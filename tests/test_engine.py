@@ -11,7 +11,7 @@ import pytest
 
 from repro import ExperimentConfig, paper_experiment
 from repro.analysis import sweep_table
-from repro.analysis.sweep import SweepSeries, crossover_point, crossover_points
+from repro.analysis.sweep import SweepSeries, crossover_points
 from repro.core.comparison import point_records
 from repro.engine import (
     DesignSpace,
@@ -416,7 +416,6 @@ class TestCache:
     def test_nested_config_round_trips_through_disk(self, tmp_path):
         nested = ExperimentConfig().with_overrides(**{
             "crossbar.port_count": 7,
-            "noc.link_length": 2.0e-3,
         })
         key = point_key(nested, SCHEMES)
         writer = EvaluationCache(directory=tmp_path / "cache")
@@ -425,8 +424,8 @@ class TestCache:
         assert reader.get(key).records == [{"scheme": "SC", "p": 7}]
 
     def test_key_ignores_default_extension_fields(self, monkeypatch):
-        """Flat-only points keep their PR-1 cache keys: the optional noc
-        branch and new crossbar fields only enter the key when set."""
+        """The paper point keeps the cache key it has always had, so
+        existing disk caches stay valid."""
         import repro
 
         # Pin the version the golden hash was captured under, so routine
@@ -435,13 +434,6 @@ class TestCache:
         base = point_key(ExperimentConfig(), SCHEMES)
         assert base == ("bd609d6dacd12aac0807b920269863c91337550c30a095"
                         "bd5c61f573ec6c500d")  # golden, captured pre-refactor
-        explicit_defaults = ExperimentConfig().with_overrides(**{
-            "crossbar.input_buffer_depth": 4})
-        assert point_key(explicit_defaults, SCHEMES) == base
-        assert point_key(ExperimentConfig().with_overrides(**{
-            "crossbar.input_buffer_depth": 8}), SCHEMES) != base
-        assert point_key(ExperimentConfig().with_overrides(**{
-            "noc.buffer_depth": 4}), SCHEMES) != base  # branch materialised
 
     def test_key_hashes_the_canonical_config_payload(self):
         """point_key assembles its canonical text piecewise; it must hash
@@ -467,9 +459,7 @@ class TestCache:
         configs = [
             base,
             base.with_overrides(static_probability=0.125, toggle_activity=1.0),
-            base.with_overrides(**{"crossbar.port_count": 7,
-                                   "noc.link_length": 2.0e-3}),
-            base.with_overrides(**{"crossbar.input_buffer_depth": 8}),
+            base.with_overrides(**{"crossbar.port_count": 7}),
             base.with_overrides(**{"crossbar.layout_overhead": 1}),
             base.with_overrides(**{"crossbar.layout_overhead": 1.0}),
             ExperimentConfig(crossbar=CrossbarConfig()),
@@ -765,26 +755,20 @@ class TestNestedAxes:
         with pytest.raises(ReproError, match="crossbar.port_count"):
             space.configs()
 
-    def test_noc_axis_materialises_branch(self):
-        space = DesignSpace.grid({"noc.link_length": [1.0e-3, 2.0e-3]})
-        configs = space.configs()
-        assert [c.noc.link_length for c in configs] == [1.0e-3, 2.0e-3]
-
     def test_flat_sweep_tables_unchanged_by_path_refactor(self):
-        """Flat-field sweeps must render byte-identically whether driven
-        through sweep_parameter or the engine grid (same points, same
-        order, same cache identity)."""
-        from repro import sweep_parameter
-
+        """A flat-field sweep through the engine grid yields, point by
+        point and in grid order, the records of evaluating each point on
+        its own."""
         values = [0.2, 0.8]
-        legacy = sweep_parameter("static_probability", values,
-                                 scheme_names=SCHEMES)
-        legacy_series = legacy.series("SDPC", "total_power_mw")
         results = Evaluator(scheme_names=SCHEMES).evaluate_grid(
             {"static_probability": values})
-        engine_series = results.series("SDPC", "total_power_mw")
-        assert legacy_series == engine_series
-
+        separate = [point_records(ExperimentConfig().with_overrides(
+            static_probability=value), SCHEMES) for value in values]
+        assert [list(point.records) for point in results.points] == separate
+        assert results.series("SDPC", "total_power_mw") == [
+            (value, next(record["total_power_mw"] for record in records
+                         if record["scheme"] == "SDPC"))
+            for value, records in zip(values, separate)]
 
 class TestStructuralMemoisation:
     def test_schemes_reused_across_non_structural_points(self):
@@ -823,13 +807,11 @@ class TestCrossoverBugfix:
         wave = SweepSeries("wave", xs, (-1.0, 1.0, -1.0, 1.0))
         flat = SweepSeries("flat", xs, (0.0, 0.0, 0.0, 0.0))
         assert crossover_points(wave, flat) == (0.5, 1.5, 2.5)
-        with pytest.raises(ReproError, match="3 times"):
-            crossover_point(wave, flat)
 
     def test_single_crossing_still_returned(self):
         a = SweepSeries("a", (0.0, 1.0), (0.0, 2.0))
         b = SweepSeries("b", (0.0, 1.0), (1.0, 1.0))
-        assert crossover_point(a, b) == pytest.approx(0.5)
+        assert crossover_points(a, b) == pytest.approx((0.5,))
 
     def test_nan_values_rejected(self):
         with pytest.raises(ReproError, match="NaN"):

@@ -85,12 +85,7 @@ def edge_configs() -> list[ExperimentConfig]:
         base.with_overrides(temperature_celsius=float("inf")),
         base.with_overrides(clock_frequency=float("inf")),
         base.with_overrides(temperature_celsius=float("nan")),
-        base.with_overrides(**{"noc.gating_policy.wakeup_cycles": 3}),
-        base.with_overrides(**{"noc.link_length": 2.0e-3,
-                               "noc.gating_policy.idle_detect_cycles": 8,
-                               "crossbar.port_count": 6}),
-        base.with_overrides(**{"crossbar.input_buffer_depth": 8}),
-        base.with_overrides(**{"crossbar.input_buffer_depth": 4}),
+        base.with_overrides(**{"crossbar.port_count": 6}),
         base.with_overrides(crossbar=CrossbarConfig(port_count=4, flit_width=64)),
         base.with_overrides(crossbar=CrossbarConfig(port_count=4),
                             **{"crossbar.flit_width": 32}),
@@ -167,7 +162,7 @@ def _invalid(default):
 
 def test_every_leaf_alone_matches_the_fold():
     base = ExperimentConfig()
-    for path, default, _ in leaf_layout():
+    for path, default in leaf_layout():
         for value in (_alternative(default), _invalid(default)):
             overrides = {path: value}
             expected = outcome(fold, base, overrides)
@@ -178,12 +173,12 @@ def test_random_pairs_and_triples_of_leaves_match_the_fold():
     rng = random.Random(15)
     layout = leaf_layout()
     bases = [ExperimentConfig(),
-             ExperimentConfig().with_overrides(**{"noc.link_length": 2.0e-3})]
+             ExperimentConfig().with_overrides(**{"crossbar.port_count": 6})]
     for size in (2, 3):
         for _ in range(400):
             picks = rng.sample(layout, size)
             overrides = {path: rng.choice((_alternative, _invalid))(default)
-                         for path, default, _ in picks}
+                         for path, default in picks}
             for base in bases:
                 expected = outcome(fold, base, overrides)
                 actual = outcome(lambda: base.with_overrides(**overrides))
@@ -208,22 +203,9 @@ def test_direct_sub_config_composes_with_its_dotted_leaves():
         config = ExperimentConfig().with_overrides(**overrides)
         assert config == fold(ExperimentConfig(), overrides)
         assert config.crossbar.port_count == 6
-    for overrides in ({"crossbar": None, "crossbar.port_count": 6},
-                      {"noc": 5, "noc.link_length": 1.0e-3}):
-        assert outcome(lambda: ExperimentConfig().with_overrides(**overrides)) == \
-            outcome(fold, ExperimentConfig(), overrides)
-
-
-def test_two_level_leaf_materialises_an_unset_branch():
-    base = ExperimentConfig()
-    assert base.noc is None
-    overrides = {"noc.gating_policy.wakeup_cycles": 3, "noc.buffer_depth": 6,
-                 "noc.gating_policy.idle_detect_cycles": 9}
-    config = base.with_overrides(**overrides)
-    assert config == fold(base, overrides)
-    assert config.noc.gating_policy.wakeup_cycles == 3
-    assert config.noc.gating_policy.idle_detect_cycles == 9
-    assert config.noc.buffer_depth == 6
+    overrides = {"crossbar": None, "crossbar.port_count": 6}
+    assert outcome(lambda: ExperimentConfig().with_overrides(**overrides)) == \
+        outcome(fold, ExperimentConfig(), overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +219,6 @@ def test_wire_round_trip_rebuilds_the_config():
                 if config == config]  # NaN leaves never compare equal
     for config in configs:
         assert config_from_wire(config_to_wire(config)) == config
-    noc = base.with_overrides(**{"noc.buffer_depth": 4})
-    assert config_from_wire(config_to_wire(noc)).noc is not None
 
 
 def test_scalar_only_items_share_the_default_crossbar():

@@ -3,12 +3,44 @@ nested-override surface of ExperimentConfig."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro import ExperimentConfig, describe_path, get_path, set_path, sweepable_paths
+from repro import (
+    ExperimentConfig,
+    describe_path,
+    get_path,
+    paper_experiment,
+    set_path,
+    sweepable_paths,
+)
+from repro.core.comparison import point_records
 from repro.core.paths import leaf_layout, normalize_path, path_aliases
 from repro.crossbar.ports import CrossbarConfig
 from repro.errors import ConfigurationError, CrossbarError
+
+from test_device_parts import PERTURBATIONS
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: One valid non-default value for every top-level path; the crossbar
+#: paths take theirs from the device-part tests.
+TOP_LEVEL_PERTURBATIONS = {
+    "technology_node": "32nm",
+    "temperature_celsius": 25.0,
+    "corner": "FF",
+    "clock_frequency": 2.0e9,
+    "static_probability": 0.3,
+    "toggle_activity": 0.3,
+}
+
+#: Validated, always in the cache key, but read by no record yet: the
+#: timing budget is for a slack-driven Vt assignment (ROADMAP).
+UNREAD_PATHS = {"crossbar.timing_budget_fraction"}
 
 
 class TestGetSetPath:
@@ -18,25 +50,12 @@ class TestGetSetPath:
         assert get_path(config, "crossbar.flit_width") == 128
         assert get_path(config, "crossbar") is config.crossbar
 
-    def test_get_unset_optional_branch_reads_defaults(self):
-        config = ExperimentConfig()
-        assert config.noc is None
-        assert get_path(config, "noc.buffer_depth") == 4
-        assert get_path(config, "noc.gating_policy.idle_detect_cycles") == 4
-
     def test_set_returns_new_config_and_leaves_original(self):
         config = ExperimentConfig()
         updated = set_path(config, "crossbar.port_count", 9)
         assert updated.crossbar.port_count == 9
         assert config.crossbar.port_count == 5
         assert updated.crossbar.flit_width == config.crossbar.flit_width
-
-    def test_set_materialises_optional_branch(self):
-        config = ExperimentConfig()
-        updated = set_path(config, "noc.gating_policy.wakeup_cycles", 2)
-        assert config.noc is None
-        assert updated.noc.gating_policy.wakeup_cycles == 2
-        assert updated.noc.buffer_depth == 4  # rest of the branch defaulted
 
     def test_unknown_segment_names_the_path(self):
         with pytest.raises(ConfigurationError, match="crossbar.bogus"):
@@ -51,8 +70,6 @@ class TestGetSetPath:
     def test_set_revalidates_and_names_the_path(self):
         with pytest.raises(CrossbarError, match="crossbar.port_count"):
             set_path(ExperimentConfig(), "crossbar.port_count", 0)
-        with pytest.raises(CrossbarError, match="crossbar.input_buffer_depth"):
-            CrossbarConfig(input_buffer_depth=0)
 
 
 class TestRegistry:
@@ -63,43 +80,46 @@ class TestRegistry:
             "static_probability",
             "crossbar.port_count",
             "crossbar.flit_width",
-            "crossbar.input_buffer_depth",
-            "noc.link_length",
-            "noc.gating_policy.wakeup_cycles",
         ):
             assert expected in paths
         # Interior nodes are not sweepable as a whole.
         assert "crossbar" not in paths
-        assert "noc" not in paths
+        # Six top-level scalars and the crossbar's 21 leaves; the network
+        # model's parameters are not part of the Table-1 config.
+        assert len(paths) == 27
+        assert not any(path.startswith("noc.") for path in paths)
 
     def test_leaf_layout_follows_the_registry_with_defaults(self):
         root = ExperimentConfig()
         layout = leaf_layout()
-        assert [path for path, _, _ in layout] == list(sweepable_paths())
-        for path, default, branch in layout:
+        assert [path for path, _ in layout] == list(sweepable_paths())
+        for path, default in layout:
             assert default == get_path(root, path)
-            assert branch == ("noc" if path.startswith("noc.") else None)
 
     def test_aliases_are_unambiguous(self):
         aliases = path_aliases()
         assert aliases["port_count"] == "crossbar.port_count"
         assert aliases["flit_width"] == "crossbar.flit_width"
-        # static_probability exists both flat and under noc: the flat
-        # spelling is canonical, so no alias may shadow it.
+        # The flat spelling is canonical, so no alias may shadow it.
         assert "static_probability" not in aliases
         assert normalize_path("static_probability") == "static_probability"
+        # Every crossbar leaf answers to its bare name.
+        assert aliases == {path.rsplit(".", 1)[-1]: path
+                           for path in sweepable_paths() if "." in path}
 
-    def test_network_level_paths_have_no_aliases(self):
-        """A shorthand like 'buffer_depth' silently landing on a knob the
-        Table-1 comparison never reads would masquerade as a no-op sweep;
-        network-level paths must be spelled out in full."""
-        aliases = path_aliases()
-        assert "buffer_depth" not in aliases
-        assert "link_length" not in aliases
-        assert "input_buffer_depth" not in aliases
-        with pytest.raises(ConfigurationError, match="sweepable"):
-            normalize_path("buffer_depth")
-        assert normalize_path("noc.buffer_depth") == "noc.buffer_depth"
+    def test_paths_that_change_no_record_are_unknown(self):
+        """The network model's knobs and the router buffer depth are no
+        part of the Table-1 config: naming one is an error, not a sweep
+        that splits the cache while every answer stays the same."""
+        for name in ("noc.link_length", "noc.gating_policy.wakeup_cycles",
+                     "crossbar.input_buffer_depth", "input_buffer_depth",
+                     "buffer_depth"):
+            with pytest.raises(ConfigurationError, match="sweepable"):
+                normalize_path(name)
+            with pytest.raises(ConfigurationError):
+                ExperimentConfig().with_overrides(**{name: 4})
+        with pytest.raises(ConfigurationError, match="input_buffer_depth"):
+            set_path(ExperimentConfig(), "crossbar.input_buffer_depth", 4)
 
     def test_normalize_rejects_unknown_with_sweepable_list(self):
         with pytest.raises(ConfigurationError, match="sweepable"):
@@ -107,16 +127,6 @@ class TestRegistry:
 
     def test_describe_path_accepts_aliases(self):
         assert describe_path("crossbar.port_count") == describe_path("port_count")
-
-    def test_network_level_paths_are_annotated(self):
-        """Paths consumed by NocPowerModel (not the Table-1 comparison)
-        must say so, or a flat sweep over them reads as 'no effect'."""
-        paths = sweepable_paths()
-        assert "network-level" in paths["noc.link_length"]
-        assert "network-level" in paths["noc.gating_policy.wakeup_cycles"]
-        assert "network-level" in paths["crossbar.input_buffer_depth"]
-        assert "network-level" not in paths["crossbar.port_count"]
-        assert "network-level" not in paths["static_probability"]
 
 
 class TestWithOverrides:
@@ -142,3 +152,39 @@ class TestWithOverrides:
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig().with_overrides(oxide_thickness=1.0)
+
+
+PATH_PERTURBATIONS = {**TOP_LEVEL_PERTURBATIONS, **PERTURBATIONS}
+
+
+class TestEveryPathChangesARecord:
+    def test_every_path_has_a_perturbation(self):
+        assert set(PATH_PERTURBATIONS) == {path for path, _ in leaf_layout()}
+
+    @pytest.mark.parametrize("path", sorted(PATH_PERTURBATIONS))
+    def test_every_path_perturbed_at_the_paper_point_changes_the_records(self, path):
+        """A path that changes no record would only split the cache: each
+        value a new key, every answer the same records."""
+        perturbed = paper_experiment().with_overrides(**{path: PATH_PERTURBATIONS[path]})
+        changed = point_records(perturbed) != point_records(paper_experiment())
+        assert changed == (path not in UNREAD_PATHS)
+
+    def test_evaluating_a_point_leaves_the_network_model_unimported(self):
+        """Neither the evaluator nor the service loads ``repro.noc``."""
+        probe = (
+            "import asyncio, sys\n"
+            "from repro.engine import Evaluator\n"
+            "from repro.engine.service import EvaluationService\n"
+            "Evaluator(scheme_names=['SC', 'SDPC']).evaluate_grid("
+            "{'crossbar.port_count': [4], 'static_probability': [0.3]})\n"
+            "async def serve():\n"
+            "    service = EvaluationService(scheme_names=['SC', 'SDPC'], executor='serial')\n"
+            "    await service.evaluate({'toggle_activity': 0.2})\n"
+            "    await service.stop()\n"
+            "asyncio.run(serve())\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['repro', 'noc']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        output = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=60, check=True)
+        assert output.stdout.strip() == "[]"

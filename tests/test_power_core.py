@@ -6,14 +6,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import describe_output_path, describe_segmentation, render_table
-from repro.analysis.sweep import SweepSeries, crossover_point, run_sweep
+from repro.analysis.sweep import SweepSeries, crossover_points, run_sweep
 from repro.core import (
     ExperimentConfig,
     SchemeEvaluator,
     compare_schemes,
     paper_experiment,
-    sweep_parameter,
 )
+from repro.engine import Evaluator
 from repro.errors import ConfigurationError, PowerError, ReproError
 from repro.power import (
     analyse_dynamic,
@@ -90,7 +90,7 @@ class TestMinimumIdleTime:
 
     def test_minimum_idle_time_seconds(self, schemes):
         analysis = analyse_minimum_idle_time(schemes["SC"])
-        assert analysis.minimum_idle_time_seconds == pytest.approx(
+        assert analysis.minimum_idle_cycles * analysis.clock_period == pytest.approx(
             analysis.minimum_idle_cycles / 3e9
         )
 
@@ -199,25 +199,26 @@ class TestSchemeEvaluatorAndComparison:
 
 class TestDesignSpace:
     def test_temperature_sweep_changes_leakage_not_ordering(self):
-        result = sweep_parameter("temperature_celsius", [25.0, 110.0],
-                                 scheme_names=["SC", "SDPC"])
-        series = result.series("SDPC", "active_leakage_saving_percent")
-        assert len(series) == 2
+        results = Evaluator(scheme_names=["SC", "SDPC"]).evaluate_grid(
+            {"temperature_celsius": [25.0, 110.0]})
+        series = results.series("SDPC", "active_leakage_saving_percent")
+        assert [temperature for temperature, _ in series] == [25.0, 110.0]
         for _, saving in series:
             assert saving > 0
 
     def test_sweep_rejects_unknown_parameter(self):
         with pytest.raises(ConfigurationError):
-            sweep_parameter("oxide_thickness", [1, 2])
+            Evaluator().evaluate_grid({"oxide_thickness": [1, 2]})
 
     def test_sweep_rejects_empty_values(self):
         with pytest.raises(ConfigurationError):
-            sweep_parameter("corner", [])
+            Evaluator().evaluate_grid({"corner": []})
 
     def test_series_unknown_metric_rejected(self):
-        result = sweep_parameter("static_probability", [0.5], scheme_names=["SC", "DPC"])
-        with pytest.raises(ConfigurationError):
-            result.series("DPC", "bogus_metric")
+        results = Evaluator(scheme_names=["SC", "DPC"]).evaluate_grid(
+            {"static_probability": [0.5]})
+        with pytest.raises(ConfigurationError, match="bogus_metric"):
+            results.series("DPC", "bogus_metric")
 
 
 class TestAnalysisHelpers:
@@ -232,18 +233,18 @@ class TestAnalysisHelpers:
     def test_run_sweep_and_crossover(self):
         rising = run_sweep("rising", [0, 1, 2, 3], lambda x: float(x))
         falling = run_sweep("falling", [0, 1, 2, 3], lambda x: 3.0 - x)
-        assert crossover_point(rising, falling) == pytest.approx(1.5)
+        assert crossover_points(rising, falling) == pytest.approx((1.5,))
 
     def test_crossover_none_when_no_intersection(self):
         a = SweepSeries("a", (0.0, 1.0), (5.0, 6.0))
         b = SweepSeries("b", (0.0, 1.0), (1.0, 2.0))
-        assert crossover_point(a, b) is None
+        assert crossover_points(a, b) == ()
 
     def test_crossover_requires_same_grid(self):
         a = SweepSeries("a", (0.0, 1.0), (5.0, 6.0))
         b = SweepSeries("b", (0.0, 2.0), (1.0, 2.0))
         with pytest.raises(ReproError):
-            crossover_point(a, b)
+            crossover_points(a, b)
 
     def test_describe_output_path_matches_scheme_features(self, schemes):
         structure = describe_output_path(schemes["DPC"])

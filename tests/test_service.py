@@ -315,6 +315,32 @@ def test_http_round_trip_and_structured_http_errors():
     assert status_405 == 405 and wrong_method["error"] == "method-not-allowed"
 
 
+def test_http_paths_that_change_no_record_are_unknown():
+    """A query naming the network model's knobs or the router buffer
+    depth is refused: they change no record, so an answer would be the
+    default point's records under a key of its own."""
+    async def scenario():
+        service = make_service(flush_interval=0.01)
+        server = await EvaluationServer(service, port=0).start()
+        client = ServiceClient("127.0.0.1", server.port)
+        answers = [await client._request("POST", "/evaluate", {"overrides": overrides})
+                   for overrides in ({"noc.link_length": 2.0e-3},
+                                     {"crossbar.input_buffer_depth": 8})]
+        paths = await client.paths()
+        await server.stop()
+        await service.stop()
+        return answers, paths, service.stats
+
+    answers, paths, stats = asyncio.run(scenario())
+    for (status, payload), path in zip(answers, ("noc.link_length",
+                                                 "crossbar.input_buffer_depth")):
+        assert status == 400
+        assert payload["error"] == "unknown-path" and payload["path"] == path
+    assert stats.invalid_requests == 2 and stats.evaluated == 0
+    assert len(paths) == 27
+    assert all(set(record) == {"path", "note", "aliases", "default"} for record in paths)
+
+
 def test_http_front_rejects_malformed_json_and_requests():
     async def scenario():
         service = make_service()
