@@ -34,4 +34,13 @@ python examples/distributed.py > /dev/null
 echo "==> Example smoke: network simulation, power gating and NoC power roll-up"
 python examples/noc_power_gating.py > /dev/null
 
+echo "==> Example smoke: object API (quickstart, Table 1, segmentation, design space, grid)"
+for example in quickstart crossbar_comparison segmentation_study \
+               design_space_exploration grid_exploration; do
+    python "examples/${example}.py" > /dev/null
+done
+
+echo "==> Calibration report smoke (object API scalars against the paper)"
+python scripts/calibration_report.py > /dev/null
+
 echo "==> CI gate passed"

@@ -14,7 +14,7 @@ Three dynamic components matter for the paper's Table 1:
 * **Pre-charge energy** of the DPC/SDPC schemes: every cycle in which
   the output was left low, the pre-charge device must pull the wire back
   to Vdd (a :func:`switching_energy` weighted by the probability of the
-  "0" state in the scheme's activity profile), which is why the paper
+  "0" state in the scheme's record terms), which is why the paper
   quotes 50 % static probability as the worst case.
 """
 
@@ -23,10 +23,18 @@ from __future__ import annotations
 from ..errors import PowerError
 
 __all__ = [
+    "check_frequency",
     "switching_energy",
     "dynamic_power",
     "contention_energy",
 ]
+
+
+def check_frequency(frequency: float) -> None:
+    """Refuse a clock that is not a positive number (NaN included): the
+    one frequency check of every power analysis."""
+    if not frequency > 0:
+        raise PowerError("frequency must be positive")
 
 
 def switching_energy(capacitance: float, supply_voltage: float) -> float:
@@ -56,8 +64,7 @@ def dynamic_power(
     energy-drawing (low-to-high) transition in a given cycle; 0.5
     corresponds to random data toggling every other cycle on average.
     """
-    if frequency <= 0:
-        raise PowerError("frequency must be positive")
+    check_frequency(frequency)
     if not 0.0 <= activity_factor <= 1.0:
         raise PowerError(f"activity factor must be in [0, 1], got {activity_factor}")
     return switching_energy(capacitance, supply_voltage) * frequency * activity_factor

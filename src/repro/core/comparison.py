@@ -9,14 +9,23 @@ Two entry points produce the same records:
 
 * :func:`compare_schemes` builds the object API — a
   :class:`SchemeComparison` of per-scheme evaluations and savings, with
-  the rendered table — and is the reference the record path is tested
-  against;
-* :func:`point_records` is the engine's record path: it computes every
-  Table 1 figure from each built scheme's record terms, reusing what the
+  the rendered table;
+* :func:`point_records` is the engine's record path: it reuses what the
   structure's record plan holds (the structure constants and the
-  leakage of the last static probability), and writes the record dicts
+  leakage of the last static probability) and writes the record dicts
   directly, bit-identical to ``compare_schemes(...).as_records()``
   without the intermediate analysis objects.
+
+Both take each scheme's figures from one function,
+:func:`~repro.power.savings.scheme_figures`, over the scheme's record
+terms: one formula set.  What differs, and so what their exact parity
+(``tests/test_point_records.py``) still checks, is the rest:
+:func:`compare_schemes` builds no structure memo or record plan, takes
+the leakage powers of its records from the
+:class:`~repro.power.LeakageAnalysis` breakdowns, and computes savings,
+delay penalties and minimum idle cycles through the analysis objects.
+``tests/golden/comparison_records.json`` pins both to the records of
+the earlier, separately derived object API.
 """
 
 from __future__ import annotations
@@ -25,11 +34,16 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import copysign
 
-from ..crossbar.base import CrossbarScheme, record_dynamic_power
+from ..crossbar.base import CrossbarScheme, record_dynamic_energy
 from ..errors import ConfigurationError, PowerError
 from ..power.idle_time import minimum_idle_cycles
 from ..power.report import format_table1
-from ..power.savings import SchemeEvaluation, SchemeSavings, savings_versus_baseline
+from ..power.savings import (
+    SchemeEvaluation,
+    SchemeSavings,
+    check_toggle_activity,
+    savings_versus_baseline,
+)
 from ..units import seconds_to_picoseconds, watts_to_milliwatts
 from . import scheme_evaluator
 from .config import ExperimentConfig
@@ -38,7 +52,6 @@ from .scheme_evaluator import (
     SchemeEvaluator,
     SchemeFigures,
     SchemeResult,
-    check_toggle_activity,
     checked_names,
 )
 
@@ -151,7 +164,8 @@ def point_records(
     float bits, so ``0.0`` and ``-0.0`` differ) and whose baseline is
     the slot's reads every figure but the total power from the slot and
     computes only the dynamic power
-    (:func:`~repro.crossbar.base.record_dynamic_power`).  Any other
+    (:func:`~repro.crossbar.base.record_dynamic_energy` times the
+    clock).  Any other
     point evaluates each scheme (:func:`evaluate_scheme
     <repro.core.scheme_evaluator.evaluate_scheme>`, once per scheme in
     order), then refills the slot and, for a new baseline, the plan's
@@ -170,7 +184,7 @@ def point_records(
         # Every check but these two passed when the slot was filled.
         toggle, clock = config.toggle_activity, config.clock_frequency
         check_toggle_activity(toggle)
-        totals = [record_dynamic_power(row[1], p, toggle, clock) + row[6] for row in rows]
+        totals = [record_dynamic_energy(row[1], p, toggle) * clock + row[6] for row in rows]
         if len(rows) > 1:
             _check_baseline_total(totals[baseline_index])
         return _write_records(rows, totals)

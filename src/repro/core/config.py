@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, fields, replace
+from math import inf
 
 from ..crossbar.ports import CrossbarConfig
 from ..errors import ConfigurationError
 from ..technology.library import TechnologyLibrary, default_library_for_node
+from ..units import ZERO_CELSIUS_IN_KELVIN
 from .paths import normalize_path, set_path
 
 __all__ = ["ExperimentConfig", "paper_experiment"]
@@ -40,8 +42,16 @@ class ExperimentConfig:
     crossbar: CrossbarConfig = field(default_factory=CrossbarConfig)
 
     def __post_init__(self) -> None:
-        if self.clock_frequency <= 0:
-            raise ConfigurationError("clock frequency must be positive")
+        # Every check passes only a valid value, so NaN (which fails every
+        # comparison) and the infinities are refused with the rest;
+        # CrossbarConfig refuses them at the crossbar's leaves.
+        if not -ZERO_CELSIUS_IN_KELVIN < self.temperature_celsius < inf:
+            raise ConfigurationError(
+                f"temperature_celsius must be a finite number above absolute zero "
+                f"({-ZERO_CELSIUS_IN_KELVIN} °C), got {self.temperature_celsius}")
+        if not 0 < self.clock_frequency < inf:
+            raise ConfigurationError(
+                f"clock_frequency must be positive and finite, got {self.clock_frequency}")
         for name in ("static_probability", "toggle_activity"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -8,9 +8,13 @@ engine, benchmarks and examples consume:
   :class:`~repro.power.savings.SchemeEvaluation` plus the structural
   inventory (the object API behind
   :func:`~repro.core.comparison.compare_schemes`);
-* :func:`evaluate_scheme` — a built scheme's :class:`SchemeFigures`,
-  every Table 1 figure computed once from its record terms (the record
-  path behind :func:`~repro.core.comparison.point_records`).
+* :func:`evaluate_scheme` — a built scheme's :class:`SchemeFigures`
+  alone (the record path behind
+  :func:`~repro.core.comparison.point_records`).
+
+Both compute a scheme's figures with one function,
+:func:`~repro.power.savings.scheme_figures`, from the scheme's record
+terms: one formula set and one validation order.
 
 Structural memoisation
 ----------------------
@@ -79,7 +83,7 @@ from ..circuit.netlist import NetlistStatistics
 from ..crossbar.base import DEVICE_PART_FIELDS, CrossbarScheme, SchemeFigures
 from ..crossbar.factory import available_schemes, create_scheme
 from ..crossbar.ports import CrossbarConfig
-from ..errors import ConfigurationError, PowerError
+from ..errors import ConfigurationError
 from ..power import savings
 from ..power.savings import SchemeEvaluation
 from ..technology.library import TechnologyLibrary
@@ -478,29 +482,10 @@ class SchemeEvaluator:
         )
 
 
-def check_toggle_activity(toggle: float) -> None:
-    """The toggle-activity check of :func:`evaluate_scheme` and of a
-    point served from its record plan's slot, with the object API's
-    message (:mod:`repro.power.dynamic_analysis`)."""
-    if not 0.0 <= toggle <= 1.0:
-        raise PowerError(f"toggle_activity must be in [0, 1], got {toggle}")
-
-
 def evaluate_scheme(scheme: CrossbarScheme, config: ExperimentConfig) -> SchemeFigures:
-    """Every figure a record needs, from the scheme's record terms
-    (derived once and cached on it): :meth:`CrossbarScheme.figures_from_record_terms
-    <repro.crossbar.base.CrossbarScheme.figures_from_record_terms>`, so
-    the figures of :func:`~repro.power.savings.evaluate_scheme` without
-    its analysis objects, validated in its order: static probability,
-    toggle activity, clock, standby mode."""
-    p, toggle = config.static_probability, config.toggle_activity
-    clock = config.clock_frequency
-    if not 0.0 <= p <= 1.0:
-        raise PowerError(f"static probability must be in [0, 1], got {p}")
-    terms = scheme.record_terms
-    check_toggle_activity(toggle)
-    if clock <= 0:
-        raise PowerError("frequency must be positive")
-    if not scheme.has_sleep_mode:
-        raise PowerError(f"scheme {scheme.name!r} has no standby mode")
-    return scheme.figures_from_record_terms(terms, p, toggle, clock)
+    """Every figure a record needs at ``config``'s operating point:
+    :func:`~repro.power.savings.scheme_figures`, the figures of
+    :func:`~repro.power.savings.evaluate_scheme` without its analysis
+    objects."""
+    return savings.scheme_figures(scheme, config.static_probability,
+                                  config.toggle_activity, config.clock_frequency)

@@ -27,15 +27,12 @@ series resistance, wire pi model, load and keeper contention go through
 :func:`~repro.timing.path.stage_delay`, and a path is the sum of its
 stages.
 
-Activity profile
-----------------
+Activity data
+-------------
 Every analysis depends on the data activity only through two scalars,
 the static probability ``p`` and the toggle activity ``t``; the rest is
-structure.  The first object-API analysis of a built scheme therefore
-derives an :class:`ActivityProfile` — the delays, the standby leakage, the
-capacitance-derived energy terms and each path's leakage split into the
-terms of an affine function of ``p`` — and every activity-dependent
-method is then a few float multiply-adds on it:
+structure.  A built scheme derives its activity-independent terms once
+and every activity point is then a few float multiply-adds on them:
 
 * active and idle leakage are quadratic in ``p`` (the merge-node value
   and the parked input wires both follow it);
@@ -45,35 +42,44 @@ method is then a few float multiply-adds on it:
 
 Device part
 -----------
-The leakage terms of the profile and the high-Vt device fraction depend
-only on the technology point, the scheme's features and Vt plan, the
-device widths and the number of crosspoints per row — not on the flit
-width or the wire geometry.  :meth:`CrossbarScheme.derive_device_part`
-packs them into a flat :class:`array.array` of
-:data:`DEVICE_PART_LENGTH` doubles (layout below), which the structural
-cache shares by value across every crossbar of one library that has
-the same :data:`DEVICE_PART_FIELDS`; the profile is then rebuilt from
-it with the float operations it would have used itself.  The rest of
-the profile — the nine energies and the delay report — is the scheme's
+The leakage terms and the high-Vt device fraction depend only on the
+technology point, the scheme's features and Vt plan, the device widths
+and the number of crosspoints per row — not on the flit width or the
+wire geometry.  :meth:`CrossbarScheme.derive_device_part` packs them
+into a flat :class:`array.array` of :data:`DEVICE_PART_LENGTH` doubles
+(layout below), which the structural cache shares by value across every
+crossbar of one library that has the same :data:`DEVICE_PART_FIELDS`.
+The rest — the nine energies and the delay report — is the scheme's
 geometry (``_geometry``), derived once per scheme as floats.
 
-Record terms
-------------
-A point's Table 1 figures need only a few of those methods.
-:meth:`CrossbarScheme.derive_record_terms` gathers everything they read
-into one tuple (layout below) without building the profile: the path
-leakage is the device part's first 36 doubles as they stand, the
-standby power is float arithmetic on its sleep triple, and the tail is
-the geometry.  :meth:`CrossbarScheme.figures_from_record_terms`
-computes a point's
-:class:`SchemeFigures` from it as straight-line float arithmetic, with
-the operations of the methods it stands in for in their order, so the
-figures are bit-identical to theirs.  It is two halves, each the only
-copy of its formulas: :func:`record_leakage` (everything that depends
-on the static probability alone) and :func:`record_dynamic_power` (the
-switching power, which also depends on the toggle activity and the
-clock).  The engine's record plan reuses the first across the points of
-one static probability and calls the second per point.
+Record terms: one formula set
+-----------------------------
+:meth:`CrossbarScheme.derive_record_terms` gathers every term a
+point's Table 1 figures read into one flat tuple (layout below): the
+path leakage is the device part's first 36 doubles as they stand, the
+standby power is :meth:`~CrossbarScheme.standby_leakage`'s power, and
+the tail is the geometry.  Two functions hold the only copy of the
+activity formulas: :func:`record_leakage` (everything that depends on
+the static probability alone: active and standby leakage power, the
+standby transition energy and the standby saving) and
+:func:`record_dynamic_energy` (the switching energy per cycle, which
+also depends on the toggle activity; times the clock, it is the
+dynamic power).  The engine's record plan reuses the first across the
+points of one static probability and calls the second per point.
+
+The scheme's scalar methods (:meth:`~CrossbarScheme.active_leakage_power`,
+:meth:`~CrossbarScheme.dynamic_energy_per_cycle`,
+:meth:`~CrossbarScheme.sleep_transition_energy`,
+:meth:`~CrossbarScheme.standby_power_saving`, ...) validate their
+arguments and read the cached :attr:`~CrossbarScheme.record_terms`
+through these functions.  The :class:`LeakageBreakdown` methods
+(:meth:`~CrossbarScheme.active_leakage` and its kin) read the same
+device part through :attr:`~CrossbarScheme.path_leakage` objects
+instead, so the mechanism split — and, through
+:class:`~repro.power.LeakageAnalysis`, an independent copy of the
+leakage powers — stays available.  ``tests/golden/comparison_records.json``
+pins the records, ``tests/test_record_terms.py`` holds the terms equal
+to an in-test copy of the older object derivation.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from ..circuit.dynamic import contention_energy, switching_energy
+from ..circuit.dynamic import check_frequency, contention_energy, switching_energy
 from ..circuit.devices import DeviceRole
 from ..circuit.gates import (
     Inverter,
@@ -109,9 +115,9 @@ from ..timing.delay_analysis import DelayReport, contention_factor, pass_rise_pe
 from ..timing.path import stage_delay
 from .ports import CrossbarConfig, PortDirection
 
-__all__ = ["VtPlan", "SchemeFeatures", "ActivityProfile", "SchemeFigures",
-           "CrossbarScheme", "DEVICE_PART_FIELDS", "DEVICE_PART_LENGTH",
-           "record_leakage", "record_dynamic_power"]
+__all__ = ["VtPlan", "SchemeFeatures", "SchemeFigures", "CrossbarScheme",
+           "DEVICE_PART_FIELDS", "DEVICE_PART_LENGTH",
+           "record_leakage", "record_dynamic_energy"]
 
 #: The :class:`CrossbarConfig` fields a scheme's device part reads: the
 #: crosspoint count per row and the widths of every output-path device.
@@ -124,7 +130,7 @@ DEVICE_PART_FIELDS: tuple[str, ...] = (
     "driver2_nmos_width", "driver2_pmos_width",
 )
 
-#: ``(merge_high, granted)`` states of :attr:`ActivityProfile.path_leakage`
+#: ``(merge_high, granted)`` states of :attr:`CrossbarScheme.path_leakage`
 #: in device-part order.
 _PATH_STATES = ((True, True), (True, False), (False, True), (False, False))
 #: Device-part layout: each path state's ``fixed``, ``high`` and ``low``
@@ -138,8 +144,8 @@ DEVICE_PART_LENGTH = _HIGH_VT_OFFSET + 1
 #: counts, then each path state's nine :meth:`AffineLeakage.floats
 #: <repro.circuit.leakage.AffineLeakage.floats>` in ``_PATH_STATES``
 #: order (granted high, idle high, granted low, idle low), then the
-#: standby power, the nine profile energies (``ActivityProfile`` field
-#: order) and the delay report.
+#: standby power, the nine energies (``_geometry`` order) and the delay
+#: report.
 _TERMS_PATHS, _TERMS_WIRES, _TERMS_OUTPUTS = 1, 2, 3
 _TERMS_GRANTED_HIGH, _TERMS_IDLE_HIGH, _TERMS_GRANTED_LOW, _TERMS_IDLE_LOW = 4, 13, 22, 31
 _TERMS_STANDBY_POWER = _TERMS_IDLE_LOW + 9
@@ -151,12 +157,9 @@ def record_leakage(terms: tuple, static_probability: float
                    ) -> tuple[float, float, float, float]:
     """The leakage half of a point's figures from record terms (see
     :meth:`CrossbarScheme.derive_record_terms`), which depends on the
-    static probability alone: the active and standby leakage power, the
-    standby transition energy and the power saved in standby, with the
-    float operations of :meth:`CrossbarScheme.active_leakage_power`,
-    :meth:`~CrossbarScheme.standby_leakage_power`,
-    :meth:`~CrossbarScheme.sleep_transition_energy` and
-    :meth:`~CrossbarScheme.standby_power_saving`.  Unvalidated."""
+    static probability alone: the active and standby leakage power (W),
+    the energy of one standby entry + exit (J) and the leakage power
+    saved in standby relative to idling awake (W).  Unvalidated."""
     p = static_probability
     vdd, paths = terms[0], terms[_TERMS_PATHS]
     mixed_power = AffineLeakage.mixed_power_of_floats
@@ -165,18 +168,20 @@ def record_leakage(terms: tuple, static_probability: float
     idle_power = mixed_power(terms[_TERMS_IDLE_HIGH:_TERMS_GRANTED_LOW],
                              terms[_TERMS_IDLE_LOW:_TERMS_STANDBY_POWER], p, p, paths, vdd)
     standby_power = terms[_TERMS_STANDBY_POWER]
+    # Standby entry + exit: the sleep-control gates, plus the re-charge of
+    # a merge structure parked high before the sleep device discharged it
+    # and the driver-internal node flip that comes with it.
     sleep_control, parked_merge, internal_node = terms[_TERMS_ENERGY + 6:_TERMS_DELAY]
     return (active_power, standby_power,
             (sleep_control + p * parked_merge + p * internal_node) * paths,
             max(idle_power - standby_power, 0.0))
 
 
-def record_dynamic_power(terms: tuple, static_probability: float, toggle_activity: float,
-                         frequency: float) -> float:
-    """The dynamic half of a point's figures from record terms: the
-    switching power, ``dynamic_energy_per_cycle(toggle_activity, p) *
-    frequency`` with its float operations (a scheme's total power is
-    this plus its active leakage power).  Unvalidated."""
+def record_dynamic_energy(terms: tuple, static_probability: float,
+                          toggle_activity: float) -> float:
+    """The whole crossbar's average switching energy per clock cycle (J)
+    from record terms; see :meth:`CrossbarScheme.dynamic_energy_per_cycle`.
+    Unvalidated."""
     p = static_probability
     precharged, toggled, contention, clocked, input_wire, grant = terms[
         _TERMS_ENERGY:_TERMS_ENERGY + 6]
@@ -184,7 +189,7 @@ def record_dynamic_power(terms: tuple, static_probability: float, toggle_activit
     per_output_bit = (1.0 - p) * precharged + rising * toggled + rising * contention + clocked
     per_input_bit = rising * input_wire
     return (per_output_bit * terms[_TERMS_PATHS] + per_input_bit * terms[_TERMS_WIRES]
-            + grant * terms[_TERMS_OUTPUTS]) * frequency
+            + grant * terms[_TERMS_OUTPUTS])
 
 
 @dataclass(frozen=True)
@@ -233,41 +238,6 @@ class SchemeFeatures:
             )
 
 
-@dataclass(frozen=True)
-class ActivityProfile:
-    """Everything a built scheme's analyses need that does not depend on
-    the data activity (``static_probability`` / ``toggle_activity``).
-
-    Energies are in joules, per output-bit path unless noted; a term a
-    scheme does not have (a keeper's contention in a pre-charged scheme,
-    say) is zero.
-    """
-
-    delay: DelayReport
-    standby: LeakageBreakdown
-    #: One output-bit path's leakage per ``(merge_high, granted)``, affine
-    #: in the probability that an input column wire is parked high.
-    path_leakage: dict[tuple[bool, bool], AffineLeakage]
-    #: Pre-charged capacitance, re-charged after every evaluated 0.
-    precharged_energy: float
-    #: Capacitance switched on every rising data transition.
-    toggled_energy: float
-    #: Keeper contention burned on every falling data transition.
-    contention_energy: float
-    #: Pre-charge clock load, switched every cycle.
-    clocked_energy: float
-    #: One input column wire, per rising data transition.
-    input_wire_energy: float
-    #: Grant-line switching per output port per cycle.
-    grant_energy: float
-    #: Sleep-control gates switched by one standby entry + exit.
-    sleep_control_energy: float
-    #: Merge structure re-charged after standby when it was parked high.
-    parked_merge_energy: float
-    #: Driver internal node flipped by a forced merge-node transition.
-    internal_node_energy: float
-
-
 class SchemeFigures(NamedTuple):
     """One scheme's Table 1 figures at one (p, t) point, in SI units."""
 
@@ -275,6 +245,7 @@ class SchemeFigures(NamedTuple):
     delay: DelayReport
     active_power: float
     standby_power: float
+    dynamic_power: float
     total_power: float
     transition_energy: float
     power_saved_in_standby: float
@@ -549,7 +520,7 @@ class CrossbarScheme:
 
     def delay_report(self) -> DelayReport:
         """Worst-case delays of this scheme (Table 1 delay rows)."""
-        return self.activity_profile.delay
+        return self.record_terms[_TERMS_DELAY]
 
     # ------------------------------------------------------------------ #
     # leakage                                                              #
@@ -709,12 +680,23 @@ class CrossbarScheme:
             return self._path_leakage_segmented(merge_high, granted, node_leakage)
         return self._path_leakage_unsegmented(merge_high, granted, node_leakage)
 
-    def _expected_path_leakage(self, path_leakage: dict[tuple[bool, bool], AffineLeakage],
-                               probability_high: float, probability_input_high: float,
-                               granted: bool) -> LeakageBreakdown:
-        """Whole-crossbar leakage averaged over the merge-node value distribution."""
+    @cached_property
+    def path_leakage(self) -> dict[tuple[bool, bool], AffineLeakage]:
+        """One output-bit path's leakage per ``(merge_high, granted)``,
+        affine in the probability that an input column wire is parked
+        high: the device part's path terms as objects, built once."""
+        part = self.device_part
+        return {state: AffineLeakage.from_floats(part, 9 * index)
+                for index, state in enumerate(_PATH_STATES)}
+
+    def _expected_path_leakage(self, probability: float, granted: bool) -> LeakageBreakdown:
+        """Whole-crossbar leakage averaged over the merge-node value
+        distribution; the merge node and the parked input wires are high
+        with ``probability``."""
+        self._check_probability(probability)
+        path_leakage = self.path_leakage
         return path_leakage[True, granted].mixed_at(
-            path_leakage[False, granted], probability_high, probability_input_high,
+            path_leakage[False, granted], probability, probability,
             scale=self.output_path_count,
         )
 
@@ -727,13 +709,7 @@ class CrossbarScheme:
         leakage is the subject of reference [1]) and are excluded, which
         matches the paper's crossbar-only scope.
         """
-        self._check_probability(static_probability)
-        return self._expected_path_leakage(
-            self.activity_profile.path_leakage,
-            probability_high=static_probability,
-            probability_input_high=static_probability,
-            granted=True,
-        )
+        return self._expected_path_leakage(static_probability, granted=True)
 
     def idle_leakage(self, static_probability: float = 0.5) -> LeakageBreakdown:
         """Crossbar leakage when idle but *not* in standby.
@@ -744,13 +720,7 @@ class CrossbarScheme:
         precisely to avoid idle switching, so an idle DPC/SDPC merge node
         also parks at the last data value.
         """
-        self._check_probability(static_probability)
-        return self._expected_path_leakage(
-            self.activity_profile.path_leakage,
-            probability_high=static_probability,
-            probability_input_high=static_probability,
-            granted=False,
-        )
+        return self._expected_path_leakage(static_probability, granted=False)
 
     def standby_leakage(self) -> LeakageBreakdown:
         """Crossbar leakage in standby (sleep asserted, Table 1 "standby").
@@ -758,9 +728,12 @@ class CrossbarScheme:
         The sleep devices hold every merge segment at ground, the input
         wires are parked low by the (idle) input ports, and the
         pre-charge clock is gated off.  Schemes without a sleep mode
-        simply report their idle leakage.
+        simply report their idle leakage at ``static_probability`` 0.5.
         """
-        return self.activity_profile.standby
+        if not self.features.has_sleep:
+            return self.idle_leakage(0.5)
+        sleep = LeakageBreakdown(*self.device_part[_SLEEP_OFFSET:_HIGH_VT_OFFSET])
+        return sleep.scaled(self.output_path_count)
 
     def _sleep_path_leakage(self) -> LeakageBreakdown:
         """One output-bit path's standby leakage (sleep mode asserted)."""
@@ -775,11 +748,12 @@ class CrossbarScheme:
 
     def active_leakage_power(self, static_probability: float = 0.5) -> float:
         """Active leakage expressed as power (watts)."""
-        return self.active_leakage(static_probability).power(self.supply_voltage)
+        self._check_probability(static_probability)
+        return record_leakage(self.record_terms, static_probability)[0]
 
     def standby_leakage_power(self) -> float:
         """Standby leakage expressed as power (watts)."""
-        return self.standby_leakage().power(self.supply_voltage)
+        return self.record_terms[_TERMS_STANDBY_POWER]
 
     # ------------------------------------------------------------------ #
     # dynamic energy / total power                                         #
@@ -837,25 +811,13 @@ class CrossbarScheme:
         """
         self._check_probability(static_probability)
         self._check_probability(toggle_activity)
-        profile = self.activity_profile
-        rising_probability = toggle_activity / 2.0
-        per_output_bit = (
-            (1.0 - static_probability) * profile.precharged_energy
-            + rising_probability * profile.toggled_energy
-            + rising_probability * profile.contention_energy
-            + profile.clocked_energy
-        )
-        per_input_bit = rising_probability * profile.input_wire_energy
-        return (
-            per_output_bit * self.output_path_count
-            + per_input_bit * self.input_wire_count
-            + profile.grant_energy * self.config.output_count
-        )
+        return record_dynamic_energy(self.record_terms, static_probability, toggle_activity)
 
     def dynamic_power(self, toggle_activity: float = 0.5, static_probability: float = 0.5,
                       frequency: float | None = None) -> float:
         """Average switching power (watts) at the library clock (or ``frequency``)."""
         clock = frequency if frequency is not None else self.library.clock_frequency
+        check_frequency(clock)
         return self.dynamic_energy_per_cycle(toggle_activity, static_probability) * clock
 
     def total_power(self, toggle_activity: float = 0.5, static_probability: float = 0.5,
@@ -879,60 +841,26 @@ class CrossbarScheme:
         if not self.features.has_sleep:
             return 0.0
         self._check_probability(static_probability)
-        profile = self.activity_profile
-        parked_high_probability = static_probability
-        per_path = (
-            profile.sleep_control_energy
-            + parked_high_probability * profile.parked_merge_energy
-            + parked_high_probability * profile.internal_node_energy
-        )
-        return per_path * self.output_path_count
+        return record_leakage(self.record_terms, static_probability)[2]
 
     # ------------------------------------------------------------------ #
-    # activity profile                                                     #
+    # record terms                                                         #
     # ------------------------------------------------------------------ #
-    @cached_property
-    def activity_profile(self) -> ActivityProfile:
-        """The activity-independent terms of every analysis, derived once.
-
-        Schemes are structurally immutable after construction (and shared
-        through the structural cache), so the first analysis pays for the
-        circuit walk and every later ``(static_probability,
-        toggle_activity)`` point is arithmetic on this profile.  The
-        leakage terms come from :attr:`device_part`, the energies and
-        delays from :attr:`_geometry`.
-        """
-        part = self.device_part
-        path_leakage = {state: AffineLeakage.from_floats(part, 9 * index)
-                        for index, state in enumerate(_PATH_STATES)}
-        if self.features.has_sleep:
-            sleep = LeakageBreakdown(*part[_SLEEP_OFFSET:_HIGH_VT_OFFSET])
-            standby = sleep.scaled(self.output_path_count)
-        else:
-            standby = self._expected_path_leakage(path_leakage, 0.5, 0.5, granted=False)
-        (precharged, toggled, contention, clocked, input_wire, grant, sleep_control,
-         parked_merge, internal_node, delay) = self._geometry
-        return ActivityProfile(
-            delay=delay,
-            standby=standby,
-            path_leakage=path_leakage,
-            precharged_energy=precharged,
-            toggled_energy=toggled,
-            contention_energy=contention,
-            clocked_energy=clocked,
-            input_wire_energy=input_wire,
-            grant_energy=grant,
-            sleep_control_energy=sleep_control,
-            parked_merge_energy=parked_merge,
-            internal_node_energy=internal_node,
-        )
-
     @cached_property
     def _geometry(self) -> tuple:
-        """The profile's nine energies (:class:`ActivityProfile` field
-        order) and its :class:`DelayReport`, derived once from the
+        """The nine energies (in joules, per output-bit path unless
+        noted) and the :class:`DelayReport`, derived once from the
         capacitances and the stage delays as floats: the tail of the
-        record terms.
+        record terms.  A term a scheme does not have (a keeper's
+        contention in a pre-charged scheme, say) is zero.  In order: the
+        pre-charged capacitance, re-charged after every evaluated 0; the
+        capacitance switched on every rising data transition; keeper
+        contention burned on every falling one; the pre-charge clock
+        load, switched every cycle; one input column wire per rising
+        transition; grant-line switching per output port per cycle; the
+        sleep-control gates of one standby entry + exit; the merge
+        structure re-charged after standby when it was parked high; the
+        driver internal node flipped by that forced transition.
 
         The falling far-path merge stage is computed once and serves both
         the high-to-low delay and the keeper-contention energy.
@@ -1016,72 +944,49 @@ class CrossbarScheme:
     @cached_property
     def record_terms(self) -> tuple:
         """This scheme's :meth:`derive_record_terms`, derived once: a pure
-        function of the immutable scheme, like :attr:`activity_profile`."""
+        function of the immutable scheme."""
         return self.derive_record_terms()
 
     def derive_record_terms(self) -> tuple:
-        """The flat tuple :meth:`figures_from_record_terms` reads (layout
-        at ``_TERMS_PATHS``), in one pass that builds no profile, leakage
-        or timing object: the path leakage straight from
-        :attr:`device_part` (already in record-terms order), the standby
-        power with the float operations of :attr:`activity_profile`'s
-        ``standby.power(vdd)`` and the tail from :attr:`_geometry`.
+        """The flat tuple :func:`record_leakage` and
+        :func:`record_dynamic_energy` read (layout at ``_TERMS_PATHS``):
+        the path leakage straight from :attr:`device_part` (already in
+        record-terms order), the power of :meth:`standby_leakage` and the
+        tail from :attr:`_geometry`.
 
-        Every check the profile's objects make is made here, in their
-        order: the path terms and the sleep leakage are non-negative, the
-        scaling factor too, then the geometry's checks, then the supply.
+        Checks, in order: the path terms are non-negative, then the
+        standby breakdown's checks, the geometry's and the supply's.
         """
         vdd = self.supply_voltage
-        paths = self.output_path_count
-        part = self.device_part
-        leakage = part[:_SLEEP_OFFSET]
+        leakage = self.device_part[:_SLEEP_OFFSET]
         if min(leakage) < 0:
             # AffineLeakage.from_floats' check.
             raise CircuitError("leakage components cannot be negative")
-        standby = None
-        if self.features.has_sleep:
-            # LeakageBreakdown(*sleep).scaled(paths)'s checks and products.
-            sleep = part[_SLEEP_OFFSET:_HIGH_VT_OFFSET]
-            for name, value in zip(("subthreshold", "gate", "junction"), sleep):
-                if value < 0:
-                    raise CircuitError(f"leakage component {name} cannot be negative")
-            if paths < 0:
-                raise CircuitError("scaling factor cannot be negative")
-            standby = (sleep[0] * paths, sleep[1] * paths, sleep[2] * paths)
+        standby = self.standby_leakage()
         geometry = self._geometry
-        if vdd <= 0:
-            # LeakageBreakdown.power's check.
-            raise CircuitError("supply voltage must be positive")
-        if standby is not None:
-            standby_power = (standby[0] + standby[1] + standby[2]) * vdd
-        else:
-            # idle_leakage(0.5).power(vdd): the idle states sit at 9 and 27.
-            standby_power = AffineLeakage.mixed_power_of_floats(
-                leakage[9:18], leakage[27:36], 0.5, 0.5, paths, vdd)
         return (
-            vdd, paths, self.input_wire_count, self.config.output_count,
-            *leakage, standby_power, *geometry,
+            vdd, self.output_path_count, self.input_wire_count, self.config.output_count,
+            *leakage, standby.power(vdd), *geometry,
         )
 
     def figures_from_record_terms(self, terms: tuple, static_probability: float,
                                   toggle_activity: float, frequency: float) -> SchemeFigures:
         """This scheme's figures at one point from ``terms`` (its
         :meth:`derive_record_terms`): the leakage half
-        (:func:`record_leakage`) and the dynamic half
-        (:func:`record_dynamic_power`) of :meth:`active_leakage_power`,
-        :meth:`standby_leakage_power`, :meth:`total_power`,
-        :meth:`sleep_transition_energy` and :meth:`standby_power_saving`,
-        each with the float operations of that method, in its order.
+        (:func:`record_leakage`) and the dynamic power
+        (:func:`record_dynamic_energy` times ``frequency``).
 
-        Unvalidated: the caller checks both probabilities lie in [0, 1],
-        ``frequency`` is positive and the scheme has a sleep mode.
+        Unvalidated: :func:`repro.power.savings.scheme_figures` checks
+        both probabilities lie in [0, 1], ``frequency`` is positive and
+        the scheme has a sleep mode.
         """
         active_power, standby_power, transition_energy, saved = record_leakage(
             terms, static_probability)
-        dynamic_power = record_dynamic_power(terms, static_probability, toggle_activity,
-                                             frequency)
+        dynamic_power = record_dynamic_energy(terms, static_probability,
+                                              toggle_activity) * frequency
         return SchemeFigures(self, terms[_TERMS_DELAY], active_power, standby_power,
-                             dynamic_power + active_power, transition_energy, saved)
+                             dynamic_power, dynamic_power + active_power, transition_energy,
+                             saved)
 
     @cached_property
     def device_part(self) -> array:
@@ -1118,9 +1023,8 @@ class CrossbarScheme:
 
     def standby_power_saving(self, static_probability: float = 0.5) -> float:
         """Leakage power saved per second of standby, relative to idling awake (watts)."""
-        idle = self.idle_leakage(static_probability).power(self.supply_voltage)
-        standby = self.standby_leakage().power(self.supply_voltage)
-        return max(idle - standby, 0.0)
+        self._check_probability(static_probability)
+        return record_leakage(self.record_terms, static_probability)[3]
 
     # ------------------------------------------------------------------ #
     # structural netlists                                                  #

@@ -16,7 +16,8 @@ compared against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from math import isfinite
 
 from ..errors import CrossbarError
 from ..technology.library import TechnologyLibrary
@@ -91,7 +92,15 @@ class CrossbarConfig:
     def __post_init__(self) -> None:
         # Error messages name fields by their config path (the mount
         # point in ExperimentConfig), so engine users sweeping e.g.
-        # "crossbar.port_count" see the axis they actually set.
+        # "crossbar.port_count" see the axis they actually set.  NaN and
+        # infinities are refused first, at every leaf.  (Not through
+        # vars(self): materialising an instance's __dict__ slows every
+        # later attribute read on it, and one crossbar serves many points.)
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not isfinite(value):
+                raise CrossbarError(
+                    f"crossbar.{field.name} must be a finite number, got {value}")
         if self.port_count < 2:
             raise CrossbarError(
                 f"crossbar.port_count: a crossbar needs at least 2 ports, got {self.port_count}"

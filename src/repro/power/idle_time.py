@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..circuit.dynamic import check_frequency
 from ..crossbar.base import CrossbarScheme
 from ..errors import PowerError
 
@@ -92,8 +93,7 @@ def analyse_minimum_idle_time(
     if not scheme.has_sleep_mode:
         raise PowerError(f"scheme {scheme.name!r} has no standby mode")
     clock = frequency if frequency is not None else scheme.library.clock_frequency
-    if clock <= 0:
-        raise PowerError("frequency must be positive")
+    check_frequency(clock)
     return IdleTimeAnalysis(
         scheme=scheme.name,
         clock_frequency=clock,

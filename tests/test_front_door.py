@@ -82,9 +82,10 @@ def edge_configs() -> list[ExperimentConfig]:
         base.with_overrides(temperature_celsius=110.0),
         base.with_overrides(static_probability=True),
         base.with_overrides(**{"crossbar.allow_self_connection": True}),
-        base.with_overrides(temperature_celsius=float("inf")),
-        base.with_overrides(clock_frequency=float("inf")),
-        base.with_overrides(temperature_celsius=float("nan")),
+        # The extreme finite values (NaN and the infinities are refused).
+        base.with_overrides(temperature_celsius=1e308),
+        base.with_overrides(clock_frequency=1.7976931348623157e308),
+        base.with_overrides(temperature_celsius=-273.1499999999999),
         base.with_overrides(**{"crossbar.port_count": 6}),
         base.with_overrides(crossbar=CrossbarConfig(port_count=4, flit_width=64)),
         base.with_overrides(crossbar=CrossbarConfig(port_count=4),
@@ -215,8 +216,7 @@ def test_direct_sub_config_composes_with_its_dotted_leaves():
 def test_wire_round_trip_rebuilds_the_config():
     base = ExperimentConfig()
     configs = [base.with_overrides(**point) for point in benchmark_points()]
-    configs += [config for config in edge_configs()
-                if config == config]  # NaN leaves never compare equal
+    configs += edge_configs()
     for config in configs:
         assert config_from_wire(config_to_wire(config)) == config
 
@@ -228,3 +228,38 @@ def test_scalar_only_items_share_the_default_crossbar():
     assert all(config.crossbar is default_crossbar for config in decoded)
     structural = config_from_wire({"crossbar.port_count": 4})
     assert structural.crossbar is not default_crossbar
+
+
+# ---------------------------------------------------------------------------
+# non-finite values and temperatures below absolute zero
+# ---------------------------------------------------------------------------
+
+#: Every registry path that holds a number (the ``None`` defaults are the
+#: derived wire lengths and the receiver capacitance).
+NUMERIC_PATHS = [path for path, default in leaf_layout()
+                 if default is None or type(default) in (int, float)]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def test_numeric_paths_cover_every_number_of_the_registry():
+    assert len(NUMERIC_PATHS) == 23
+    assert {"temperature_celsius", "clock_frequency", "crossbar.port_count",
+            "crossbar.input_wire_length", "crossbar.row_wire_length",
+            "crossbar.output_wire_length", "crossbar.receiver_capacitance",
+            "crossbar.timing_budget_fraction"} <= set(NUMERIC_PATHS)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("path", NUMERIC_PATHS)
+def test_non_finite_values_are_refused_at_every_numeric_path(path, value):
+    with pytest.raises(repro.ReproError) as excinfo:
+        ExperimentConfig().with_overrides(**{path: value})
+    assert path in str(excinfo.value)
+
+
+def test_temperatures_at_or_below_absolute_zero_are_refused():
+    for value in (-273.15, -273.2, -1e300):
+        with pytest.raises(repro.ReproError, match="above absolute zero"):
+            ExperimentConfig().with_overrides(temperature_celsius=value)
+    assert ExperimentConfig().with_overrides(
+        temperature_celsius=-273.1499999999999).temperature_celsius > -273.15

@@ -12,14 +12,14 @@ registered schemes, every Table 1 column):
   spanning p in [0.005, 1] and t in [0, 1], endpoints included.
 
 The memoised kernel, the allocation-free accumulator and the per-scheme
-activity profile must reproduce every float to 1e-12 relative tolerance
+record terms must reproduce every float to 1e-12 relative tolerance
 and every integer column (``minimum_idle_cycles`` is a ``ceil``)
 exactly.
 
 The rest checks the fast paths are actually *fast*: bias-point
 evaluations are shared across ports (a port-count sweep adds almost no
 kernel misses), a fresh activity point on warm schemes makes no kernel
-lookups at all, and each scheme derives its profile once.
+lookups at all, and each scheme derives its terms once.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from repro.core.scheme_evaluator import (
 from repro.crossbar.base import CrossbarScheme
 from repro.crossbar.factory import available_schemes, create_scheme
 from repro.errors import CircuitError, CrossbarError
+from repro.power import analyse_minimum_idle_time, evaluate_scheme
 from repro.technology import default_45nm
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "leakage_parity.json"
@@ -160,38 +161,51 @@ def test_cold_comparison_lookup_budget():
     assert 0 < kernel_totals().lookups <= 345
 
 
-def test_each_scheme_builds_its_activity_profile_once(monkeypatch):
-    """The profile is derived on first analysis and reused at every
-    later activity point."""
-    built: list[str] = []
-    original = CrossbarScheme.activity_profile.func
+def test_each_scheme_derives_its_terms_once(monkeypatch):
+    """The record terms and the path-leakage objects are derived on first
+    analysis and reused at every later activity point."""
+    built: dict[str, list[str]] = {}
+    for name in ("record_terms", "path_leakage"):
+        original = getattr(CrossbarScheme, name).func
 
-    def counting(scheme):
-        built.append(scheme.name)
-        return original(scheme)
+        def counting(scheme, original=original, name=name):
+            built.setdefault(name, []).append(scheme.name)
+            return original(scheme)
 
-    patched = functools.cached_property(counting)
-    patched.__set_name__(CrossbarScheme, "activity_profile")
-    monkeypatch.setattr(CrossbarScheme, "activity_profile", patched)
+        patched = functools.cached_property(counting)
+        patched.__set_name__(CrossbarScheme, name)
+        monkeypatch.setattr(CrossbarScheme, name, patched)
     clear_structural_cache()
     for probability in (0.5, 0.2, 0.9):
         for toggle in (0.0, 0.5):
             compare_schemes(paper_experiment().with_overrides(
                 static_probability=probability, toggle_activity=toggle))
-    assert sorted(built) == sorted(available_schemes())
+    assert sorted(built["record_terms"]) == sorted(available_schemes())
+    assert sorted(built["path_leakage"]) == sorted(available_schemes())
     clear_structural_cache()
 
 
 def test_activity_methods_keep_probability_validation(library):
-    """The arithmetic fast path still rejects probabilities outside [0, 1]."""
+    """The arithmetic fast path still rejects probabilities outside [0, 1]
+    (NaN included) and a clock that is not positive."""
     scheme = create_scheme("SDPC", library)
     for call in (lambda: scheme.active_leakage(1.5),
                  lambda: scheme.idle_leakage(-0.1),
+                 lambda: scheme.active_leakage_power(math.nan),
                  lambda: scheme.dynamic_energy_per_cycle(1.2, 0.5),
                  lambda: scheme.dynamic_energy_per_cycle(0.5, -1.0),
-                 lambda: scheme.sleep_transition_energy(2.0)):
+                 lambda: scheme.dynamic_energy_per_cycle(math.nan, 0.5),
+                 lambda: scheme.sleep_transition_energy(2.0),
+                 lambda: scheme.standby_power_saving(-0.5)):
         with pytest.raises(CrossbarError):
             call()
+    for frequency in (-3e9, 0.0, math.nan):
+        for call in (lambda: scheme.dynamic_power(frequency=frequency),
+                     lambda: scheme.total_power(frequency=frequency),
+                     lambda: analyse_minimum_idle_time(scheme, frequency=frequency),
+                     lambda: evaluate_scheme(scheme, frequency=frequency)):
+            with pytest.raises(errors.PowerError, match="frequency must be positive"):
+                call()
 
 
 def test_kernel_matches_unmemoised_function(library):

@@ -1,7 +1,7 @@
 """Exact parity of the engine's record path with the object API.
 
 :func:`repro.core.comparison.point_records` writes the Table 1 records
-straight from each scheme's activity profile; every executor serves it.
+through each structure's record plan; every executor serves it.
 It must equal ``compare_schemes(...).as_records()`` exactly: the same
 keys in the same order and bit-identical floats (compared with ``==``,
 no tolerance), and for an invalid point the same exception type and

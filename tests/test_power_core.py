@@ -16,7 +16,6 @@ from repro.core import (
 from repro.engine import Evaluator
 from repro.errors import ConfigurationError, PowerError, ReproError
 from repro.power import (
-    analyse_dynamic,
     analyse_leakage,
     analyse_minimum_idle_time,
     analyse_total_power,
@@ -53,8 +52,10 @@ class TestLeakageAnalysis:
 
 class TestDynamicAndTotalPower:
     def test_dynamic_power_is_energy_times_frequency(self, schemes):
-        analysis = analyse_dynamic(schemes["SC"])
-        assert analysis.power == pytest.approx(analysis.energy_per_cycle * analysis.frequency)
+        analysis = analyse_total_power(schemes["SC"])
+        energy = schemes["SC"].dynamic_energy_per_cycle()
+        assert analysis.dynamic_power == energy * analysis.frequency
+        assert analysis.dynamic_power == schemes["SC"].dynamic_power()
 
     def test_total_power_components(self, schemes):
         total = analyse_total_power(schemes["DFC"])
@@ -72,8 +73,8 @@ class TestDynamicAndTotalPower:
         assert totals[0] > totals[2]  # mostly-zeros worst for a pre-charge-high design
 
     def test_invalid_activity_rejected(self, schemes):
-        with pytest.raises(PowerError):
-            analyse_dynamic(schemes["SC"], toggle_activity=1.5)
+        with pytest.raises(PowerError, match="toggle_activity must be in"):
+            analyse_total_power(schemes["SC"], toggle_activity=1.5)
 
 
 class TestMinimumIdleTime:

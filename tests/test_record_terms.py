@@ -3,13 +3,15 @@
 :meth:`CrossbarScheme.derive_record_terms` reads a scheme's leakage
 straight from its device part and its delays and energies from one
 float pass (``_geometry``).  The oracle below is the earlier
-derivation, kept here verbatim in spirit: an :class:`ActivityProfile`
-built from :meth:`AffineLeakage.from_floats` and
-:class:`LeakageBreakdown` objects, and delays summed over timing paths
-of validated stage objects with their own pi-model arithmetic.  Terms,
-profiles and errors must be equal (``==``: bit-identical floats) over a
-seeded structural sample, every ``crossbar.*`` perturbation and every
-radix from 3 to 8.
+derivation, kept here verbatim in spirit: a profile of
+:meth:`AffineLeakage.from_floats` and :class:`LeakageBreakdown` objects,
+energies from the capacitances, and delays summed over timing paths of
+validated stage objects with their own pi-model arithmetic.  Terms,
+the scheme's leakage objects and delays, and errors must be equal
+(``==``: bit-identical floats) over a seeded structural sample, every
+``crossbar.*`` perturbation and every radix from 3 to 8.  With the
+records pinned by ``tests/golden/comparison_records.json``, this oracle
+is what checks the one formula set's terms.
 
 Also here: a keeper too strong for its driver fails every entry point
 with the same :class:`TimingError`.
@@ -29,7 +31,7 @@ from repro.circuit.dynamic import contention_energy, switching_energy
 from repro.circuit.leakage import AffineLeakage, LeakageBreakdown
 from repro.core.comparison import point_records
 from repro.core.scheme_evaluator import clear_structural_cache, schemes_for
-from repro.crossbar.base import ActivityProfile, CrossbarScheme
+from repro.crossbar.base import CrossbarScheme
 from repro.crossbar.factory import available_schemes
 from repro.engine import Evaluator
 from repro.engine.grid import DesignSpace
@@ -44,7 +46,7 @@ from test_point_records import _perfbench_inputs
 LN2 = 0.6931471805599453
 
 # ---------------------------------------------------------------------------
-# the oracle: the object derivation of the activity profile
+# the oracle: the earlier object derivation of the terms
 # ---------------------------------------------------------------------------
 
 
@@ -88,6 +90,25 @@ class _Stage:
         else:
             base = _pi_delay(self.wire, total_driver, self.load_capacitance)
         return base * self.contention_factor
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """The earlier object form of a scheme's activity-independent terms;
+    energies in joules per output-bit path unless noted."""
+
+    delay: DelayReport
+    standby: LeakageBreakdown
+    path_leakage: dict[tuple[bool, bool], AffineLeakage]
+    precharged_energy: float
+    toggled_energy: float
+    contention_energy: float
+    clocked_energy: float
+    input_wire_energy: float
+    grant_energy: float
+    sleep_control_energy: float
+    parked_merge_energy: float
+    internal_node_energy: float
 
 
 @dataclass
@@ -179,7 +200,7 @@ class _Oracle:
         near_fraction = s.segmentation_plan.near_traffic_fraction
         return near_fraction * near_delay + (1.0 - near_fraction) * far_delay
 
-    def profile(self) -> ActivityProfile:
+    def profile(self) -> _Profile:
         s = self.scheme
         vdd = s.supply_voltage
         part = s.device_part
@@ -189,7 +210,8 @@ class _Oracle:
         if s.features.has_sleep:
             standby = LeakageBreakdown(*part[36:39]).scaled(s.output_path_count)
         else:
-            standby = s._expected_path_leakage(path_leakage, 0.5, 0.5, granted=False)
+            standby = path_leakage[True, False].mixed_at(
+                path_leakage[False, False], 0.5, 0.5, scale=s.output_path_count)
         internal_node_energy = switching_energy(s.internal_node_capacitance(), vdd)
         precharged_energy = contention = clocked_energy = 0.0
         if s.features.has_precharge:
@@ -212,7 +234,7 @@ class _Oracle:
             row_capacitance = (s.segmented_row.total_capacitance if s.features.segmented
                                else s.row_wire.capacitance)
             parked_merge_energy = switching_energy(s.merge_capacitance() + row_capacitance, vdd)
-        return ActivityProfile(
+        return _Profile(
             delay=DelayReport(scheme=s.name, high_to_low=self.high_to_low(),
                               low_to_high=self.low_to_high()),
             standby=standby,
@@ -272,15 +294,18 @@ def _structural_sample(seed: int = 7, size: int = 40) -> list[dict]:
 
 
 def _assert_terms_match_the_oracle(config) -> int:
-    """Every scheme's terms and profile equal the oracle's; returns how
-    many schemes were compared."""
+    """Every scheme's terms, leakage objects and delays equal the
+    oracle's; returns how many schemes were compared."""
     schemes = list(schemes_for(config, None, "SC"))
     for _name, scheme in schemes:
         expected = _outcome(_Oracle(scheme).record_terms)
         assert _outcome(scheme.derive_record_terms) == expected, scheme.name
         if isinstance(expected, tuple) and isinstance(expected[0], type):
             continue
-        assert scheme.activity_profile == _Oracle(scheme).profile(), scheme.name
+        profile = _Oracle(scheme).profile()
+        assert scheme.path_leakage == profile.path_leakage, scheme.name
+        assert scheme.standby_leakage() == profile.standby, scheme.name
+        assert scheme.delay_report() == profile.delay, scheme.name
     return len(schemes)
 
 
@@ -335,7 +360,9 @@ def _counting(monkeypatch, name: str) -> list[str]:
 
 
 def test_cold_records_build_no_profile_and_derive_the_geometry_once(monkeypatch):
-    profiles = _counting(monkeypatch, "activity_profile")
+    """The record path builds no leakage objects (``path_leakage``); the
+    object API builds them once per scheme for its breakdowns."""
+    profiles = _counting(monkeypatch, "path_leakage")
     geometries = _counting(monkeypatch, "_geometry")
     clear_structural_cache()
     for probability in (0.5, 0.2, 0.9):

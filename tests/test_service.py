@@ -1102,6 +1102,63 @@ def test_query_memo_stays_within_its_bound(monkeypatch):
     assert all(result.from_cache for result in second)
 
 
+def test_non_finite_values_are_refused_before_evaluation_at_every_numeric_path():
+    from repro.core.paths import leaf_layout
+
+    paths = [path for path, default in leaf_layout()
+             if default is None or type(default) in (int, float)]
+
+    async def scenario():
+        service = make_service()
+        payloads = []
+        for path in paths:
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(InvalidRequestError) as excinfo:
+                    await service.evaluate({path: value})
+                payloads.append((path, excinfo.value.payload))
+        await service.stop()
+        return service, payloads
+
+    service, payloads = asyncio.run(scenario())
+    assert len(payloads) == 3 * len(paths) == 69
+    for path, payload in payloads:
+        assert payload["error"] == "invalid-value" and payload["path"] == path
+    assert service.stats.evaluated == 0 and len(service.cache) == 0
+
+
+async def _raw_post(port: int, body: bytes) -> tuple[int, dict]:
+    """One ``POST /evaluate`` of raw ``body`` bytes; returns the status
+    and the decoded answer."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(b"POST /evaluate HTTP/1.1\r\nContent-Length: %d\r\n"
+                 b"Connection: close\r\n\r\n" % len(body) + body)
+    await writer.drain()
+    start, _headers, raw = await _read_http_message(reader)
+    writer.close()
+    await writer.wait_closed()
+    return int(start.split()[1]), json.loads(raw)
+
+
+def test_a_bare_nan_body_is_a_400_and_spares_its_batch_mate():
+    """JSON parsing accepts a bare ``NaN``; the config refuses it before
+    the point joins a batch, so the query batched with it still answers."""
+    async def scenario():
+        service = make_service(max_batch_size=2, flush_interval=0.05)
+        server = await EvaluationServer(service, port=0).start()
+        answers = await asyncio.gather(
+            _raw_post(server.port, b'{"overrides": {"clock_frequency": NaN}}'),
+            _raw_post(server.port, b'{"overrides": {"static_probability": 0.3}}'))
+        await server.stop()
+        await service.stop()
+        return answers
+
+    (nan_status, nan_answer), (valid_status, valid_answer) = asyncio.run(scenario())
+    assert nan_status == 400
+    assert nan_answer["error"] == "invalid-value"
+    assert nan_answer["path"] == "clock_frequency"
+    assert valid_status == 200 and len(valid_answer["records"]) == len(SCHEMES)
+
+
 def test_query_memo_key_skips_nan_and_non_scalars():
     assert _query_memo_key({"toggle_activity": float("nan")}) is None
     assert _query_memo_key({"a": [1]}) is None
