@@ -14,7 +14,7 @@ from .biasing import (
     reset_kernel_totals,
 )
 from .devices import DeviceInstance, DeviceRole
-from .dynamic import contention_energy, dynamic_power, switching_energy
+from .dynamic import contention_energy, switching_energy
 from .gates import (
     Inverter,
     Keeper,
@@ -49,7 +49,6 @@ __all__ = [
     "SleepTransistor",
     "TransientResult",
     "contention_energy",
-    "dynamic_power",
     "kernel_for",
     "kernel_totals",
     "leakage_from_node_voltages",

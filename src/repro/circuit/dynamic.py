@@ -4,7 +4,9 @@ Three dynamic components matter for the paper's Table 1:
 
 * **Switching energy** of the capacitances toggled by data transitions
   (input wires, the crossbar merge node, driver internal nodes, output
-  wires): the familiar ``alpha * C * Vdd^2 * f``.
+  wires): :func:`switching_energy`'s ``C * Vdd^2`` per charge, which
+  :func:`~repro.crossbar.base.record_dynamic_energy` weights by the
+  activity (times the clock, the familiar ``alpha * C * Vdd^2 * f``).
 * **Contention (crowbar) energy** burned when a transition must fight a
   keeper or another weak opposing device: the keeper sources current for
   the duration of the transition, and that charge is drawn from the
@@ -25,7 +27,6 @@ from ..errors import PowerError
 __all__ = [
     "check_frequency",
     "switching_energy",
-    "dynamic_power",
     "contention_energy",
 ]
 
@@ -50,24 +51,6 @@ def switching_energy(capacitance: float, supply_voltage: float) -> float:
     if supply_voltage <= 0:
         raise PowerError("supply voltage must be positive")
     return capacitance * supply_voltage**2
-
-
-def dynamic_power(
-    capacitance: float,
-    supply_voltage: float,
-    frequency: float,
-    activity_factor: float,
-) -> float:
-    """Average switching power (watts).
-
-    ``activity_factor`` is the probability that the node makes an
-    energy-drawing (low-to-high) transition in a given cycle; 0.5
-    corresponds to random data toggling every other cycle on average.
-    """
-    check_frequency(frequency)
-    if not 0.0 <= activity_factor <= 1.0:
-        raise PowerError(f"activity factor must be in [0, 1], got {activity_factor}")
-    return switching_energy(capacitance, supply_voltage) * frequency * activity_factor
 
 
 def contention_energy(opposing_current: float, transition_time: float, supply_voltage: float) -> float:

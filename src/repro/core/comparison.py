@@ -55,7 +55,7 @@ from .scheme_evaluator import (
     checked_names,
 )
 
-__all__ = ["SchemeComparison", "compare_schemes", "point_records"]
+__all__ = ["RECORD_LAYOUT", "SchemeComparison", "compare_schemes", "point_records"]
 
 
 @dataclass
@@ -254,9 +254,30 @@ def _plan_constants(figures: dict[str, SchemeFigures], baseline_name: str) -> tu
     return baseline_name, list(figures).index(baseline_name), rows
 
 
+#: A comparison record's layout: every key of :func:`_write_records`
+#: (and of :meth:`SchemeComparison.as_records`) in record order, with the
+#: exact type of its value.  The fleet wire
+#: (:mod:`repro.engine.distributed`) is built from it: the ``float``
+#: fields travel as packed doubles, the ``int`` field as a JSON int, and
+#: the scheme name is implied by the item's scheme list.
+RECORD_LAYOUT: tuple[tuple[str, type], ...] = (
+    ("scheme", str),
+    ("high_to_low_ps", float),
+    ("low_to_high_ps", float),
+    ("active_leakage_mw", float),
+    ("standby_leakage_mw", float),
+    ("active_leakage_saving_percent", float),
+    ("standby_leakage_saving_percent", float),
+    ("minimum_idle_cycles", int),
+    ("total_power_mw", float),
+    ("delay_penalty_percent", float),
+    ("high_vt_device_fraction", float),
+)
+
+
 def _write_records(rows: tuple, totals: list[float]) -> list[dict[str, float | str]]:
     """The records of a plan's slot ``rows`` with each scheme's total
-    power in watts."""
+    power in watts, in :data:`RECORD_LAYOUT`."""
     return [
         {
             "scheme": name,

@@ -42,6 +42,11 @@ class ExperimentConfig:
     crossbar: CrossbarConfig = field(default_factory=CrossbarConfig)
 
     def __post_init__(self) -> None:
+        # A name of another type would build and then fail mid-evaluation.
+        for name in ("technology_node", "corner"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigurationError(f"{name} must be a name (str), got {value!r}")
         # Every check passes only a valid value, so NaN (which fails every
         # comparison) and the infinities are refused with the rest;
         # CrossbarConfig refuses them at the crossbar's leaves.

@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass, fields, replace
 from math import isfinite
 
-from ..errors import CrossbarError
+from ..errors import ConfigurationError, CrossbarError
 from ..technology.library import TechnologyLibrary
 from ..units import MICRO
 
@@ -101,6 +101,15 @@ class CrossbarConfig:
             if isinstance(value, float) and not isfinite(value):
                 raise CrossbarError(
                     f"crossbar.{field.name} must be a finite number, got {value}")
+        if not isinstance(self.wire_layer, str):
+            raise ConfigurationError(
+                f"crossbar.wire_layer must be a layer name (str), got {self.wire_layer!r}")
+        # A flag: a bool, or the int 0 or 1 it equals.
+        if not (isinstance(self.allow_self_connection, int)
+                and self.allow_self_connection in (0, 1)):
+            raise ConfigurationError(
+                f"crossbar.allow_self_connection must be a bool, "
+                f"got {self.allow_self_connection!r}")
         if self.port_count < 2:
             raise CrossbarError(
                 f"crossbar.port_count: a crossbar needs at least 2 ports, got {self.port_count}"

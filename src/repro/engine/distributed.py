@@ -11,9 +11,10 @@ into contiguous chunks — about four per live worker
 capped at :data:`MAX_CHUNK_ITEMS`) —
 hands them out from a shared queue (natural load balancing: a slow host
 simply takes fewer chunks), and reassembles the results in submission
-order.  Everything is standard library: sockets, threads and JSON.
+order.  Everything is standard library: sockets, threads, JSON and
+packed doubles.
 
-Wire protocol (version 2)
+Wire protocol (version 3)
 -------------------------
 Messages are JSON objects framed by a 4-byte big-endian length prefix
 (:func:`send_frame` / :func:`recv_frame`).  Every message carries a
@@ -27,10 +28,12 @@ register   w -> c      first frame on any connection: worker id, protocol
 registered c -> w      registration accepted (carries the final worker id)
 rejected   c -> w      registration refused (version/protocol mismatch)
 evaluate   c -> w      one chunk: ``task`` (the batch index of its first
-                       item) and ``items``, a list of ``{overrides,
-                       schemes, baseline}``
-result     w -> c      ``task`` and ``records``: one comparison-records
-                       list per item, in order
+                       item), ``schemes`` and ``baseline`` (shared by every
+                       item of the chunk) and ``items``, one dotted-path
+                       overrides object per item
+result     w -> c      ``task``, ``floats`` and ``ints``: the chunk's
+                       records in :data:`~repro.core.comparison.RECORD_LAYOUT`
+                       (see below)
 error      w -> c      deterministic evaluation failure of chunk ``task``
                        at offset ``item`` (fails the run — re-dispatching
                        a model-level rejection elsewhere would fail the
@@ -38,6 +41,19 @@ error      w -> c      deterministic evaluation failure of chunk ``task``
 ping/pong  both        idle-connection heartbeat
 shutdown   c -> w      drain and exit
 ========== =========== ====================================================
+
+A ``result`` frame carries numbers, not decimal text.  Each item has one
+record per distinct scheme name of ``schemes``, in order, and the name
+is implied by that position.  ``floats`` is the base64 text of one
+packed little-endian double block: every ``float`` field of every
+record, item by item, record by record, in layout order.  ``ints`` holds
+one JSON int list per item: every ``int`` field of its records in the
+same order, so an int of any size stays exact.  The worker packs only
+values whose type is exactly the layout's (:func:`pack_item`) and
+answers an ``error`` frame naming the item otherwise; the coordinator
+rebuilds records equal to serial
+:func:`~repro.core.comparison.point_records` down to key order, value
+types and float bits (:func:`unpack_result`).
 
 Configs travel as *dotted-path overrides* against a default
 :class:`~repro.core.config.ExperimentConfig`
@@ -52,7 +68,8 @@ Failure semantics
 A chunk is the unit of re-dispatch.  Worker *death* (socket error, EOF,
 heartbeat failure, no answer to a chunk within ``item_timeout`` per
 item, or a
-``result`` whose record count does not match the chunk) re-queues the
+``result`` that does not fit the chunk: a float block of the wrong
+length, an int list of the wrong shape) re-queues the
 whole chunk the worker held and drops the worker; a chunk that has been
 dispatched ``max_attempts`` times without an answer fails the run, as
 does losing every worker while items are outstanding.  A worker *error
@@ -68,12 +85,15 @@ See ``docs/distributed.md`` for topology and deployment notes.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import functools
 import json
 import operator
 import os
 import queue
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -81,6 +101,7 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+from ..core.comparison import RECORD_LAYOUT
 from ..core.config import ExperimentConfig
 from ..core.paths import leaf_layout
 from ..errors import ConfigurationError, DistributedError, ReproError
@@ -94,6 +115,10 @@ __all__ = [
     "recv_frame",
     "config_to_wire",
     "config_from_wire",
+    "result_names",
+    "pack_item",
+    "result_frame",
+    "unpack_result",
     "DistributedStats",
     "DistributedExecutor",
     "parse_address",
@@ -101,16 +126,16 @@ __all__ = [
 
 #: Bumped when the frame vocabulary changes incompatibly; registration
 #: carries it so a version-skewed worker is rejected instead of fed.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
-#: Largest accepted frame.  Comparison records for one point are a few
-#: KiB; this bound exists so a corrupt length prefix cannot make either
-#: side try to allocate gigabytes.
+#: Largest accepted frame.  Comparison records for one point are about
+#: half a KiB; this bound exists so a corrupt length prefix cannot make
+#: either side try to allocate gigabytes.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: Most items one ``evaluate`` frame carries.  A ``result`` frame costs
-#: about 2 KiB per item with all five schemes, so a full chunk answers
-#: in about 1 MiB, far inside :data:`MAX_FRAME_BYTES` for any batch size.
+#: about 0.5 KiB per item with all five schemes, so a full chunk answers
+#: in about 250 KiB, far inside :data:`MAX_FRAME_BYTES` for any batch size.
 MAX_CHUNK_ITEMS = 512
 
 _LENGTH_BYTES = 4
@@ -236,6 +261,126 @@ def config_from_wire(overrides: object) -> ExperimentConfig:
         raise DistributedError(f"malformed wire overrides: {exc}") from exc
 
 
+# ---------------------------------------------------------------------------
+# result records: packed doubles beside JSON ints
+# ---------------------------------------------------------------------------
+
+_RECORD_KEYS = tuple(key for key, _ in RECORD_LAYOUT)
+_WIDTH = len(RECORD_LAYOUT)
+#: Positions of the packed and of the JSON fields in a record; position
+#: 0 is the scheme name, which the wire implies.
+_FLOAT_AT = tuple(at for at, (_, kind) in enumerate(RECORD_LAYOUT) if kind is float)
+_INT_AT = tuple(at for at, (_, kind) in enumerate(RECORD_LAYOUT) if kind is int)
+_FLOAT_TYPES = {float}
+_INT_TYPES = {int}
+
+
+@functools.lru_cache(maxsize=16)
+def _wire_positions(record_count: int) -> tuple:
+    """For an item of ``record_count`` records, its values laid end to end
+    in layout order: a getter of the ``float`` values (in wire order) and
+    the positions of the ``int`` values."""
+    def positions(fields: tuple[int, ...]) -> list[int]:
+        return [index * _WIDTH + at for index in range(record_count) for at in fields]
+    # Nine float fields a record: the getter always answers a tuple.
+    return operator.itemgetter(*positions(_FLOAT_AT)), positions(_INT_AT)
+
+
+def result_names(scheme_names: Sequence[str]) -> tuple[str, ...]:
+    """The scheme of each record an item's ``scheme_names`` yields: its
+    distinct names in first-appearance order (a repeated name evaluates
+    once, as in :func:`~repro.core.comparison.point_records`)."""
+    return tuple(dict.fromkeys(scheme_names))
+
+
+def pack_item(records: Sequence[Mapping], names: Sequence[str],
+              floats: list[float]) -> list[int]:
+    """Append one item's ``float`` fields to ``floats`` and return its
+    ``int`` fields, both in wire order.
+
+    Raises :class:`~repro.errors.DistributedError` unless the records are
+    one per name of ``names``, in order, each with exactly the keys of
+    :data:`~repro.core.comparison.RECORD_LAYOUT` in that order and every
+    value of exactly its field's type: nothing is converted.
+    """
+    values = [value for record in records for value in record.values()]
+    if len(records) == len(names) and all(tuple(record) == _RECORD_KEYS for record in records):
+        floats_of, int_positions = _wire_positions(len(records))
+        item_floats = floats_of(values)
+        ints = [values[at] for at in int_positions]
+        if (values[0::_WIDTH] == list(names) and set(map(type, item_floats)) <= _FLOAT_TYPES
+                and set(map(type, ints)) <= _INT_TYPES):
+            floats += item_floats
+            return ints
+    raise DistributedError(_misfit(records, names))
+
+
+def _misfit(records: Sequence[Mapping], names: Sequence[str]) -> str:
+    """Why :func:`pack_item` refused ``records``."""
+    if len(records) != len(names):
+        return f"{len(records)} records for the {len(names)} schemes {list(names)}"
+    kinds = dict(RECORD_LAYOUT)
+    for index, (name, record) in enumerate(zip(names, records)):
+        if tuple(record) != _RECORD_KEYS or record["scheme"] != name:
+            return (f"record {index} does not fit the wire layout of scheme "
+                    f"{name!r}: keys {list(record)}")
+        for key, value in record.items():
+            if type(value) is not kinds[key]:
+                return (f"record field {key!r} holds {type(value).__name__} "
+                        f"{value!r}; its layout type is {kinds[key].__name__}")
+    raise AssertionError("the records fit the layout")
+
+
+def result_frame(task: object, floats: list[float], ints: list[list[int]]) -> dict:
+    """The ``result`` frame of a chunk packed by :func:`pack_item`."""
+    block = struct.pack(f"<{len(floats)}d", *floats)
+    return {"type": "result", "task": task,
+            "floats": base64.b64encode(block).decode("ascii"), "ints": ints}
+
+
+def unpack_result(message: Mapping, names: Sequence[str], size: int) -> list[list[dict]]:
+    """The records of a ``result`` frame for a chunk of ``size`` items
+    whose records are the schemes ``names``: one list per item, each
+    record equal to serial
+    :func:`~repro.core.comparison.point_records` in key order, value
+    types and float bits.
+
+    Raises :class:`~repro.errors.DistributedError` when the frame does not
+    fit the chunk: a float block of another length, or ``ints`` not one
+    list of ints per item with one entry per ``int`` field of each record.
+    """
+    block, ints = message.get("floats"), message.get("ints")
+    record_count = size * len(names)
+    if not isinstance(block, str) or type(ints) is not list or len(ints) != size:
+        raise DistributedError("result frame does not fit its chunk")
+    try:
+        raw = base64.b64decode(block, validate=True)
+    except binascii.Error as exc:
+        raise DistributedError(f"result float block is not base64: {exc}") from exc
+    count = record_count * len(_FLOAT_AT)
+    if len(raw) != 8 * count:
+        raise DistributedError(
+            f"result float block holds {len(raw)} bytes, not {count} doubles")
+    per_item = len(names) * len(_INT_AT)
+    if not all(type(item) is list and len(item) == per_item for item in ints):
+        raise DistributedError("result int lists do not fit their chunk")
+    int_values = [value for item in ints for value in item]
+    if not set(map(type, int_values)) <= _INT_TYPES:
+        raise DistributedError("result int lists hold a value that is not an int")
+    floats = struct.unpack(f"<{count}d", raw)
+    # Every record's values end to end in layout order, one field at a
+    # time, then cut into records of the layout's width.
+    values: list[object] = [None] * (record_count * _WIDTH)
+    values[0::_WIDTH] = names * size
+    for field, at in enumerate(_FLOAT_AT):
+        values[at::_WIDTH] = floats[field::len(_FLOAT_AT)]
+    for field, at in enumerate(_INT_AT):
+        values[at::_WIDTH] = int_values[field::len(_INT_AT)]
+    stream = iter(values)
+    # zip stops at the end of the keys without drawing on the stream.
+    return [[dict(zip(_RECORD_KEYS, stream)) for _ in names] for _ in range(size)]
+
+
 def parse_address(spec: str, default_port: int = 0) -> tuple[str, int]:
     """Parse ``"host:port"`` (or bare ``"host"``) into ``(host, port)``."""
     host, sep, port_text = spec.rpartition(":")
@@ -300,6 +445,7 @@ class _Chunk:
     start: int
     size: int
     frame: dict
+    names: tuple[str, ...]
     state: _RunState
     attempts: int = 0
 
@@ -307,6 +453,23 @@ class _Chunk:
         if self.size == 1:
             return f"item {self.start}"
         return f"items {self.start}-{self.start + self.size - 1}"
+
+
+def _chunk_bounds(items: Sequence[WorkItem], size: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` of each chunk: ``size`` items, or fewer where
+    the next item names other schemes or another baseline (a chunk's
+    items share the ``evaluate`` frame's ``schemes`` and ``baseline``)."""
+    bounds = []
+    start = 0
+    while start < len(items):
+        group = (items[start].scheme_names, items[start].baseline_name)
+        stop = start + 1
+        end = min(start + size, len(items))
+        while stop < end and (items[stop].scheme_names, items[stop].baseline_name) == group:
+            stop += 1
+        bounds.append((start, stop))
+        start = stop
+    return bounds
 
 
 class _WorkerHandle:
@@ -673,11 +836,10 @@ class DistributedExecutor:
                 if mtype == "pong":
                     continue  # stale heartbeat answer
                 if mtype == "result" and message.get("task") == chunk.start:
-                    records = message.get("records")
-                    if not (isinstance(records, list) and len(records) == chunk.size
-                            and all(isinstance(entry, list) for entry in records)):
-                        return False  # protocol violation: drop the worker
-                    self._complete(handle, chunk, records)
+                    # A result that does not fit the chunk raises: a
+                    # protocol violation, so the worker is dropped.
+                    self._complete(handle, chunk,
+                                   unpack_result(message, chunk.names, chunk.size))
                     return True
                 if mtype == "error" and message.get("task") == chunk.start:
                     offset = message.get("item")
@@ -774,9 +936,7 @@ class DistributedExecutor:
             return []
         # Encode the whole batch before touching the queue: a config
         # that cannot go on the wire fails the run with nothing sent.
-        wire = [{"overrides": config_to_wire(item.config),
-                 "schemes": list(item.scheme_names),
-                 "baseline": item.baseline_name} for item in items]
+        wire = [config_to_wire(item.config) for item in items]
         with self._run_lock:
             self.start()
             self._wait_for_workers(self.min_workers)
@@ -785,11 +945,15 @@ class DistributedExecutor:
                            MAX_CHUNK_ITEMS)
                 state = _RunState(outstanding=len(items), results=[None] * len(items))
                 self._state = state
-            for start in range(0, len(items), size):
-                batch = wire[start:start + size]
+            for start, stop in _chunk_bounds(items, size):
+                first = items[start]
                 self._chunks.put(_Chunk(
-                    start=start, size=len(batch), state=state,
-                    frame={"type": "evaluate", "task": start, "items": batch}))
+                    start=start, size=stop - start, state=state,
+                    names=result_names(first.scheme_names),
+                    frame={"type": "evaluate", "task": start,
+                           "schemes": list(first.scheme_names),
+                           "baseline": first.baseline_name,
+                           "items": wire[start:stop]}))
             with self._cond:
                 # A failure ends the wait immediately: with every worker
                 # gone nobody is left to settle the queued remainder.

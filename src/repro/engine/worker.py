@@ -8,7 +8,8 @@ overrides are rebuilt into an :class:`~repro.core.config.ExperimentConfig`
 (:func:`~repro.engine.distributed.config_from_wire`) and run through
 :func:`~repro.core.comparison.point_records`, exactly what the serial
 executor would have done in-process, and the ``result`` frame answers
-with one records list per item, in order.  Because the process is
+with every item's records, in order, as packed doubles beside JSON ints
+(:func:`~repro.engine.distributed.pack_item`).  Because the process is
 persistent, the structural memoisation in
 :mod:`repro.core.scheme_evaluator` warms up once and then serves every
 subsequent item, the same amortisation a process-pool worker only gets
@@ -21,11 +22,13 @@ the coordinator dials out (for workers behind ingress-only firewalls).
 Either way the worker speaks first — the ``register`` frame opens every
 connection, whoever initiated it.
 
-Evaluation failures are answered with structured ``error`` frames
-naming the chunk and the offset of the failing item (a model-level
-rejection is deterministic; the coordinator fails the run rather than
-retrying it elsewhere); malformed frames and lost coordinators end the
-process with a non-zero exit code so supervisors notice.
+Evaluation failures — whatever exception an item raises, and records
+that do not fit the wire layout — are answered with structured
+``error`` frames naming the chunk and the offset of the failing item (a
+model-level rejection is deterministic; the coordinator fails the run
+rather than retrying it elsewhere, and the worker stays registered);
+malformed frames and lost coordinators end the process with a non-zero
+exit code so supervisors notice.
 ``--max-items N`` exits cleanly once the frames answered carried N items
 or more (a chunk is always answered whole) — rolling restarts for
 long-lived fleets, and the test suite's way of simulating worker death
@@ -46,8 +49,11 @@ from ..errors import DistributedError, ReproError
 from .distributed import (
     PROTOCOL_VERSION,
     config_from_wire,
+    pack_item,
     parse_address,
     recv_frame,
+    result_frame,
+    result_names,
     send_frame,
 )
 
@@ -59,40 +65,53 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _evaluate_item(item: object) -> list[dict]:
-    """Evaluate one wire item (``overrides``, ``schemes``, ``baseline``)."""
-    if not isinstance(item, Mapping):
-        raise TypeError(f"work item must be an object, got {type(item).__name__}")
-    return point_records(
-        config_from_wire(item.get("overrides", {})),
-        scheme_names=[str(name) for name in item["schemes"]],
-        baseline_name=str(item["baseline"]),
-    )
+def _error(sock: socket.socket, task: object, code: str, message: str,
+           offset: int | None = None) -> None:
+    frame = {"type": "error", "task": task, "error": code, "message": message}
+    if offset is not None:
+        frame["item"] = offset
+    send_frame(sock, frame)
 
 
 def _evaluate_frame(sock: socket.socket, message: dict) -> int:
-    """Answer one ``evaluate`` frame with a ``result`` (one records list
-    per item, in order) or an ``error`` naming the first item that
-    failed; returns how many items the frame carried."""
+    """Answer one ``evaluate`` frame with a ``result`` (every item's
+    records, packed) or an ``error`` naming the first item that failed;
+    returns how many items the frame carried."""
     task = message.get("task")
     items = message.get("items")
+    schemes = message.get("schemes")
+    baseline = message.get("baseline")
     if not isinstance(items, list) or not items:
-        send_frame(sock, {"type": "error", "task": task, "error": "malformed-item",
-                          "message": "an evaluate frame needs a non-empty 'items' list"})
+        _error(sock, task, "malformed-item", "an evaluate frame needs a non-empty 'items' list")
         return 0
-    records = []
-    for offset, item in enumerate(items):
+    if not (isinstance(schemes, list) and all(isinstance(name, str) for name in schemes)
+            and isinstance(baseline, str)):
+        _error(sock, task, "malformed-item",
+               "an evaluate frame needs a 'schemes' list of names and a 'baseline' name")
+        return len(items)
+    names = result_names(schemes)
+    floats: list[float] = []
+    ints = []
+    for offset, overrides in enumerate(items):
+        # Whatever an item raises is answered: a worker that died here
+        # would die again on every worker the chunk is re-dispatched to.
         try:
-            records.append(_evaluate_item(item))
+            if not isinstance(overrides, Mapping):
+                raise TypeError(f"work item must be an overrides object, "
+                                f"got {type(overrides).__name__}")
+            records = point_records(config_from_wire(overrides),
+                                    scheme_names=schemes, baseline_name=baseline)
+            ints.append(pack_item(records, names, floats))
         except ReproError as exc:
-            send_frame(sock, {"type": "error", "task": task, "item": offset,
-                              "error": "evaluation-failed", "message": str(exc)})
+            _error(sock, task, "evaluation-failed", str(exc), offset)
             return len(items)
         except (KeyError, TypeError, ValueError) as exc:
-            send_frame(sock, {"type": "error", "task": task, "item": offset,
-                              "error": "malformed-item", "message": repr(exc)})
+            _error(sock, task, "malformed-item", repr(exc), offset)
             return len(items)
-    send_frame(sock, {"type": "result", "task": task, "records": records})
+        except Exception as exc:
+            _error(sock, task, "evaluation-failed", repr(exc), offset)
+            return len(items)
+    send_frame(sock, result_frame(task, floats, ints))
     return len(items)
 
 

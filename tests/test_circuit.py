@@ -19,7 +19,6 @@ from repro.circuit import (
     RCTree,
     SleepTransistor,
     contention_energy,
-    dynamic_power,
     leakage_from_node_voltages,
     switching_energy,
 )
@@ -304,17 +303,8 @@ class TestDynamicHelpers:
     def test_switching_energy_cv2(self):
         assert switching_energy(100e-15, 1.0) == pytest.approx(100e-15)
 
-    def test_dynamic_power_scales_with_activity_and_frequency(self):
-        base = dynamic_power(100e-15, 1.0, 3e9, 0.25)
-        assert dynamic_power(100e-15, 1.0, 3e9, 0.5) == pytest.approx(2 * base)
-        assert dynamic_power(100e-15, 1.0, 6e9, 0.25) == pytest.approx(2 * base)
-
     def test_contention_energy(self):
         assert contention_energy(1e-3, 50e-12, 1.0) == pytest.approx(50e-15)
-
-    def test_invalid_probabilities_rejected(self):
-        with pytest.raises(PowerError):
-            dynamic_power(1e-15, 1.0, 1e9, 1.5)
 
     def test_negative_capacitance_rejected(self):
         with pytest.raises(PowerError):

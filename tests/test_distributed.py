@@ -12,18 +12,25 @@ mode, and the engine/service integration points
 
 from __future__ import annotations
 
+import asyncio
+import base64
+import json
+import math
 import os
 import random
+import re
 import socket
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 import repro
-from repro.core.config import ExperimentConfig
+from repro.core.comparison import RECORD_LAYOUT, point_records
+from repro.core.config import ExperimentConfig, paper_experiment
 from repro.core.paths import get_path, sweepable_paths
 from repro.engine import DistributedExecutor, Evaluator
 from repro.engine.distributed import (
@@ -32,9 +39,13 @@ from repro.engine.distributed import (
     PROTOCOL_VERSION,
     config_from_wire,
     config_to_wire,
+    pack_item,
     parse_address,
     recv_frame,
+    result_frame,
+    result_names,
     send_frame,
+    unpack_result,
 )
 from repro.engine.executor import (
     ProcessExecutor,
@@ -43,6 +54,7 @@ from repro.engine.executor import (
     chunk_size,
     resolve_executor,
 )
+from repro.engine import worker as worker_module
 from repro.engine.worker import serve_connection
 from repro.errors import ConfigurationError, DistributedError
 
@@ -69,6 +81,19 @@ def register_fake(executor: DistributedExecutor, worker_id: str) -> socket.socke
                       "worker": worker_id, "model_version": repro.__version__})
     assert recv_frame(sock)["type"] == "registered"
     return sock
+
+
+def fake_result(frame: dict, count: int | None = None) -> dict:
+    """A ``result`` answering ``frame`` (or only its first ``count``
+    items): every record's float fields 0.0, its int fields 0."""
+    names = result_names(frame["schemes"])
+    floats: list[float] = []
+    ints = []
+    for _ in range(len(frame["items"]) if count is None else count):
+        records = [{key: name if kind is str else kind() for key, kind in RECORD_LAYOUT}
+                   for name in names]
+        ints.append(pack_item(records, names, floats))
+    return result_frame(frame["task"], floats, ints)
 
 
 def next_evaluate(sock: socket.socket) -> dict:
@@ -223,6 +248,93 @@ class TestConfigWire:
 
 
 # ---------------------------------------------------------------------------
+# result codec: packed doubles beside JSON ints
+# ---------------------------------------------------------------------------
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "comparison_records.json")
+                    .read_text(encoding="utf-8"))
+
+
+def over_the_wire(frame: dict) -> dict:
+    """``frame`` as the peer reads it: the JSON text :func:`send_frame`
+    writes, parsed back."""
+    return json.loads(json.dumps(frame, sort_keys=True, separators=(",", ":")))
+
+
+def test_the_layout_is_the_record_path_layout():
+    records = point_records(ExperimentConfig(static_probability=0.3))
+    for record in records:
+        assert [(key, type(value)) for key, value in record.items()] == list(RECORD_LAYOUT)
+
+
+def test_packed_records_decode_to_serial_records_at_every_golden_point():
+    """Every golden point's records, packed as one chunk and parsed back
+    from JSON text, equal serial ``point_records``: the same keys in the
+    same order, the same value types and bit-identical floats, so their
+    sorted-key JSON (cache entries, service bodies) is byte-identical."""
+    cases = [case for case in GOLDEN if "records" in case]
+    serial = [point_records(paper_experiment().with_overrides(
+        **{path: value for path, value in case.items() if path != "records"}))
+        for case in cases]
+    names = result_names([record["scheme"] for record in serial[0]])
+    floats: list[float] = []
+    ints = [pack_item(records, names, floats) for records in serial]
+    decoded = unpack_result(over_the_wire(result_frame(0, floats, ints)), names, len(cases))
+    assert decoded == serial == [case["records"] for case in cases]
+    for got, want in zip(decoded, serial):
+        assert repr(got) == repr(want)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def float_bits(record: dict) -> list[str]:
+    return [value.hex() for value in record.values() if type(value) is float]
+
+
+def test_edge_values_survive_the_round_trip():
+    edges = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+             0.0, 1e-310, 2.0 ** -1074 * 3, 0.1 + 0.2, -1e-300]
+    names = ("SC", "SDPC")
+    values = iter(edges * 2)
+    records = [{key: name if kind is str else next(values) if kind is float else idle
+                for key, kind in RECORD_LAYOUT}
+               for name, idle in zip(names, (2 ** 70, -(2 ** 70) - 1))]
+    floats: list[float] = []
+    ints = [pack_item(records, names, floats)]
+    [decoded] = unpack_result(over_the_wire(result_frame(3, floats, ints)), names, 1)
+    assert repr(decoded) == repr(records)
+    assert json.dumps(decoded, sort_keys=True) == json.dumps(records, sort_keys=True)
+    assert decoded[0]["minimum_idle_cycles"] == 2 ** 70
+    assert math.copysign(1.0, decoded[0]["high_to_low_ps"]) == -1.0
+    assert [float_bits(record) for record in decoded] == [float_bits(r) for r in records]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda record: record.update(high_vt_device_fraction=0),
+     "record field 'high_vt_device_fraction' holds int 0; its layout type is float"),
+    (lambda record: record.update(minimum_idle_cycles=True),
+     "record field 'minimum_idle_cycles' holds bool True; its layout type is int"),
+    (lambda record: record.update(total_power_mw=record.pop("total_power_mw")),
+     "record 1 does not fit the wire layout of scheme 'SDPC'"),
+    (lambda record: record.update(scheme="SC"),
+     "record 1 does not fit the wire layout of scheme 'SDPC'"),
+])
+def test_pack_item_converts_nothing(corrupt, message):
+    records = point_records(ExperimentConfig(), list(SCHEMES), "SC")
+    corrupt(records[1])
+    with pytest.raises(DistributedError, match=re.escape(message)):
+        pack_item(records, result_names(SCHEMES), [])
+    with pytest.raises(DistributedError, match="1 records for the 2 schemes"):
+        pack_item(records[:1], result_names(SCHEMES), [])
+
+
+def test_result_names_are_the_distinct_names_point_records_yields():
+    schemes = ["SDPC", "SC", "SDPC"]
+    records = point_records(ExperimentConfig(), schemes, "SC")
+    assert result_names(schemes) == tuple(record["scheme"] for record in records) \
+        == ("SDPC", "SC")
+
+
+# ---------------------------------------------------------------------------
 # registration handshake (raw-socket fake workers)
 # ---------------------------------------------------------------------------
 
@@ -259,6 +371,18 @@ class TestRegistration:
             assert answer["type"] == "rejected"
             assert "protocol 1" in answer["reason"]
             assert executor.stats.workers_rejected == 1
+
+    def test_protocol_2_worker_is_rejected_with_its_reason(self):
+        """A protocol-2 worker would answer decimal JSON records, which a
+        protocol-3 coordinator no longer reads."""
+        assert PROTOCOL_VERSION == 3
+        with DistributedExecutor() as executor:
+            answer = self.handshake(executor, {
+                "type": "register", "protocol": 2,
+                "worker": "old", "model_version": repro.__version__})
+            assert answer == {"type": "rejected", "reason": "protocol 2 != 3"}
+            assert executor.stats.workers_rejected == 1
+            assert executor.workers_payload() == {}
 
     def test_model_version_skew_is_rejected(self):
         with DistributedExecutor() as executor:
@@ -508,8 +632,7 @@ def test_result_with_the_wrong_record_count_drops_the_worker():
         runner.start()
         frame = next_evaluate(liar)
         assert len(frame["items"]) == 2  # 8 items on one worker: chunks of 2
-        send_frame(liar, {"type": "result", "task": frame["task"],
-                          "records": [[]]})
+        send_frame(liar, fake_result(frame, count=1))
         runner.join(timeout=30)
         assert not runner.is_alive()
         assert "lost" in str(outcome["error"])
@@ -522,16 +645,96 @@ def test_result_with_the_wrong_record_count_drops_the_worker():
         runner.join(timeout=10)
 
 
+def short_block(result: dict) -> dict:
+    """``result`` with its float block one double short."""
+    raw = base64.b64decode(result["floats"])[:-8]
+    return {**result, "floats": base64.b64encode(raw).decode("ascii")}
+
+
+@pytest.mark.parametrize("violate", [
+    short_block,
+    lambda result: {**result, "ints": [result["ints"][0][:-1]]},
+    lambda result: {**result, "ints": result["ints"][0]},
+    lambda result: {**result, "ints": [[float(value) for value in result["ints"][0]]]},
+    lambda result: {**result, "floats": "not base64!"},
+], ids=["block-one-double-short", "int-list-one-short", "int-list-flat",
+        "float-in-int-list", "block-not-base64"])
+def test_a_result_that_does_not_fit_its_chunk_redispatches_it(violate):
+    """A protocol violation drops the worker and re-dispatches its chunk
+    to a survivor: the run completes and the counters say so."""
+    executor = DistributedExecutor(min_workers=2).start()
+    liar = register_fake(executor, "liar")
+    honest = register_fake(executor, "honest")
+    for sock in (liar, honest):
+        sock.settimeout(30.0)
+    outcome: dict[str, object] = {}
+    items = items_for([0.1 * index for index in range(1, 9)])
+    runner = threading.Thread(target=lambda: outcome.setdefault("results", executor.run(items)))
+    try:
+        runner.start()
+        frame = next_evaluate(liar)
+        assert len(frame["items"]) == 1  # 8 items on 2 workers: chunks of 1
+        send_frame(liar, violate(fake_result(frame)))
+        assert recv_frame(liar) is None  # the coordinator hung up
+        assert sum(answer_chunks(honest, len(items))) == len(items)
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        zero = unpack_result(fake_result(frame), result_names(SCHEMES), 1)[0]
+        assert outcome["results"][frame["task"]].records == zero
+        assert executor.stats.workers_lost == 1
+        assert executor.stats.redispatched == 1
+        assert executor.stats.completed == len(items)
+    finally:
+        liar.close()
+        honest.close()
+        executor.close()
+        runner.join(timeout=10)
+
+
+def test_chunks_never_mix_scheme_lists_or_baselines():
+    """Every item of an ``evaluate`` frame shares its ``schemes`` and
+    ``baseline``: a batch cuts its chunks where they change."""
+    other = ("SDPC", "DFC", "SC")
+    items = (items_for((0.1, 0.2, 0.3))
+             + [WorkItem(config=ExperimentConfig(static_probability=p),
+                         scheme_names=other, baseline_name="SC") for p in (0.4, 0.5, 0.6)]
+             + [WorkItem(config=ExperimentConfig(static_probability=p),
+                         scheme_names=other, baseline_name="SDPC") for p in (0.7, 0.8)])
+    executor = DistributedExecutor(min_workers=1).start()
+    fake = register_fake(executor, "watcher")
+    fake.settimeout(30.0)
+    outcome: dict[str, object] = {}
+    runner = threading.Thread(target=lambda: outcome.setdefault("results", executor.run(items)))
+    frames = []
+    try:
+        runner.start()
+        while sum(len(frame["items"]) for frame in frames) < len(items):
+            frames.append(next_evaluate(fake))
+            send_frame(fake, fake_result(frames[-1]))
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+    finally:
+        fake.close()
+        executor.close()
+        runner.join(timeout=10)
+    assert chunk_size(len(items), 1) == 2
+    assert [(frame["task"], len(frame["items"]), tuple(frame["schemes"]), frame["baseline"])
+            for frame in frames] == [
+        (0, 2, SCHEMES, "SC"), (2, 1, SCHEMES, "SC"),
+        (3, 2, other, "SC"), (5, 1, other, "SC"), (6, 2, other, "SDPC")]
+    assert [[record["scheme"] for record in point.records] for point in outcome["results"]] \
+        == [list(SCHEMES)] * 3 + [list(other)] * 5
+
+
 def answer_chunks(sock: socket.socket, item_count: int, delay: float = 0.0) -> list[int]:
-    """Answer ``evaluate`` frames with empty records until ``item_count``
+    """Answer ``evaluate`` frames with zero records until ``item_count``
     items are settled; returns each frame's item count."""
     sizes: list[int] = []
     while sum(sizes) < item_count:
         frame = next_evaluate(sock)
         sizes.append(len(frame["items"]))
         time.sleep(delay)
-        send_frame(sock, {"type": "result", "task": frame["task"],
-                          "records": [[] for _ in frame["items"]]})
+        send_frame(sock, fake_result(frame))
     return sizes
 
 
@@ -609,9 +812,13 @@ def test_a_batch_that_cannot_be_encoded_dispatches_nothing():
 
 
 def wire_item(probability: float, node: str = "45nm") -> dict:
-    return {"overrides": config_to_wire(ExperimentConfig(
-                static_probability=probability, technology_node=node)),
-            "schemes": list(SCHEMES), "baseline": "SC"}
+    return config_to_wire(ExperimentConfig(static_probability=probability,
+                                           technology_node=node))
+
+
+def evaluate_frame(task: int, items: list) -> dict:
+    return {"type": "evaluate", "task": task, "schemes": list(SCHEMES),
+            "baseline": "SC", "items": items}
 
 
 def drive_worker(max_items, frames: list[dict]) -> tuple[list, str]:
@@ -654,28 +861,105 @@ def drive_worker(max_items, frames: list[dict]) -> tuple[list, str]:
 
 
 def test_worker_answers_a_chunk_with_one_records_list_per_item():
-    frame = {"type": "evaluate", "task": 8,
-             "items": [wire_item(0.2), wire_item(0.6), wire_item(0.9)]}
+    frame = evaluate_frame(8, [wire_item(0.2), wire_item(0.6), wire_item(0.9)])
     answers, end = drive_worker(None, [frame])
     assert end == "shutdown"
     assert answers[0]["type"] == "result" and answers[0]["task"] == 8
     expected = SerialExecutor().run(items_for((0.2, 0.6, 0.9)))
-    assert answers[0]["records"] == [point.records for point in expected]
+    assert unpack_result(answers[0], result_names(SCHEMES), 3) \
+        == [point.records for point in expected]
 
 
 def test_worker_error_names_the_failing_item_of_the_chunk():
-    frame = {"type": "evaluate", "task": 4,
-             "items": [wire_item(0.2), wire_item(0.4, node="13nm-imaginary")]}
-    answers, _ = drive_worker(None, [frame, {"type": "evaluate", "task": 6,
-                                             "items": "not-a-list"}])
+    frame = evaluate_frame(4, [wire_item(0.2), wire_item(0.4, node="13nm-imaginary")])
+    answers, _ = drive_worker(None, [frame, evaluate_frame(6, "not-a-list"),
+                                     evaluate_frame(7, [wire_item(0.2), ["not", "an", "object"]]),
+                                     {**evaluate_frame(9, [wire_item(0.2)]), "baseline": None}])
     assert answers[0]["type"] == "error" and answers[0]["item"] == 1
     assert answers[0]["error"] == "evaluation-failed"
     assert answers[1]["type"] == "error" and answers[1]["error"] == "malformed-item"
+    assert answers[2] == {"type": "error", "task": 7, "item": 1, "error": "malformed-item",
+                          "message": "TypeError('work item must be an overrides object, "
+                                     "got list')"}
+    assert answers[3]["type"] == "error" and answers[3]["error"] == "malformed-item"
+
+
+def test_a_wrong_typed_wire_value_is_an_error_frame_not_a_dead_worker():
+    frame = evaluate_frame(0, [wire_item(0.2), {"corner": 1.0},
+                               {"crossbar.allow_self_connection": 0.5}])
+    answers, end = drive_worker(None, [frame, evaluate_frame(3, [wire_item(0.3)])])
+    assert end == "shutdown"
+    assert answers[0]["type"] == "error" and answers[0]["item"] == 1
+    assert answers[0]["message"] == "corner must be a name (str), got 1.0"
+    assert answers[1]["type"] == "result"
+
+
+def raise_at(probability: float, exc: Exception):
+    """``point_records`` that raises ``exc`` at ``probability``."""
+    def evaluate(config, scheme_names, baseline_name):
+        if config.static_probability == probability:
+            raise exc
+        return point_records(config, scheme_names, baseline_name)
+    return evaluate
+
+
+def test_worker_answers_any_exception_an_item_raises(monkeypatch):
+    """An item that raises outside the model's own errors is answered with
+    an error frame naming it, and the worker serves the next frame."""
+    monkeypatch.setattr(worker_module, "point_records",
+                        raise_at(0.4, RuntimeError("solver blew up")))
+    answers, end = drive_worker(None, [
+        evaluate_frame(4, [wire_item(0.2), wire_item(0.4), wire_item(0.6)]),
+        evaluate_frame(7, [wire_item(0.6)])])
+    assert end == "shutdown"
+    assert answers[0] == {"type": "error", "task": 4, "item": 1, "error": "evaluation-failed",
+                          "message": "RuntimeError('solver blew up')"}
+    assert answers[1]["type"] == "result" and answers[1]["task"] == 7
+
+
+def test_worker_refuses_records_that_do_not_fit_the_layout(monkeypatch):
+    def int_fraction(config, scheme_names, baseline_name):
+        records = point_records(config, scheme_names, baseline_name)
+        if config.static_probability == 0.4:
+            records[1]["high_vt_device_fraction"] = 0
+        return records
+
+    monkeypatch.setattr(worker_module, "point_records", int_fraction)
+    answers, _ = drive_worker(None, [evaluate_frame(2, [wire_item(0.2), wire_item(0.4)])])
+    assert answers == [{"type": "error", "task": 2, "item": 1, "error": "evaluation-failed",
+                        "message": "record field 'high_vt_device_fraction' holds int 0; "
+                                   "its layout type is float"}]
+
+
+def test_an_item_raising_anything_fails_the_run_and_keeps_the_fleet(monkeypatch):
+    """The run fails with a DistributedError naming the item; the worker
+    stays registered and the next run succeeds."""
+    monkeypatch.setattr(worker_module, "point_records",
+                        raise_at(0.4, RuntimeError("solver blew up")))
+    executor = DistributedExecutor(min_workers=1).start()
+    sock = socket.create_connection(executor.address, timeout=10.0)
+    outcome: dict[str, str] = {}
+    thread = threading.Thread(
+        target=lambda: outcome.setdefault("end", serve_connection(sock, "inproc")))
+    try:
+        thread.start()
+        with pytest.raises(DistributedError, match=r"failed item 1: RuntimeError"):
+            executor.run(items_for((0.2, 0.4, 0.6)))
+        assert list(executor.workers_payload()) == ["inproc"]
+        assert executor.stats.workers_lost == 0
+        items = items_for((0.2, 0.6))
+        assert [point.records for point in executor.run(items)] \
+            == [point.records for point in SerialExecutor().run(items)]
+    finally:
+        executor.close()
+        thread.join(timeout=30)
+        sock.close()
+    assert outcome["end"] == "shutdown"
 
 
 def test_max_items_counts_items_not_frames():
-    frames = [{"type": "evaluate", "task": index * 2,
-               "items": [wire_item(0.1 + index * 0.2), wire_item(0.2 + index * 0.2)]}
+    frames = [evaluate_frame(index * 2, [wire_item(0.1 + index * 0.2),
+                                         wire_item(0.2 + index * 0.2)])
               for index in range(3)]
     # 2 items per frame: a budget of 3 is spent by the second frame.
     answers, end = drive_worker(3, frames)
@@ -900,3 +1184,52 @@ def test_fleet_failure_is_a_503_over_http_not_a_client_error():
     status, payload = asyncio.run(scenario())
     assert status == 503
     assert payload["error"] == "executor-unavailable"
+
+
+#: Queries for the fleet-versus-serial service bodies: scalar points, a
+#: zero sign, an int flag, structural points and the paper point.
+SERVICE_QUERIES = [
+    {},
+    {"static_probability": 0.25},
+    {"toggle_activity": -0.0, "static_probability": 0.7},
+    {"toggle_activity": 1},
+    {"crossbar.port_count": 3, "crossbar.flit_width": 64},
+    {"allow_self_connection": True},
+    {"technology_node": "32nm", "corner": "FF"},
+    {"temperature_celsius": 25, "crossbar.port_count": 8},
+]
+
+
+async def _post_bodies(executor) -> list[tuple[int, bytes]]:
+    """Every ``SERVICE_QUERIES`` answer of a fresh service on ``executor``:
+    one concurrent batch of misses, then each query again (hits)."""
+    from repro.engine import EvaluationServer, EvaluationService
+    from repro.engine.service import _read_http_message
+
+    async def post(port: int, overrides: dict) -> tuple[int, bytes]:
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        body = json.dumps({"overrides": overrides}).encode("utf-8")
+        writer.write(b"POST /evaluate HTTP/1.1\r\nContent-Length: %d\r\n"
+                     b"Connection: close\r\n\r\n" % len(body) + body)
+        await writer.drain()
+        start, _headers, raw = await _read_http_message(reader)
+        writer.close()
+        await writer.wait_closed()
+        return int(start.split()[1]), raw
+
+    service = EvaluationService(executor=executor, max_batch_size=64, flush_interval=0.05)
+    server = await EvaluationServer(service, port=0).start()
+    answers = await asyncio.gather(*[post(server.port, query) for query in SERVICE_QUERIES])
+    answers += [await post(server.port, query) for query in SERVICE_QUERIES]
+    await server.stop()
+    await service.stop()
+    return answers
+
+
+def test_a_fleet_service_answers_byte_identical_bodies_to_a_serial_one():
+    with DistributedExecutor(spawn_workers=2) as fleet:
+        fleet_answers = asyncio.run(_post_bodies(fleet))
+        assert fleet.stats.completed == len(SERVICE_QUERIES)
+    serial_answers = asyncio.run(_post_bodies("serial"))
+    assert [status for status, _ in fleet_answers] == [200] * 2 * len(SERVICE_QUERIES)
+    assert fleet_answers == serial_answers

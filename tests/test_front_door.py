@@ -22,11 +22,13 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.comparison import point_records
 from repro.core.config import ExperimentConfig
 from repro.core.paths import leaf_layout, normalize_path, set_path
 from repro.crossbar.ports import CrossbarConfig
 from repro.engine.cache import CACHE_SCHEMA_VERSION, config_payload, point_key
 from repro.engine.distributed import config_from_wire, config_to_wire
+from repro.errors import ConfigurationError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402
@@ -255,6 +257,40 @@ def test_non_finite_values_are_refused_at_every_numeric_path(path, value):
     with pytest.raises(repro.ReproError) as excinfo:
         ExperimentConfig().with_overrides(**{path: value})
     assert path in str(excinfo.value)
+
+
+#: The string and flag paths of the registry, and values of other types.
+NAME_PATHS = ["technology_node", "corner", "crossbar.wire_layer"]
+WRONG_NAMES = [1.0, 45, None, True, ["45nm"], b"TT"]
+WRONG_FLAGS = [0.5, 1.0, 0.0, 2, -1, None, "true", [True]]
+
+
+def test_name_and_flag_paths_cover_every_non_number_of_the_registry():
+    assert sorted(NAME_PATHS) == sorted(
+        path for path, default in leaf_layout() if type(default) is str)
+    assert [path for path, default in leaf_layout() if type(default) is bool] \
+        == ["crossbar.allow_self_connection"]
+
+
+@pytest.mark.parametrize("value", WRONG_NAMES, ids=repr)
+@pytest.mark.parametrize("path", NAME_PATHS)
+def test_a_name_path_refuses_any_non_string(path, value):
+    with pytest.raises(ConfigurationError) as excinfo:
+        ExperimentConfig().with_overrides(**{path: value})
+    assert path in str(excinfo.value)
+
+
+@pytest.mark.parametrize("value", WRONG_FLAGS, ids=repr)
+def test_the_flag_path_refuses_anything_but_a_bool_or_0_or_1(value):
+    with pytest.raises(ConfigurationError, match="crossbar.allow_self_connection"):
+        ExperimentConfig().with_overrides(**{"crossbar.allow_self_connection": value})
+
+
+def test_flags_spelled_as_0_or_1_still_answer_like_their_bools():
+    for flag, spelled in ((True, 1), (False, 0)):
+        as_bool = ExperimentConfig().with_overrides(**{"crossbar.allow_self_connection": flag})
+        as_int = ExperimentConfig().with_overrides(**{"crossbar.allow_self_connection": spelled})
+        assert point_records(as_int) == point_records(as_bool)
 
 
 def test_temperatures_at_or_below_absolute_zero_are_refused():

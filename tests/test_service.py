@@ -1166,3 +1166,28 @@ def test_query_memo_key_skips_nan_and_non_scalars():
     assert _query_memo_key({"a": 0.0}) != _query_memo_key({"a": -0.0})
     assert len({_query_memo_key({"a": value}) for value in (1, 1.0, True)}) == 3
     assert _query_memo_key({}) == ()
+
+
+def test_wrong_typed_name_and_flag_values_are_refused_before_evaluation():
+    """A number on a string path or a non-flag on the flag path is a 400
+    ``invalid-value`` naming the path, never a 500 from mid-evaluation."""
+    queries = [("corner", 1.0), ("technology_node", 45), ("crossbar.wire_layer", 3),
+               ("crossbar.allow_self_connection", 0.5), ("allow_self_connection", "yes")]
+
+    async def scenario():
+        service = make_service()
+        payloads = []
+        for path, value in queries:
+            with pytest.raises(InvalidRequestError) as excinfo:
+                await service.evaluate({path: value})
+            payloads.append(excinfo.value.payload)
+        await service.stop()
+        return service, payloads
+
+    service, payloads = asyncio.run(scenario())
+    assert [(payload["error"], payload["path"]) for payload in payloads] == [
+        ("invalid-value", "corner"), ("invalid-value", "technology_node"),
+        ("invalid-value", "crossbar.wire_layer"),
+        ("invalid-value", "crossbar.allow_self_connection"),
+        ("invalid-value", "crossbar.allow_self_connection")]
+    assert service.stats.evaluated == 0 and len(service.cache) == 0
