@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass, field, fields, replace
 from math import inf
 
-from ..crossbar.ports import CrossbarConfig
+from ..crossbar.ports import CrossbarConfig, config_number
 from ..errors import ConfigurationError
 from ..technology.library import TechnologyLibrary, default_library_for_node
 from ..units import ZERO_CELSIUS_IN_KELVIN
@@ -47,6 +47,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ConfigurationError(f"{name} must be a name (str), got {value!r}")
+        # A number of another type would fail a comparison below with a
+        # bare TypeError, or (a bool) pass as 0 or 1.
+        for name in ("temperature_celsius", "clock_frequency",
+                     "static_probability", "toggle_activity"):
+            config_number(name, getattr(self, name))
         # Every check passes only a valid value, so NaN (which fails every
         # comparison) and the infinities are refused with the rest;
         # CrossbarConfig refuses them at the crossbar's leaves.

@@ -18,12 +18,38 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields, replace
 from math import isfinite
+from numbers import Integral, Real
 
 from ..errors import ConfigurationError, CrossbarError
 from ..technology.library import TechnologyLibrary
 from ..units import MICRO
 
 __all__ = ["PortDirection", "CrossbarConfig"]
+
+
+def config_number(path: str, value: object, integral: bool = False) -> Real:
+    """``value`` checked for the numeric config leaf ``path``: a real
+    number (a bool is a flag, not a number), and on an ``integral`` path
+    an integer, or an integral value of another type taken as that int,
+    elsewhere one a float can hold (the model computes in floats).
+    Anything else raises a :class:`~repro.errors.ConfigurationError`
+    naming ``path``."""
+    # float and int first: the abstract Real check is the slow one.
+    if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
+        raise ConfigurationError(f"{path} must be a number, got {value!r}")
+    if integral:
+        if isinstance(value, Integral):
+            return value
+        if not (isfinite(value) and value == int(value)):
+            raise ConfigurationError(f"{path} must be an integer, got {value!r}")
+        return int(value)
+    if not isinstance(value, float):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigurationError(
+                f"{path} must be a number a float can hold, got {value!r}") from None
+    return value
 
 
 class PortDirection(enum.Enum):
@@ -92,15 +118,23 @@ class CrossbarConfig:
     def __post_init__(self) -> None:
         # Error messages name fields by their config path (the mount
         # point in ExperimentConfig), so engine users sweeping e.g.
-        # "crossbar.port_count" see the axis they actually set.  NaN and
-        # infinities are refused first, at every leaf.  (Not through
-        # vars(self): materialising an instance's __dict__ slows every
-        # later attribute read on it, and one crossbar serves many points.)
+        # "crossbar.port_count" see the axis they actually set.  A leaf
+        # whose default is a number holds one of that kind (None where the
+        # default is None), and NaN and infinities are refused, before any
+        # range check compares it.  (Not through vars(self): materialising
+        # an instance's __dict__ slows every later attribute read on it,
+        # and one crossbar serves many points.)
         for field in fields(self):
             value = getattr(self, field.name)
-            if isinstance(value, float) and not isfinite(value):
+            kind = type(field.default)
+            if kind is bool or kind is str or value is None and field.default is None:
+                continue
+            number = config_number(f"crossbar.{field.name}", value, integral=kind is int)
+            if number is not value:
+                object.__setattr__(self, field.name, number)
+            if isinstance(number, float) and not isfinite(number):
                 raise CrossbarError(
-                    f"crossbar.{field.name} must be a finite number, got {value}")
+                    f"crossbar.{field.name} must be a finite number, got {number}")
         if not isinstance(self.wire_layer, str):
             raise ConfigurationError(
                 f"crossbar.wire_layer must be a layer name (str), got {self.wire_layer!r}")

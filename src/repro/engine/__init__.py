@@ -3,10 +3,10 @@
 The engine generalises the single-parameter sweep to arbitrary grids
 and explicit point lists (:class:`DesignSpace`), memoises every
 evaluated point behind a content-addressed cache
-(:class:`EvaluationCache`), fans misses out serially, across a process
-pool, or across a TCP worker fleet
-(:mod:`repro.engine.executor` / :mod:`repro.engine.distributed` with
-``python -m repro.engine.worker`` workers), and returns a queryable
+(:class:`EvaluationCache`), evaluates misses serially or across a TCP
+worker fleet (:mod:`repro.engine.executor` /
+:mod:`repro.engine.distributed` with ``python -m repro.engine.worker``
+workers), and returns a queryable
 :class:`ResultSet` (filtering, series extraction, Pareto fronts).
 For online use, :mod:`repro.engine.service` wraps the same cache and
 executor in a long-running asyncio service (HTTP front +
@@ -37,7 +37,7 @@ Quickstart::
 from ..core.paths import describe_path, get_path, normalize_path, set_path, sweepable_paths
 from .cache import CacheStats, CachedEntry, EvaluationCache, point_key
 from .evaluator import Evaluator
-from .executor import ProcessExecutor, SerialExecutor, resolve_executor
+from .executor import SerialExecutor, resolve_executor
 from .grid import DesignSpace, GridPoint
 from .resultset import PointResult, ResultSet
 
@@ -85,7 +85,6 @@ __all__ = [
     "GridPoint",
     "InvalidRequestError",
     "PointResult",
-    "ProcessExecutor",
     "ResultSet",
     "SerialExecutor",
     "ServiceClient",

@@ -2,17 +2,17 @@
 
 The executor layer was built pluggable so the same
 ``run(items: list[WorkItem]) -> list[EvaluatedPoint]`` contract could
-span multiple hosts; this module is that span.  A
-:class:`DistributedExecutor` is the *coordinator* of a fleet of
-persistent worker processes (``python -m repro.engine.worker``): it
-listens on a TCP socket, accepts worker registrations, cuts each batch
-into contiguous chunks — about four per live worker
-(:func:`~repro.engine.executor.chunk_size`, the process pool's rule,
-capped at :data:`MAX_CHUNK_ITEMS`) —
-hands them out from a shared queue (natural load balancing: a slow host
-simply takes fewer chunks), and reassembles the results in submission
-order.  Everything is standard library: sockets, threads, JSON and
-packed doubles.
+span processes and hosts; this module is that span, and the engine's
+only parallel executor.  A :class:`DistributedExecutor` is the
+*coordinator* of a fleet of persistent worker processes
+(``python -m repro.engine.worker --connect HOST:PORT``): it listens on a
+TCP socket, accepts the registrations of workers that dial in, cuts each
+batch into contiguous chunks — about four per live worker
+(:func:`chunk_size`, capped at :data:`MAX_CHUNK_ITEMS`) — hands them out
+from a shared queue (natural load balancing: a slow host simply takes
+fewer chunks), and reassembles the results in submission order.
+Everything is standard library: sockets, threads, JSON and packed
+doubles.
 
 Wire protocol (version 3)
 -------------------------
@@ -23,8 +23,8 @@ Messages are JSON objects framed by a 4-byte big-endian length prefix
 ========== =========== ====================================================
 type       direction   meaning
 ========== =========== ====================================================
-register   w -> c      first frame on any connection: worker id, protocol
-                       and model version
+register   w -> c      first frame on every connection: worker id,
+                       protocol and model version
 registered c -> w      registration accepted (carries the final worker id)
 rejected   c -> w      registration refused (version/protocol mismatch)
 evaluate   c -> w      one chunk: ``task`` (the batch index of its first
@@ -34,10 +34,12 @@ evaluate   c -> w      one chunk: ``task`` (the batch index of its first
 result     w -> c      ``task``, ``floats`` and ``ints``: the chunk's
                        records in :data:`~repro.core.comparison.RECORD_LAYOUT`
                        (see below)
-error      w -> c      deterministic evaluation failure of chunk ``task``
-                       at offset ``item`` (fails the run — re-dispatching
-                       a model-level rejection elsewhere would fail the
-                       same way)
+error      w -> c      deterministic failure of chunk ``task`` at offset
+                       ``item`` (fails the run — re-dispatching it
+                       elsewhere would fail the same way); ``error`` is
+                       ``evaluation-failed`` when the model rejected the
+                       point, ``malformed-item`` or ``internal-error``
+                       otherwise
 ping/pong  both        idle-connection heartbeat
 shutdown   c -> w      drain and exit
 ========== =========== ====================================================
@@ -75,10 +77,13 @@ dispatched ``max_attempts`` times without an answer fails the run, as
 does losing every worker while items are outstanding.  A worker *error
 frame* (the model rejected a point) fails the run immediately — it is
 deterministic, so retrying elsewhere cannot help.  A batch holding a
-config that cannot be encoded fails before anything is queued.  Either
-way ``run`` raises :class:`~repro.errors.DistributedError` only after
-every in-flight chunk has settled, so the executor survives a failed run
-and the persistent pool remains usable for the next one.
+config that cannot be encoded fails before anything is queued.  ``run``
+raises only after every in-flight chunk has settled, so the executor
+survives a failed run and the persistent fleet remains usable for the
+next one.  A model rejection (``evaluation-failed``) raises a plain
+:class:`~repro.errors.ReproError` carrying the worker's message, as the
+serial executor would have raised the model's own error; every other
+failure is a :class:`~repro.errors.DistributedError`.
 
 See ``docs/distributed.md`` for topology and deployment notes.
 """
@@ -89,6 +94,7 @@ import base64
 import binascii
 import functools
 import json
+import math
 import operator
 import os
 import queue
@@ -105,12 +111,14 @@ from ..core.comparison import RECORD_LAYOUT
 from ..core.config import ExperimentConfig
 from ..core.paths import leaf_layout
 from ..errors import ConfigurationError, DistributedError, ReproError
-from .executor import EvaluatedPoint, WorkItem, chunk_size
+from .executor import EvaluatedPoint, WorkItem
 
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "MAX_CHUNK_ITEMS",
+    "CHUNKS_PER_WORKER",
+    "chunk_size",
     "send_frame",
     "recv_frame",
     "config_to_wire",
@@ -137,6 +145,11 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: about 0.5 KiB per item with all five schemes, so a full chunk answers
 #: in about 250 KiB, far inside :data:`MAX_FRAME_BYTES` for any batch size.
 MAX_CHUNK_ITEMS = 512
+
+#: Contiguous chunks a batch is cut into per worker: enough that a slow
+#: worker's last chunk holds up little, few enough that per-chunk
+#: overhead (a wire frame each way) stays small.
+CHUNKS_PER_WORKER = 4
 
 _LENGTH_BYTES = 4
 
@@ -381,11 +394,12 @@ def unpack_result(message: Mapping, names: Sequence[str], size: int) -> list[lis
     return [[dict(zip(_RECORD_KEYS, stream)) for _ in names] for _ in range(size)]
 
 
-def parse_address(spec: str, default_port: int = 0) -> tuple[str, int]:
-    """Parse ``"host:port"`` (or bare ``"host"``) into ``(host, port)``."""
+def parse_address(spec: str) -> tuple[str, int]:
+    """Parse ``"host:port"`` (or bare ``"host"``, port 0: any free port)
+    into ``(host, port)``."""
     host, sep, port_text = spec.rpartition(":")
     if not sep:
-        return spec, default_port
+        return spec, 0
     try:
         port = int(port_text)
     except ValueError as exc:
@@ -398,6 +412,14 @@ def parse_address(spec: str, default_port: int = 0) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 # coordinator
 # ---------------------------------------------------------------------------
+
+def chunk_size(item_count: int, workers: int) -> int:
+    """Items per chunk when ``item_count`` items are shared out over
+    ``workers`` workers: about :data:`CHUNKS_PER_WORKER` chunks each
+    (a 64-item batch on 2 workers is 8 chunks of 8; a batch smaller
+    than ``4 * workers`` goes one item per chunk)."""
+    return max(1, math.ceil(item_count / (max(1, workers) * CHUNKS_PER_WORKER)))
+
 
 @dataclass
 class DistributedStats:
@@ -434,7 +456,7 @@ class _RunState:
 
     outstanding: int
     results: list
-    failure: DistributedError | None = None
+    failure: ReproError | None = None
 
 
 @dataclass
@@ -498,32 +520,26 @@ class DistributedExecutor:
         (``python -m repro.engine.worker --connect``) pointed at the
         listening socket.  ``0`` (the default) expects workers to be
         started externally.
-    connect:
-        Addresses (``"host:port"`` strings or ``(host, port)`` tuples)
-        of workers running in ``--listen`` mode; the coordinator dials
-        out to them instead of waiting for them to dial in.
     min_workers:
         ``run`` waits until this many workers are registered before
-        dispatching (default: the spawned plus dialled count, at least
-        one).
+        dispatching (default: the spawned count, at least one).
     max_attempts:
         Dispatch attempts per chunk before the run fails (re-dispatch
         happens only on worker death, never on a deterministic
         evaluation error).
     heartbeat_interval:
         Idle workers are pinged this often (seconds); a worker that
-        fails its heartbeat is dropped from the pool.
+        fails its heartbeat is dropped from the fleet.
     register_timeout:
-        How long to wait for ``min_workers`` registrations, for the
-        registration frame of a new connection, and for a dial-out to
-        succeed.
+        How long to wait for ``min_workers`` registrations and for the
+        registration frame of a new connection.
     item_timeout:
         Per-item socket timeout (seconds): a worker may take this long
         per item of the chunk it holds; ``None`` waits as long as the
         worker keeps the connection alive.  A timeout counts as worker
         death: the chunk is re-dispatched elsewhere.
 
-    The pool is persistent: workers stay registered across ``run``
+    The fleet is persistent: workers stay registered across ``run``
     calls (the evaluation service's successive batch flushes reuse the
     same fleet), idle connections are kept healthy by heartbeats, and
     :meth:`close` — also reachable as a context manager — shuts the
@@ -534,7 +550,6 @@ class DistributedExecutor:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  spawn_workers: int = 0,
-                 connect: Sequence[object] = (),
                  min_workers: int | None = None,
                  max_attempts: int = 3,
                  heartbeat_interval: float = 5.0,
@@ -551,12 +566,9 @@ class DistributedExecutor:
         self.host = host
         self.port = port
         self.spawn_workers = spawn_workers
-        self.connect = [addr if isinstance(addr, tuple) else parse_address(str(addr))
-                        for addr in connect]
-        expected = spawn_workers + len(self.connect)
         if min_workers is not None and min_workers < 1:
             raise ConfigurationError("min_workers must be at least 1")
-        self.min_workers = min_workers if min_workers is not None else max(1, expected)
+        self.min_workers = min_workers if min_workers is not None else max(1, spawn_workers)
         self.max_attempts = max_attempts
         self.heartbeat_interval = heartbeat_interval
         self.register_timeout = register_timeout
@@ -580,7 +592,7 @@ class DistributedExecutor:
         return self.host, self.port
 
     def start(self) -> "DistributedExecutor":
-        """Bind the listener, spawn/dial workers; idempotent."""
+        """Bind the listener and spawn local workers; idempotent."""
         with self._cond:
             if self._closed:
                 raise DistributedError("executor is closed")
@@ -598,10 +610,6 @@ class DistributedExecutor:
         self._accept_thread.start()
         for index in range(self.spawn_workers):
             self._spawned.append(self._spawn_local_worker(index))
-        for address in self.connect:
-            threading.Thread(target=self._dial_worker, args=(address,),
-                             name=f"repro-dist-dial-{address[0]}:{address[1]}",
-                             daemon=True).start()
         return self
 
     def _connect_host(self) -> str:
@@ -625,25 +633,9 @@ class DistributedExecutor:
                    "--worker-id", f"local-{index}-{os.getpid()}"]
         return subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
 
-    def _dial_worker(self, address: tuple[str, int]) -> None:
-        """Dial out to a ``--listen`` worker, retrying until the
-        registration window closes; the accepted socket registers through
-        the same handshake as an inbound connection."""
-        deadline = time.monotonic() + self.register_timeout
-        while not self._closed:
-            try:
-                sock = socket.create_connection(address, timeout=self.register_timeout)
-            except OSError:
-                if time.monotonic() >= deadline:
-                    return
-                time.sleep(0.1)
-                continue
-            self._register_connection(sock, f"{address[0]}:{address[1]}")
-            return
-
     def close(self) -> None:
         """Shut the fleet down: signal every worker, close the listener,
-        reap spawned subprocesses.  Idempotent; the pool cannot be
+        reap spawned subprocesses.  Idempotent; the fleet cannot be
         restarted afterwards."""
         with self._cond:
             if self._closed:
@@ -821,7 +813,9 @@ class DistributedExecutor:
     def _dispatch(self, handle: _WorkerHandle, chunk: _Chunk) -> bool:
         """Send one chunk and read its answer.  True when the chunk
         settled (result or deterministic error); False when the worker
-        must be dropped and the chunk re-queued."""
+        must be dropped and the chunk re-queued.  A model rejection
+        fails the run with the worker's own message, as serial
+        evaluation would have failed it."""
         with self._cond:
             self.stats.dispatched += chunk.size
         try:
@@ -842,6 +836,9 @@ class DistributedExecutor:
                                    unpack_result(message, chunk.names, chunk.size))
                     return True
                 if mtype == "error" and message.get("task") == chunk.start:
+                    if message.get("error") == "evaluation-failed":
+                        self._settle(chunk, ReproError(message.get("message")))
+                        return True
                     offset = message.get("item")
                     where = (f"item {chunk.start + offset}"
                              if isinstance(offset, int) and 0 <= offset < chunk.size
@@ -880,8 +877,7 @@ class DistributedExecutor:
             chunk.state.outstanding -= chunk.size
             self._cond.notify_all()
 
-    def _settle(self, chunk: _Chunk,
-                failure: DistributedError | None = None) -> None:
+    def _settle(self, chunk: _Chunk, failure: ReproError | None = None) -> None:
         """Take a chunk off the run's outstanding count without results,
         failing the run with ``failure`` unless it already failed."""
         with self._cond:
@@ -930,7 +926,9 @@ class DistributedExecutor:
         submission order.
 
         Raises :class:`~repro.errors.DistributedError` when the fleet
-        cannot finish the batch; the pool survives a failed run.
+        cannot finish the batch, and a :class:`~repro.errors.ReproError`
+        carrying the worker's message when the model rejects an item;
+        the fleet survives a failed run.
         """
         if not items:
             return []

@@ -35,14 +35,14 @@ class Evaluator:
         baseline — the same contract as
         :func:`~repro.core.comparison.compare_schemes`.
     executor:
-        ``"serial"``, ``"process"``, ``"distributed"``, or
-        any object with a ``run(items) -> results`` method.  String
-        specs are resolved once and the instances reused across
-        :meth:`evaluate` calls, so process pools and distributed worker
-        fleets persist for the evaluator's lifetime; :meth:`close` (or
-        using the evaluator as a context manager) shuts owned executors
-        down.  Executor *objects* are borrowed: whoever built one closes
-        it.
+        ``"serial"``, ``"distributed"``, or any object with a
+        ``run(items) -> results`` method.  A string spec is resolved
+        once, on the first batch, and the instance reused across
+        :meth:`evaluate` calls, so a ``"distributed"`` worker fleet
+        (``max_workers`` spawned local workers) persists for the
+        evaluator's lifetime; :meth:`close` (or using the evaluator as a
+        context manager) shuts it down.  Executor *objects* are
+        borrowed: whoever built one closes it.
     cache / cache_dir:
         An existing :class:`EvaluationCache` to share, or a directory
         for a new disk-backed one.  By default the evaluator keeps a
@@ -69,9 +69,10 @@ class Evaluator:
         self.baseline_name = baseline_name
         self.executor = executor
         self.max_workers = max_workers
-        #: Executors this evaluator built from string specs, by name —
-        #: reused across evaluate() calls and closed by close().
-        self._owned_executors: dict[str, object] = {}
+        #: The executor this evaluator built from its string spec, once
+        #: a batch needed it: reused across evaluate() calls and closed
+        #: by close().
+        self._owned_executor: object | None = None
         #: Cache writes that failed across evaluate() calls.
         self.cache_write_failures = 0
         if cache is not None and cache_dir is not None:
@@ -79,40 +80,37 @@ class Evaluator:
         self.cache = cache if cache is not None else EvaluationCache(directory=cache_dir)
 
     def _resolve_executor(self):
-        """The executor for one batch: borrowed objects pass through;
-        string specs resolve to owned, session-persistent instances."""
+        """The executor for one batch: a borrowed object passes through;
+        a string spec resolves to the owned, session-persistent instance."""
         spec = self.executor
         if hasattr(spec, "run"):
             return spec
-        owned = self._owned_executors.get(spec)
-        if owned is None:
-            owned = resolve_executor(spec, max_workers=self.max_workers)
-            self._owned_executors[spec] = owned
-        return owned
+        if self._owned_executor is None:
+            self._owned_executor = resolve_executor(spec, max_workers=self.max_workers)
+        return self._owned_executor
 
     def close(self) -> None:
-        """Shut down executors this evaluator owns (process pools,
-        distributed fleets); borrowed executor objects are untouched."""
-        owned, self._owned_executors = self._owned_executors, {}
-        for executor in owned.values():
-            close = getattr(executor, "close", None)
-            if callable(close):
-                close()
+        """Shut down the executor this evaluator owns (a distributed
+        fleet); a borrowed executor object is untouched."""
+        owned, self._owned_executor = self._owned_executor, None
+        close = getattr(owned, "close", None)
+        if callable(close):
+            close()
 
     def __enter__(self) -> "Evaluator":
-        """Context-managed use: owned executors die with the block."""
+        """Context-managed use: the owned executor dies with the block."""
         return self
 
     def __exit__(self, *exc_info) -> None:
-        """Close owned executors on exit."""
+        """Close the owned executor on exit."""
         self.close()
 
     def executors(self) -> list:
-        """The live executors: the borrowed object, or the instances
-        built so far from a string spec."""
+        """The live executors: the borrowed object, or the instance
+        built from a string spec once a batch needed it."""
         if hasattr(self.executor, "run"):
             return [self.executor]
-        return list(self._owned_executors.values())
+        return [] if self._owned_executor is None else [self._owned_executor]
 
     def evaluate_misses(self, misses: Sequence[tuple[str, ExperimentConfig]]
                         ) -> tuple[list[CachedEntry], int]:

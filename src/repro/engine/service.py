@@ -9,7 +9,8 @@ that is flushed through the service's
 :class:`~repro.engine.evaluator.Evaluator` (the miss pipeline sweeps
 use) when either ``max_batch_size`` points are waiting or
 ``flush_interval`` seconds have passed since the batch opened — so
-concurrent clients share both the cache *and* the multicore fan-out.
+concurrent clients share both the cache *and* the worker fleet's
+fan-out.
 Identical in-flight points coalesce onto one evaluation: the second
 client awaits the first client's future instead of re-submitting the
 work.
@@ -231,10 +232,11 @@ class EvaluationService:
         Build the service's :attr:`evaluator`, which owns the scheme set
         and savings baseline (part of the cache key, so service-level,
         not per-request), the shared cache (by default an in-memory one
-        that lives as long as the service) and the executor: string
-        specs are resolved once, reused by every flush and closed by
-        :meth:`stop`; executor objects are borrowed, and whoever built
-        one closes it.
+        that lives as long as the service) and the executor: a string
+        spec (``"serial"``, or ``"distributed"`` with ``max_workers``
+        spawned local workers) is resolved once, reused by every flush
+        and closed by :meth:`stop`; executor objects are borrowed, and
+        whoever built one closes it.
     max_batch_size / flush_interval:
         Misses flush through the executor when ``max_batch_size`` points
         are pending, or ``flush_interval`` seconds after the first miss
@@ -586,8 +588,8 @@ class EvaluationService:
 
     async def stop(self) -> None:
         """Stop accepting queries, flush pending batches, persist disk-hit
-        recency, and shut down the executors the evaluator built from a
-        string spec (process pool or distributed fleet).
+        recency, and shut down the executor the evaluator built from a
+        string spec (a ``"distributed"`` fleet and its spawned workers).
 
         Every query already awaiting a batch is answered before this
         returns — shutdown never drops accepted work.
@@ -602,8 +604,8 @@ class EvaluationService:
             self.cache.flush_index()
         except OSError:
             self.stats.cache_write_failures += 1
-        # Pool teardown joins worker processes/threads; keep it off the
-        # event loop.
+        # Fleet teardown joins worker processes and threads; keep it off
+        # the event loop.
         await asyncio.get_running_loop().run_in_executor(None, self.evaluator.close)
 
     def stats_payload(self) -> dict:
@@ -611,7 +613,7 @@ class EvaluationService:
 
         Always carries ``service``, ``cache``, ``kernel`` (the
         process-wide leakage-kernel memo aggregate — *this* process
-        only, so under process/distributed executors it reflects the
+        only, so under a distributed executor it reflects the
         coordinator, not the workers), ``structural`` (the library,
         scheme and device-part hit/miss counters of the structural
         cache, same scope) and ``config``
@@ -985,8 +987,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="flush the miss batch at this many points")
     parser.add_argument("--flush-interval", type=float, default=0.02,
                         help="flush the miss batch after this many seconds")
-    parser.add_argument("--max-workers", type=int, default=None,
-                        help="process-executor worker bound")
     parser.add_argument("--max-disk-entries", type=int, default=None,
                         help="LRU bound on the disk cache entry count "
                              "(requires --cache-dir)")
@@ -1058,7 +1058,6 @@ def service_from_args(args: argparse.Namespace) -> EvaluationService:
         cache=cache,
         max_batch_size=args.batch_size,
         flush_interval=args.flush_interval,
-        max_workers=args.max_workers,
         max_pending=getattr(args, "max_pending", None),
         default_timeout_s=getattr(args, "default_timeout", None),
     )

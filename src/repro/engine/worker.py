@@ -12,23 +12,20 @@ with every item's records, in order, as packed doubles beside JSON ints
 (:func:`~repro.engine.distributed.pack_item`).  Because the process is
 persistent, the structural memoisation in
 :mod:`repro.core.scheme_evaluator` warms up once and then serves every
-subsequent item, the same amortisation a process-pool worker only gets
-within a single batch.  Importing this module loads no numerical
-library (numpy, scipy, networkx): evaluation needs none, so spawning a
-worker does not pay for them.
-
-``--listen [HOST:]PORT`` inverts the transport: the worker listens and
-the coordinator dials out (for workers behind ingress-only firewalls).
-Either way the worker speaks first — the ``register`` frame opens every
-connection, whoever initiated it.
+subsequent item across every batch.  Importing this module loads no
+numerical library (numpy, scipy, networkx) and no process pool:
+evaluation needs none, so spawning a worker does not pay for them.
 
 Evaluation failures — whatever exception an item raises, and records
 that do not fit the wire layout — are answered with structured
-``error`` frames naming the chunk and the offset of the failing item (a
-model-level rejection is deterministic; the coordinator fails the run
-rather than retrying it elsewhere, and the worker stays registered);
-malformed frames and lost coordinators end the process with a non-zero
-exit code so supervisors notice.
+``error`` frames naming the chunk and the offset of the failing item:
+``evaluation-failed`` when the model rejected the point (a
+:class:`~repro.errors.ReproError`), ``malformed-item`` for an item that
+is not a valid overrides object, ``internal-error`` for anything else.
+Each is deterministic, so the coordinator fails the run rather than
+retrying it elsewhere, and the worker stays registered.  Malformed
+frames and lost coordinators end the process with a non-zero exit code
+so supervisors notice.
 ``--max-items N`` exits cleanly once the frames answered carried N items
 or more (a chunk is always answered whole) — rolling restarts for
 long-lived fleets, and the test suite's way of simulating worker death
@@ -102,6 +99,11 @@ def _evaluate_frame(sock: socket.socket, message: dict) -> int:
             records = point_records(config_from_wire(overrides),
                                     scheme_names=schemes, baseline_name=baseline)
             ints.append(pack_item(records, names, floats))
+        except DistributedError as exc:
+            # A wire fault (overrides that do not decode, records off the
+            # layout) is not the model rejecting the point.
+            _error(sock, task, "internal-error", str(exc), offset)
+            return len(items)
         except ReproError as exc:
             _error(sock, task, "evaluation-failed", str(exc), offset)
             return len(items)
@@ -109,7 +111,7 @@ def _evaluate_frame(sock: socket.socket, message: dict) -> int:
             _error(sock, task, "malformed-item", repr(exc), offset)
             return len(items)
         except Exception as exc:
-            _error(sock, task, "evaluation-failed", repr(exc), offset)
+            _error(sock, task, "internal-error", repr(exc), offset)
             return len(items)
     send_frame(sock, result_frame(task, floats, ints))
     return len(items)
@@ -163,11 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Evaluate design points for a distributed executor "
                     "coordinator over TCP.",
     )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--connect", metavar="HOST:PORT",
-                      help="dial a listening coordinator")
-    mode.add_argument("--listen", metavar="[HOST:]PORT",
-                      help="listen and let the coordinator dial in")
+    parser.add_argument("--connect", metavar="HOST:PORT", required=True,
+                        help="the listening coordinator to dial")
     parser.add_argument("--worker-id", default=None,
                         help="fleet-visible name (default: hostname-pid)")
     parser.add_argument("--max-items", type=int, default=None,
@@ -206,35 +205,6 @@ def _run_connect(args: argparse.Namespace, worker_id: str) -> int:
     return 0 if outcome in ("shutdown", "exhausted", "disconnect") else 1
 
 
-def _run_listen(args: argparse.Namespace, worker_id: str) -> int:
-    host, port = parse_address(args.listen, default_port=0)
-    if args.listen.isdigit():
-        host, port = "127.0.0.1", int(args.listen)
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen(1)
-    bound = listener.getsockname()
-    print(f"worker {worker_id} listening on {bound[0]}:{bound[1]}", flush=True)
-    try:
-        while True:
-            sock, _peer = listener.accept()
-            sock.settimeout(None)
-            try:
-                outcome = serve_connection(sock, worker_id,
-                                           max_items=args.max_items)
-            except DistributedError as exc:
-                print(f"worker: {exc}", file=sys.stderr)
-                return 2
-            finally:
-                sock.close()
-            if outcome in ("shutdown", "exhausted"):
-                return 0
-            # disconnect: a coordinator went away; await the next one.
-    finally:
-        listener.close()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one worker until its coordinator shuts it down."""
     args = _build_parser().parse_args(argv)
@@ -243,9 +213,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     worker_id = args.worker_id or default_worker_id()
     try:
-        if args.connect:
-            return _run_connect(args, worker_id)
-        return _run_listen(args, worker_id)
+        return _run_connect(args, worker_id)
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         return 0
 

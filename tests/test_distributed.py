@@ -37,6 +37,7 @@ from repro.engine.distributed import (
     MAX_CHUNK_ITEMS,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    chunk_size,
     config_from_wire,
     config_to_wire,
     pack_item,
@@ -47,16 +48,10 @@ from repro.engine.distributed import (
     send_frame,
     unpack_result,
 )
-from repro.engine.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    WorkItem,
-    chunk_size,
-    resolve_executor,
-)
+from repro.engine.executor import SerialExecutor, WorkItem, resolve_executor
 from repro.engine import worker as worker_module
 from repro.engine.worker import serve_connection
-from repro.errors import ConfigurationError, DistributedError
+from repro.errors import ConfigurationError, DistributedError, ReproError
 
 SCHEMES = ("SC", "SDPC")
 
@@ -242,7 +237,7 @@ class TestConfigWire:
 
     def test_parse_address(self):
         assert parse_address("10.0.0.2:9000") == ("10.0.0.2", 9000)
-        assert parse_address("somehost", default_port=17) == ("somehost", 17)
+        assert parse_address("somehost") == ("somehost", 0)
         with pytest.raises(ConfigurationError):
             parse_address("host:notaport")
 
@@ -534,11 +529,17 @@ class TestDistributedRuns:
             only.wait(timeout=10)
 
     def test_deterministic_evaluation_error_fails_the_run(self):
+        """A model rejection raises what serial evaluation raises, by
+        message: a ReproError, not a fleet fault."""
         bad = ExperimentConfig(technology_node="13nm-imaginary")
         items = [WorkItem(config=bad, scheme_names=SCHEMES, baseline_name="SC")]
+        with pytest.raises(ReproError) as serial:
+            SerialExecutor().run(items)
         with DistributedExecutor(spawn_workers=1) as executor:
-            with pytest.raises(DistributedError, match="failed item"):
+            with pytest.raises(ReproError) as excinfo:
                 executor.run(items)
+            assert not isinstance(excinfo.value, DistributedError)
+            assert str(excinfo.value) == str(serial.value)
             # The fleet survives a failed run.
             ok = executor.run(items_for((0.4,)))
             assert len(ok) == 1
@@ -563,19 +564,25 @@ class TestDistributedRuns:
         with pytest.raises(DistributedError, match="closed"):
             executor.start()
 
+    def test_invalid_fleet_options_are_refused(self):
+        for options in ({"spawn_workers": -1}, {"min_workers": 0},
+                        {"max_attempts": 0}, {"item_timeout": 0}):
+            with pytest.raises(ConfigurationError):
+                DistributedExecutor(**options)
+        with pytest.raises(ConfigurationError):
+            resolve_executor("distributed", max_workers=-1)
+
 
 # ---------------------------------------------------------------------------
 # chunked dispatch
 # ---------------------------------------------------------------------------
 
-def test_chunk_size_rule_is_shared_by_both_executors():
+def test_chunk_size_cuts_about_four_chunks_per_worker():
     assert chunk_size(64, 2) == 8    # a sweep block on 2 workers: 8 frames
     assert chunk_size(6, 2) == 1     # a small service flush: one item a frame
     assert chunk_size(65, 2) == 9
     assert chunk_size(1, 3) == 1
     assert chunk_size(5, 0) == 2     # no live worker counted: as if one
-    assert ProcessExecutor(max_workers=2)._resolved_chunksize(64, 2) == 8
-    assert ProcessExecutor(chunksize=5)._resolved_chunksize(64, 2) == 5
 
 
 #: Distinct items, so a misplaced chunk shows as a record mismatch.
@@ -912,7 +919,7 @@ def test_worker_answers_any_exception_an_item_raises(monkeypatch):
         evaluate_frame(4, [wire_item(0.2), wire_item(0.4), wire_item(0.6)]),
         evaluate_frame(7, [wire_item(0.6)])])
     assert end == "shutdown"
-    assert answers[0] == {"type": "error", "task": 4, "item": 1, "error": "evaluation-failed",
+    assert answers[0] == {"type": "error", "task": 4, "item": 1, "error": "internal-error",
                           "message": "RuntimeError('solver blew up')"}
     assert answers[1]["type"] == "result" and answers[1]["task"] == 7
 
@@ -926,7 +933,7 @@ def test_worker_refuses_records_that_do_not_fit_the_layout(monkeypatch):
 
     monkeypatch.setattr(worker_module, "point_records", int_fraction)
     answers, _ = drive_worker(None, [evaluate_frame(2, [wire_item(0.2), wire_item(0.4)])])
-    assert answers == [{"type": "error", "task": 2, "item": 1, "error": "evaluation-failed",
+    assert answers == [{"type": "error", "task": 2, "item": 1, "error": "internal-error",
                         "message": "record field 'high_vt_device_fraction' holds int 0; "
                                    "its layout type is float"}]
 
@@ -981,29 +988,25 @@ def test_worker_import_loads_no_numerical_library():
     assert output.stdout.strip() == "[]"
 
 
-# ---------------------------------------------------------------------------
-# worker --listen mode: the coordinator dials out
-# ---------------------------------------------------------------------------
+def test_engine_and_worker_imports_load_no_process_pool():
+    """The worker fleet is the engine's only parallel path: neither the
+    engine nor a worker imports multiprocessing or the process pool."""
+    modules = ("multiprocessing", "concurrent.futures.process")
+    for module in ("repro.engine", "repro.engine.worker"):
+        probe = (f"import sys, {module}; "
+                 f"print(sorted(m for m in {modules!r} if m in sys.modules))")
+        output = subprocess.run([sys.executable, "-c", probe], env=WORKER_ENV,
+                                capture_output=True, text=True, timeout=60, check=True)
+        assert output.stdout.strip() == "[]", module
 
-class TestDialOut:
-    def test_coordinator_connects_to_listening_worker(self):
-        listener = subprocess.Popen(
-            [sys.executable, "-m", "repro.engine.worker",
-             "--listen", "127.0.0.1:0", "--worker-id", "remote"],
-            env=WORKER_ENV, stdout=subprocess.PIPE, text=True)
-        try:
-            line = listener.stdout.readline()
-            address = line.strip().rsplit(" ", 1)[-1]
-            with DistributedExecutor(connect=[address]) as executor:
-                results = executor.run(items_for((0.25, 0.75)))
-                assert len(results) == 2
-                assert "remote" in executor.workers_payload()
-        finally:
-            listener.stdout.close()
-            try:
-                listener.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                listener.kill()
+
+@pytest.mark.parametrize("argv", [["--listen", "0"], ["--listen", "127.0.0.1:0"], []])
+def test_a_worker_only_dials_in(argv, capsys):
+    """``--connect`` is the only way to join a fleet; it is required."""
+    with pytest.raises(SystemExit) as excinfo:
+        worker_module._build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert "--connect" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -1087,6 +1090,15 @@ class TestIntegration:
         args = _build_parser().parse_args(["--executor", "distributed"])
         with pytest.raises(ConfigurationError, match="--workers"):
             service_from_args(args)
+
+    @pytest.mark.parametrize("argv", [["--executor", "process"], ["--max-workers", "2"]])
+    def test_service_cli_has_no_process_pool(self, argv, capsys):
+        from repro.engine.service import _build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-import threading
 
 import pytest
 
@@ -17,7 +15,6 @@ from repro.engine import (
     DesignSpace,
     EvaluationCache,
     Evaluator,
-    ProcessExecutor,
     SerialExecutor,
     point_key,
     resolve_executor,
@@ -497,48 +494,29 @@ class TestCache:
 class TestExecutors:
     def test_resolve_by_name_and_instance(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("process"), ProcessExecutor)
         serial = SerialExecutor()
         assert resolve_executor(serial) is serial
-        with pytest.raises(ConfigurationError):
-            resolve_executor("threads")
+        for spec in ("threads", "process"):
+            with pytest.raises(ConfigurationError, match="'serial', 'distributed'"):
+                resolve_executor(spec)
 
     def test_auto_is_not_an_executor_spec(self):
-        message = "'serial', 'process', 'distributed'"
+        message = "'serial', 'distributed'"
         with pytest.raises(ConfigurationError, match=message):
             resolve_executor("auto")
         with pytest.raises(ConfigurationError, match=message):
             Evaluator(scheme_names=SCHEMES, executor="auto")
 
-    def test_process_parity_with_serial(self):
+    def test_fleet_parity_with_serial(self):
         space = DesignSpace.grid({"static_probability": [0.2, 0.8],
                                   "temperature_celsius": [25.0, 110.0]})
         serial = Evaluator(scheme_names=SCHEMES, executor="serial").evaluate(space)
-        process = Evaluator(scheme_names=SCHEMES,
-                            executor=ProcessExecutor(max_workers=2)).evaluate(space)
-        assert [p.records for p in process] == [p.records for p in serial]
-
-    def test_invalid_worker_and_chunk_counts(self):
-        with pytest.raises(ConfigurationError):
-            ProcessExecutor(max_workers=0)
-        with pytest.raises(ConfigurationError):
-            ProcessExecutor(chunksize=0)
-
-    def test_pool_spawns_off_the_main_thread(self):
-        """Forking a multithreaded process is unsafe, so a pool created
-        from another thread (the service's flushes) uses spawn; the main
-        thread keeps the platform default."""
-        def start_method(executor):
-            return executor._ensure_pool()._mp_context.get_start_method()
-
-        with ProcessExecutor(max_workers=1) as executor:
-            assert start_method(executor) == multiprocessing.get_context().get_start_method()
-        seen = []
-        with ProcessExecutor(max_workers=1) as executor:
-            thread = threading.Thread(target=lambda: seen.append(start_method(executor)))
-            thread.start()
-            thread.join()
-        assert seen == ["spawn"]
+        with Evaluator(scheme_names=SCHEMES, executor="distributed",
+                       max_workers=2) as evaluator:
+            distributed = evaluator.evaluate(space)
+            (fleet,) = evaluator.executors()
+            assert fleet.stats.completed == len(space)
+        assert [p.records for p in distributed] == [p.records for p in serial]
 
 
 class TestEvaluator:

@@ -82,7 +82,8 @@ def edge_configs() -> list[ExperimentConfig]:
         base,
         base.with_overrides(temperature_celsius=110),
         base.with_overrides(temperature_celsius=110.0),
-        base.with_overrides(static_probability=True),
+        base.with_overrides(static_probability=1),
+        base.with_overrides(**{"crossbar.port_count": 6.0}),
         base.with_overrides(**{"crossbar.allow_self_connection": True}),
         # The extreme finite values (NaN and the infinities are refused).
         base.with_overrides(temperature_celsius=1e308),
@@ -257,6 +258,61 @@ def test_non_finite_values_are_refused_at_every_numeric_path(path, value):
     with pytest.raises(repro.ReproError) as excinfo:
         ExperimentConfig().with_overrides(**{path: value})
     assert path in str(excinfo.value)
+
+
+#: Values that are no number: strings of digits, bools, containers, bytes.
+NOT_NUMBERS = ["0.5", "1", True, False, [1.0], {"value": 1}, b"1"]
+#: The registry paths that hold an int, and values that are no integer.
+INT_PATHS = [path for path, default in leaf_layout() if type(default) is int]
+FRACTIONS = [5.5, 64.5, 0.1, -2.5, 1e-300]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("path", NUMERIC_PATHS)
+def test_a_numeric_path_refuses_any_non_number(path, value):
+    with pytest.raises(ConfigurationError) as excinfo:
+        ExperimentConfig().with_overrides(**{path: value})
+    assert path in str(excinfo.value)
+
+
+def test_none_is_refused_where_the_default_is_a_number():
+    for path, default in leaf_layout():
+        if type(default) in (int, float):
+            with pytest.raises(ConfigurationError, match=path):
+                ExperimentConfig().with_overrides(**{path: None})
+
+
+@pytest.mark.parametrize("value", FRACTIONS, ids=repr)
+@pytest.mark.parametrize("path", INT_PATHS)
+def test_an_int_path_refuses_a_fraction(path, value):
+    with pytest.raises(ConfigurationError, match=f"{path} must be an integer"):
+        ExperimentConfig().with_overrides(**{path: value})
+
+
+@pytest.mark.parametrize("path", sorted(set(NUMERIC_PATHS) - set(INT_PATHS)))
+def test_a_float_path_refuses_an_int_no_float_can_hold(path):
+    """Evaluation would raise a bare OverflowError converting it."""
+    with pytest.raises(ConfigurationError, match=f"{path} must be a number a float can hold"):
+        ExperimentConfig().with_overrides(**{path: 10**400})
+
+
+@pytest.mark.parametrize("path", INT_PATHS)
+def test_an_integral_float_on_an_int_path_is_that_int_at_every_door(path):
+    """``with_overrides``, ``set_path``, the wire and the constructor all
+    take ``6.0`` as ``6``: one config, one key."""
+    from fractions import Fraction
+
+    as_int = ExperimentConfig().with_overrides(**{path: 6})
+    field = path.split(".")[-1]
+    for value in (6.0, Fraction(6)):
+        for config in (ExperimentConfig().with_overrides(**{path: value}),
+                       set_path(ExperimentConfig(), path, value),
+                       config_from_wire({path: value}),
+                       ExperimentConfig(crossbar=CrossbarConfig(**{field: value}))):
+            assert type(getattr(config.crossbar, field)) is int
+            assert config == as_int
+            assert point_key(config, SCHEMES) == point_key(as_int, SCHEMES)
+            assert config_to_wire(config) == {path: 6}
 
 
 #: The string and flag paths of the registry, and values of other types.

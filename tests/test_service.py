@@ -734,19 +734,29 @@ def test_cli_hardening_flags_are_plumbed(tmp_path):
     assert service.cache.directory == tmp_path / "c"
 
 
+def recording(monkeypatch, name: str) -> list:
+    """Every :class:`DistributedExecutor` on which ``name`` is called,
+    in call order (the method still runs)."""
+    from repro.engine import DistributedExecutor
+
+    calls = []
+    method = getattr(DistributedExecutor, name)
+
+    def record(executor, *args, **kwargs):
+        calls.append(executor)
+        return method(executor, *args, **kwargs)
+
+    monkeypatch.setattr(DistributedExecutor, name, record)
+    return calls
+
+
 def test_service_closes_string_spec_executors_and_borrows_objects(monkeypatch):
-    """stop() closes the pool the service built from ``"process"``; an
-    executor object is borrowed and left to whoever built it."""
-    from repro.engine import ProcessExecutor
+    """stop() closes the fleet the service built from ``"distributed"``,
+    and its spawned worker with it; an executor object is borrowed and
+    left to whoever built it."""
+    from repro.engine import DistributedExecutor
 
-    closed = []
-    close = ProcessExecutor.close
-
-    def recording_close(executor):
-        closed.append(executor)
-        close(executor)
-
-    monkeypatch.setattr(ProcessExecutor, "close", recording_close)
+    closed = recording(monkeypatch, "close")
 
     async def scenario(executor):
         service = make_service(executor=executor, max_batch_size=1,
@@ -754,37 +764,34 @@ def test_service_closes_string_spec_executors_and_borrows_objects(monkeypatch):
         await service.evaluate({"static_probability": 0.45})
         await service.stop()
 
-    asyncio.run(scenario("process"))
-    assert len(closed) == 1
-    with ProcessExecutor(max_workers=1) as borrowed:
+    asyncio.run(scenario("distributed"))
+    (owned,) = closed
+    assert [process.poll() for process in owned._spawned] == [0]
+    with DistributedExecutor(spawn_workers=1) as borrowed:
         asyncio.run(scenario(borrowed))
-        assert len(closed) == 1  # stop() left the borrowed pool open
-    assert closed[1:] == [borrowed]  # its builder closed it
+        assert closed == [owned]  # stop() left the borrowed fleet open
+        assert [process.poll() for process in borrowed._spawned] == [None]
+    assert closed == [owned, borrowed]  # its builder closed it
+    assert [process.poll() for process in borrowed._spawned] == [0]
 
 
-def test_persistent_process_pool_is_reused_across_flushes(monkeypatch):
-    import repro.engine.executor as executor_module
-
-    pools = []
-
-    class CountingPool(executor_module.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
+def test_persistent_fleet_is_reused_across_flushes(monkeypatch):
+    started = recording(monkeypatch, "start")
 
     async def scenario():
-        service = make_service(executor="process", max_batch_size=1,
+        service = make_service(executor="distributed", max_batch_size=1,
                                max_workers=1)
         await service.evaluate({"static_probability": 0.21})
         await service.evaluate({"static_probability": 0.22})
+        fleet = service.evaluator.executors()
         await service.stop()
-        return service
+        return service, fleet
 
-    service = asyncio.run(scenario())
+    service, (fleet,) = asyncio.run(scenario())
     assert service.stats.batches == 2
-    assert len(pools) == 1
+    assert set(started) == {fleet}  # one fleet serves every flush
+    assert fleet.stats.workers_registered == 1 and fleet.stats.completed == 2
+    assert [process.poll() for process in fleet._spawned] == [0]
 
 
 def test_stats_payload_carries_structural_cache_counters():
@@ -903,6 +910,32 @@ def test_zero_static_probability_is_rejected_by_every_layer():
         assert payload == {"error": "evaluation-failed", "message": message}
 
 
+def test_a_model_error_through_a_fleet_answers_like_serial():
+    """p = 0 (a PowerError) batched with a valid point: through a
+    one-worker fleet, as serially, the rejected point is its own 400 and
+    the valid one answers 200, byte for byte the same bodies."""
+    async def scenario(executor):
+        service = make_service(scheme_names=None, executor=executor, max_workers=1,
+                               max_batch_size=2, flush_interval=30.0)
+        server = await EvaluationServer(service, port=0).start()
+        answers = await asyncio.gather(
+            _raw_post(server.port, b'{"overrides": {"static_probability": 0.0}}'),
+            _raw_post(server.port, b'{"overrides": {"static_probability": 0.37}}'))
+        await server.stop()
+        await service.stop()
+        return service.stats.batches, answers
+
+    serial = asyncio.run(scenario("serial"))
+    fleet = asyncio.run(scenario("distributed"))
+    assert fleet == serial
+    batches, ((rejected_status, rejected), (valid_status, valid)) = fleet
+    assert batches == 1
+    assert (rejected_status, rejected) == (400, {
+        "error": "evaluation-failed",
+        "message": "scheme 'DFC' saves no power in standby; minimum idle time undefined"})
+    assert valid_status == 200 and len(valid["records"]) == 5
+
+
 # ---------------------------------------------------------------------------
 # warm answers: one encoding per cache entry, and the query memo
 # ---------------------------------------------------------------------------
@@ -928,7 +961,7 @@ async def _raw_evaluate(port: int, overrides: dict) -> tuple[int, bytes]:
 #: Queries whose overrides hold a bool, an int, a float, -0.0, a flag as
 #: an int, and alias spellings next to dotted ones.
 SPELLED_QUERIES = [
-    {"toggle_activity": True},
+    {"allow_self_connection": True},
     {"toggle_activity": 1},
     {"toggle_activity": 1.0},
     {"toggle_activity": -0.0, "static_probability": 0.25},
@@ -997,7 +1030,8 @@ def test_http_bodies_are_byte_identical_sorted_json():
         assert miss["key"] == twin["key"] == hit["key"]
     raw_overrides = [raw.split(b'"overrides": ', 1)[1].split(b', "records"', 1)[0]
                      for _, raw in answers[::3]]
-    assert raw_overrides == [b'{"toggle_activity": true}', b'{"toggle_activity": 1}',
+    assert raw_overrides == [b'{"crossbar.allow_self_connection": true}',
+                             b'{"toggle_activity": 1}',
                              b'{"toggle_activity": 1.0}',
                              b'{"static_probability": 0.25, "toggle_activity": -0.0}',
                              b'{"crossbar.flit_width": 64, "crossbar.port_count": 3}',
@@ -1006,12 +1040,13 @@ def test_http_bodies_are_byte_identical_sorted_json():
 
 
 def test_query_memo_keeps_types_and_zero_signs_apart():
-    """``1``/``1.0``/``True`` and ``0.0``/``-0.0`` are equal in Python but
-    spell different configs: each keeps its own memo entry and key."""
+    """``1``/``1.0`` and ``0.0``/``-0.0`` are equal in Python but spell
+    different configs: each keeps its own memo entry and key (``True`` is
+    no number, and the flag path's ``True``/``1`` are two spellings too)."""
     from repro.core.paths import set_path
     from repro.engine.cache import point_key
 
-    values = [1, 1.0, True, 0.0, -0.0]
+    values = [1, 1.0, 0.0, -0.0]
 
     async def scenario():
         service = make_service(max_batch_size=1)
@@ -1166,6 +1201,36 @@ def test_query_memo_key_skips_nan_and_non_scalars():
     assert _query_memo_key({"a": 0.0}) != _query_memo_key({"a": -0.0})
     assert len({_query_memo_key({"a": value}) for value in (1, 1.0, True)}) == 3
     assert _query_memo_key({}) == ()
+
+
+def test_wrong_typed_numbers_are_refused_before_evaluation():
+    """A string, a bool or None where a number belongs, an int no float
+    can hold, and a fraction on an int path, are a 400 ``invalid-value``
+    naming the path, never a 500 or an answer; an integral float on an
+    int path is that int."""
+    queries = [("static_probability", "0.5"), ("crossbar.receiver_capacitance", "1"),
+               ("crossbar.port_count", 5.5), ("crossbar.flit_width", 64.5),
+               ("crossbar.flit_width", True), ("temperature_celsius", True),
+               ("toggle_activity", False), ("clock_frequency", None),
+               ("crossbar.pass_width", [1e-6]), ("temperature_celsius", 10**400)]
+
+    async def scenario():
+        service = make_service()
+        server = await EvaluationServer(service, port=0).start()
+        answers = [await _raw_post(server.port,
+                                   json.dumps({"overrides": {path: value}}).encode())
+                   for path, value in queries]
+        as_float = await service.evaluate({"crossbar.port_count": 5.0})
+        as_int = await service.evaluate({"crossbar.port_count": 5})
+        await server.stop()
+        await service.stop()
+        return answers, as_float, as_int
+
+    answers, as_float, as_int = asyncio.run(scenario())
+    assert [(status, answer["error"], answer["path"]) for status, answer in answers] \
+        == [(400, "invalid-value", path) for path, _ in queries]
+    assert as_int.key == as_float.key and as_int.from_cache
+    assert as_int.records == as_float.records
 
 
 def test_wrong_typed_name_and_flag_values_are_refused_before_evaluation():
