@@ -99,7 +99,7 @@ def test_fig3_per_segment_control_inventory(benchmark):
         for name in ("DFC", "SDFC", "DPC", "SDPC"):
             from repro.circuit import DeviceRole
 
-            stats = create_scheme(name, library).output_path_netlist().statistics()
+            stats = create_scheme(name, library).single_bit_statistics
             result[name] = {
                 "sleep": stats.count_by_role.get(DeviceRole.SLEEP, 0),
                 "precharge": stats.count_by_role.get(DeviceRole.PRECHARGE, 0),

@@ -50,8 +50,8 @@ def main() -> None:
             seg_scheme._row_switched_capacitance() / parent_scheme._row_switched_capacitance()
         )
         high_vt_delta = (
-            seg_scheme.output_path_netlist().statistics().count_by_flavor.get(VtFlavor.HIGH, 0)
-            - parent_scheme.output_path_netlist().statistics().count_by_flavor.get(VtFlavor.HIGH, 0)
+            seg_scheme.single_bit_statistics.count_by_flavor.get(VtFlavor.HIGH, 0)
+            - parent_scheme.single_bit_statistics.count_by_flavor.get(VtFlavor.HIGH, 0)
         )
         rows.append([
             f"{segmented} vs {parent}",

@@ -71,13 +71,12 @@ class SegmentationStructure:
 
 def describe_output_path(scheme: CrossbarScheme) -> OutputPathStructure:
     """Summarise the structure of one output path of ``scheme``."""
-    netlist = scheme.output_path_netlist()
-    statistics = netlist.statistics()
+    statistics = scheme.single_bit_statistics
     high_vt_roles = sorted(
         {
-            device.role.value
-            for device in netlist.devices
-            if device.vt_flavor is VtFlavor.HIGH
+            role.value
+            for device, role, count in scheme.output_path_inventory()
+            if device.vt_flavor is VtFlavor.HIGH and count > 0
         }
     )
     return OutputPathStructure(

@@ -1,10 +1,10 @@
-"""Structural device instances.
+"""Device roles and the device statistics of an output path.
 
 The electrical behaviour of a transistor lives in
-:class:`repro.technology.transistor.Mosfet`; this module wraps it with
-the *structural* information a netlist needs: an instance name, the nets
-its terminals connect to, and a functional role tag.  Role tags are what
-the figure-reproduction benchmarks aggregate over ("how many pass
+:class:`repro.technology.transistor.Mosfet`; this module adds the
+functional role tag each device of a crossbar output path carries and
+the counts over an inventory of them.  Role tags are what the
+figure-reproduction benchmarks aggregate over ("how many pass
 transistors, keepers, sleep devices, driver devices does each scheme
 instantiate, and which of them are high-Vt?").
 """
@@ -12,12 +12,12 @@ instantiate, and which of them are high-Vt?").
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from ..errors import CircuitError
-from ..technology.transistor import Mosfet, Polarity, VtFlavor
+from ..technology.transistor import Mosfet, VtFlavor
 
-__all__ = ["DeviceRole", "DeviceInstance"]
+__all__ = ["DeviceRole", "DeviceStatistics"]
 
 
 class DeviceRole(enum.Enum):
@@ -28,58 +28,36 @@ class DeviceRole(enum.Enum):
     PRECHARGE = "precharge"
     KEEPER = "keeper"
     DRIVER = "driver"
-    INPUT_DRIVER = "input_driver"
     SEGMENT_SWITCH = "segment_switch"
-    CONTROL = "control"
-    OTHER = "other"
 
 
 @dataclass(frozen=True)
-class DeviceInstance:
-    """One transistor instance in a netlist.
+class DeviceStatistics:
+    """Device counts of an inventory, in total, by Vt flavor and by role."""
 
-    Attributes
-    ----------
-    name:
-        Unique instance name within its netlist (e.g. ``"out_PE.bit0.N1"``).
-    mosfet:
-        The sized electrical model.
-    gate, drain, source:
-        Net names the terminals connect to.  The body terminal is tied to
-        the appropriate rail implicitly.
-    role:
-        Functional role tag used for reporting.
-    """
+    device_count: int
+    count_by_flavor: dict[VtFlavor, int]
+    count_by_role: dict[DeviceRole, int]
 
-    name: str
-    mosfet: Mosfet
-    gate: str
-    drain: str
-    source: str
-    role: DeviceRole = DeviceRole.OTHER
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise CircuitError("device instance name cannot be empty")
-        for terminal in (self.gate, self.drain, self.source):
-            if not terminal:
-                raise CircuitError(f"device {self.name!r} has an empty terminal net name")
+    @classmethod
+    def of_inventory(cls, inventory: Iterable[tuple[Mosfet, DeviceRole, int]]
+                     ) -> "DeviceStatistics":
+        """Statistics of ``(device, role, count)`` entries: ``count``
+        instances of each sized device."""
+        by_flavor: dict[VtFlavor, int] = {}
+        by_role: dict[DeviceRole, int] = {}
+        device_count = 0
+        for mosfet, role, count in inventory:
+            flavor = mosfet.vt_flavor
+            by_flavor[flavor] = by_flavor.get(flavor, 0) + count
+            by_role[role] = by_role.get(role, 0) + count
+            device_count += count
+        return cls(device_count=device_count, count_by_flavor=by_flavor,
+                   count_by_role=by_role)
 
     @property
-    def polarity(self) -> Polarity:
-        """Channel polarity of the device."""
-        return self.mosfet.polarity
-
-    @property
-    def vt_flavor(self) -> VtFlavor:
-        """Threshold-voltage flavor of the device."""
-        return self.mosfet.vt_flavor
-
-    @property
-    def width(self) -> float:
-        """Drawn width in metres."""
-        return self.mosfet.width
-
-    def terminals(self) -> tuple[str, str, str]:
-        """The (gate, drain, source) net names."""
-        return (self.gate, self.drain, self.source)
+    def high_vt_fraction(self) -> float:
+        """Fraction of devices (by count) using the high-Vt flavor."""
+        if self.device_count == 0:
+            return 0.0
+        return self.count_by_flavor.get(VtFlavor.HIGH, 0) / self.device_count

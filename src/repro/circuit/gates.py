@@ -5,7 +5,7 @@ circuit idiom from the paper's Figures 1-3 — CMOS inverters for the
 wire drivers (I1, I2), NMOS pass transistors for the crossbar switch
 points (N1-N4), the shared sleep transistor (N5), the pre-charge PMOS
 (P1 in Fig. 2), and the feedback keeper (P1 in Fig. 1) — and exposes the
-three things the analysis layers need from it:
+two things the analysis layers need from it:
 
 * **Electrical figures** for delay: input capacitance, output (diffusion)
   capacitance, pull-up / pull-down effective resistance.
@@ -13,8 +13,9 @@ three things the analysis layers need from it:
   the library's memoised :class:`~repro.circuit.biasing.LeakageKernel`
   (same numbers as :func:`repro.circuit.biasing.leakage_from_node_voltages`,
   each unique bias point evaluated once).
-* **Structure**: a list of :class:`~repro.circuit.devices.DeviceInstance`
-  suitable for insertion into a :class:`~repro.circuit.netlist.Netlist`.
+
+The sized devices themselves are public attributes (``nmos`` /
+``pmos``); a scheme's device inventory reads them directly.
 
 Widths are always explicit constructor arguments; the schemes own the
 sizing decisions.
@@ -25,9 +26,7 @@ from __future__ import annotations
 from ..technology.library import TechnologyLibrary
 from ..technology.transistor import Mosfet, Polarity, VtFlavor
 from .biasing import kernel_for
-from .devices import DeviceInstance, DeviceRole
 from .leakage import LeakageBreakdown
-from .netlist import GROUND_NET, SUPPLY_NET
 
 __all__ = [
     "Inverter",
@@ -57,11 +56,9 @@ class Inverter:
         pmos_width: float,
         nmos_flavor: VtFlavor = VtFlavor.NOMINAL,
         pmos_flavor: VtFlavor = VtFlavor.NOMINAL,
-        name: str = "inv",
     ) -> None:
         self.library = library
         self._kernel = kernel_for(library)
-        self.name = name
         self.nmos: Mosfet = library.make_transistor(Polarity.NMOS, nmos_flavor, nmos_width)
         self.pmos: Mosfet = library.make_transistor(Polarity.PMOS, pmos_flavor, pmos_width)
 
@@ -92,15 +89,6 @@ class Inverter:
         pmos = self._kernel.evaluate(self.pmos, vin, vout, vdd)
         return nmos + pmos
 
-    # -- structure ------------------------------------------------------------------
-    def devices(self, input_net: str, output_net: str, prefix: str,
-                role: DeviceRole = DeviceRole.DRIVER) -> list[DeviceInstance]:
-        """Structural device instances for a netlist."""
-        return [
-            DeviceInstance(f"{prefix}.{self.name}.mp", self.pmos, input_net, output_net, SUPPLY_NET, role),
-            DeviceInstance(f"{prefix}.{self.name}.mn", self.nmos, input_net, output_net, GROUND_NET, role),
-        ]
-
     def transistors(self) -> dict[str, Mosfet]:
         """Named transistors (for tests and reports)."""
         return {"nmos": self.nmos, "pmos": self.pmos}
@@ -114,10 +102,9 @@ class PassTransistorSwitch:
     """
 
     def __init__(self, library: TechnologyLibrary, width: float,
-                 flavor: VtFlavor = VtFlavor.NOMINAL, name: str = "pass") -> None:
+                 flavor: VtFlavor = VtFlavor.NOMINAL) -> None:
         self.library = library
         self._kernel = kernel_for(library)
-        self.name = name
         self.nmos: Mosfet = library.make_transistor(Polarity.NMOS, flavor, width)
 
     def on_resistance(self) -> float:
@@ -138,15 +125,6 @@ class PassTransistorSwitch:
         gate = _level(granted, vdd)
         return self._kernel.evaluate(self.nmos, gate, input_voltage, output_voltage)
 
-    def devices(self, grant_net: str, input_net: str, output_net: str, prefix: str,
-                role: DeviceRole = DeviceRole.PASS_TRANSISTOR) -> list[DeviceInstance]:
-        """Structural device instance (``role`` distinguishes crosspoints from segment switches)."""
-        return [
-            DeviceInstance(
-                f"{prefix}.{self.name}", self.nmos, grant_net, output_net, input_net, role,
-            )
-        ]
-
 
 class SleepTransistor:
     """The N5 device of Figures 1-3: an NMOS that forces the merge node to GND.
@@ -158,10 +136,9 @@ class SleepTransistor:
     """
 
     def __init__(self, library: TechnologyLibrary, width: float,
-                 flavor: VtFlavor = VtFlavor.HIGH, name: str = "sleep") -> None:
+                 flavor: VtFlavor = VtFlavor.HIGH) -> None:
         self.library = library
         self._kernel = kernel_for(library)
-        self.name = name
         self.nmos: Mosfet = library.make_transistor(Polarity.NMOS, flavor, width)
 
     def on_resistance(self) -> float:
@@ -182,13 +159,6 @@ class SleepTransistor:
         gate = _level(sleeping, vdd)
         return self._kernel.evaluate(self.nmos, gate, node_voltage, 0.0)
 
-    def devices(self, sleep_net: str, node_net: str, prefix: str) -> list[DeviceInstance]:
-        """Structural device instance."""
-        return [
-            DeviceInstance(f"{prefix}.{self.name}", self.nmos, sleep_net, node_net, GROUND_NET,
-                           DeviceRole.SLEEP)
-        ]
-
 
 class PrechargeTransistor:
     """The clocked PMOS (P1 of Fig. 2) that pre-charges the merge node to Vdd.
@@ -199,10 +169,9 @@ class PrechargeTransistor:
     """
 
     def __init__(self, library: TechnologyLibrary, width: float,
-                 flavor: VtFlavor = VtFlavor.HIGH, name: str = "precharge") -> None:
+                 flavor: VtFlavor = VtFlavor.HIGH) -> None:
         self.library = library
         self._kernel = kernel_for(library)
-        self.name = name
         self.pmos: Mosfet = library.make_transistor(Polarity.PMOS, flavor, width)
 
     def on_resistance(self) -> float:
@@ -223,13 +192,6 @@ class PrechargeTransistor:
         gate = _level(not precharging, vdd)  # active-low control
         return self._kernel.evaluate(self.pmos, gate, node_voltage, vdd)
 
-    def devices(self, precharge_net: str, node_net: str, prefix: str) -> list[DeviceInstance]:
-        """Structural device instance."""
-        return [
-            DeviceInstance(f"{prefix}.{self.name}", self.pmos, precharge_net, node_net, SUPPLY_NET,
-                           DeviceRole.PRECHARGE)
-        ]
-
 
 class Keeper:
     """The feedback level-restoring PMOS (P1 of Fig. 1).
@@ -244,10 +206,9 @@ class Keeper:
     """
 
     def __init__(self, library: TechnologyLibrary, width: float,
-                 flavor: VtFlavor = VtFlavor.NOMINAL, name: str = "keeper") -> None:
+                 flavor: VtFlavor = VtFlavor.NOMINAL) -> None:
         self.library = library
         self._kernel = kernel_for(library)
-        self.name = name
         self.pmos: Mosfet = library.make_transistor(Polarity.PMOS, flavor, width)
 
     def opposing_current(self) -> float:
@@ -273,10 +234,3 @@ class Keeper:
         node = _level(node_is_high, vdd)
         gate = _level(not node_is_high, vdd)  # feedback inverts the node
         return self._kernel.evaluate(self.pmos, gate, node, vdd)
-
-    def devices(self, feedback_net: str, node_net: str, prefix: str) -> list[DeviceInstance]:
-        """Structural device instance."""
-        return [
-            DeviceInstance(f"{prefix}.{self.name}", self.pmos, feedback_net, node_net, SUPPLY_NET,
-                           DeviceRole.KEEPER)
-        ]

@@ -53,8 +53,8 @@ _PATH_NOTES: dict[str, str] = {
     "clock_frequency": "how much slack the timing budget leaves for high Vt",
     "static_probability": "data polarity (the pre-charged schemes' weak spot)",
     "toggle_activity": "switching intensity",
-    "crossbar.port_count": "crossbar radix (crosspoints grow quadratically)",
-    "crossbar.flit_width": "datapath width (wire spans scale with it)",
+    "crossbar.port_count": "crossbar radix, 2-64 (crosspoints grow quadratically)",
+    "crossbar.flit_width": "datapath width, 1-1024 bits (wire spans scale with it)",
     "crossbar.layout_overhead": "wiring density margin on the crossbar span",
     "crossbar.wire_layer": "metal layer of the crossbar wires",
     "crossbar.timing_budget_fraction": "share of the cycle the crossbar may use",

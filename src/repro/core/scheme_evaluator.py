@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
-from ..circuit.netlist import NetlistStatistics
+from ..circuit.devices import DeviceStatistics
 from ..crossbar.base import DEVICE_PART_FIELDS, CrossbarScheme, SchemeFigures
 from ..crossbar.factory import available_schemes, create_scheme
 from ..crossbar.ports import CrossbarConfig
@@ -429,7 +429,7 @@ class SchemeResult:
 
     scheme_name: str
     evaluation: SchemeEvaluation
-    single_bit_inventory: NetlistStatistics
+    single_bit_inventory: DeviceStatistics
 
     @property
     def high_vt_device_fraction(self) -> float:

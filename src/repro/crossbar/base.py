@@ -19,7 +19,7 @@ What distinguishes the schemes is captured by two small value objects —
 :class:`SchemeFeatures` (which structural options are present) and
 :class:`VtPlan` (which devices are high-Vt) — plus the scheme name and
 its modelling notes.  The heavy lifting (timing paths, state-dependent
-leakage, dynamic energy, standby-transition energy, netlist generation)
+leakage, dynamic energy, standby-transition energy, device inventory)
 lives here so that every scheme is analysed with exactly the same
 machinery and the Table 1 comparisons are apples-to-apples.  Delays are
 stage-based static timing on plain floats: each stage's driver and
@@ -90,7 +90,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from ..circuit.dynamic import check_frequency, contention_energy, switching_energy
-from ..circuit.devices import DeviceRole
+from ..circuit.devices import DeviceRole, DeviceStatistics
 from ..circuit.gates import (
     Inverter,
     Keeper,
@@ -104,7 +104,6 @@ from ..circuit.leakage import (
     LeakageAccumulator,
     LeakageBreakdown,
 )
-from ..circuit.netlist import Netlist, NetlistStatistics
 from ..errors import CircuitError, CrossbarError, TechnologyError
 from ..interconnect.pi_model import PiModel
 from ..interconnect.segmentation import SegmentationPlan, SegmentedWire
@@ -113,7 +112,7 @@ from ..technology.library import TechnologyLibrary
 from ..technology.transistor import Mosfet, VtFlavor
 from ..timing.delay_analysis import DelayReport, contention_factor, pass_rise_penalty
 from ..timing.path import stage_delay
-from .ports import CrossbarConfig, PortDirection
+from .ports import CrossbarConfig
 
 __all__ = ["VtPlan", "SchemeFeatures", "SchemeFigures", "CrossbarScheme",
            "DEVICE_PART_FIELDS", "DEVICE_PART_LENGTH",
@@ -288,7 +287,6 @@ class CrossbarScheme:
             config.input_driver_pmos_width,
             nmos_flavor=plan.input_driver,
             pmos_flavor=plan.input_driver,
-            name="input_driver",
         )
         self.driver1 = Inverter(
             library,
@@ -296,7 +294,6 @@ class CrossbarScheme:
             config.driver1_pmos_width,
             nmos_flavor=plan.driver1_nmos,
             pmos_flavor=plan.driver1_pmos,
-            name="i1",
         )
         self.driver2 = Inverter(
             library,
@@ -304,15 +301,11 @@ class CrossbarScheme:
             config.driver2_pmos_width,
             nmos_flavor=plan.driver2_nmos,
             pmos_flavor=plan.driver2_pmos,
-            name="i2",
         )
-        self.pass_switch = PassTransistorSwitch(
-            library, config.pass_width, flavor=plan.pass_transistor, name="pass"
-        )
+        self.pass_switch = PassTransistorSwitch(library, config.pass_width,
+                                                flavor=plan.pass_transistor)
         self.near_pass_switch = (
-            PassTransistorSwitch(
-                library, config.pass_width, flavor=plan.near_pass_transistor, name="near_pass"
-            )
+            PassTransistorSwitch(library, config.pass_width, flavor=plan.near_pass_transistor)
             if self.features.segmented
             else None
         )
@@ -332,9 +325,8 @@ class CrossbarScheme:
             else None
         )
         self.segment_switch = (
-            PassTransistorSwitch(
-                library, config.segment_switch_width, flavor=plan.segment_switch, name="segsw"
-            )
+            PassTransistorSwitch(library, config.segment_switch_width,
+                                 flavor=plan.segment_switch)
             if self.features.segmented
             else None
         )
@@ -1012,7 +1004,7 @@ class CrossbarScheme:
                 values.extend(self._path_leakage(merge_high, granted, node_leakage).floats())
         sleep = self._sleep_path_leakage() if self.features.has_sleep else LeakageBreakdown()
         values.extend((sleep.subthreshold, sleep.gate, sleep.junction))
-        values.append(NetlistStatistics.of_inventory(self._output_path_inventory()).high_vt_fraction)
+        values.append(self.single_bit_statistics.high_vt_fraction)
         return array("d", values)
 
     @property
@@ -1027,109 +1019,15 @@ class CrossbarScheme:
         return record_leakage(self.record_terms, static_probability)[3]
 
     # ------------------------------------------------------------------ #
-    # structural netlists                                                  #
+    # device inventory                                                     #
     # ------------------------------------------------------------------ #
-    def output_path_netlist(self, output: PortDirection | str = PortDirection.PE,
-                            bit: int = 0) -> Netlist:
-        """Netlist of one output row for one bit — the Fig. 1/2 schematic.
-
-        ``output`` is a :class:`PortDirection` or a name from
-        :attr:`CrossbarConfig.port_names` (``"port5"`` and up on radixes
-        above five).
-        """
-        name = output.value if isinstance(output, PortDirection) else output
-        netlist = Netlist(f"{self.name}.out_{name}.bit{bit}")
-        self._add_output_path(netlist, name, bit)
-        return netlist
-
-    def build_netlist(self, bits: int | None = None) -> Netlist:
-        """Full structural netlist (all output rows, ``bits`` flit bits).
-
-        ``bits`` defaults to the full flit width; passing a smaller value
-        keeps exploratory netlists small.  Input drivers are included so
-        the inventory reflects everything the crossbar macro instantiates,
-        tagged with the ``INPUT_DRIVER`` role so scope-sensitive analyses
-        can filter them out.
-        """
-        bit_count = self.config.flit_width if bits is None else bits
-        if bit_count < 1 or bit_count > self.config.flit_width:
-            raise CrossbarError(
-                f"bits must be between 1 and the flit width, got {bit_count}"
-            )
-        netlist = Netlist(f"{self.name}.crossbar")
-        ports = self.config.port_names
-        for bit in range(bit_count):
-            for port in ports:
-                self._add_output_path(netlist, port, bit)
-            for port in ports:
-                prefix = f"in_{port}.bit{bit}"
-                input_net = netlist.add_net(f"{prefix}.wire")
-                data_net = netlist.add_net(f"{prefix}.data")
-                for device in self.input_driver.devices(
-                    data_net, input_net, prefix, DeviceRole.INPUT_DRIVER
-                ):
-                    netlist.add_device(device)
-        return netlist
-
-    def _add_output_path(self, netlist: Netlist, output: str, bit: int) -> None:
-        """Add one output row (one bit) of port ``output`` to ``netlist``:
-        ``inputs_per_output`` crosspoints, one per other port (or every
-        port, with self-connection), in port order."""
-        config = self.config
-        prefix = f"out_{output}.bit{bit}"
-        inputs = [port for port in config.port_names
-                  if config.allow_self_connection or port != output]
-        inputs = inputs[: config.inputs_per_output]
-        near_net = netlist.add_net(f"{prefix}.merge_near")
-        far_net = netlist.add_net(f"{prefix}.merge_far") if self.features.segmented else near_net
-        internal_net = netlist.add_net(f"{prefix}.internal")
-        output_net = netlist.add_net(f"{prefix}.port_wire")
-        sleep_net = netlist.add_net("sleep")
-        precharge_net = netlist.add_net("precharge_n")
-
-        near_count = self._near_inputs()
-        for index, port in enumerate(inputs):
-            grant_net = netlist.add_net(f"{prefix}.grant_{port}")
-            input_net = netlist.add_net(f"in_{port}.bit{bit}.wire")
-            on_near_segment = index < near_count or not self.features.segmented
-            switch = self.near_pass_switch if (self.features.segmented and on_near_segment) \
-                else self.pass_switch
-            merge = near_net if on_near_segment else far_net
-            for device in switch.devices(grant_net, input_net, merge, f"{prefix}.xp_{port}"):
-                netlist.add_device(device)
-
-        if self.features.segmented:
-            segment_grant = netlist.add_net(f"{prefix}.segment_connect")
-            for device in self.segment_switch.devices(
-                segment_grant, far_net, near_net, f"{prefix}.segment",
-                role=DeviceRole.SEGMENT_SWITCH,
-            ):
-                netlist.add_device(device)
-
-        if self.keeper is not None:
-            for device in self.keeper.devices(internal_net, near_net, prefix):
-                netlist.add_device(device)
-        if self.sleep is not None:
-            for device in self.sleep.devices(sleep_net, near_net, f"{prefix}.near"):
-                netlist.add_device(device)
-            if self.features.segmented:
-                for device in self.sleep.devices(sleep_net, far_net, f"{prefix}.far"):
-                    netlist.add_device(device)
-        if self.precharge is not None:
-            for device in self.precharge.devices(precharge_net, near_net, f"{prefix}.near"):
-                netlist.add_device(device)
-            if self.features.segmented:
-                for device in self.precharge.devices(precharge_net, far_net, f"{prefix}.far"):
-                    netlist.add_device(device)
-
-        for device in self.driver1.devices(near_net, internal_net, f"{prefix}.drv1"):
-            netlist.add_device(device)
-        for device in self.driver2.devices(internal_net, output_net, f"{prefix}.drv2"):
-            netlist.add_device(device)
-
-    def _output_path_inventory(self) -> list[tuple[Mosfet, DeviceRole, int]]:
-        """Every device of one output path as ``(device, role, count)``:
-        what :meth:`output_path_netlist` instantiates, without the nets."""
+    def output_path_inventory(self) -> list[tuple[Mosfet, DeviceRole, int]]:
+        """Every device of one output row, one bit wide (the Fig. 1/2/3
+        schematic), as ``(device, role, count)`` entries: the
+        ``inputs_per_output`` crosspoints (split near/far when
+        segmented, plus the segment switch), the keeper or pre-charge
+        device and the sleep device (one per segment each), and the two
+        driver inverters."""
         inputs = self.config.inputs_per_output
         segments = 2 if self.features.segmented else 1
         if self.features.segmented:
@@ -1153,11 +1051,10 @@ class CrossbarScheme:
         return inventory
 
     @cached_property
-    def single_bit_statistics(self) -> NetlistStatistics:
+    def single_bit_statistics(self) -> DeviceStatistics:
         """Device statistics of a single output path (cached), counted
-        in closed form: the same counts as
-        ``output_path_netlist().statistics()``, without building it."""
-        return NetlistStatistics.of_inventory(self._output_path_inventory())
+        from :meth:`output_path_inventory`."""
+        return DeviceStatistics.of_inventory(self.output_path_inventory())
 
     # ------------------------------------------------------------------ #
     # misc                                                                 #

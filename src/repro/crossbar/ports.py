@@ -26,6 +26,12 @@ from ..units import MICRO
 
 __all__ = ["PortDirection", "CrossbarConfig"]
 
+#: Largest crossbar radix and flit width a :class:`CrossbarConfig` takes.
+#: On-chip router crossbars stay well inside both; a value past them
+#: describes no crossbar (a million ports evaluates to tens of terawatts).
+MAX_PORT_COUNT = 64
+MAX_FLIT_WIDTH = 1024
+
 
 def config_number(path: str, value: object, integral: bool = False) -> Real:
     """``value`` checked for the numeric config leaf ``path``: a real
@@ -144,13 +150,14 @@ class CrossbarConfig:
             raise ConfigurationError(
                 f"crossbar.allow_self_connection must be a bool, "
                 f"got {self.allow_self_connection!r}")
-        if self.port_count < 2:
+        if not 2 <= self.port_count <= MAX_PORT_COUNT:
             raise CrossbarError(
-                f"crossbar.port_count: a crossbar needs at least 2 ports, got {self.port_count}"
+                f"crossbar.port_count: a crossbar has 2 to {MAX_PORT_COUNT} ports, "
+                f"got {self.port_count}"
             )
-        if self.flit_width < 1:
+        if not 1 <= self.flit_width <= MAX_FLIT_WIDTH:
             raise CrossbarError(
-                f"crossbar.flit_width must be at least 1 bit, got {self.flit_width}"
+                f"crossbar.flit_width must be 1 to {MAX_FLIT_WIDTH} bits, got {self.flit_width}"
             )
         if self.layout_overhead < 1.0:
             raise CrossbarError("crossbar.layout_overhead must be >= 1")

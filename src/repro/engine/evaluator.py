@@ -16,7 +16,7 @@ from ..crossbar.factory import available_schemes
 from ..errors import ConfigurationError
 from .cache import CachedEntry, EvaluationCache, point_key
 from .grid import DesignSpace
-from .executor import EXECUTOR_NAMES, WorkItem, resolve_executor
+from .executor import EXECUTOR_NAMES, WorkItem, check_max_workers, resolve_executor
 from .resultset import PointResult, ResultSet
 
 __all__ = ["Evaluator"]
@@ -65,6 +65,7 @@ class Evaluator:
             )
         if not (hasattr(executor, "run") or executor in EXECUTOR_NAMES):
             resolve_executor(executor)  # raises the canonical error
+        check_max_workers(max_workers)
         self.scheme_names = tuple(names)
         self.baseline_name = baseline_name
         self.executor = executor

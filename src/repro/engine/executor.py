@@ -79,6 +79,15 @@ class SerialExecutor:
         return [EvaluatedPoint(records=compare_schemes(item)) for item in items]
 
 
+def check_max_workers(max_workers: int | None) -> None:
+    """Refuse a worker count below one (``None`` means the core count)."""
+    if max_workers is not None and max_workers < 1:
+        raise ConfigurationError(
+            f"max_workers must be at least 1 (or None for the core count), "
+            f"got {max_workers}"
+        )
+
+
 def resolve_executor(spec: object, max_workers: int | None = None):
     """Turn an executor spec into an executor instance.
 
@@ -89,6 +98,7 @@ def resolve_executor(spec: object, max_workers: int | None = None):
     workers from other hosts construct
     :class:`~repro.engine.distributed.DistributedExecutor` directly.
     """
+    check_max_workers(max_workers)
     if hasattr(spec, "run"):
         return spec
     if spec == "serial":
@@ -97,7 +107,7 @@ def resolve_executor(spec: object, max_workers: int | None = None):
         from .distributed import DistributedExecutor
 
         return DistributedExecutor(
-            spawn_workers=max_workers or os.cpu_count() or 1)
+            spawn_workers=max_workers if max_workers is not None else (os.cpu_count() or 1))
     names = ", ".join(repr(name) for name in EXECUTOR_NAMES)
     raise ConfigurationError(
         f"unknown executor {spec!r}; expected {names} "

@@ -12,9 +12,9 @@ with every item's records, in order, as packed doubles beside JSON ints
 (:func:`~repro.engine.distributed.pack_item`).  Because the process is
 persistent, the structural memoisation in
 :mod:`repro.core.scheme_evaluator` warms up once and then serves every
-subsequent item across every batch.  Importing this module loads no
-numerical library (numpy, scipy, networkx) and no process pool:
-evaluation needs none, so spawning a worker does not pay for them.
+subsequent item across every batch.  The package needs only the
+standard library, and importing this module starts no process pool, so
+spawning a worker pays for neither.
 
 Evaluation failures — whatever exception an item raises, and records
 that do not fit the wire layout — are answered with structured

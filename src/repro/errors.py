@@ -22,11 +22,10 @@ class TechnologyError(ReproError):
 
 
 class CircuitError(ReproError):
-    """Raised for malformed circuits or netlists.
+    """Raised for malformed circuit quantities.
 
-    Examples: connecting a device to a node that does not exist, asking
-    for the Elmore delay of a node that is not part of the RC tree,
-    evaluating leakage with an incomplete node-state assignment.
+    Examples: a negative leakage component or scaling factor, a node
+    voltage outside the supply rails.
     """
 
 

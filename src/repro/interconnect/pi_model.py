@@ -2,17 +2,16 @@
 
 A pi model places half of the wire capacitance at each end of the total
 series resistance.  It matches the first two moments of the distributed
-line, which is all the Elmore-based delay analysis consumes; the delay
-layer uses it when it wants a closed-form expression rather than a
-ladder in an RC tree.
+line, which is all the Elmore-based delay analysis consumes, and gives
+the delay layer a closed-form expression for a wire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..circuit.rc_network import LN2
 from ..errors import TechnologyError
+from ..units import LN2
 
 __all__ = ["PiModel"]
 

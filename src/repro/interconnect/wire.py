@@ -2,8 +2,7 @@
 
 A :class:`Wire` binds a length and a layer's per-unit-length electrical
 model into the quantities the delay and power analyses need: total R and
-C, lumped pi models, and ladder insertion into an
-:class:`~repro.circuit.rc_network.RCTree`.
+C and lumped pi models.
 
 Wires are immutable, so each computes its R, C and pi model once, and
 :meth:`Wire.on_layer` shares one wire per (length, layer, neighbours)
@@ -112,7 +111,3 @@ class Wire:
             Wire(length=self.length * fraction, model=self.model, neighbours=self.neighbours)
             for fraction in fractions
         ]
-
-    def add_to_tree(self, tree, from_node: str, to_node: str, segments: int = 5) -> None:
-        """Insert this wire into an RC tree as a distributed ladder."""
-        tree.add_wire(from_node, to_node, self.resistance, self.capacitance, segments)

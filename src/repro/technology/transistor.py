@@ -105,8 +105,9 @@ class MosfetParameters:
 class Mosfet:
     """A sized transistor bound to a parameter set and supply voltage.
 
-    This is the electrical model only; the structural/netlist view lives
-    in :mod:`repro.circuit.devices`.  Widths are in metres.
+    This is the electrical model only; the role a device plays in an
+    output path lives in :mod:`repro.circuit.devices`.  Widths are in
+    metres.
     """
 
     def __init__(self, parameters: MosfetParameters, width: float, supply_voltage: float,

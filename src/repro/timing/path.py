@@ -19,9 +19,9 @@ the crossbar schemes add up as plain floats.
 
 from __future__ import annotations
 
-from ..circuit.rc_network import LN2
 from ..errors import TimingError
 from ..interconnect.pi_model import PiModel
+from ..units import LN2
 
 __all__ = ["stage_delay"]
 

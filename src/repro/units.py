@@ -8,13 +8,15 @@ amperes, farads, ohms, watts, joules).  This module provides:
 * conversion helpers for the units the paper reports results in
   (picoseconds, milliwatts).
 
-Keeping everything in SI avoids an entire class of unit bugs and keeps
-numpy vectorisation trivial; the only places non-SI numbers appear are
-the formatting boundary (reports, tables) and the technology data tables
-whose sources quote nm / µm values.
+Keeping everything in SI avoids an entire class of unit bugs; the only
+places non-SI numbers appear are the formatting boundary (reports,
+tables) and the technology data tables whose sources quote nm / µm
+values.
 """
 
 from __future__ import annotations
+
+import math
 
 # ---------------------------------------------------------------------------
 # SI prefixes (multiply a value expressed in the prefixed unit to obtain SI).
@@ -38,6 +40,9 @@ BOLTZMANN = 1.380649e-23  # J / K
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F / m
 ZERO_CELSIUS_IN_KELVIN = 273.15
+
+#: ln(2): converts an Elmore (first-moment) delay into a 50 % step delay.
+LN2 = math.log(2.0)
 
 
 def thermal_voltage(temperature_kelvin: float) -> float:

@@ -1,28 +1,23 @@
 """Tests for the circuit substrate: leakage accounting, biasing, gates,
-netlists, RC trees, the transient solver and dynamic-energy helpers."""
+device statistics and dynamic-energy helpers."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.circuit import (
-    GROUND_NET,
-    SUPPLY_NET,
     DeviceRole,
+    DeviceStatistics,
     Inverter,
     Keeper,
     LeakageBreakdown,
-    Netlist,
     PassTransistorSwitch,
     PrechargeTransistor,
-    RCTransientSolver,
-    RCTree,
     SleepTransistor,
     contention_energy,
     leakage_from_node_voltages,
     switching_energy,
 )
-from repro.circuit.devices import DeviceInstance
 from repro.circuit.leakage import AffineLeakage
 from repro.errors import CircuitError, PowerError
 from repro.technology import Polarity, VtFlavor
@@ -163,140 +158,25 @@ class TestGates:
         assert high.opposing_current() < nominal.opposing_current()
         assert high.leakage(False).subthreshold < nominal.leakage(False).subthreshold
 
-    def test_gate_devices_emit_netlist_instances(self, library):
+
+class TestDeviceStatistics:
+    def test_counts_by_flavor_and_role(self, library):
         inverter = Inverter(library, 1e-6, 2e-6)
-        devices = inverter.devices("in", "out", "u0")
-        assert len(devices) == 2
-        assert {device.source for device in devices} == {SUPPLY_NET, GROUND_NET}
+        switch = PassTransistorSwitch(library, 1.4e-6, flavor=VtFlavor.HIGH)
+        stats = DeviceStatistics.of_inventory([
+            (inverter.pmos, DeviceRole.DRIVER, 1),
+            (inverter.nmos, DeviceRole.DRIVER, 1),
+            (switch.nmos, DeviceRole.PASS_TRANSISTOR, 3),
+        ])
+        assert stats.device_count == 5
+        assert stats.count_by_role == {DeviceRole.DRIVER: 2, DeviceRole.PASS_TRANSISTOR: 3}
+        assert stats.count_by_flavor == {VtFlavor.NOMINAL: 2, VtFlavor.HIGH: 3}
+        assert stats.high_vt_fraction == 3 / 5
 
-
-class TestNetlist:
-    def _simple_netlist(self, library):
-        netlist = Netlist("test")
-        inverter = Inverter(library, 1e-6, 2e-6)
-        for device in inverter.devices("a", "b", "u0"):
-            netlist.add_device(device)
-        switch = PassTransistorSwitch(library, 1.4e-6)
-        for device in switch.devices("grant", "b", "c", "u1"):
-            netlist.add_device(device)
-        return netlist
-
-    def test_device_and_net_bookkeeping(self, library):
-        netlist = self._simple_netlist(library)
-        assert len(netlist) == 3
-        assert {"a", "b", "c", "grant", SUPPLY_NET, GROUND_NET} <= netlist.nets
-
-    def test_duplicate_device_name_rejected(self, library):
-        netlist = self._simple_netlist(library)
-        duplicate = netlist.devices[0]
-        with pytest.raises(CircuitError):
-            netlist.add_device(duplicate)
-
-    def test_devices_on_net_and_fan_in(self, library):
-        netlist = self._simple_netlist(library)
-        assert netlist.fan_in("b") == 3  # inverter NMOS+PMOS drains plus pass terminal
-
-    def test_channel_graph_reaches_rails(self, library):
-        netlist = self._simple_netlist(library)
-        assert netlist.net_is_drivable("b")
-        assert netlist.net_is_drivable("c")
-
-    def test_statistics_counts_by_flavor_and_role(self, library):
-        netlist = self._simple_netlist(library)
-        stats = netlist.statistics()
-        assert stats.device_count == 3
-        assert stats.count_by_role[DeviceRole.DRIVER] == 2
-        assert stats.count_by_role[DeviceRole.PASS_TRANSISTOR] == 1
+    def test_empty_inventory_has_no_high_vt_fraction(self):
+        stats = DeviceStatistics.of_inventory([])
+        assert stats.device_count == 0
         assert stats.high_vt_fraction == 0.0
-
-    def test_unknown_device_lookup_raises(self, library):
-        netlist = self._simple_netlist(library)
-        with pytest.raises(CircuitError):
-            netlist.device("missing")
-
-    def test_device_instance_validation(self, library):
-        mosfet = library.make_transistor(Polarity.NMOS, VtFlavor.NOMINAL, 1e-6)
-        with pytest.raises(CircuitError):
-            DeviceInstance("", mosfet, "g", "d", "s")
-        with pytest.raises(CircuitError):
-            DeviceInstance("m1", mosfet, "g", "", "s")
-
-
-class TestRcTree:
-    def test_single_rc_elmore(self):
-        tree = RCTree("drv")
-        tree.add_node("out", "drv", resistance=1000.0, capacitance=1e-15)
-        assert tree.elmore_delay("out") == pytest.approx(1000.0 * 1e-15)
-
-    def test_driver_resistance_sees_total_capacitance(self):
-        tree = RCTree("drv")
-        tree.add_node("a", "drv", 100.0, 1e-15)
-        tree.add_node("b", "a", 100.0, 1e-15)
-        delay = tree.elmore_delay_from_driver("b", driver_resistance=1000.0)
-        expected = 1000.0 * 2e-15 + 100.0 * 2e-15 + 100.0 * 1e-15
-        assert delay == pytest.approx(expected)
-
-    def test_wire_ladder_approaches_distributed_limit(self, library):
-        # Elmore of a distributed RC line is R*C/2; a 5-section ladder should
-        # land between the lumped (R*C) and distributed (R*C/2) values.
-        resistance, capacitance = 1000.0, 100e-15
-        tree = RCTree("drv")
-        tree.add_wire("drv", "out", resistance, capacitance, segments=5)
-        delay = tree.elmore_delay("out")
-        assert 0.5 * resistance * capacitance < delay < resistance * capacitance
-        assert delay == pytest.approx(0.6 * resistance * capacitance, rel=0.01)
-
-    def test_downstream_capacitance(self):
-        tree = RCTree("drv")
-        tree.add_node("a", "drv", 1.0, 1e-15)
-        tree.add_node("b", "a", 1.0, 2e-15)
-        tree.add_node("c", "a", 1.0, 3e-15)
-        assert tree.downstream_capacitance("a") == pytest.approx(6e-15)
-        assert tree.total_capacitance() == pytest.approx(6e-15)
-
-    def test_duplicate_and_missing_nodes_rejected(self):
-        tree = RCTree("drv")
-        tree.add_node("a", "drv", 1.0, 1e-15)
-        with pytest.raises(CircuitError):
-            tree.add_node("a", "drv", 1.0, 0.0)
-        with pytest.raises(CircuitError):
-            tree.add_node("b", "missing", 1.0, 0.0)
-        with pytest.raises(CircuitError):
-            tree.elmore_delay("missing")
-
-
-class TestTransientSolver:
-    def test_transient_matches_elmore_within_tolerance(self, library):
-        tree = RCTree("drv")
-        tree.add_wire("drv", "mid", 500.0, 30e-15, segments=5)
-        tree.add_node("out", "mid", 200.0, 10e-15)
-        elmore = tree.step_delay_from_driver("out", driver_resistance=800.0)
-        solver = RCTransientSolver(tree, driver_resistance=800.0, supply_voltage=1.0)
-        transient = solver.fifty_percent_delay("out")
-        assert transient == pytest.approx(elmore, rel=0.25)
-
-    def test_falling_step_symmetric_with_rising(self):
-        tree = RCTree("drv")
-        tree.add_node("out", "drv", 1000.0, 10e-15)
-        solver = RCTransientSolver(tree, 500.0, 1.0)
-        rising = solver.fifty_percent_delay("out", rising=True)
-        falling = solver.fifty_percent_delay("out", rising=False)
-        assert rising == pytest.approx(falling, rel=1e-6)
-
-    def test_waveform_settles_to_supply(self):
-        tree = RCTree("drv")
-        tree.add_node("out", "drv", 1000.0, 10e-15)
-        solver = RCTransientSolver(tree, 500.0, 1.0)
-        result = solver.rising_step(duration=1e-9)
-        assert result.voltage_of("out")[-1] == pytest.approx(1.0, abs=0.01)
-
-    def test_crossing_time_error_when_window_too_short(self):
-        tree = RCTree("drv")
-        tree.add_node("out", "drv", 1e6, 1e-12)  # very slow node
-        solver = RCTransientSolver(tree, 1e6, 1.0)
-        result = solver.rising_step(duration=1e-12)
-        with pytest.raises(CircuitError):
-            result.crossing_time("out", 0.5)
 
 
 class TestDynamicHelpers:

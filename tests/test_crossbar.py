@@ -9,6 +9,9 @@ the benchmark suite.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.crossbar import (
@@ -24,6 +27,13 @@ from repro.crossbar.dfc import DualVtFeedbackCrossbar
 from repro.crossbar.sc import SingleVtCrossbar
 from repro.errors import CrossbarError
 from repro.technology import VtFlavor
+
+#: Each output path's device counts (total, by Vt flavor, by role),
+#: frozen from the transistor-level netlists the closed-form inventory
+#: replaced: 90nm/45nm x radix 2-8 x self-connection off/on x the five
+#: schemes, without the 2-port rows too small to segment.
+INVENTORY_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "output_path_inventory.json").read_text())
 
 
 class TestCrossbarConfig:
@@ -53,7 +63,14 @@ class TestCrossbarConfig:
         with pytest.raises(CrossbarError):
             CrossbarConfig(port_count=1)
         with pytest.raises(CrossbarError):
+            CrossbarConfig(port_count=65)
+        with pytest.raises(CrossbarError):
+            CrossbarConfig(port_count=1000000)
+        with pytest.raises(CrossbarError):
             CrossbarConfig(flit_width=0)
+        with pytest.raises(CrossbarError):
+            CrossbarConfig(flit_width=1025)
+        CrossbarConfig(port_count=64, flit_width=1024)  # both upper bounds are inclusive
         with pytest.raises(CrossbarError):
             CrossbarConfig(pass_width=-1.0)
         with pytest.raises(CrossbarError):
@@ -125,17 +142,17 @@ class TestSchemeStructure:
             SchemeFeatures(has_keeper=True, has_precharge=True)
 
     def test_sc_uses_only_nominal_devices(self, schemes):
-        stats = schemes["SC"].output_path_netlist().statistics()
+        stats = schemes["SC"].single_bit_statistics
         assert stats.count_by_flavor.get(VtFlavor.HIGH, 0) == 0
 
     def test_dual_vt_schemes_contain_high_vt_devices(self, schemes):
         for name in ("DFC", "DPC", "SDFC", "SDPC"):
-            stats = schemes[name].output_path_netlist().statistics()
+            stats = schemes[name].single_bit_statistics
             assert stats.count_by_flavor.get(VtFlavor.HIGH, 0) > 0, name
 
     def test_high_vt_fraction_increases_along_scheme_ladder(self, schemes):
         fractions = {
-            name: schemes[name].output_path_netlist().statistics().high_vt_fraction
+            name: schemes[name].single_bit_statistics.high_vt_fraction
             for name in ("SC", "DFC", "SDPC")
         }
         assert fractions["SC"] < fractions["DFC"] < fractions["SDPC"]
@@ -159,9 +176,8 @@ class TestSchemeStructure:
         for device in (sdpc.driver1.nmos, sdpc.driver1.pmos, sdpc.driver2.nmos, sdpc.driver2.pmos):
             assert device.vt_flavor is VtFlavor.HIGH
 
-    def test_output_path_netlist_counts(self, schemes, crossbar_config):
-        path = schemes["SC"].output_path_netlist()
-        stats = path.statistics()
+    def test_output_path_inventory_counts(self, schemes, crossbar_config):
+        stats = schemes["SC"].single_bit_statistics
         from repro.circuit import DeviceRole
 
         assert stats.count_by_role[DeviceRole.PASS_TRANSISTOR] == crossbar_config.inputs_per_output
@@ -172,73 +188,71 @@ class TestSchemeStructure:
     def test_segmented_path_has_segment_switch_and_two_sleeps(self, schemes):
         from repro.circuit import DeviceRole
 
-        stats = schemes["SDFC"].output_path_netlist().statistics()
+        stats = schemes["SDFC"].single_bit_statistics
         assert stats.count_by_role[DeviceRole.SEGMENT_SWITCH] == 1
         assert stats.count_by_role[DeviceRole.SLEEP] == 2
 
     def test_sdpc_has_per_segment_precharge(self, schemes):
         from repro.circuit import DeviceRole
 
-        stats = schemes["SDPC"].output_path_netlist().statistics()
+        stats = schemes["SDPC"].single_bit_statistics
         assert stats.count_by_role[DeviceRole.PRECHARGE] == 2
-
-    def test_full_netlist_scales_with_bits(self, library, small_crossbar_config):
-        scheme = create_scheme("SC", library, small_crossbar_config)
-        one_bit = scheme.build_netlist(bits=1)
-        two_bits = scheme.build_netlist(bits=2)
-        assert len(two_bits) == 2 * len(one_bit)
-
-    def test_full_netlist_merge_nodes_are_drivable(self, library, small_crossbar_config):
-        scheme = create_scheme("DFC", library, small_crossbar_config)
-        netlist = scheme.build_netlist(bits=1)
-        assert netlist.net_is_drivable("out_pe.bit0.merge_near")
-        assert netlist.net_is_drivable("out_pe.bit0.port_wire")
-
-    def test_build_netlist_rejects_bad_bit_count(self, schemes):
-        with pytest.raises(CrossbarError):
-            schemes["SC"].build_netlist(bits=0)
-        with pytest.raises(CrossbarError):
-            schemes["SC"].build_netlist(bits=1000)
 
 
 class TestOutputPathInventory:
-    """The closed-form single-bit inventory, and netlists of every radix."""
+    """The closed-form single-bit inventory against counts frozen from
+    the transistor-level netlists it replaced, and rows of every radix."""
 
+    def test_golden_covers_both_nodes_and_every_radix(self):
+        cases = {(case["node"], case["port_count"], case["allow_self_connection"],
+                  case["scheme"]) for case in INVENTORY_GOLDEN}
+        assert len(cases) == len(INVENTORY_GOLDEN)
+        assert {(node, ports) for node, ports, _, _ in cases} == {
+            (node, ports) for node in ("90nm", "45nm") for ports in range(2, 9)}
+        # Each node: 7 radixes x 2 self-connection settings x 5 schemes,
+        # less the 2 segmented schemes of the 2-port, no-self row.
+        assert len(cases) == 2 * (7 * 2 * 5 - 2)
+
+    @pytest.mark.parametrize("ports", range(2, 9))
     @pytest.mark.parametrize("node", ["90nm", "45nm"])
-    def test_closed_form_statistics_match_the_netlist(self, node):
+    def test_closed_form_statistics_match_the_golden(self, node, ports):
+        from repro.circuit import DeviceRole
         from repro.technology.library import default_library_for_node
 
+        golden = {(case["allow_self_connection"], case["scheme"]): case
+                  for case in INVENTORY_GOLDEN
+                  if case["node"] == node and case["port_count"] == ports}
         library = default_library_for_node(node)
-        for ports in range(2, 9):
-            for self_connection in (False, True):
-                config = CrossbarConfig(port_count=ports, flit_width=16,
-                                        allow_self_connection=self_connection)
-                for name in available_schemes():
-                    try:
-                        scheme = create_scheme(name, library, config)
-                    except CrossbarError:
-                        # Only a 2-port, no-self crossbar is too small to
-                        # segment (one crosspoint per row).
-                        assert (ports, self_connection) == (2, False)
-                        continue
-                    closed = scheme.single_bit_statistics
-                    netlist = scheme.output_path_netlist().statistics()
-                    case = (node, ports, self_connection, name)
-                    assert closed.device_count == netlist.device_count, case
-                    assert closed.count_by_flavor == netlist.count_by_flavor, case
-                    assert closed.count_by_polarity == netlist.count_by_polarity, case
-                    assert closed.count_by_role == netlist.count_by_role, case
-                    assert closed.width_by_flavor.keys() == netlist.width_by_flavor.keys()
-                    for flavor, width in netlist.width_by_flavor.items():
-                        assert closed.width_by_flavor[flavor] == pytest.approx(
-                            width, rel=1e-12), case
-                    assert closed.total_width == pytest.approx(netlist.total_width,
-                                                               rel=1e-12), case
+        checked = 0
+        for self_connection in (False, True):
+            config = CrossbarConfig(port_count=ports, flit_width=16,
+                                    allow_self_connection=self_connection)
+            for name in available_schemes():
+                try:
+                    scheme = create_scheme(name, library, config)
+                except CrossbarError:
+                    # Only a 2-port, no-self crossbar is too small to
+                    # segment (one crosspoint per row).
+                    assert (ports, self_connection) == (2, False)
+                    assert (self_connection, name) not in golden
+                    continue
+                expected = golden[(self_connection, name)]
+                closed = scheme.single_bit_statistics
+                case = (node, ports, self_connection, name)
+                assert closed.device_count == expected["device_count"], case
+                assert closed.count_by_flavor == {
+                    VtFlavor(flavor): count
+                    for flavor, count in expected["count_by_flavor"].items()}, case
+                assert closed.count_by_role == {
+                    DeviceRole(role): count
+                    for role, count in expected["count_by_role"].items()}, case
+                checked += 1
+        assert checked == len(golden)
 
     @pytest.mark.parametrize("ports", [6, 8])
     @pytest.mark.parametrize("self_connection", [False, True])
-    def test_wide_crossbar_netlists_carry_every_crosspoint(self, library, ports,
-                                                           self_connection):
+    def test_wide_crossbar_rows_carry_every_crosspoint(self, library, ports,
+                                                       self_connection):
         from repro.circuit import DeviceRole
 
         config = CrossbarConfig(port_count=ports, flit_width=4,
@@ -246,18 +260,11 @@ class TestOutputPathInventory:
         assert config.port_names == ("north", "south", "west", "east", "pe") + tuple(
             f"port{index}" for index in range(5, ports))
         scheme = create_scheme("SC", library, config)
-        path = scheme.output_path_netlist().statistics()
+        path = scheme.single_bit_statistics
+        assert config.inputs_per_output == ports - (0 if self_connection else 1)
         assert path.count_by_role[DeviceRole.PASS_TRANSISTOR] == config.inputs_per_output
         # Crosspoints + keeper + sleep + two driver inverters.
         assert path.device_count == config.inputs_per_output + 6
-        assert len(scheme.output_path_netlist("port5")) == path.device_count
-        netlist = scheme.build_netlist(bits=1)
-        rows = {device.name.split(".")[0] for device in netlist.devices
-                if device.name.startswith("out_")}
-        assert rows == {f"out_{port}" for port in config.port_names}
-        assert len(netlist.devices_with_role(DeviceRole.PASS_TRANSISTOR)) == \
-            ports * config.inputs_per_output
-        assert len(netlist.devices_with_role(DeviceRole.INPUT_DRIVER)) == 2 * ports
 
     def test_high_vt_fraction_counts_every_crosspoint_of_an_eight_port_row(self):
         from repro import compare_schemes, paper_experiment
@@ -422,7 +429,8 @@ class TestDescriptions:
     def test_dfc_is_sc_plus_vt_changes_only(self, library, crossbar_config):
         sc = SingleVtCrossbar(library, crossbar_config)
         dfc = DualVtFeedbackCrossbar(library, crossbar_config)
-        assert len(sc.output_path_netlist()) == len(dfc.output_path_netlist())
+        assert sc.single_bit_statistics.device_count == dfc.single_bit_statistics.device_count
+        assert sc.single_bit_statistics.count_by_role == dfc.single_bit_statistics.count_by_role
         assert sc.features.has_keeper == dfc.features.has_keeper
         assert sc.features.has_sleep == dfc.features.has_sleep
 
@@ -438,13 +446,36 @@ def corner_schemes(library, crossbar_config):
 class TestEveryScheme:
     """Mechanisms every one of the five schemes must show, one case per scheme."""
 
-    def test_data_nets_of_every_output_are_drivable(self, library, small_crossbar_config, name):
-        scheme = create_scheme(name, library, small_crossbar_config)
-        netlist = scheme.build_netlist(bits=1)
-        merges = ("merge_near", "merge_far") if scheme.features.segmented else ("merge_near",)
-        for port in small_crossbar_config.port_names:
-            for net in ("internal", "port_wire") + merges:
-                assert netlist.net_is_drivable(f"out_{port}.bit0.{net}"), (port, net)
+    def test_inventory_counts_by_flavor_and_by_role_sum_to_the_device_count(self, schemes,
+                                                                             name):
+        stats = schemes[name].single_bit_statistics
+        assert sum(stats.count_by_flavor.values()) == stats.device_count
+        assert sum(stats.count_by_role.values()) == stats.device_count
+        assert 0.0 <= stats.high_vt_fraction < 1.0
+
+    def test_record_high_vt_fraction_is_the_inventory_fraction(self, schemes, name):
+        scheme = schemes[name]
+        assert scheme.high_vt_device_fraction == scheme.single_bit_statistics.high_vt_fraction
+
+    def test_inventory_is_one_bit_wide_at_any_flit_width(self, library, schemes, name):
+        narrow = create_scheme(name, library, CrossbarConfig(flit_width=64))
+        assert narrow.single_bit_statistics == schemes[name].single_bit_statistics
+
+    def test_only_the_crosspoint_count_grows_with_radix(self, library, name):
+        from repro.circuit import DeviceRole
+
+        others = set()
+        for ports in (5, 8):
+            for self_connection in (False, True):
+                config = CrossbarConfig(port_count=ports, flit_width=4,
+                                        allow_self_connection=self_connection)
+                stats = create_scheme(name, library, config).single_bit_statistics
+                assert stats.count_by_role[DeviceRole.PASS_TRANSISTOR] == \
+                    config.inputs_per_output, (ports, self_connection)
+                others.add(tuple(sorted(
+                    (role.value, count) for role, count in stats.count_by_role.items()
+                    if role is not DeviceRole.PASS_TRANSISTOR)))
+        assert len(others) == 1
 
     def test_leakage_scales_linearly_with_flit_width(self, library, schemes, name):
         narrow = create_scheme(name, library, CrossbarConfig(flit_width=64))

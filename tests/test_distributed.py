@@ -980,7 +980,7 @@ def test_max_items_counts_items_not_frames():
 
 def test_worker_import_loads_no_numerical_library():
     """Spawned workers (and the CLI and service) import the engine without
-    numpy, scipy or networkx: no design-point evaluation uses them."""
+    numpy, scipy or networkx: the package needs only the standard library."""
     probe = ("import sys, repro.engine.worker; "
              "print(sorted(m for m in ('numpy', 'scipy', 'networkx') if m in sys.modules))")
     output = subprocess.run([sys.executable, "-c", probe], env=WORKER_ENV,

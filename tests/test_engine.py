@@ -507,6 +507,13 @@ class TestExecutors:
         with pytest.raises(ConfigurationError, match=message):
             Evaluator(scheme_names=SCHEMES, executor="auto")
 
+    def test_worker_count_below_one_is_refused(self):
+        for count in (0, -1):
+            with pytest.raises(ConfigurationError, match="max_workers"):
+                resolve_executor("distributed", max_workers=count)
+            with pytest.raises(ConfigurationError, match="max_workers"):
+                Evaluator(scheme_names=SCHEMES, executor="distributed", max_workers=count)
+
     def test_fleet_parity_with_serial(self):
         space = DesignSpace.grid({"static_probability": [0.2, 0.8],
                                   "temperature_celsius": [25.0, 110.0]})

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import LeakageBreakdown, RCTree
+from repro.circuit import DeviceRole, DeviceStatistics, LeakageBreakdown
 from repro.interconnect import PiModel, SegmentationPlan, SegmentedWire, Wire
 from repro.noc import RoundRobinArbiter
 from repro.technology import Polarity, VtFlavor, default_45nm, stack_factor, subthreshold_current
@@ -67,37 +67,39 @@ class TestLeakageProperties:
         assert high.saturation_current() < nominal.saturation_current()
 
 
-class TestRcTreeProperties:
+#: One sized device per Vt flavor; the statistics read only the flavor.
+FLAVOR_DEVICES = {flavor: LIBRARY.make_transistor(Polarity.NMOS, flavor, 1e-6)
+                  for flavor in VtFlavor}
+
+inventory_entries = st.lists(
+    st.tuples(st.sampled_from(list(VtFlavor)), st.sampled_from(list(DeviceRole)),
+              st.integers(0, 64)),
+    max_size=12)
+
+
+def inventory(entries):
+    return [(FLAVOR_DEVICES[flavor], role, count) for flavor, role, count in entries]
+
+
+class TestDeviceStatisticsProperties:
     @common_settings
-    @given(
-        resistances=st.lists(st.floats(1.0, 1e4), min_size=1, max_size=8),
-        capacitances=st.lists(st.floats(1e-16, 1e-13), min_size=1, max_size=8),
-    )
-    def test_chain_elmore_is_monotone_along_the_chain(self, resistances, capacitances):
-        length = min(len(resistances), len(capacitances))
-        tree = RCTree("drv")
-        previous = "drv"
-        names = []
-        for index in range(length):
-            name = f"n{index}"
-            tree.add_node(name, previous, resistances[index], capacitances[index])
-            names.append(name)
-            previous = name
-        delays = [tree.elmore_delay(name) for name in names]
-        assert all(later >= earlier for earlier, later in zip(delays, delays[1:]))
+    @given(entries=inventory_entries)
+    def test_flavor_and_role_counts_each_sum_to_the_device_count(self, entries):
+        stats = DeviceStatistics.of_inventory(inventory(entries))
+        assert stats.device_count == sum(count for _, _, count in entries)
+        assert sum(stats.count_by_flavor.values()) == stats.device_count
+        assert sum(stats.count_by_role.values()) == stats.device_count
+        assert 0.0 <= stats.high_vt_fraction <= 1.0
 
     @common_settings
-    @given(
-        driver=st.floats(10.0, 1e4),
-        extra=st.floats(1e-16, 1e-12),
-    )
-    def test_adding_capacitance_never_speeds_up_the_tree(self, driver, extra):
-        tree = RCTree("drv")
-        tree.add_wire("drv", "out", 500.0, 50e-15, segments=4)
-        before = tree.elmore_delay_from_driver("out", driver)
-        tree.add_capacitance("out", extra)
-        after = tree.elmore_delay_from_driver("out", driver)
-        assert after >= before
+    @given(entries=inventory_entries, data=st.data())
+    def test_splitting_or_reordering_entries_leaves_the_statistics(self, entries, data):
+        split = []
+        for flavor, role, count in entries:
+            part = data.draw(st.integers(0, count))
+            split += [(flavor, role, part), (flavor, role, count - part)]
+        whole = DeviceStatistics.of_inventory(inventory(entries))
+        assert DeviceStatistics.of_inventory(inventory(reversed(split))) == whole
 
 
 class TestInterconnectProperties:

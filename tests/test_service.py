@@ -1071,6 +1071,7 @@ def test_query_memo_keeps_types_and_zero_signs_apart():
 
 def test_query_memo_never_stores_a_rejected_query():
     rejected = [{"static_probability": 1.5}, {"crossbar.port_count": 1},
+                {"crossbar.port_count": 1000000}, {"crossbar.flit_width": 1025},
                 {"toggle_activity": float("nan")}, {"no.such.path": 1}]
 
     async def scenario():
@@ -1089,7 +1090,8 @@ def test_query_memo_never_stores_a_rejected_query():
     assert answers[:len(rejected)] == answers[len(rejected):]
     assert all(status == 400 for status, _ in answers)
     assert [payload["error"] for _, payload in answers[:len(rejected)]] == [
-        "invalid-value", "invalid-value", "invalid-value", "unknown-path"]
+        "invalid-value", "invalid-value", "invalid-value", "invalid-value", "invalid-value",
+        "unknown-path"]
     assert service.stats.invalid_requests == 2 * len(rejected)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import units
@@ -47,3 +49,7 @@ class TestConstants:
         assert units.BOLTZMANN / units.ELEMENTARY_CHARGE * 300 == pytest.approx(
             units.thermal_voltage(300.0)
         )
+
+    def test_ln2_turns_an_rc_product_into_a_half_swing_delay(self):
+        assert units.LN2 == math.log(2.0)
+        assert math.exp(-units.LN2) == pytest.approx(0.5, rel=1e-15)
