@@ -30,7 +30,7 @@ REPO = Path(__file__).resolve().parents[1]
 #: speed, so the floors travel.
 FLOORS = {
     "sweep_scalar": 5883.0,      # median 17650 points/s
-    "sweep_structural": 230.0,   # median 692
+    "sweep_structural": 286.0,   # median 858
     "sweep_fleet": 2277.0,       # median 6832
     "serve_mixed": 1031.0,       # median 3094 requests/s
 }

@@ -51,10 +51,15 @@ calls ``_config_for`` and ``point_key`` on memo misses only),
 and what is left of ``Evaluator.evaluate`` (its own bookkeeping: cache
 gets and puts, results), and the ``evaluate_scheme`` calls per
 scheme-point: the share of points that miss their record plan's
-static-probability slot (1/8 on the benchmark's p-major grids).  ``--structural`` prints the cold split:
-``with_overrides``, ``point_key``, ``library_for`` (library builds),
-``create_scheme`` (scheme construction), ``derive_device_part`` and
-``derive_record_terms``.
+static-probability slot (1/8 on the benchmark's p-major grids).
+``--structural`` prints the cold split: ``with_overrides``,
+``point_key``, ``library_for`` (library builds), the
+frame build (``CrossbarScheme.view``: each scheme's devices and
+capacitances, with the structure's shared wires and the library's
+device figures read on first use), the flat terms (``geometry_terms``,
+the energies and delays) and the device parts (``device_part_terms``,
+the leakage walk of a device-part miss).  Scheme construction itself
+(``create_scheme``) only stores the scheme's spec.
 """
 
 from __future__ import annotations
@@ -109,16 +114,21 @@ def _sweep_blocks(count: int) -> list:
 
 
 #: The parts of a ``--sweep`` point: config building and the point key
-#: (the evaluator's front) and the records, as ``(file, function)``.
-_SWEEP_PARTS = (("config.py", "with_overrides"), ("cache.py", "point_key"),
-                ("comparison.py", "point_records"))
+#: (the evaluator's front) and the records, as ``(file, function, label)``.
+_SWEEP_PARTS = (("config.py", "with_overrides", "with_overrides"),
+                ("cache.py", "point_key", "point_key"),
+                ("comparison.py", "point_records", "point_records"))
 #: The parts of a ``--structural`` point: the front, then the cold
-#: record path's library builds, scheme construction, device parts and
-#: record terms.
-_STRUCTURAL_PARTS = (("config.py", "with_overrides"), ("cache.py", "point_key"),
-                     ("scheme_evaluator.py", "library_for"),
-                     ("factory.py", "create_scheme"), ("base.py", "derive_device_part"),
-                     ("base.py", "derive_record_terms"))
+#: record path's library builds, the frame build (each scheme's view of
+#: its structure's frame: the shared wires and device figures read on
+#: first use), the flat terms (the geometry pass) and the device parts
+#: (the leakage walk, on a device-part miss).
+_STRUCTURAL_PARTS = (("config.py", "with_overrides", "with_overrides"),
+                     ("cache.py", "point_key", "point_key"),
+                     ("scheme_evaluator.py", "library_for", "library_for"),
+                     ("base.py", "view", "frame build (CrossbarScheme.view)"),
+                     ("frame.py", "geometry_terms", "flat terms (geometry_terms)"),
+                     ("frame.py", "device_part_terms", "device parts (device_part_terms)"))
 _EVALUATE = ("evaluator.py", "evaluate")
 #: The parts of a ``--serve`` answer: the front (canonicalising, then
 #: the query memo, which builds the config and key on a miss only), the
@@ -147,9 +157,9 @@ def _split(stats: pstats.Stats, parts: tuple, bookkeeping: bool) -> str:
     """One line: each of ``parts``' share of the profile's total time,
     cumulative; with ``bookkeeping``, also ``Evaluator.evaluate``'s
     time outside them."""
-    times = [_cumulative(stats, filename, function) for filename, function in parts]
-    shares = [f"{function} {time / stats.total_tt * 100.0:.1f} %"
-              for (_, function), time in zip(parts, times)]
+    times = [_cumulative(stats, filename, function) for filename, function, _ in parts]
+    shares = [f"{label} {time / stats.total_tt * 100.0:.1f} %"
+              for (_, _, label), time in zip(parts, times)]
     if bookkeeping:
         own = _cumulative(stats, *_EVALUATE) - sum(times)
         shares.append(f"Evaluator.evaluate bookkeeping {own / stats.total_tt * 100.0:.1f} %")

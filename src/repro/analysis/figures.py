@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 from ..circuit.devices import DeviceRole
 from ..crossbar.base import CrossbarScheme
+from ..crossbar.frame import merge_delay
 from ..errors import ConfigurationError, ReproError
 from ..technology.transistor import VtFlavor
 from .table import render_table
@@ -133,19 +134,22 @@ def sweep_table(results: "ResultSet", schemes: Sequence[str], metric: str,
 
 
 def describe_segmentation(scheme: CrossbarScheme) -> SegmentationStructure:
-    """Summarise the path-1 / path-2 structure of a segmented scheme."""
+    """Summarise the path-1 / path-2 structure of a segmented scheme: its
+    frame's segmented row and the near and far merge stages of the
+    scheme's flat pass (:func:`~repro.crossbar.frame.merge_delay`)."""
     if not scheme.features.segmented:
         raise ReproError(f"scheme {scheme.name!r} is not segmented")
-    near = scheme.segmented_row.near
-    far = scheme.segmented_row.far
+    view = scheme.view
+    segments = view.frame.segments
+    near, far = segments.row.near, segments.row.far
     return SegmentationStructure(
         scheme=scheme.name,
-        near_inputs=scheme.segmentation_plan.inputs_on_near_segment,
-        far_inputs=scheme.config.inputs_per_output - scheme.segmentation_plan.inputs_on_near_segment,
+        near_inputs=segments.near_inputs,
+        far_inputs=segments.far_inputs,
         near_wire_resistance=near.resistance,
         near_wire_capacitance=near.capacitance,
         far_wire_resistance=far.resistance,
         far_wire_capacitance=far.capacitance,
-        near_path_delay=scheme._merge_delay(falling=True, far_path=False),
-        far_path_delay=scheme._merge_delay(falling=True, far_path=True),
+        near_path_delay=merge_delay(view, falling=True, far_path=False),
+        far_path_delay=merge_delay(view, falling=True, far_path=True),
     )

@@ -89,10 +89,6 @@ class Inverter:
         pmos = self._kernel.evaluate(self.pmos, vin, vout, vdd)
         return nmos + pmos
 
-    def transistors(self) -> dict[str, Mosfet]:
-        """Named transistors (for tests and reports)."""
-        return {"nmos": self.nmos, "pmos": self.pmos}
-
 
 class PassTransistorSwitch:
     """An NMOS pass transistor: one crosspoint of the matrix crossbar.

@@ -234,3 +234,12 @@ class AffineLeakageAccumulator:
     def freeze(self) -> AffineLeakage:
         """The accumulated terms as an immutable :class:`AffineLeakage`."""
         return AffineLeakage(self.fixed.freeze(), self.high.freeze(), self.low.freeze())
+
+    def floats(self) -> tuple[float, ...]:
+        """The accumulated terms as :meth:`AffineLeakage.floats` gives
+        them after :meth:`freeze`, without the allocation: sums of
+        validated breakdowns at non-negative scales need no check."""
+        fixed, high, low = self.fixed, self.high, self.low
+        return (fixed.subthreshold, fixed.gate, fixed.junction,
+                high.subthreshold, high.gate, high.junction,
+                low.subthreshold, low.gate, low.junction)

@@ -18,7 +18,7 @@ terms: one formula set and one validation order.
 
 Structural memoisation
 ----------------------
-Building a :class:`~repro.crossbar.base.CrossbarScheme` resolves wire
+Analysing a :class:`~repro.crossbar.base.CrossbarScheme` resolves wire
 geometry, device sizing and the technology library — none of which
 depend on the activity scalars (``static_probability``,
 ``toggle_activity``).  A process-wide bounded cache therefore has three
@@ -26,8 +26,8 @@ keyspaces:
 
 * libraries, keyed by their technology point;
 * built schemes, keyed by (library, crossbar config, scheme name), so a
-  design-space sweep that varies only non-structural scalars builds each
-  scheme's geometry once instead of once per point;
+  design-space sweep that varies only non-structural scalars derives
+  each scheme's geometry once instead of once per point;
 * device parts (:meth:`CrossbarScheme.derive_device_part
   <repro.crossbar.base.CrossbarScheme.derive_device_part>`: the
   state-dependent leakage terms and the high-Vt device fraction), keyed
@@ -41,6 +41,17 @@ Schemes are analytically pure (every activity-dependent method takes the
 scalars as arguments), which is what makes the sharing sound.  Only
 schemes obtained through the cache share device parts; a scheme built on
 a caller-supplied library derives its own.
+
+A structure the memo misses gets one
+:class:`~repro.crossbar.frame.CrossbarFrame` — the crossbar's wires and
+segmented row and its sized devices' figures, as floats — and every
+scheme the scheme LRU misses for it reads that frame.  Constructing a
+scheme only stores its spec; its view of the frame resolves its devices
+and wires (the checks of building its circuit) before its device part
+is looked up; its geometry (:func:`~repro.crossbar.frame.geometry_terms`)
+and, on a device-part miss, its leakage walk
+(:func:`~repro.crossbar.frame.device_part_terms`) are float passes over
+that view.  No gate object is built on the record path.
 
 The record path asks for a whole point's schemes at once
 (:func:`schemes_for`).  A one-structure memo keeps the (library key,
@@ -82,6 +93,7 @@ from typing import NamedTuple
 from ..circuit.devices import DeviceStatistics
 from ..crossbar.base import DEVICE_PART_FIELDS, CrossbarScheme, SchemeFigures
 from ..crossbar.factory import available_schemes, create_scheme
+from ..crossbar.frame import CrossbarFrame
 from ..crossbar.ports import CrossbarConfig
 from ..errors import ConfigurationError
 from ..power import savings
@@ -252,7 +264,10 @@ class _StructuralCache:
         return library
 
     def scheme_for(self, library_key: _LibraryKey, library: TechnologyLibrary,
-                   crossbar: CrossbarConfig, name: str) -> CrossbarScheme:
+                   crossbar: CrossbarConfig, name: str,
+                   frame: CrossbarFrame | None = None) -> CrossbarScheme:
+        """The scheme ``name`` on ``crossbar``, built on a miss to read
+        ``frame`` (its structure's shared frame; by default its own)."""
         self._sync()
         key = (library_key, crossbar, name)
         scheme = self._schemes.get(key)
@@ -262,6 +277,11 @@ class _StructuralCache:
             return scheme
         self.stats.scheme_misses += 1
         scheme = create_scheme(name, library, crossbar)
+        if frame is not None:
+            scheme.frame = frame
+        # The view resolves the scheme's devices and wires: the checks of
+        # building its circuit come before its device part, hit or miss.
+        scheme.view
         scheme.device_part = self.device_part_for(library_key, scheme)
         self._insert(self._schemes, key, scheme, self.max_schemes)
         return scheme
@@ -313,9 +333,10 @@ class _StructuralCache:
     def _build(self, library_key: _LibraryKey, library: TechnologyLibrary,
                crossbar: CrossbarConfig, names: tuple[str, ...], plan: RecordPlan
                ) -> Iterator[tuple[str, CrossbarScheme]]:
+        frame = CrossbarFrame(library, crossbar)
         pairs = []
         for name in names:
-            pair = (name, self.scheme_for(library_key, library, crossbar, name))
+            pair = (name, self.scheme_for(library_key, library, crossbar, name, frame))
             pairs.append(pair)
             yield pair
         # With more names than the scheme LRU holds, the build evicted its

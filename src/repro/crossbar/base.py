@@ -20,12 +20,26 @@ What distinguishes the schemes is captured by two small value objects —
 :class:`VtPlan` (which devices are high-Vt) — plus the scheme name and
 its modelling notes.  The heavy lifting (timing paths, state-dependent
 leakage, dynamic energy, standby-transition energy, device inventory)
-lives here so that every scheme is analysed with exactly the same
-machinery and the Table 1 comparisons are apples-to-apples.  Delays are
+lives here and in :mod:`repro.crossbar.frame`, so that every scheme is
+analysed with exactly the same machinery and the Table 1 comparisons
+are apples-to-apples.  Delays are
 stage-based static timing on plain floats: each stage's driver and
 series resistance, wire pi model, load and keeper contention go through
 :func:`~repro.timing.path.stage_delay`, and a path is the sum of its
 stages.
+
+The frame
+---------
+A scheme's analysis reads a :class:`~repro.crossbar.frame.CrossbarFrame`
+(:mod:`repro.crossbar.frame`): the wires, segmented row and sized
+devices' figures of its (library, crossbar) as floats, through the
+scheme's :attr:`~CrossbarScheme.view`.  A scheme built alone reads a
+frame of its own; the structural cache hands every scheme of one
+structure the same frame.  A scheme's constructor only stores its
+library, crossbar, features and Vt plan, so a scheme whose circuit
+cannot be built fails at its first analysis rather than at
+construction; its gates (:class:`~repro.circuit.gates.Inverter` and its
+kin) are built only for the object API, on first use.
 
 Activity data
 -------------
@@ -45,12 +59,14 @@ Device part
 The leakage terms and the high-Vt device fraction depend only on the
 technology point, the scheme's features and Vt plan, the device widths
 and the number of crosspoints per row — not on the flit width or the
-wire geometry.  :meth:`CrossbarScheme.derive_device_part` packs them
-into a flat :class:`array.array` of :data:`DEVICE_PART_LENGTH` doubles
-(layout below), which the structural cache shares by value across every
-crossbar of one library that has the same :data:`DEVICE_PART_FIELDS`.
-The rest — the nine energies and the delay report — is the scheme's
-geometry (``_geometry``), derived once per scheme as floats.
+wire geometry.  :func:`~repro.crossbar.frame.device_part_terms` walks
+the circuit state by state as ``evaluate`` calls of the library's
+:class:`~repro.circuit.biasing.LeakageKernel` on the frame's devices and
+packs the sums into a flat :class:`array.array` of
+:data:`DEVICE_PART_LENGTH` doubles (layout below), which the structural
+cache shares by value across every crossbar of one library that has the
+same :data:`DEVICE_PART_FIELDS`.  :meth:`CrossbarScheme.derive_device_part`
+is that walk on the scheme's view.
 
 Record terms: one formula set
 -----------------------------
@@ -58,10 +74,12 @@ Record terms: one formula set
 point's Table 1 figures read into one flat tuple (layout below): the
 path leakage is the device part's first 36 doubles as they stand, the
 standby power is :meth:`~CrossbarScheme.standby_leakage`'s power, and
-the tail is the geometry.  Two functions hold the only copy of the
-activity formulas: :func:`record_leakage` (everything that depends on
-the static probability alone: active and standby leakage power, the
-standby transition energy and the standby saving) and
+the tail is the scheme's geometry
+(:func:`~repro.crossbar.frame.geometry_terms` on its view).
+Two functions hold the only copy of the activity formulas:
+:func:`record_leakage` (everything that depends on the static
+probability alone: active and standby leakage power, the standby
+transition energy and the standby saving) and
 :func:`record_dynamic_energy` (the switching energy per cycle, which
 also depends on the toggle activity; times the clock, it is the
 dynamic power).  The engine's record plan reuses the first across the
@@ -89,8 +107,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from ..circuit.dynamic import check_frequency, contention_energy, switching_energy
 from ..circuit.devices import DeviceRole, DeviceStatistics
+from ..circuit.dynamic import check_frequency
 from ..circuit.gates import (
     Inverter,
     Keeper,
@@ -98,25 +116,20 @@ from ..circuit.gates import (
     PrechargeTransistor,
     SleepTransistor,
 )
-from ..circuit.leakage import (
-    AffineLeakage,
-    AffineLeakageAccumulator,
-    LeakageAccumulator,
-    LeakageBreakdown,
-)
-from ..errors import CircuitError, CrossbarError, TechnologyError
-from ..interconnect.pi_model import PiModel
+from ..circuit.leakage import AffineLeakage, LeakageBreakdown
+from ..errors import CircuitError, CrossbarError
 from ..interconnect.segmentation import SegmentationPlan, SegmentedWire
 from ..interconnect.wire import Wire
 from ..technology.library import TechnologyLibrary
 from ..technology.transistor import Mosfet, VtFlavor
-from ..timing.delay_analysis import DelayReport, contention_factor, pass_rise_penalty
-from ..timing.path import stage_delay
+from ..timing.delay_analysis import DelayReport
+from .frame import CrossbarFrame, SchemeView, device_part_terms, geometry_terms
 from .ports import CrossbarConfig
 
 __all__ = ["VtPlan", "SchemeFeatures", "SchemeFigures", "CrossbarScheme",
            "DEVICE_PART_FIELDS", "DEVICE_PART_LENGTH",
            "record_leakage", "record_dynamic_energy"]
+
 
 #: The :class:`CrossbarConfig` fields a scheme's device part reads: the
 #: crosspoint count per row and the widths of every output-path device.
@@ -254,7 +267,8 @@ class CrossbarScheme:
     """Base class: one crossbar design analysed at one technology point.
 
     Subclasses provide ``name``, ``features`` and ``vt_plan`` (and their
-    design rationale); everything else is computed here.
+    design rationale); everything else is computed here, from the
+    scheme's :attr:`view` of its :attr:`frame`.
     """
 
     #: Short scheme name as used in Table 1 (overridden by subclasses).
@@ -274,85 +288,120 @@ class CrossbarScheme:
         self.config = config if config is not None else CrossbarConfig()
         self.features = features
         self.vt_plan = vt_plan
-        self._build_components()
 
     # ------------------------------------------------------------------ #
-    # construction                                                        #
+    # the frame                                                            #
     # ------------------------------------------------------------------ #
-    def _build_components(self) -> None:
-        library, config, plan = self.library, self.config, self.vt_plan
-        self.input_driver = Inverter(
-            library,
-            config.input_driver_nmos_width,
-            config.input_driver_pmos_width,
-            nmos_flavor=plan.input_driver,
-            pmos_flavor=plan.input_driver,
-        )
-        self.driver1 = Inverter(
-            library,
-            config.driver1_nmos_width,
-            config.driver1_pmos_width,
-            nmos_flavor=plan.driver1_nmos,
-            pmos_flavor=plan.driver1_pmos,
-        )
-        self.driver2 = Inverter(
-            library,
-            config.driver2_nmos_width,
-            config.driver2_pmos_width,
-            nmos_flavor=plan.driver2_nmos,
-            pmos_flavor=plan.driver2_pmos,
-        )
-        self.pass_switch = PassTransistorSwitch(library, config.pass_width,
-                                                flavor=plan.pass_transistor)
-        self.near_pass_switch = (
-            PassTransistorSwitch(library, config.pass_width, flavor=plan.near_pass_transistor)
-            if self.features.segmented
-            else None
-        )
-        self.keeper = (
-            Keeper(library, config.keeper_width, flavor=plan.keeper)
-            if self.features.has_keeper
-            else None
-        )
-        self.sleep = (
-            SleepTransistor(library, config.sleep_width, flavor=plan.sleep)
-            if self.features.has_sleep
-            else None
-        )
-        self.precharge = (
-            PrechargeTransistor(library, config.precharge_width, flavor=plan.precharge)
-            if self.features.has_precharge
-            else None
-        )
-        self.segment_switch = (
-            PassTransistorSwitch(library, config.segment_switch_width,
-                                 flavor=plan.segment_switch)
-            if self.features.segmented
-            else None
-        )
-        # Wires.
-        self.input_wire = Wire.on_layer(
-            library, config.resolved_input_wire_length(library), config.wire_layer
-        )
-        row_wire = Wire.on_layer(
-            library, config.resolved_row_wire_length(library), config.wire_layer
-        )
-        self.row_wire = row_wire
-        if self.features.segmented:
-            self.segmentation_plan = SegmentationPlan(
-                segment_count=2,
-                near_fraction=0.5,
-                inputs_on_near_segment=max(1, config.inputs_per_output // 2),
-                total_inputs=config.inputs_per_output,
-            )
-            self.segmented_row = SegmentedWire.from_wire(row_wire, self.segmentation_plan)
-        else:
-            self.segmentation_plan = None
-            self.segmented_row = None
-        self.output_wire = Wire.on_layer(
-            library, config.resolved_output_wire_length(library), config.wire_layer
-        )
-        self.receiver_capacitance = config.resolved_receiver_capacitance(library)
+    @cached_property
+    def frame(self) -> CrossbarFrame:
+        """The :class:`CrossbarFrame` this scheme reads: its own, unless
+        the structural cache assigned its structure's shared one."""
+        return CrossbarFrame(self.library, self.config)
+
+    @cached_property
+    def view(self) -> SchemeView:
+        """This scheme's devices and capacitances on :attr:`frame`,
+        resolved on first use (the checks of building its circuit)."""
+        return SchemeView(self.frame, self.features, self.vt_plan)
+
+    # ------------------------------------------------------------------ #
+    # the circuit as gate and wire objects (object API, built on use)      #
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def input_driver(self) -> Inverter:
+        """The input-port driver (both devices ``vt_plan.input_driver``)."""
+        config, plan = self.config, self.vt_plan
+        return Inverter(self.library, config.input_driver_nmos_width,
+                        config.input_driver_pmos_width, nmos_flavor=plan.input_driver,
+                        pmos_flavor=plan.input_driver)
+
+    @cached_property
+    def driver1(self) -> Inverter:
+        """I1, the first output-driver inverter."""
+        config, plan = self.config, self.vt_plan
+        return Inverter(self.library, config.driver1_nmos_width, config.driver1_pmos_width,
+                        nmos_flavor=plan.driver1_nmos, pmos_flavor=plan.driver1_pmos)
+
+    @cached_property
+    def driver2(self) -> Inverter:
+        """I2, the inverter driving the output port wire."""
+        config, plan = self.config, self.vt_plan
+        return Inverter(self.library, config.driver2_nmos_width, config.driver2_pmos_width,
+                        nmos_flavor=plan.driver2_nmos, pmos_flavor=plan.driver2_pmos)
+
+    @cached_property
+    def pass_switch(self) -> PassTransistorSwitch:
+        """A crosspoint (a far-segment one, when segmented)."""
+        return PassTransistorSwitch(self.library, self.config.pass_width,
+                                    flavor=self.vt_plan.pass_transistor)
+
+    @cached_property
+    def near_pass_switch(self) -> PassTransistorSwitch | None:
+        """A near-segment crosspoint (segmented schemes)."""
+        if not self.features.segmented:
+            return None
+        return PassTransistorSwitch(self.library, self.config.pass_width,
+                                    flavor=self.vt_plan.near_pass_transistor)
+
+    @cached_property
+    def keeper(self) -> Keeper | None:
+        """The feedback keeper, if the scheme has one."""
+        if not self.features.has_keeper:
+            return None
+        return Keeper(self.library, self.config.keeper_width, flavor=self.vt_plan.keeper)
+
+    @cached_property
+    def sleep(self) -> SleepTransistor | None:
+        """The sleep device, if the scheme has a standby mode."""
+        if not self.features.has_sleep:
+            return None
+        return SleepTransistor(self.library, self.config.sleep_width, flavor=self.vt_plan.sleep)
+
+    @cached_property
+    def precharge(self) -> PrechargeTransistor | None:
+        """The pre-charge device, if the scheme pre-charges."""
+        if not self.features.has_precharge:
+            return None
+        return PrechargeTransistor(self.library, self.config.precharge_width,
+                                   flavor=self.vt_plan.precharge)
+
+    @cached_property
+    def segment_switch(self) -> PassTransistorSwitch | None:
+        """The switch joining the near and far segments (segmented schemes)."""
+        if not self.features.segmented:
+            return None
+        return PassTransistorSwitch(self.library, self.config.segment_switch_width,
+                                    flavor=self.vt_plan.segment_switch)
+
+    @property
+    def input_wire(self) -> Wire:
+        """One input column wire (the library's shared wire)."""
+        return self.view.frame.input_wire
+
+    @property
+    def row_wire(self) -> Wire:
+        """One output row (merge) wire, whole."""
+        return self.view.frame.row_wire
+
+    @property
+    def output_wire(self) -> Wire:
+        """One output port wire."""
+        return self.view.frame.output_wire
+
+    @property
+    def receiver_capacitance(self) -> float:
+        """Load at the far end of the output port wire (farads)."""
+        return self.view.frame.receiver_capacitance
+
+    @property
+    def segmented_row(self) -> SegmentedWire | None:
+        """The row wire split into near and far segments (segmented schemes)."""
+        return self.view.frame.segments.row if self.features.segmented else None
+
+    @property
+    def segmentation_plan(self) -> SegmentationPlan | None:
+        """How the row wire is split (segmented schemes)."""
+        return self.segmented_row.plan if self.features.segmented else None
 
     # ------------------------------------------------------------------ #
     # small shared quantities                                              #
@@ -377,139 +426,46 @@ class CrossbarScheme:
         """True if the scheme provides a standby (sleep) mode."""
         return self.features.has_sleep
 
-    def _near_inputs(self) -> int:
-        """Crosspoints attached to the near segment (segmented schemes)."""
-        if not self.features.segmented:
-            return self.config.inputs_per_output
-        return self.segmentation_plan.inputs_on_near_segment
-
-    def _far_inputs(self) -> int:
-        """Crosspoints attached to the far segment (segmented schemes)."""
-        if not self.features.segmented:
-            return 0
-        return self.config.inputs_per_output - self.segmentation_plan.inputs_on_near_segment
-
-    # -- merge-node capacitances ------------------------------------------------
+    # -- capacitances (read from the view) ----------------------------------------
     def near_merge_capacitance(self) -> float:
         """Lumped device capacitance on the merge node (near segment).
 
         For non-segmented schemes this is the whole merge node.  Wire
         capacitance is accounted separately through the pi models.
         """
-        return self._near_merge_capacitance
-
-    @cached_property
-    def _near_merge_capacitance(self) -> float:
-        cap = self.driver1.input_capacitance()
-        pass_cap = (
-            self.near_pass_switch.terminal_capacitance()
-            if self.features.segmented
-            else self.pass_switch.terminal_capacitance()
-        )
-        cap += self._near_inputs() * pass_cap
-        if self.keeper is not None:
-            cap += self.keeper.node_capacitance()
-        if self.sleep is not None:
-            cap += self.sleep.node_capacitance()
-        if self.precharge is not None:
-            cap += self.precharge.node_capacitance()
-        if self.segment_switch is not None:
-            cap += self.segment_switch.terminal_capacitance()
-        return cap
+        return self.view.near_merge_capacitance
 
     def far_merge_capacitance(self) -> float:
         """Lumped device capacitance on the far-segment merge wire."""
-        if not self.features.segmented:
-            return 0.0
-        cap = self._far_inputs() * self.pass_switch.terminal_capacitance()
-        cap += self.segment_switch.terminal_capacitance()
-        if self.sleep is not None:
-            cap += self.sleep.node_capacitance()
-        if self.precharge is not None:
-            cap += self.precharge.node_capacitance()
-        return cap
+        return self.view.far_merge_capacitance
 
     def merge_capacitance(self) -> float:
         """Total device capacitance hanging on the merge structure."""
-        return self.near_merge_capacitance() + self.far_merge_capacitance()
+        return self.view.merge_capacitance
 
     def internal_node_capacitance(self) -> float:
         """Capacitance of the node between I1 and I2 (plus keeper feedback)."""
-        return self._internal_node_capacitance
-
-    @cached_property
-    def _internal_node_capacitance(self) -> float:
-        cap = self.driver1.output_capacitance() + self.driver2.input_capacitance()
-        if self.keeper is not None:
-            cap += self.keeper.feedback_capacitance()
-        return cap
+        return self.view.internal_node_capacitance
 
     def output_node_capacitance(self) -> float:
         """Device capacitance on the output port wire (driver diffusion + receiver)."""
-        return self.driver2.output_capacitance() + self.receiver_capacitance
+        return self.view.output_node_capacitance
+
+    def _row_switched_capacitance(self) -> float:
+        """Average row-wire capacitance switched per transfer (farads)."""
+        return self.view.row_switched_capacitance
+
+    def _switched_merge_device_capacitance(self) -> float:
+        """Average merge-structure device capacitance switched per transfer."""
+        return self.view.switched_merge_capacitance
+
+    def data_path_capacitance(self) -> float:
+        """Capacitance switched by one output-bit data transition (farads)."""
+        return self.view.data_path_capacitance
 
     # ------------------------------------------------------------------ #
     # timing                                                               #
     # ------------------------------------------------------------------ #
-    def _row_pi_floats(self, far_path: bool) -> tuple[float, float, float]:
-        """Pi model (:meth:`PiModel.floats <repro.interconnect.PiModel.floats>`)
-        of the merge (row) wire seen by the worst-case input."""
-        if not self.features.segmented:
-            return self.row_wire.pi_model().floats()
-        near_pi = self.segmented_row.near.pi_model().floats()
-        if not far_path:
-            return near_pi
-        switch_resistance = self.segment_switch.on_resistance()
-        if switch_resistance < 0:
-            # PiModel(0.0, switch_resistance, 0.0)'s check.
-            raise TechnologyError("pi-model resistance cannot be negative")
-        cascade = PiModel.cascade_of_floats
-        return cascade(cascade(self.segmented_row.far.pi_model().floats(),
-                               (0.0, switch_resistance, 0.0)), near_pi)
-
-    def _granted_pass(self, far_path: bool) -> PassTransistorSwitch:
-        """The pass switch on the path under analysis."""
-        if self.features.segmented and not far_path:
-            return self.near_pass_switch
-        return self.pass_switch
-
-    def _merge_delay(self, falling: bool, far_path: bool) -> float:
-        """Stage 1: the input driver through the input wire, the pass
-        device and the row wire onto the merge node, fighting the keeper
-        when it falls."""
-        vdd = self.supply_voltage
-        driver_resistance = (
-            self.input_driver.pull_down_resistance()
-            if falling
-            else self.input_driver.pull_up_resistance()
-        )
-        granted = self._granted_pass(far_path)
-        series = granted.on_resistance()
-        if not falling:
-            # An NMOS pass device pulls high slowly (threshold-drop regime).
-            series *= pass_rise_penalty(vdd, granted.nmos.parameters.threshold_voltage)
-        wire = PiModel.cascade_of_floats(self.input_wire.pi_model().floats(),
-                                         self._row_pi_floats(far_path))
-        contention = 1.0
-        if falling and self.keeper is not None:
-            drive_current = 0.75 * vdd / (driver_resistance + series)
-            contention = contention_factor(drive_current, self.keeper.opposing_current())
-        return stage_delay("merge", driver_resistance, self.near_merge_capacitance(),
-                           wire, series, contention)
-
-    def _driver_delays(self, output_falling: bool) -> tuple[float, float]:
-        """Stages 2 and 3: I1 switches the internal node, I2 drives the port wire."""
-        if output_falling:
-            driver1_resistance = self.driver1.pull_up_resistance()
-            driver2_resistance = self.driver2.pull_down_resistance()
-        else:
-            driver1_resistance = self.driver1.pull_down_resistance()
-            driver2_resistance = self.driver2.pull_up_resistance()
-        driver1 = stage_delay("driver1", driver1_resistance, self.internal_node_capacitance())
-        driver2 = stage_delay("driver2", driver2_resistance, self.output_node_capacitance(),
-                              self.output_wire.pi_model().floats())
-        return driver1, driver2
-
     def delay_report(self) -> DelayReport:
         """Worst-case delays of this scheme (Table 1 delay rows)."""
         return self.record_terms[_TERMS_DELAY]
@@ -517,161 +473,6 @@ class CrossbarScheme:
     # ------------------------------------------------------------------ #
     # leakage                                                              #
     # ------------------------------------------------------------------ #
-    def _driver_chain_leakage(self, merge_high: bool) -> LeakageBreakdown:
-        """Leakage of I1 + I2 for a given merge-node value."""
-        return self.driver1.leakage(merge_high) + self.driver2.leakage(not merge_high)
-
-    def _add_pass_bank_leakage(
-        self,
-        terms: AffineLeakageAccumulator,
-        switch: PassTransistorSwitch,
-        count_off: int,
-        node_voltage: float,
-        weight: float = 1.0,
-    ) -> None:
-        """Accumulate the leakage of ``count_off`` off pass devices.
-
-        Each device leaks at one of two bias points — its input wire
-        parked high or parked low — so the bank lands in the ``high`` and
-        ``low`` terms of the path, weighted later by the probability that
-        an input is high.  Each bias point is evaluated once and
-        multiplied by the population (times ``weight``, the probability
-        of the circuit state the bank is in), not re-derived per port.
-        """
-        if count_off <= 0:
-            return
-        vdd = self.supply_voltage
-        terms.high.add(switch.leakage(False, vdd, node_voltage), count_off * weight)
-        terms.low.add(switch.leakage(False, 0.0, node_voltage), count_off * weight)
-
-    def _add_merge_support_leakage(self, acc: LeakageAccumulator,
-                                   merge_high: bool, standby: bool) -> None:
-        """Keeper / sleep / pre-charge leakage on the near merge node."""
-        vdd = self.supply_voltage
-        node_voltage = vdd if merge_high else 0.0
-        if self.keeper is not None:
-            acc.add(self.keeper.leakage(merge_high))
-        if self.sleep is not None:
-            acc.add(self.sleep.leakage(standby, node_voltage))
-        if self.precharge is not None:
-            # Pre-charge is disabled (gate high, device off) in standby and,
-            # during active evaluation, off for the phase that matters.
-            acc.add(self.precharge.leakage(False, node_voltage))
-
-    def _add_far_support_leakage(self, acc: LeakageAccumulator, far_high: bool,
-                                 far_standby: bool, weight: float = 1.0) -> None:
-        """Sleep / pre-charge devices attached to the far segment."""
-        if not self.features.segmented:
-            return
-        vdd = self.supply_voltage
-        node_voltage = vdd if far_high else 0.0
-        if self.sleep is not None:
-            acc.add(self.sleep.leakage(far_standby, node_voltage), weight)
-        if self.precharge is not None:
-            acc.add(self.precharge.leakage(False, node_voltage), weight)
-
-    def _add_segment_switch_leakage(self, acc: LeakageAccumulator, connected: bool,
-                                    far_voltage: float, near_voltage: float,
-                                    weight: float = 1.0) -> None:
-        """Leakage of the segment switch for the given connection state."""
-        if self.segment_switch is not None:
-            acc.add(self.segment_switch.leakage(connected, far_voltage, near_voltage), weight)
-
-    def _awake_node_leakage(self, merge_high: bool) -> LeakageBreakdown:
-        """Output driver chain plus the near merge node's keeper / sleep /
-        pre-charge devices, awake: common to every active or idle state
-        with the given merge-node value."""
-        acc = LeakageAccumulator()
-        acc.add(self._driver_chain_leakage(merge_high))
-        self._add_merge_support_leakage(acc, merge_high, standby=False)
-        return acc.freeze()
-
-    def _path_leakage_unsegmented(self, merge_high: bool, granted: bool,
-                                  node_leakage: LeakageBreakdown) -> AffineLeakage:
-        """One output-bit path, non-segmented schemes."""
-        vdd = self.supply_voltage
-        node_voltage = vdd if merge_high else 0.0
-        terms = AffineLeakageAccumulator()
-        fixed = terms.fixed
-        fixed.add(node_leakage)
-        off_count = self.config.inputs_per_output - (1 if granted else 0)
-        self._add_pass_bank_leakage(terms, self.pass_switch, off_count, node_voltage)
-        if granted:
-            fixed.add(self.pass_switch.leakage(True, node_voltage, node_voltage))
-        return terms.freeze()
-
-    def _path_leakage_segmented(self, merge_high: bool, granted: bool,
-                                node_leakage: LeakageBreakdown) -> AffineLeakage:
-        """One output-bit path, segmented schemes (SDFC / SDPC).
-
-        Conditioned on where the granted input sits: with probability
-        ``near_traffic_fraction`` the transfer uses only the near
-        segment and — if the feature is enabled — the far segment is put
-        into standby (its wire held at ground by its own sleep device);
-        otherwise both segments are live and joined by the segment
-        switch.  Each case is affine in the input-high probability, so
-        the traffic-weighted mix is accumulated in one pass: devices
-        whose state differs between the cases enter at their case's
-        weight, ``node_leakage`` (the same in both cases) enters once.
-        """
-        vdd = self.supply_voltage
-        node_voltage = vdd if merge_high else 0.0
-        near_fraction = self.segmentation_plan.near_traffic_fraction if granted else 1.0
-        far_fraction = 1.0 - near_fraction
-        terms = AffineLeakageAccumulator()
-        fixed = terms.fixed
-        fixed.add(node_leakage)
-
-        # Case 1: transfer (or idle value) confined to the near segment.
-        far_sleeps = self.features.far_segment_sleeps_when_unused
-        far_voltage_case1 = 0.0 if far_sleeps else node_voltage
-        self._add_pass_bank_leakage(
-            terms, self.near_pass_switch, self._near_inputs() - (1 if granted else 0),
-            node_voltage, near_fraction,
-        )
-        if granted:
-            fixed.add(self.near_pass_switch.leakage(True, node_voltage, node_voltage),
-                      near_fraction)
-        self._add_pass_bank_leakage(
-            terms, self.pass_switch, self._far_inputs(), far_voltage_case1, near_fraction
-        )
-        self._add_far_support_leakage(
-            fixed, far_high=far_voltage_case1 > 0, far_standby=far_sleeps,
-            weight=near_fraction,
-        )
-        self._add_segment_switch_leakage(
-            fixed, False, far_voltage_case1, node_voltage, weight=near_fraction
-        )
-
-        # Case 2: transfer comes from the far segment; both segments live.
-        # An idle path (nothing granted) is always in case 1.
-        if far_fraction > 0.0:
-            self._add_pass_bank_leakage(
-                terms, self.near_pass_switch, self._near_inputs(), node_voltage, far_fraction
-            )
-            far_off = self._far_inputs() - (1 if granted else 0)
-            self._add_pass_bank_leakage(
-                terms, self.pass_switch, far_off, node_voltage, far_fraction
-            )
-            if granted:
-                fixed.add(self.pass_switch.leakage(True, node_voltage, node_voltage),
-                          far_fraction)
-            self._add_far_support_leakage(
-                fixed, far_high=merge_high, far_standby=False, weight=far_fraction
-            )
-            self._add_segment_switch_leakage(
-                fixed, True, node_voltage, node_voltage, weight=far_fraction
-            )
-        return terms.freeze()
-
-    def _path_leakage(self, merge_high: bool, granted: bool,
-                      node_leakage: LeakageBreakdown) -> AffineLeakage:
-        """One output-bit path in active (or idle-awake) mode;
-        ``node_leakage`` is :meth:`_awake_node_leakage` for ``merge_high``."""
-        if self.features.segmented:
-            return self._path_leakage_segmented(merge_high, granted, node_leakage)
-        return self._path_leakage_unsegmented(merge_high, granted, node_leakage)
-
     @cached_property
     def path_leakage(self) -> dict[tuple[bool, bool], AffineLeakage]:
         """One output-bit path's leakage per ``(merge_high, granted)``,
@@ -727,17 +528,6 @@ class CrossbarScheme:
         sleep = LeakageBreakdown(*self.device_part[_SLEEP_OFFSET:_HIGH_VT_OFFSET])
         return sleep.scaled(self.output_path_count)
 
-    def _sleep_path_leakage(self) -> LeakageBreakdown:
-        """One output-bit path's standby leakage (sleep mode asserted)."""
-        acc = LeakageAccumulator()
-        acc.add(self._driver_chain_leakage(merge_high=False))
-        self._add_merge_support_leakage(acc, merge_high=False, standby=True)
-        # Off pass devices with all terminals at ground contribute nothing.
-        if self.features.segmented:
-            self._add_far_support_leakage(acc, far_high=False, far_standby=True)
-            self._add_segment_switch_leakage(acc, False, 0.0, 0.0)
-        return acc.freeze()
-
     def active_leakage_power(self, static_probability: float = 0.5) -> float:
         """Active leakage expressed as power (watts)."""
         self._check_probability(static_probability)
@@ -750,39 +540,6 @@ class CrossbarScheme:
     # ------------------------------------------------------------------ #
     # dynamic energy / total power                                         #
     # ------------------------------------------------------------------ #
-    def _row_switched_capacitance(self) -> float:
-        """Average row-wire capacitance switched per transfer (farads)."""
-        if self.features.segmented:
-            return self.segmented_row.average_switched_capacitance()
-        return self.row_wire.capacitance
-
-    def _switched_merge_device_capacitance(self) -> float:
-        """Average merge-structure device capacitance switched per transfer.
-
-        Near-segment transfers leave the far segment (and the device
-        capacitance hanging on it) untouched.
-        """
-        if not self.features.segmented:
-            return self.merge_capacitance()
-        near_fraction = self.segmentation_plan.near_traffic_fraction
-        return self.near_merge_capacitance() + (1.0 - near_fraction) * self.far_merge_capacitance()
-
-    def data_path_capacitance(self) -> float:
-        """Capacitance switched by one output-bit data transition (farads).
-
-        Covers the merge structure, the row wire, the driver internal
-        node and the output port wire with its receiver.  The input
-        column wire is accounted separately (per input port, not per
-        output path).
-        """
-        return (
-            self._switched_merge_device_capacitance()
-            + self._row_switched_capacitance()
-            + self.internal_node_capacitance()
-            + self.output_wire.capacitance
-            + self.output_node_capacitance()
-        )
-
     def dynamic_energy_per_cycle(self, toggle_activity: float = 0.5,
                                  static_probability: float = 0.5) -> float:
         """Average switching energy per clock cycle for the whole crossbar (joules).
@@ -840,98 +597,10 @@ class CrossbarScheme:
     # ------------------------------------------------------------------ #
     @cached_property
     def _geometry(self) -> tuple:
-        """The nine energies (in joules, per output-bit path unless
-        noted) and the :class:`DelayReport`, derived once from the
-        capacitances and the stage delays as floats: the tail of the
-        record terms.  A term a scheme does not have (a keeper's
-        contention in a pre-charged scheme, say) is zero.  In order: the
-        pre-charged capacitance, re-charged after every evaluated 0; the
-        capacitance switched on every rising data transition; keeper
-        contention burned on every falling one; the pre-charge clock
-        load, switched every cycle; one input column wire per rising
-        transition; grant-line switching per output port per cycle; the
-        sleep-control gates of one standby entry + exit; the merge
-        structure re-charged after standby when it was parked high; the
-        driver internal node flipped by that forced transition.
-
-        The falling far-path merge stage is computed once and serves both
-        the high-to-low delay and the keeper-contention energy.
-        """
-        vdd = self.supply_voltage
-        features = self.features
-        internal_node_energy = switching_energy(self.internal_node_capacitance(), vdd)
-        merge_fall = None
-        precharged_energy = contention = clocked_energy = 0.0
-        if features.has_precharge:
-            precharged_energy = switching_energy(
-                self._switched_merge_device_capacitance()
-                + self._row_switched_capacitance()
-                + self.output_wire.capacitance
-                + self.output_node_capacitance(),
-                vdd,
-            )
-            toggled_energy = internal_node_energy
-            clocked_energy = switching_energy(self.precharge.control_capacitance(), vdd)
-        else:
-            toggled_energy = switching_energy(self.data_path_capacitance(), vdd)
-            if self.keeper is not None:
-                # Traffic-averaged delay of the merge-node fall: a transfer
-                # from a near-segment input fights the keeper for much less
-                # time than one from the far segment, one of the ways
-                # segmentation "mitigates dynamic power" in the paper's words.
-                merge_fall = self._merge_delay(falling=True, far_path=True)
-                fight = merge_fall
-                if features.segmented:
-                    near_delay = self._merge_delay(falling=True, far_path=False)
-                    near_fraction = self.segmentation_plan.near_traffic_fraction
-                    fight = near_fraction * near_delay + (1.0 - near_fraction) * merge_fall
-                contention = contention_energy(self.keeper.opposing_current(), fight, vdd)
-
-        # One grant wire per (input, output) pair, loaded by the pass gates
-        # of every bit of the flit; a new grant is established on a
-        # fraction of cycles (head flits).
-        grant_switch_probability = 0.2
-        grant_load = self.config.flit_width * self.pass_switch.grant_capacitance()
-
-        sleep_control_energy = parked_merge_energy = 0.0
-        if features.has_sleep:
-            segments = 2 if features.segmented else 1
-            sleep_control_energy = segments * switching_energy(
-                self.sleep.control_capacitance(), vdd
-            )
-            row_capacitance = (self.segmented_row.total_capacitance if features.segmented
-                               else self.row_wire.capacitance)
-            parked_merge_energy = switching_energy(
-                self.merge_capacitance() + row_capacitance, vdd
-            )
-
-        # Worst-case paths, each the sum of its stage delays.  Falling
-        # output: the data 0 through the far-path pass device.  Rising
-        # output: feedback schemes propagate the rise through the pass
-        # device (the keeper completes the swing); pre-charged schemes
-        # report the pre-charge path instead, matching the Table 1 row
-        # label "Low to High / Precharge delay time".
-        if merge_fall is None:
-            merge_fall = self._merge_delay(falling=True, far_path=True)
-        driver1, driver2 = self._driver_delays(output_falling=True)
-        high_to_low = merge_fall + driver1 + driver2
-        if features.has_precharge:
-            merge_rise = stage_delay("precharge", self.precharge.on_resistance(),
-                                     self.near_merge_capacitance(),
-                                     self._row_pi_floats(far_path=True))
-        else:
-            merge_rise = self._merge_delay(falling=False, far_path=True)
-        driver1, driver2 = self._driver_delays(output_falling=False)
-        delay = DelayReport(scheme=self.name, high_to_low=high_to_low,
-                            low_to_high=merge_rise + driver1 + driver2)
-
-        return (
-            precharged_energy, toggled_energy, contention, clocked_energy,
-            switching_energy(self.input_wire.capacitance, vdd),
-            grant_switch_probability * switching_energy(grant_load, vdd),
-            sleep_control_energy, parked_merge_energy, internal_node_energy,
-            delay,
-        )
+        """The nine energies and the :class:`DelayReport` of this scheme
+        (:func:`geometry_terms` on its view), derived once: the tail of
+        the record terms."""
+        return geometry_terms(self.view, self.name)
 
     @cached_property
     def record_terms(self) -> tuple:
@@ -987,25 +656,17 @@ class CrossbarScheme:
         return self.derive_device_part()
 
     def derive_device_part(self) -> array:
-        """Walk the circuit for the device part: every path state's
-        affine leakage, one path's sleep leakage and the single-path
-        high-Vt device fraction, as :data:`DEVICE_PART_LENGTH` doubles.
+        """The leakage walk (:func:`device_part_terms`) on this scheme's
+        view: every path state's affine leakage, one path's sleep leakage
+        and the single-path high-Vt device fraction, as
+        :data:`DEVICE_PART_LENGTH` doubles.
 
         Reads only the library, :attr:`features`, :attr:`vt_plan` and
         the :data:`DEVICE_PART_FIELDS` of :attr:`config`: the structural
         cache shares parts on exactly that key, so a subclass's leakage
         must not read more.
         """
-        values: list[float] = []
-        # _PATH_STATES order; both granted states share the node leakage.
-        for merge_high in (True, False):
-            node_leakage = self._awake_node_leakage(merge_high)
-            for granted in (True, False):
-                values.extend(self._path_leakage(merge_high, granted, node_leakage).floats())
-        sleep = self._sleep_path_leakage() if self.features.has_sleep else LeakageBreakdown()
-        values.extend((sleep.subthreshold, sleep.gate, sleep.junction))
-        values.append(self.single_bit_statistics.high_vt_fraction)
-        return array("d", values)
+        return device_part_terms(self.view)
 
     @property
     def high_vt_device_fraction(self) -> float:
@@ -1023,32 +684,9 @@ class CrossbarScheme:
     # ------------------------------------------------------------------ #
     def output_path_inventory(self) -> list[tuple[Mosfet, DeviceRole, int]]:
         """Every device of one output row, one bit wide (the Fig. 1/2/3
-        schematic), as ``(device, role, count)`` entries: the
-        ``inputs_per_output`` crosspoints (split near/far when
-        segmented, plus the segment switch), the keeper or pre-charge
-        device and the sleep device (one per segment each), and the two
-        driver inverters."""
-        inputs = self.config.inputs_per_output
-        segments = 2 if self.features.segmented else 1
-        if self.features.segmented:
-            near = self._near_inputs()
-            inventory = [
-                (self.near_pass_switch.nmos, DeviceRole.PASS_TRANSISTOR, near),
-                (self.pass_switch.nmos, DeviceRole.PASS_TRANSISTOR, inputs - near),
-                (self.segment_switch.nmos, DeviceRole.SEGMENT_SWITCH, 1),
-            ]
-        else:
-            inventory = [(self.pass_switch.nmos, DeviceRole.PASS_TRANSISTOR, inputs)]
-        if self.keeper is not None:
-            inventory.append((self.keeper.pmos, DeviceRole.KEEPER, 1))
-        if self.sleep is not None:
-            inventory.append((self.sleep.nmos, DeviceRole.SLEEP, segments))
-        if self.precharge is not None:
-            inventory.append((self.precharge.pmos, DeviceRole.PRECHARGE, segments))
-        for driver in (self.driver1, self.driver2):
-            inventory.append((driver.pmos, DeviceRole.DRIVER, 1))
-            inventory.append((driver.nmos, DeviceRole.DRIVER, 1))
-        return inventory
+        schematic), as ``(device, role, count)`` entries; see
+        :meth:`SchemeView.inventory`."""
+        return self.view.inventory()
 
     @cached_property
     def single_bit_statistics(self) -> DeviceStatistics:

@@ -26,6 +26,24 @@ from .ports import CrossbarConfig
 __all__ = ["DualVtFeedbackCrossbar"]
 
 
+FEATURES = SchemeFeatures(
+    has_keeper=True,
+    has_precharge=False,
+    has_sleep=True,
+    segmented=False,
+)
+VT_PLAN = VtPlan(
+    pass_transistor=VtFlavor.NOMINAL,
+    keeper=VtFlavor.HIGH,
+    sleep=VtFlavor.HIGH,
+    driver1_nmos=VtFlavor.NOMINAL,
+    driver1_pmos=VtFlavor.NOMINAL,
+    driver2_nmos=VtFlavor.NOMINAL,
+    driver2_pmos=VtFlavor.NOMINAL,
+    input_driver=VtFlavor.NOMINAL,
+)
+
+
 class DualVtFeedbackCrossbar(CrossbarScheme):
     """Dual-Vt feedback crossbar (Table 1 column "DFC")."""
 
@@ -33,20 +51,4 @@ class DualVtFeedbackCrossbar(CrossbarScheme):
     description = "dual-Vt feedback crossbar: high-Vt keeper and sleep device, nominal data path"
 
     def __init__(self, library: TechnologyLibrary, config: CrossbarConfig | None = None) -> None:
-        features = SchemeFeatures(
-            has_keeper=True,
-            has_precharge=False,
-            has_sleep=True,
-            segmented=False,
-        )
-        vt_plan = VtPlan(
-            pass_transistor=VtFlavor.NOMINAL,
-            keeper=VtFlavor.HIGH,
-            sleep=VtFlavor.HIGH,
-            driver1_nmos=VtFlavor.NOMINAL,
-            driver1_pmos=VtFlavor.NOMINAL,
-            driver2_nmos=VtFlavor.NOMINAL,
-            driver2_pmos=VtFlavor.NOMINAL,
-            input_driver=VtFlavor.NOMINAL,
-        )
-        super().__init__(library, config, features=features, vt_plan=vt_plan)
+        super().__init__(library, config, features=FEATURES, vt_plan=VT_PLAN)

@@ -33,6 +33,26 @@ from .ports import CrossbarConfig
 __all__ = ["DualVtPrechargedCrossbar"]
 
 
+FEATURES = SchemeFeatures(
+    has_keeper=False,
+    has_precharge=True,
+    has_sleep=True,
+    segmented=False,
+    precharge_to_high=True,
+)
+VT_PLAN = VtPlan(
+    pass_transistor=VtFlavor.NOMINAL,
+    sleep=VtFlavor.HIGH,
+    precharge=VtFlavor.HIGH,
+    # Asymmetric drivers: rising-direction devices are high-Vt.
+    driver1_nmos=VtFlavor.HIGH,
+    driver1_pmos=VtFlavor.NOMINAL,
+    driver2_nmos=VtFlavor.NOMINAL,
+    driver2_pmos=VtFlavor.HIGH,
+    input_driver=VtFlavor.NOMINAL,
+)
+
+
 class DualVtPrechargedCrossbar(CrossbarScheme):
     """Dual-Vt pre-charged crossbar (Table 1 column "DPC")."""
 
@@ -43,22 +63,4 @@ class DualVtPrechargedCrossbar(CrossbarScheme):
     )
 
     def __init__(self, library: TechnologyLibrary, config: CrossbarConfig | None = None) -> None:
-        features = SchemeFeatures(
-            has_keeper=False,
-            has_precharge=True,
-            has_sleep=True,
-            segmented=False,
-            precharge_to_high=True,
-        )
-        vt_plan = VtPlan(
-            pass_transistor=VtFlavor.NOMINAL,
-            sleep=VtFlavor.HIGH,
-            precharge=VtFlavor.HIGH,
-            # Asymmetric drivers: rising-direction devices are high-Vt.
-            driver1_nmos=VtFlavor.HIGH,
-            driver1_pmos=VtFlavor.NOMINAL,
-            driver2_nmos=VtFlavor.NOMINAL,
-            driver2_pmos=VtFlavor.HIGH,
-            input_driver=VtFlavor.NOMINAL,
-        )
-        super().__init__(library, config, features=features, vt_plan=vt_plan)
+        super().__init__(library, config, features=FEATURES, vt_plan=VT_PLAN)

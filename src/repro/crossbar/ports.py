@@ -67,6 +67,11 @@ class PortDirection(enum.Enum):
     EAST = "east"
     PE = "pe"
 
+    #: Members are singletons compared by identity, so they hash by
+    #: identity too (as :class:`~repro.technology.transistor.Polarity`
+    #: does): the network simulator hashes ports on every routed flit.
+    __hash__ = object.__hash__
+
     @classmethod
     def ordered(cls) -> list["PortDirection"]:
         """Ports in the conventional N, S, W, E, PE order used by the paper."""

@@ -18,6 +18,24 @@ from .ports import CrossbarConfig
 __all__ = ["SingleVtCrossbar"]
 
 
+FEATURES = SchemeFeatures(
+    has_keeper=True,
+    has_precharge=False,
+    has_sleep=True,
+    segmented=False,
+)
+VT_PLAN = VtPlan(
+    pass_transistor=VtFlavor.NOMINAL,
+    keeper=VtFlavor.NOMINAL,
+    sleep=VtFlavor.NOMINAL,
+    driver1_nmos=VtFlavor.NOMINAL,
+    driver1_pmos=VtFlavor.NOMINAL,
+    driver2_nmos=VtFlavor.NOMINAL,
+    driver2_pmos=VtFlavor.NOMINAL,
+    input_driver=VtFlavor.NOMINAL,
+)
+
+
 class SingleVtCrossbar(CrossbarScheme):
     """Baseline single-Vt feedback crossbar (Table 1 column "SC")."""
 
@@ -25,20 +43,4 @@ class SingleVtCrossbar(CrossbarScheme):
     description = "single-Vt feedback crossbar baseline (same circuit as DFC, all nominal Vt)"
 
     def __init__(self, library: TechnologyLibrary, config: CrossbarConfig | None = None) -> None:
-        features = SchemeFeatures(
-            has_keeper=True,
-            has_precharge=False,
-            has_sleep=True,
-            segmented=False,
-        )
-        vt_plan = VtPlan(
-            pass_transistor=VtFlavor.NOMINAL,
-            keeper=VtFlavor.NOMINAL,
-            sleep=VtFlavor.NOMINAL,
-            driver1_nmos=VtFlavor.NOMINAL,
-            driver1_pmos=VtFlavor.NOMINAL,
-            driver2_nmos=VtFlavor.NOMINAL,
-            driver2_pmos=VtFlavor.NOMINAL,
-            input_driver=VtFlavor.NOMINAL,
-        )
-        super().__init__(library, config, features=features, vt_plan=vt_plan)
+        super().__init__(library, config, features=FEATURES, vt_plan=VT_PLAN)

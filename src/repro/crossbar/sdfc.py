@@ -34,6 +34,36 @@ from .ports import CrossbarConfig
 __all__ = ["SegmentedDualVtFeedbackCrossbar"]
 
 
+FEATURES = SchemeFeatures(
+    has_keeper=True,
+    has_precharge=False,
+    has_sleep=True,
+    segmented=True,
+    far_segment_sleeps_when_unused=True,
+)
+VT_PLAN = VtPlan(
+    pass_transistor=VtFlavor.NOMINAL,       # far-segment crosspoints (critical path 2)
+    near_pass_transistor=VtFlavor.HIGH,      # path-1 slack converted to high Vt
+    keeper=VtFlavor.HIGH,
+    sleep=VtFlavor.HIGH,
+    segment_switch=VtFlavor.NOMINAL,
+    # The segmentation slack pays for a slower output driver: the
+    # first stage goes fully high-Vt and the second stage's NMOS
+    # (falling direction) does too.  The second stage's PMOS stays
+    # nominal because the rising direction — already the slow one in
+    # a feedback design, with the pass-transistor threshold drop and
+    # the weak keeper completing the swing — cannot absorb more
+    # delay; that remaining nominal device is what separates the
+    # SDFC's saving from the SDPC's, where the pre-charge removes
+    # the rising-direction constraint entirely.
+    driver1_nmos=VtFlavor.HIGH,
+    driver1_pmos=VtFlavor.HIGH,
+    driver2_nmos=VtFlavor.HIGH,
+    driver2_pmos=VtFlavor.NOMINAL,
+    input_driver=VtFlavor.NOMINAL,
+)
+
+
 class SegmentedDualVtFeedbackCrossbar(CrossbarScheme):
     """Segmented dual-Vt feedback crossbar (Table 1 column "SDFC")."""
 
@@ -44,32 +74,4 @@ class SegmentedDualVtFeedbackCrossbar(CrossbarScheme):
     )
 
     def __init__(self, library: TechnologyLibrary, config: CrossbarConfig | None = None) -> None:
-        features = SchemeFeatures(
-            has_keeper=True,
-            has_precharge=False,
-            has_sleep=True,
-            segmented=True,
-            far_segment_sleeps_when_unused=True,
-        )
-        vt_plan = VtPlan(
-            pass_transistor=VtFlavor.NOMINAL,       # far-segment crosspoints (critical path 2)
-            near_pass_transistor=VtFlavor.HIGH,      # path-1 slack converted to high Vt
-            keeper=VtFlavor.HIGH,
-            sleep=VtFlavor.HIGH,
-            segment_switch=VtFlavor.NOMINAL,
-            # The segmentation slack pays for a slower output driver: the
-            # first stage goes fully high-Vt and the second stage's NMOS
-            # (falling direction) does too.  The second stage's PMOS stays
-            # nominal because the rising direction — already the slow one in
-            # a feedback design, with the pass-transistor threshold drop and
-            # the weak keeper completing the swing — cannot absorb more
-            # delay; that remaining nominal device is what separates the
-            # SDFC's saving from the SDPC's, where the pre-charge removes
-            # the rising-direction constraint entirely.
-            driver1_nmos=VtFlavor.HIGH,
-            driver1_pmos=VtFlavor.HIGH,
-            driver2_nmos=VtFlavor.HIGH,
-            driver2_pmos=VtFlavor.NOMINAL,
-            input_driver=VtFlavor.NOMINAL,
-        )
-        super().__init__(library, config, features=features, vt_plan=vt_plan)
+        super().__init__(library, config, features=FEATURES, vt_plan=VT_PLAN)

@@ -31,6 +31,28 @@ from .ports import CrossbarConfig
 __all__ = ["SegmentedDualVtPrechargedCrossbar"]
 
 
+FEATURES = SchemeFeatures(
+    has_keeper=False,
+    has_precharge=True,
+    has_sleep=True,
+    segmented=True,
+    precharge_to_high=True,
+    far_segment_sleeps_when_unused=True,
+)
+VT_PLAN = VtPlan(
+    pass_transistor=VtFlavor.NOMINAL,       # far-segment crosspoints (critical path 2)
+    near_pass_transistor=VtFlavor.HIGH,
+    sleep=VtFlavor.HIGH,
+    precharge=VtFlavor.HIGH,
+    segment_switch=VtFlavor.NOMINAL,
+    driver1_nmos=VtFlavor.HIGH,
+    driver1_pmos=VtFlavor.HIGH,
+    driver2_nmos=VtFlavor.HIGH,
+    driver2_pmos=VtFlavor.HIGH,
+    input_driver=VtFlavor.NOMINAL,
+)
+
+
 class SegmentedDualVtPrechargedCrossbar(CrossbarScheme):
     """Segmented dual-Vt pre-charged crossbar (Table 1 column "SDPC")."""
 
@@ -41,24 +63,4 @@ class SegmentedDualVtPrechargedCrossbar(CrossbarScheme):
     )
 
     def __init__(self, library: TechnologyLibrary, config: CrossbarConfig | None = None) -> None:
-        features = SchemeFeatures(
-            has_keeper=False,
-            has_precharge=True,
-            has_sleep=True,
-            segmented=True,
-            precharge_to_high=True,
-            far_segment_sleeps_when_unused=True,
-        )
-        vt_plan = VtPlan(
-            pass_transistor=VtFlavor.NOMINAL,       # far-segment crosspoints (critical path 2)
-            near_pass_transistor=VtFlavor.HIGH,
-            sleep=VtFlavor.HIGH,
-            precharge=VtFlavor.HIGH,
-            segment_switch=VtFlavor.NOMINAL,
-            driver1_nmos=VtFlavor.HIGH,
-            driver1_pmos=VtFlavor.HIGH,
-            driver2_nmos=VtFlavor.HIGH,
-            driver2_pmos=VtFlavor.HIGH,
-            input_driver=VtFlavor.NOMINAL,
-        )
-        super().__init__(library, config, features=features, vt_plan=vt_plan)
+        super().__init__(library, config, features=FEATURES, vt_plan=VT_PLAN)

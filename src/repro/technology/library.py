@@ -125,6 +125,13 @@ class TechnologyLibrary:
         self._parameter_memo: dict[tuple[Polarity, VtFlavor],
                                    tuple[MosfetParameters, ProcessCorner,
                                          MosfetParameters]] = {}
+        #: Figures of this library's shared transistors by (polarity,
+        #: flavor, width), filled by
+        #: :meth:`repro.crossbar.frame.CrossbarFrame.device` (typed loosely:
+        #: the crossbar layer sits above this one).  Each holds its Mosfet
+        #: and floats, not the library, so sharing them makes no cycle; they
+        #: follow the Mosfets of :meth:`make_transistor`'s memo.
+        self.device_figures: dict[tuple[Polarity, VtFlavor, float], object] = {}
         #: Wires of this library by (length, layer, neighbours), filled by
         #: :meth:`repro.interconnect.wire.Wire.on_layer` (typed loosely:
         #: the interconnect layer sits above this one).  Wires hold their

@@ -24,6 +24,7 @@ from repro.crossbar import (
     register_scheme,
 )
 from repro.crossbar.dfc import DualVtFeedbackCrossbar
+from repro.crossbar.frame import merge_delay
 from repro.crossbar.sc import SingleVtCrossbar
 from repro.errors import CrossbarError
 from repro.technology import VtFlavor
@@ -229,7 +230,8 @@ class TestOutputPathInventory:
                                     allow_self_connection=self_connection)
             for name in available_schemes():
                 try:
-                    scheme = create_scheme(name, library, config)
+                    # A scheme resolves its circuit on first use.
+                    closed = create_scheme(name, library, config).single_bit_statistics
                 except CrossbarError:
                     # Only a 2-port, no-self crossbar is too small to
                     # segment (one crosspoint per row).
@@ -237,7 +239,6 @@ class TestOutputPathInventory:
                     assert (self_connection, name) not in golden
                     continue
                 expected = golden[(self_connection, name)]
-                closed = scheme.single_bit_statistics
                 case = (node, ports, self_connection, name)
                 assert closed.device_count == expected["device_count"], case
                 assert closed.count_by_flavor == {
@@ -302,8 +303,8 @@ class TestSchemeTiming:
 
     def test_near_path_faster_than_far_path_in_segmented_schemes(self, schemes):
         sdfc = schemes["SDFC"]
-        near = sdfc._merge_delay(falling=True, far_path=False)
-        far = sdfc._merge_delay(falling=True, far_path=True)
+        near = merge_delay(sdfc.view, falling=True, far_path=False)
+        far = merge_delay(sdfc.view, falling=True, far_path=True)
         assert near < far
 
     def test_delays_shrink_with_smaller_crossbar(self, library):

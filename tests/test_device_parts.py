@@ -28,6 +28,7 @@ from repro.core.scheme_evaluator import (
 from repro.crossbar.base import DEVICE_PART_FIELDS, DEVICE_PART_LENGTH
 from repro.crossbar.factory import available_schemes, create_scheme
 from repro.crossbar.ports import CrossbarConfig
+from repro.errors import TechnologyError
 from repro.interconnect.wire import Wire
 from repro.technology.transistor import Polarity, VtFlavor
 
@@ -155,6 +156,24 @@ def test_device_part_counters_and_clear():
     point_records(base.with_overrides(**{"crossbar.flit_width": 32}))
     assert structural_cache_stats().device_part_misses == schemes
     assert structural_cache_stats().device_part_hits == 0
+    clear_structural_cache()
+
+
+def test_a_shared_device_part_still_checks_the_circuit_first():
+    """The device key leaves the wires out, so a crossbar on a wire layer
+    that does not exist still finds its device parts shared.  Its
+    circuit's checks run before the part is looked up, so its wire error
+    comes before the point's own (an out-of-range static probability),
+    as it did when each scheme was built whole."""
+    base = paper_experiment()
+    clear_structural_cache()
+    point_records(base)
+    point_records(base.with_overrides(**{"crossbar.wire_layer": "global"}))
+    assert structural_cache_stats().device_part_hits == len(available_schemes())
+    bad = base.with_overrides(**{"crossbar.wire_layer": "bogus"})
+    object.__setattr__(bad, "static_probability", 1.5)  # past the config's own check
+    with pytest.raises(TechnologyError, match="unknown wire layer 'bogus'"):
+        point_records(bad)
     clear_structural_cache()
 
 

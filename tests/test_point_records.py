@@ -23,6 +23,7 @@ import dataclasses
 import importlib.util
 import json
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -38,12 +39,16 @@ from repro.core.scheme_evaluator import (
 )
 from repro.crossbar import factory
 from repro.crossbar.factory import available_schemes
-from repro.crossbar.base import CrossbarScheme, SchemeFeatures, VtPlan
+from repro.crossbar.base import DEVICE_PART_LENGTH, CrossbarScheme, SchemeFeatures, VtPlan
 from repro.crossbar.sdfc import SegmentedDualVtFeedbackCrossbar
 from repro.errors import ConfigurationError, CrossbarError, PowerError
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
+
+#: One path's sleep leakage in a device part: the three doubles before
+#: the high-Vt fraction.
+_SLEEP = slice(DEVICE_PART_LENGTH - 4, DEVICE_PART_LENGTH - 1)
 
 #: Leaves of a golden case that are not config overrides.
 _OUTCOME_KEYS = ("records", "error", "message")
@@ -419,11 +424,15 @@ def test_an_invalid_toggle_raises_on_a_slot_hit():
 
 
 def _tight_sleep(base: type, name: str) -> type:
-    """``base`` with 1 % of its sleep leakage, so standby pays off even
-    at p = 0 (where no bundled scheme's does)."""
-    return type(name, (base,), {
-        "name": name,
-        "_sleep_path_leakage": lambda self: base._sleep_path_leakage(self).scaled(0.01)})
+    """``base`` with 1 % of its sleep leakage (the device part's sleep
+    terms), so standby pays off even at p = 0 (where no bundled
+    scheme's does)."""
+    def derive_device_part(self):
+        part = base.derive_device_part(self)
+        part[_SLEEP] = array("d", [value * 0.01 for value in part[_SLEEP]])
+        return part
+
+    return type(name, (base,), {"name": name, "derive_device_part": derive_device_part})
 
 
 def test_zero_and_negative_zero_do_not_share_a_slot(monkeypatch):

@@ -22,22 +22,32 @@ from __future__ import annotations
 import asyncio
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import pytest
 
 from repro import compare_schemes, paper_experiment
 from repro.circuit.dynamic import contention_energy, switching_energy
+from repro.circuit.gates import (
+    Inverter,
+    Keeper,
+    PassTransistorSwitch,
+    PrechargeTransistor,
+    SleepTransistor,
+)
 from repro.circuit.leakage import AffineLeakage, LeakageBreakdown
 from repro.core.comparison import point_records
 from repro.core.scheme_evaluator import clear_structural_cache, schemes_for
-from repro.crossbar.base import CrossbarScheme
-from repro.crossbar.factory import available_schemes
+from repro.crossbar import factory
+from repro.crossbar.base import DEVICE_PART_LENGTH, CrossbarScheme, SchemeFeatures, VtPlan
+from repro.crossbar.factory import available_schemes, create_scheme, register_scheme
+from repro.crossbar.frame import CrossbarFrame
 from repro.engine import Evaluator
 from repro.engine.grid import DesignSpace
 from repro.engine.service import EvaluationServer, EvaluationService, ServiceClient
-from repro.errors import TimingError
+from repro.errors import TechnologyError, TimingError
 from repro.interconnect.pi_model import PiModel
+from repro.technology.transistor import Polarity, VtFlavor
 from repro.timing.delay_analysis import DelayReport, contention_factor, pass_rise_penalty
 
 from test_device_parts import PERTURBATIONS
@@ -343,6 +353,22 @@ def test_a_failing_keeper_raises_what_the_object_derivation_raises():
             assert expected[0] is TimingError
 
 
+def test_a_device_without_drive_raises_what_the_object_derivation_raises():
+    """A hand-edited library whose nominal NMOS has no drive current: the
+    leakage walk does not need a resistance, the first delay does, and
+    it raises what the gate objects raised."""
+    library = paper_experiment().build_library()
+    key = (Polarity.NMOS, VtFlavor.NOMINAL)
+    library.devices[key] = replace(library.devices[key], drive_k_per_meter=0.0)
+    for name in available_schemes():
+        scheme = create_scheme(name, library)
+        assert len(scheme.derive_device_part()) == DEVICE_PART_LENGTH
+        expected = _outcome(_Oracle(create_scheme(name, library)).record_terms)
+        assert expected == (TechnologyError,
+                            "saturation current must be positive to define a resistance")
+        assert _outcome(scheme.derive_record_terms) == expected
+
+
 def _counting(monkeypatch, name: str) -> list[str]:
     """Replace the cached property ``name`` of every scheme with one that
     records the scheme name each time it is derived."""
@@ -359,21 +385,127 @@ def _counting(monkeypatch, name: str) -> list[str]:
     return built
 
 
-def test_cold_records_build_no_profile_and_derive_the_geometry_once(monkeypatch):
-    """The record path builds no leakage objects (``path_leakage``); the
-    object API builds them once per scheme for its breakdowns."""
+def _counting_inits(monkeypatch, classes) -> list[str]:
+    """Record the class name of every instance of ``classes`` built."""
+    built: list[str] = []
+    for cls in classes:
+        def counting(self, *args, _original=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_cold_records_build_one_frame_and_no_gates(monkeypatch):
+    """A structure's records come from one shared frame: no gate object
+    and no leakage profile (``path_leakage``), each scheme's geometry
+    derived once.  The object API on the same schemes reuses that
+    geometry, builds each profile once and still builds no gate."""
+    frames = _counting_inits(monkeypatch, [CrossbarFrame])
+    gates = _counting_inits(monkeypatch, [Inverter, Keeper, PassTransistorSwitch,
+                                          PrechargeTransistor, SleepTransistor])
     profiles = _counting(monkeypatch, "path_leakage")
     geometries = _counting(monkeypatch, "_geometry")
     clear_structural_cache()
     for probability in (0.5, 0.2, 0.9):
         point_records(paper_experiment().with_overrides(static_probability=probability))
-    assert profiles == []
+    assert len(frames) == 1
+    schemes = [scheme for _name, scheme in schemes_for(paper_experiment(), None, "SC")]
+    assert all(scheme.frame is schemes[0].frame for scheme in schemes)
+    assert gates == [] and profiles == []
     assert sorted(geometries) == sorted(available_schemes())
-    # The object API on the same schemes reuses their geometry.
     compare_schemes(paper_experiment())
     assert sorted(profiles) == sorted(available_schemes())
     assert sorted(geometries) == sorted(available_schemes())
+    assert len(frames) == 1 and gates == []
     clear_structural_cache()
+
+
+# ---------------------------------------------------------------------------
+# the shared frame against schemes built alone
+# ---------------------------------------------------------------------------
+
+
+def _alone(scheme: CrossbarScheme) -> CrossbarScheme:
+    """``scheme``'s class on the same library and crossbar, reading a
+    frame of its own."""
+    return type(scheme)(scheme.library, scheme.config)
+
+
+def _assert_frame_matches_alone(config) -> int:
+    """Every scheme of ``config``'s structure, from its shared frame,
+    has the terms and device part of the same scheme built alone (or
+    raises what it raises); returns how many schemes were compared."""
+    schemes = list(schemes_for(config, None, "SC"))
+    assert len({id(scheme.frame) for _name, scheme in schemes}) == 1
+    for _name, scheme in schemes:
+        alone = _alone(scheme)
+        assert alone.frame is not scheme.frame
+        assert _outcome(lambda: list(scheme.device_part)) == _outcome(
+            lambda: list(alone.derive_device_part())), scheme.name
+        assert _outcome(lambda: scheme.record_terms) == _outcome(
+            alone.derive_record_terms), scheme.name
+    return len(schemes)
+
+
+def test_the_shared_frame_gives_every_structure_of_a_block_its_alone_terms():
+    """Every (library, crossbar) structure of one ``structural_block`` at
+    one of its temperatures."""
+    block = _perfbench_inputs().structural_block(11, 0)
+    temperature = min(point["temperature_celsius"] for point in block)
+    structures = [point for point in block if point["temperature_celsius"] == temperature]
+    assert len(structures) == len(block) // 3
+    clear_structural_cache()
+    base = paper_experiment()
+    compared = sum(_assert_frame_matches_alone(base.with_overrides(**point))
+                   for point in structures)
+    assert compared == 5 * len(structures)
+    clear_structural_cache()
+
+
+#: A feedback plan with every device high-Vt, which no bundled scheme
+#: uses.
+_ALL_HIGH = VtPlan(**{plan_field.name: VtFlavor.HIGH for plan_field in fields(VtPlan)})
+
+
+class _AllHighFeedback(CrossbarScheme):
+    """Every device high-Vt, Fig. 1's circuit otherwise."""
+
+    name = "HVT"
+
+    def __init__(self, library, config=None):
+        super().__init__(library, config, features=SchemeFeatures(), vt_plan=_ALL_HIGH)
+
+
+def test_a_registered_scheme_reads_the_frame_like_the_bundled_ones():
+    """An extension scheme registered by name: its records from
+    ``point_records`` equal the object API's, and its terms from the
+    shared frame equal its alone-built terms and the oracle's."""
+    clear_structural_cache()
+    register_scheme("HVT", _AllHighFeedback)
+    try:
+        assert available_schemes()[-1] == "HVT"
+        base = paper_experiment()
+        recorded = 0
+        for point in [{}] + _structural_sample(size=12):
+            config = base.with_overrides(**point)
+            records = _outcome(lambda: point_records(config))
+            assert records == _outcome(lambda: compare_schemes(config).as_records())
+            if isinstance(records, list):
+                assert records[-1]["scheme"] == "HVT"
+                recorded += 1
+            scheme = dict(schemes_for(config, None, "SC"))["HVT"]
+            alone = _alone(scheme)
+            expected = _outcome(_Oracle(alone).record_terms)
+            assert _outcome(alone.derive_record_terms) == expected
+            assert _outcome(lambda: scheme.record_terms) == expected
+        assert recorded > 0
+    finally:
+        del factory._REGISTRY["HVT"]
+        factory._ORDERED_NAMES = factory._ordered_names()
+        clear_structural_cache()
+    assert "HVT" not in available_schemes()
 
 
 # ---------------------------------------------------------------------------
